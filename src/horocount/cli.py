@@ -285,9 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "equidistribution checks.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seeded=False):
+    def common(p, seeded=False, threaded=False):
         p.add_argument("--output", default=None, help="write the primary table/JSON here")
-        p.add_argument("--threads", type=int, default=1)
+        if threaded:
+            p.add_argument("--threads", type=int, default=1)
         if seeded:
             p.add_argument("--seed", type=int, default=None,
                            help="RNG seed (falls back to HOROCOUNT_SEED, then 0)")
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--primitive", action="store_true")
     p.add_argument("--exact", action="store_true")
-    common(p)
+    common(p, threaded=True)
     p.set_defaults(fn=cmd_count)
 
     for name, helptext in (("chimney", "orbit counting in truncated chimneys"),
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--envelope", action="store_true")
         p.add_argument("--sigma", type=int, default=None,
                        help="stabilizer order (required for d >= 5 symmetric forms)")
-        common(p)
+        common(p, threaded=True)
         p.set_defaults(fn=cmd_chimney if name == "chimney" else cmd_horoball)
 
     p = sub.add_parser("equidist", help="horospherical averages over a t-grid")

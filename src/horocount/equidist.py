@@ -16,6 +16,20 @@ integrated by a midpoint rule over x in [-1/2, 1/2)^{d-1} and, for d = 3,
 by a hyperbolic-measure quadrature over the modular fundamental domain
 (grid in (x, log y), density 1/y^2, cusp cut at height Y).
 
+For d = 3 the n x n torus mean is evaluated exactly as an n-point sum.
+Write w = g0 w' with gcd(w') = 1.  On the midpoint grid
+x = ((i + 1/2)/n - 1/2, (j + 1/2)/n - 1/2) one has
+n <x, w> = g0 (w1' i + w2' j) + C with C = (w1 + w2)(1 - n)/2, and
+(i, j) -> w1' i + w2' j mod n takes every residue exactly n times, for
+every n (w' is primitive, so the map onto Z/n is onto).  The sum over k
+is g0-periodic in <x, w>: all k count when g0 = 1, and the k prime to
+g0 (the primitivity rule) are invariant under k -> k + g0.  Hence the
+mean over the n^2 grid equals (1/n) sum_{r < n} F_w((g0 r + C)/n), with
+no approximation.  The modular base needs no form object either: for
+z = x + iy, Q_z(w) = |w1 z + w2|^2 / y = w1^2 y + (w1 x + w2)^2 / y, so
+the w under a bound have closed-form ranges, and all (base point, w)
+pairs of a level go through one blocked array kernel.
+
 Supported dimensions for averages: d = 2 (base is a point) and d = 3.
 """
 
@@ -74,6 +88,7 @@ ENUM_BUDGET = 1e8
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 CUTOFF_ALPHA = max(1.0, 0.5 * math.sqrt(3.0))
 CUTOFF_FLOOR = 8.0
+TORUS_BLOCK = 1 << 14  # (pair, residue, k-offset) elements per kernel block
 
 
 class EquidistError(ValueError):
@@ -244,9 +259,13 @@ def space_average(h: RadialProfile, d: int) -> float:
     return h.integral(d) / constants(d).zeta
 
 
-def _torus_points(n: int, k: int) -> np.ndarray:
+def _check_torus_grid(n: int):
     if n < 8:
         raise EquidistError("torus grid must be >= 8")
+
+
+def _torus_points(n: int, k: int) -> np.ndarray:
+    _check_torus_grid(n)
     xs = (np.arange(n) + 0.5) / n - 0.5
     if k == 1:
         return xs[:, None]
@@ -315,6 +334,49 @@ def _fiber_values(d: int, t: float, base_form: QuadForm | None,
     return out
 
 
+def _w_bound_d3(t: float, h: RadialProfile) -> float:
+    """Largest base value Q_b(w) whose fiber strips meet the support at level t."""
+    return (h.support_end + _support_tol(h.support_end)) / math.exp(-rate_lambda(3) * t)
+
+
+def _torus_means_d3(t: float, h: RadialProfile, n: int, owner: np.ndarray,
+                    ws: np.ndarray, qbs: np.ndarray, n_bases: int) -> np.ndarray:
+    """Means of the d = 3 fiber values over the n x n midpoint torus grid,
+    one per base point.
+
+    Each (base point, w) pair is given by its base index in owner, its
+    half-lattice w (rows of ws) and Q_b(w) in qbs.  The mean over the grid
+    is the exact n-point residue sum of the module docstring, evaluated
+    for residues x k-offsets in blocks of TORUS_BLOCK elements.
+    """
+    _check_torus_grid(n)
+    s_eff = h.support_end + _support_tol(h.support_end)
+    el, em = math.exp(-rate_lambda(3) * t), math.exp(rate_mu(3) * t)
+    base_val = el * np.asarray(qbs, dtype=float)
+    keep = base_val <= s_eff
+    owner, ws, base_val = owner[keep], ws[keep], base_val[keep]
+    sums = np.zeros(len(base_val))
+    if len(base_val):
+        beta = np.sqrt((s_eff - base_val) / em)
+        koff = math.floor(float(beta.max()) + 0.5 + 1e-12)
+        offs = np.arange(-koff, koff + 1, dtype=float)
+        g0 = np.gcd(ws[:, 0], ws[:, 1])
+        shift = (ws[:, 0] + ws[:, 1]) * (1 - n) / 2.0
+        residues = np.arange(n, dtype=float)
+        step = max(1, TORUS_BLOCK // (n * offs.size))
+        for lo in range(0, len(base_val), step):
+            blk = slice(lo, lo + step)
+            dots = (g0[blk, None] * residues + shift[blk, None]) / n
+            k = np.rint(-dots)[:, :, None] + offs
+            arg = base_val[blk, None, None] + em * (dots[:, :, None] + k) ** 2
+            inside = arg <= s_eff
+            if np.any(g0[blk] > 1):
+                inside &= np.gcd(g0[blk, None, None], np.abs(k).astype(np.int64)) == 1
+            sums[blk] = np.where(inside, h.value(arg), 0.0).sum(axis=(1, 2))
+    const = 2.0 * h.value_scalar(em) if em <= s_eff else 0.0
+    return const + (2.0 / n) * np.bincount(owner, weights=sums, minlength=n_bases)
+
+
 def fiber_integral(t: float, base, h: RadialProfile, grid: int) -> float:
     """Midpoint-rule average of the test function over the torus fiber.
 
@@ -322,6 +384,12 @@ def fiber_integral(t: float, base, h: RadialProfile, grid: int) -> float:
     QuadForm of dimension d - 1.
     """
     base_form = _as_base_form(base)
+    if base_form is not None and base_form.dim == 2:
+        pts, vals = enumerate_points(base_form, _w_bound_d3(t, h), mode="float",
+                                     budget=ENUM_BUDGET)
+        ws, qbs = _half_lattice(pts, np.asarray(vals, dtype=float))
+        owner = np.zeros(len(ws), dtype=np.intp)
+        return float(_torus_means_d3(t, h, grid, owner, ws, qbs, 1)[0])
     d = 2 if base_form is None else base_form.dim + 1
     xpts = _torus_points(grid, d - 1)
     return float(_fiber_values(d, t, base_form, h, xpts).mean())
@@ -358,6 +426,35 @@ def _modular_grid(nx: int, ny: int, y_max: float):
     return xg[mask], yg[mask], wts[mask]
 
 
+def _ragged(lo: np.ndarray, hi: np.ndarray):
+    """The integers of the intervals [lo_i, hi_i] (empty when hi_i < lo_i),
+    as (interval index, value) arrays."""
+    counts = np.maximum(hi - lo + 1, 0)
+    owner = np.repeat(np.arange(len(lo)), counts)
+    start = np.cumsum(counts) - counts
+    return owner, lo[owner] + (np.arange(int(counts.sum())) - start[owner])
+
+
+def _modular_pairs(xs: np.ndarray, ys: np.ndarray, bound: float):
+    """Every (base point, half-lattice w) with Q_z(w) <= bound, from the
+    closed form Q_z(w) = w1^2 y + (w1 x + w2)^2 / y.
+
+    Half lattice: w1 > 0, or w1 = 0 and w2 > 0.  Returns the base index,
+    w (m, 2) int64 and Q_z(w) per pair; pairs within rounding of the bound
+    may be included and are cut by the kernel's support test.
+    """
+    owner, w1 = _ragged(np.zeros(len(ys), dtype=np.int64),
+                        np.floor(np.sqrt(bound / ys)).astype(np.int64))
+    x, y = xs[owner], ys[owner]
+    half = np.sqrt(np.maximum(bound - w1 * w1 * y, 0.0) * y)
+    lo = np.ceil(-w1 * x - half).astype(np.int64)
+    lo = np.where(w1 == 0, np.maximum(lo, 1), lo)
+    pair, w2 = _ragged(lo, np.floor(-w1 * x + half).astype(np.int64))
+    owner, w1, x, y = owner[pair], w1[pair], x[pair], y[pair]
+    qbs = w1 * w1 * y + (w1 * x + w2) ** 2 / y
+    return owner, np.stack([w1, w2], axis=1), qbs
+
+
 def _average_once(d: int, t: float, h: RadialProfile, torus_n: int,
                   base_dims, y_max: float | None) -> float:
     if d == 2:
@@ -367,12 +464,9 @@ def _average_once(d: int, t: float, h: RadialProfile, torus_n: int,
         raise EquidistError("averages are implemented for d in {2, 3}")
     y_top = default_cutoff_height(t) if y_max is None else y_max
     xs, ys, wts = _modular_grid(base_dims[0], base_dims[1], y_top)
-    xpts = _torus_points(torus_n, 2)
-    total = 0.0
-    for x, y, wt in zip(xs, ys, wts):
-        base = QuadForm.from_gram(modular_base_gram(float(x), float(y)))
-        total += wt * float(_fiber_values(3, t, base, h, xpts).mean())
-    return total / float(wts.sum())
+    owner, ws, qbs = _modular_pairs(xs, ys, _w_bound_d3(t, h))
+    means = _torus_means_d3(t, h, torus_n, owner, ws, qbs, len(xs))
+    return float(wts @ means) / float(wts.sum())
 
 
 def _grid_for(q: QuadratureSpec, d: int, t: float) -> int:

@@ -472,37 +472,36 @@ def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto", threads: in
     """Primitive count via the sieve: N1(R) = sum_k mu(k) (N0(R/k) - 1).
 
     Subtracting the origin from each full count makes the identity exact at
-    every radius; the k-sum stops once R/k drops below the shortest vector.
+    every radius.  The k-sum stops at the first squarefree k with
+    N0(R/k) = 1: N0 is monotone in the radius, so every later term is
+    mu(k) (1 - 1) = 0, and in float mode its boundary band n_hi - n_lo is
+    0 as well.
     """
-    from .moebius import sieve  # local import to avoid a module cycle
-
     _check_overflow(spec)
     used_mode, mint = _resolve_mode(spec.form, mode)
     perm = _pivot_order(spec.form.gram)
-    kmax = math.floor(spec.radius / _shortest_radius_lower_bound(spec.form))
-    kmax = max(kmax, 1)
-    table = sieve(kmax)
+    kmax = max(math.floor(spec.radius / _shortest_radius_lower_bound(spec.form)), 1)
+    # N0(R/k) >= 3 while a basis vector e_i has Q(e_i) <= (R/k)^2, so the
+    # sum runs at least to k = R / sqrt(min_i Q(e_i)): size the table there
+    shortest_basis = math.sqrt(float(np.min(np.diagonal(spec.form.gram))))
+    first = min(kmax, math.floor(spec.radius / shortest_basis) + 1)
     n1 = 0
     n0_full = None
     boundary = 0
     if used_mode == "exact":
         mint_p = [[mint[i][j] for j in perm] for i in perm]
         rsq = Fraction(spec.radius) ** 2
-        for k in range(1, kmax + 1):
-            mu_k = int(table.mu[k])
-            if mu_k == 0 and k > 1:
-                continue
+        for k, mu_k in _squarefree_terms(first, kmax):
             n0 = _count_exact(mint_p, math.floor(rsq / (k * k)), threads=threads)
             if k == 1:
                 n0_full = n0
             n1 += mu_k * (n0 - 1)
+            if n0 == 1:
+                break
         return CountResult(n0=n0_full, n1=n1, boundary_ambiguous=0, mode="exact")
     gram_p = _permuted(spec.form.gram, perm)
     d = spec.form.dim
-    for k in range(1, kmax + 1):
-        mu_k = int(table.mu[k])
-        if mu_k == 0 and k > 1:
-            continue
+    for k, mu_k in _squarefree_terms(first, kmax):
         rsq = (spec.radius / k) ** 2
         tol = _float_tolerance(rsq, d)
         n_hi, n_lo = _count_float(gram_p, rsq + tol, rsq - tol, threads=threads)
@@ -510,7 +509,27 @@ def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto", threads: in
             n0_full = n_hi
         boundary += n_hi - n_lo
         n1 += mu_k * (n_hi - 1)
+        if n_hi == 1:
+            break
     return CountResult(n0=n0_full, n1=n1, boundary_ambiguous=boundary, mode="float")
+
+
+def _squarefree_terms(first: int, kmax: int):
+    """(k, mu(k)) for the squarefree k <= kmax in increasing order.
+
+    The Moebius table starts at first entries and grows by doubling as k
+    advances, so a caller that stops at some k >= first / 2 never has a
+    table longer than 2k (nor than kmax).
+    """
+    from .moebius import sieve  # local import to avoid a module cycle
+
+    table = sieve(first)
+    for k in range(1, kmax + 1):
+        if k > table.limit:
+            table = sieve(min(2 * table.limit, kmax))
+        mu_k = int(table.mu[k])
+        if mu_k:
+            yield k, mu_k
 
 
 def _shortest_radius_lower_bound(form: QuadForm) -> float:

@@ -192,3 +192,10 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["count", "--dim", "2"])
         assert exc.value.code == 2
+
+    def test_threads_only_where_used(self):
+        # equidist never counts, so it takes no --threads option
+        with pytest.raises(SystemExit) as exc:
+            main(["equidist", "--dim", "2", "--tmin", "0", "--tmax", "1", "--steps", "2",
+                  "--threads", "2"])
+        assert exc.value.code == 2

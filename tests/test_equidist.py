@@ -9,6 +9,10 @@ from horocount.equidist import (
     HoroAverage,
     QuadratureSpec,
     _fiber_values,
+    _grid_for,
+    _modular_grid,
+    _next_odd_prime,
+    _torus_points,
     bump_profile,
     check_thm12_bound,
     cusp_orbit_check,
@@ -163,7 +167,64 @@ class TestFiber:
                 assert f == pytest.approx(slow, abs=1e-9)
 
 
+class TestResidueKernel:
+    """The d = 3 torus mean is an exact n-point residue sum: it must match
+    the pointwise fiber values averaged over the full n x n grid."""
+
+    def test_matches_full_torus_grid(self):
+        bases = [QuadForm.from_gram(modular_base_gram(0.21, 1.4)),
+                 QuadForm.from_gram(modular_base_gram(0.1, 8.0)),
+                 QuadForm.identity(2)]
+        # w = (0, 2) has g0 = 2 and Q = 4 / 8 = 0.5, inside the w-bound
+        # e^{lambda t} >= e^{-0.8 / sqrt 6} > 0.72 at every level below
+        assert bases[1].evaluate([0, 2]) == pytest.approx(0.5)
+        for h in (indicator_profile(1.0), bump_profile(1.0, 0.5)):
+            for n in (9, 17, 34, 64):
+                xpts = _torus_points(n, 2)
+                for t in (-0.8, 0.0, 1.3, 3.3):
+                    for base in bases:
+                        full = float(_fiber_values(3, t, base, h, xpts).mean())
+                        assert fiber_integral(t, base, h, n) == pytest.approx(full, abs=1e-12)
+
+    def test_rejects_small_grid(self):
+        with pytest.raises(EquidistError):
+            fiber_integral(0.0, QuadForm.identity(2), bump_profile(1.0), 7)
+
+
+def _per_base_average(t, h, q):
+    """horosphere_average(d=3) by the per-base-point algorithm: a QuadForm,
+    an enumeration and pointwise fiber values over the full torus grid at
+    every base node, for the coarse and the refined grids."""
+    def once(n, nx, ny):
+        y_top = default_cutoff_height(t) if q.base_cutoff_height is None else q.base_cutoff_height
+        xs, ys, wts = _modular_grid(nx, ny, y_top)
+        xpts = _torus_points(n, 2)
+        total = 0.0
+        for x, y, wt in zip(xs, ys, wts):
+            base = QuadForm.from_gram(modular_base_gram(float(x), float(y)))
+            total += wt * float(_fiber_values(3, t, base, h, xpts).mean())
+        return total / float(wts.sum())
+
+    n, rf = _grid_for(q, 3, t), q.refinement_factor
+    nx, ny = q.base_grid
+    coarse = once(n, nx, ny)
+    fine = once(_next_odd_prime(n * rf), nx * rf, ny * rf)
+    return fine, 1.5 * abs(fine - coarse) + 1e-9 * (1.0 + abs(fine))
+
+
 class TestAverages:
+    def test_d3_matches_per_base_loop(self):
+        specs = (QuadratureSpec(torus_grid=9, base_grid=(8, 8)),
+                 QuadratureSpec(torus_grid=10, base_grid=(8, 8), scale_with_t=False))
+        for q in specs:
+            for h in (indicator_profile(1.0), bump_profile(1.0, 0.5)):
+                for t in (0.0, 0.9, 2.2):
+                    a = horosphere_average(t, h, q, d=3)
+                    value, est = _per_base_average(t, h, q)
+                    assert a.value == pytest.approx(value, abs=1e-12)
+                    assert a.quad_error_estimate == pytest.approx(est, abs=1e-12)
+
+
     def test_d2_t0(self):
         a = horosphere_average(0.0, indicator_profile(1.0), d=2)
         assert abs(a.value - 2.0) <= a.quad_error_estimate

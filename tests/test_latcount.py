@@ -159,6 +159,30 @@ class TestPrimitive:
                 count_primitive_direct(spec, mode="exact").n1
 
 
+    def test_moebius_stops_where_terms_vanish(self, monkeypatch):
+        # skewed GL_d(Z) images of the identity have a tiny lambda_min, so
+        # R / sqrt(lambda_min) once planned sieves of up to 3e8 entries;
+        # the spy fails before any such table is allocated
+        import horocount.moebius
+
+        real_sieve = horocount.moebius.sieve
+        for gamma, r in (([[1, 10 ** 6], [0, 1]], 300.0),
+                         ([[1, 40, 0], [0, 1, 25], [0, 0, 1]], 20.0)):
+            cap = 2 * (math.floor(r) + 1)
+
+            def spy(limit, cap=cap):
+                if limit > cap:
+                    raise AssertionError(f"sieve({limit}) requested, above {cap}")
+                return real_sieve(limit)
+
+            monkeypatch.setattr(horocount.moebius, "sieve", spy)
+            g = np.array(gamma)
+            got = count_primitive_moebius(EllipsoidSpec(QuadForm.from_gram(g.T @ g), r))
+            want = count_primitive_moebius(EllipsoidSpec(QuadForm.identity(len(gamma)), r))
+            assert got.mode == "exact"
+            assert (got.n0, got.n1) == (want.n0, want.n1)
+
+
 class TestShells:
     def test_unit_circle_shell(self):
         r0, r1 = shell_counts(EllipsoidSpec(QuadForm.identity(2), 3.0), [1.0, 2.0, 4.0, 5.0])
