@@ -103,16 +103,16 @@ def cmd_count(args) -> int:
     mode = "exact" if args.exact else "auto"
     start = time.time()
     if args.primitive:
-        res = error_terms(spec, mode=mode, threads=args.threads)
+        res = error_terms(spec, mode=mode)
     else:
-        res = count_full(spec, mode=mode, threads=args.threads)
+        res = count_full(spec, mode=mode)
         cst = constants(args.dim)
         res.e0 = res.n0 - cst.omega * args.radius ** args.dim
     elapsed_ms = 1000.0 * (time.time() - start)
     payload = {
         "config": {"subcommand": "count", "dim": args.dim, "gram": args.gram,
                    "radius": args.radius, "primitive": args.primitive,
-                   "exact": args.exact, "threads": args.threads},
+                   "exact": args.exact},
         "n0": res.n0,
         "n1": res.n1,
         "e0": res.e0,
@@ -129,7 +129,7 @@ def _orbit_command(args, kind: str) -> int:
     form = _load_gram(args.gram, args.dim)
     t_values = np.linspace(args.tmin, args.tmax, args.steps)
     results = orbits.sweep(form, [float(t) for t in t_values], kind=kind,
-                           sigma=args.sigma, threads=args.threads)
+                           sigma=args.sigma)
     header = "T,R,count,predicted,rel_error"
     rows = [f"{_fmt(r.T)},{_fmt(r.R)},{r.count},{_fmt(r.predicted)},{_fmt(r.rel_error)}"
             for r in results]
@@ -146,7 +146,7 @@ def _orbit_command(args, kind: str) -> int:
         "config": {"subcommand": kind, "dim": args.dim, "gram": args.gram,
                    "tmin": args.tmin, "tmax": args.tmax, "steps": args.steps,
                    "envelope": args.envelope, "sigma": args.sigma,
-                   "threads": args.threads, "output": args.output},
+                   "output": args.output},
         **fit_payload,
         "theory_slope": orbits.theory_slope(args.dim),
     }
@@ -285,10 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "equidistribution checks.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seeded=False, threaded=False):
+    def common(p, seeded=False):
         p.add_argument("--output", default=None, help="write the primary table/JSON here")
-        if threaded:
-            p.add_argument("--threads", type=int, default=1)
         if seeded:
             p.add_argument("--seed", type=int, default=None,
                            help="RNG seed (falls back to HOROCOUNT_SEED, then 0)")
@@ -304,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--primitive", action="store_true")
     p.add_argument("--exact", action="store_true")
-    common(p, threaded=True)
+    common(p)
     p.set_defaults(fn=cmd_count)
 
     for name, helptext in (("chimney", "orbit counting in truncated chimneys"),
@@ -318,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--envelope", action="store_true")
         p.add_argument("--sigma", type=int, default=None,
                        help="stabilizer order (required for d >= 5 symmetric forms)")
-        common(p, threaded=True)
+        common(p)
         p.set_defaults(fn=cmd_chimney if name == "chimney" else cmd_horoball)
 
     p = sub.add_parser("equidist", help="horospherical averages over a t-grid")
@@ -374,8 +372,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "seed"):
         args.seed = _resolve_seed(args.seed)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.fn(args)
     except (CountingError, GeometryError, equidist.EquidistError) as exc:

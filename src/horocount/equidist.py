@@ -55,6 +55,7 @@ from .quadform import (
     rate_lambda,
     rate_mu,
 )
+from .randlat import Y_MIN
 
 __all__ = [
     "EquidistError",
@@ -83,7 +84,6 @@ __all__ = [
     "modular_base_gram",
 ]
 
-Y_MIN = math.sqrt(3.0) / 2.0
 ENUM_BUDGET = 1e8
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 CUTOFF_ALPHA = max(1.0, 0.5 * math.sqrt(3.0))

@@ -7,17 +7,30 @@ and the error terms against the volume main terms.
 Two modes:
 
   * exact  -- integer gram matrix; thresholds are floored to integers and
-    all comparisons are done in exact integer arithmetic (isqrt at the
+    every point is decided in exact integer arithmetic (isqrt at the
     innermost level).  boundary_ambiguous is always 0.
   * float  -- general real gram; a point with |Q(v) - R^2| <= 8*ulp(R^2)*d
     is counted as inside and flagged as boundary-ambiguous.
 
-The traversal is the classical recursive interval walk over coordinates
-driven by the Cholesky factor: for each fixed suffix the admissible range
-of the next coordinate is an interval, and the innermost coordinate is
-counted by floor/ceil arithmetic rather than per-point iteration.
-Coordinates are pivoted so the most constrained direction is outermost,
-which keeps the tree small for very eccentric forms.
+Every count and enumeration runs one walk (Fincke-Pohst).  Coordinates are
+pivoted so the most constrained direction is outermost, which keeps the
+tree small for very eccentric forms, and the Cholesky factor R of the
+permuted gram writes Q(v) as a sum of q_i (v_i + c_i)^2, where the centre
+c_i depends only on the coordinates above i.  _walk recurses over levels
+d-1 ... 2 and, for each admissible suffix (v_2, ..., v_{d-1}), yields the
+range of v_1, widened by _PAD on both sides, with the level-1 and level-0
+centres and the partial sum.  Two leaves finish the last two levels:
+
+  * the float leaf gathers the level-1 nodes of many suffixes into numpy
+    arrays, in blocks of at most BLOCK nodes, and reads each node's level-0
+    interval off floor/ceil of centre +- radius, for all thresholds in one
+    broadcast;
+  * the exact leaf computes each node's level-0 interval from the integer
+    gram with math.isqrt, so floats only ever guide the outer ranges.
+
+A count sums the interval lengths; an enumeration expands the intervals.
+Each leaf decides every point against its own bound, so the widened
+entries add nothing.
 """
 
 from __future__ import annotations
@@ -25,11 +38,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .quadform import QuadForm, constants
+from .quadform import QuadForm, constants, integer_gram_or_none
 
 __all__ = [
     "CountingError",
@@ -49,6 +61,7 @@ __all__ = [
 COUNT_LIMIT = 2 ** 62  # refuse counts that could overflow 64-bit consumers
 _PAD = 1  # integer widening of float-guided ranges; exactness is restored
 # at the innermost level, so the padding only costs a few empty probes.
+BLOCK = 1 << 12  # level-1 nodes per float-leaf block: caps the leaf's scratch memory
 
 
 class CountingError(ValueError):
@@ -81,17 +94,6 @@ class CountResult:
     mode: str = "float"
 
 
-def integer_gram_or_none(gram: np.ndarray, tol: float = 1e-9):
-    """The gram matrix as nested python ints if it is integral within a
-    relative tolerance (large-entry unimodular grams carry float noise
-    proportional to their scale)."""
-    r = np.rint(gram)
-    scale = max(1.0, float(np.max(np.abs(gram))))
-    if float(np.max(np.abs(gram - r))) <= tol * scale:
-        return [[int(x) for x in row] for row in r]
-    return None
-
-
 def _resolve_mode(form: QuadForm, mode: str):
     if mode not in ("auto", "exact", "float"):
         raise CountingError(f"unknown mode {mode!r}")
@@ -116,274 +118,197 @@ def _pivot_order(gram: np.ndarray) -> list[int]:
     return order[::-1]  # position 0 = innermost = least constrained
 
 
-def _permuted(gram: np.ndarray, perm: list[int]) -> np.ndarray:
-    idx = np.ix_(perm, perm)
-    return gram[idx]
+@dataclass(frozen=True, eq=False)
+class _Factor:
+    """What the walk needs of a form, in pivoted coordinates.
+
+    q[i] = R[i, i]^2 and m[i][k] = R[k, i] / R[k, k] (the shift of the
+    level-k centre per unit of v_i) for the Cholesky factor R of the
+    permuted gram; mint is the permuted integer gram in exact mode and
+    None in float mode.
+    """
+
+    dim: int
+    perm: list[int]
+    q: list[float]
+    m: list[list[float]]
+    mint: list[list[int]] | None
+
+    @property
+    def mode(self) -> str:
+        return "float" if self.mint is None else "exact"
 
 
-def _rfactor(gram_p: np.ndarray) -> np.ndarray:
-    """Upper triangular R with gram = R^T R."""
-    return np.linalg.cholesky(gram_p).T
+def _factor(form: QuadForm, mode: str) -> _Factor:
+    _, mint = _resolve_mode(form, mode)
+    perm = _pivot_order(form.gram)
+    gram = form.gram if mint is None else np.array(mint, dtype=float)
+    try:
+        r = np.linalg.cholesky(gram[np.ix_(perm, perm)]).T
+    except np.linalg.LinAlgError as exc:
+        raise CountingError(
+            "gram matrix is not numerically positive definite in float; "
+            "reduce the basis first") from exc
+    d = form.dim
+    m = [[float(r[k, i] / r[k, k]) for k in range(i)] for i in range(d)]
+    if mint is not None:
+        mint = [[mint[i][j] for j in perm] for i in perm]
+    return _Factor(d, perm, (np.diagonal(r) ** 2).tolist(), m, mint)
 
 
-def _budget_estimate(gram_p: np.ndarray, bound: float) -> float:
+def _budget_estimate(f: _Factor, bound: float) -> float:
     """Upper-bound-flavored estimate of the traversal size."""
-    r = _rfactor(gram_p)
-    diag = np.diagonal(r)
-    est = 1.0
-    for i in range(len(diag) - 1, 0, -1):
-        est *= 2.0 * math.sqrt(max(bound, 0.0)) / diag[i] + 1.0
-    return est
+    width = 2.0 * math.sqrt(max(bound, 0.0))
+    return math.prod(width / math.sqrt(f.q[i]) + 1.0 for i in range(1, f.dim))
 
 
 # ---------------------------------------------------------------------------
-# float-mode counting
+# the walk and its two leaves
 
-def _count_float_d2(gram_p, bound_hi, bound_lo, v_range=None):
-    r = _rfactor(gram_p)
-    q0, q1 = r[0, 0] ** 2, r[1, 1] ** 2
-    m01 = r[0, 1] / r[0, 0]
-    vmax = math.floor(math.sqrt(max(bound_hi, 0.0) / q1))
-    lo, hi = (-vmax, vmax) if v_range is None else v_range
-    if hi < lo:
-        return 0, 0
-    v1 = np.arange(lo, hi + 1, dtype=float)
-    t = q1 * v1 * v1
-    c = m01 * v1
-    totals = []
-    for bound in (bound_hi, bound_lo):
-        rem = (bound - t) / q0
-        ok = rem >= 0.0
-        rad = np.sqrt(np.where(ok, rem, 0.0))
-        cnt = np.floor(-c + rad) - np.ceil(-c - rad) + 1.0
-        cnt = np.where(ok, np.maximum(cnt, 0.0), 0.0)
-        totals.append(int(cnt.sum()))
-    return totals[0], totals[1]
+def _walk(f: _Factor, top: float):
+    """Admissible suffixes of the walk over Q(v) <= top.
 
+    Yields (suffix, lo, hi, c1, c0, t) per suffix (v_2, ..., v_{d-1}): the
+    range lo..hi of v_1 widened by _PAD, the level-1 and level-0 centres
+    and the partial sum t of the levels above 1.  In d = 2 the one suffix
+    is ().
+    """
+    q, m = f.q, f.m
 
-def _count_float_rec(gram_p, bound_hi, bound_lo, v_range=None):
-    d = gram_p.shape[0]
-    r = _rfactor(gram_p)
-    q = np.diagonal(r) ** 2
-    # m[i][k] = R[k, i] / R[k, k]: contribution of v_i to the center at level k < i
-    m = [[r[k, i] / r[k, k] for k in range(i)] for i in range(d)]
-    totals = [0, 0]
-
-    def level_count(c, t):
-        for idx, bound in enumerate((bound_hi, bound_lo)):
-            rem = (bound - t) / q[0]
-            if rem >= 0.0:
-                rad = math.sqrt(rem)
-                n = math.floor(-c + rad) - math.ceil(-c - rad) + 1
-                if n > 0:
-                    totals[idx] += n
-
-    def rec(i, cent, t, rng=None):
-        rem = (bound_hi - t) / q[i]
+    def rec(i, suffix, cent, t):
+        rem = (top - t) / q[i]
         if rem < 0.0:
             return
         rad = math.sqrt(rem)
         c = cent[i]
-        lo = math.ceil(-c - rad)
-        hi = math.floor(-c + rad)
-        if rng is not None:
-            lo, hi = max(lo, rng[0]), min(hi, rng[1])
+        lo, hi = math.ceil(-c - rad) - _PAD, math.floor(-c + rad) + _PAD
+        if i == 1:
+            yield suffix, lo, hi, c, cent[0], t
+            return
         mi = m[i]
         for v in range(lo, hi + 1):
-            t2 = t + q[i] * (v + c) ** 2
-            cent2 = [cent[k] + mi[k] * v for k in range(i)]
-            if i == 1:
-                level_count(cent2[0], t2)
-            else:
-                rec(i - 1, cent2, t2)
+            yield from rec(i - 1, (v,) + suffix, [cent[k] + mi[k] * v for k in range(i)],
+                           t + q[i] * (v + c) ** 2)
 
-    rec(d - 1, [0.0] * d, 0.0, v_range)
-    return totals[0], totals[1]
+    return rec(f.dim - 1, (), [0.0] * f.dim, 0.0)
 
 
-def _outer_range_float(gram_p, bound):
-    r = _rfactor(gram_p)
-    qd = r[-1, -1] ** 2
-    vmax = math.floor(math.sqrt(max(bound, 0.0) / qd))
-    return -vmax, vmax
+def _float_blocks(f: _Factor, top: float):
+    """The walk's level-1 nodes as arrays, in blocks of at most BLOCK nodes
+    (a longer suffix is a block of its own).
 
-
-def _count_float(gram_p, bound_hi, bound_lo, threads=1):
-    d = gram_p.shape[0]
-    fn = _count_float_d2 if d == 2 else _count_float_rec
-    if threads <= 1:
-        return fn(gram_p, bound_hi, bound_lo)
-    lo, hi = _outer_range_float(gram_p, bound_hi)
-    edges = np.linspace(lo, hi + 1, threads + 1).astype(int)
-    chunks = [(int(edges[i]), int(edges[i + 1]) - 1) for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda c: fn(gram_p, bound_hi, bound_lo, c), chunks))
-    return sum(p[0] for p in parts), sum(p[1] for p in parts)
-
-
-# ---------------------------------------------------------------------------
-# exact-mode counting
-
-def _exact_inner_count(a, b, c):
-    """#{x in Z : a x^2 + 2 b x + c <= 0}, a > 0, in exact arithmetic.
-
-    a x^2 + 2bx + c <= 0 iff (a x + b)^2 <= b^2 - a c, and both sides are
-    integers, so floor square roots give exact endpoints.
+    Yields (rows, n, v1, t1, c0): the block's walk rows, the node count of
+    each row, and per node v_1, the partial sum through level 1 and the
+    level-0 centre.
     """
-    disc = b * b - a * c
-    if disc < 0:
-        return 0
-    s = math.isqrt(disc)
-    hi = (s - b) // a
-    lo = -((s + b) // a)
-    return hi - lo + 1 if hi >= lo else 0
+    q1, m10 = f.q[1], f.m[1][0]
+    rows, size = [], 0
 
-
-def _count_exact(mint_p, nint, threads=1, v_range=None):
-    """Exact count of v with v^T M v <= nint for integer M (permuted)."""
-    d = len(mint_p)
-    gram_f = np.array(mint_p, dtype=float)
-    r = _rfactor(gram_f)
-    q = np.diagonal(r) ** 2
-    m = [[r[k, i] / r[k, k] for k in range(i)] for i in range(d)]
-    nf = float(nint)
-    slack = 1e-12 * nf + 1e-9  # covers float drift of the partial sums
-    a0 = mint_p[0][0]
-
-    def rec(i, cent, tf, lin, qval, rng=None):
-        total = 0
-        rem = (nf + slack - tf) / q[i]
-        if rem < 0.0:
-            return 0
-        rad = math.sqrt(max(rem, 0.0))
-        c = cent[i]
-        lo = math.ceil(-c - rad) - _PAD
-        hi = math.floor(-c + rad) + _PAD
-        if rng is not None:
-            lo, hi = max(lo, rng[0]), min(hi, rng[1])
-        col = [row[i] for row in mint_p]
-        mi = m[i]
-        if i == 1:
-            for v in range(lo, hi + 1):
-                qv = qval + col[1] * v * v + 2 * v * lin[1]
-                b0 = lin[0] + col[0] * v
-                total += _exact_inner_count(a0, b0, qv - nint)
+    def gather():
+        if len(rows) == 1:  # one suffix, always so in d = 2: nothing to gather
+            _, lo, hi, c1, c0, t = rows[0]
+            n = np.array([hi - lo + 1])
+            v1 = np.arange(lo, hi + 1, dtype=float)
         else:
-            for v in range(lo, hi + 1):
-                lin2 = [lin[k] + col[k] * v for k in range(i)]
-                qv = qval + col[i] * v * v + 2 * v * lin[i]
-                tf2 = tf + q[i] * (v + c) ** 2
-                cent2 = [cent[k] + mi[k] * v for k in range(i)]
-                total += rec(i - 1, cent2, tf2, lin2, qv)
-        return total
+            lo, hi, c1, c0, t = (np.array(col) for col in list(zip(*rows))[1:])
+            n = hi - lo + 1
+            v1 = (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)).astype(float)
+            c1, c0, t = (np.repeat(col, n) for col in (c1, c0, t))
+        # float_power calls C pow, as ** on the walk's Python floats does;
+        # numpy's ** 2 multiplies, which can round the last bit differently
+        return rows, n, v1, t + q1 * np.float_power(v1 + c1, 2), c0 + m10 * v1
 
-    if d == 2:
-        run = lambda rng: rec(1, [0.0, 0.0], 0.0, [0, 0], 0, rng)
-    else:
-        run = lambda rng: rec(d - 1, [0.0] * d, 0.0, [0] * d, 0, rng)
-    if threads <= 1:
-        return run(v_range)
-    lo, hi = _outer_range_float(gram_f, nf)
-    lo, hi = lo - _PAD, hi + _PAD
-    edges = np.linspace(lo, hi + 1, threads + 1).astype(int)
-    chunks = [(int(edges[i]), int(edges[i + 1]) - 1) for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run, chunks))
-    return sum(parts)
+    for row in _walk(f, top):
+        width = row[2] - row[1] + 1
+        if rows and size + width > BLOCK:
+            yield gather()
+            rows, size = [], 0
+        rows.append(row)
+        size += width
+    if rows:
+        yield gather()
 
 
-# ---------------------------------------------------------------------------
-# enumeration (points with values)
+def _level0(f: _Factor, bounds: np.ndarray, t1, c0):
+    """Level-0 intervals lo .. lo + n - 1 of each node, one row per bound
+    (bounds is a column)."""
+    rem = (bounds - t1) / f.q[0]
+    rad = np.sqrt(np.maximum(rem, 0.0))
+    lo = np.ceil(-c0 - rad)
+    return lo, np.where(rem >= 0.0, np.floor(rad - c0) - lo + 1.0, 0.0)
 
-def _enumerate_float(gram_p, bound):
-    """All integer points (in permuted coordinates) with Q <= bound.
 
-    Returns (points int64 array (m, d), values float array (m,)).
-    """
-    d = gram_p.shape[0]
-    r = _rfactor(gram_p)
-    q = np.diagonal(r) ** 2
-    m = [[r[k, i] / r[k, k] for k in range(i)] for i in range(d)]
+def _count_float(f: _Factor, bounds) -> list[int]:
+    """Number of points with Q(v) <= b for each float bound b."""
+    column = np.array(bounds)[:, None]
+    totals = np.zeros(len(bounds), dtype=np.int64)
+    for _, _, _, t1, c0 in _float_blocks(f, max(bounds)):
+        totals += _level0(f, column, t1, c0)[1].sum(axis=1).astype(np.int64)
+    return totals.tolist()
+
+
+def _enumerate_float(f: _Factor, bound: float):
+    """Points (permuted coordinates, int64) with Q(v) <= bound and their values."""
     pts, vals = [], []
-
-    def inner(prefix, c, t):
-        rem = (bound - t) / q[0]
-        if rem < 0.0:
-            return
-        rad = math.sqrt(rem)
-        lo = math.ceil(-c - rad)
-        hi = math.floor(-c + rad)
-        if hi < lo:
-            return
-        v0 = np.arange(lo, hi + 1, dtype=np.int64)
-        value = t + q[0] * (v0 + c) ** 2
+    for rows, n1, v1, t1, c0 in _float_blocks(f, bound):
+        lo, n = (x[0] for x in _level0(f, np.array([[bound]]), t1, c0))
+        n = n.astype(np.int64)
+        v0 = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        value = np.repeat(t1, n) + f.q[0] * (v0 + np.repeat(c0, n)) ** 2
         keep = value <= bound
-        if not keep.any():
-            return
-        v0 = v0[keep]
-        block = np.empty((v0.size, d), dtype=np.int64)
-        block[:, 0] = v0
-        block[:, 1:] = np.asarray(prefix[::-1], dtype=np.int64)
-        pts.append(block)
+        suffixes = np.array([row[0] for row in rows], dtype=np.int64).reshape(len(rows), f.dim - 2)
+        nodes = np.column_stack([v1, np.repeat(suffixes, n1, axis=0)]).astype(np.int64)
+        pts.append(np.column_stack([v0.astype(np.int64), np.repeat(nodes, n, axis=0)])[keep])
         vals.append(value[keep])
-
-    def rec(i, prefix, cent, t):
-        if i == 0:
-            inner(prefix, cent[0], t)
-            return
-        rem = (bound - t) / q[i]
-        if rem < 0.0:
-            return
-        rad = math.sqrt(rem)
-        c = cent[i]
-        mi = m[i]
-        for v in range(math.ceil(-c - rad), math.floor(-c + rad) + 1):
-            rec(i - 1, prefix + [v], [cent[k] + mi[k] * v for k in range(i)], t + q[i] * (v + c) ** 2)
-
-    rec(d - 1, [], [0.0] * d, 0.0)
     if not pts:
-        return np.empty((0, d), dtype=np.int64), np.empty(0)
+        return np.empty((0, f.dim), dtype=np.int64), np.empty(0)
     return np.concatenate(pts), np.concatenate(vals)
 
 
-def _enumerate_exact(mint_p, nint):
-    """Exact enumeration: integer points and exact integer values."""
-    d = len(mint_p)
-    gram_f = np.array(mint_p, dtype=float)
-    r = _rfactor(gram_f)
-    q = np.diagonal(r) ** 2
-    m = [[r[k, i] / r[k, k] for k in range(i)] for i in range(d)]
-    nf = float(nint)
-    slack = 1e-12 * nf + 1e-9
-    a0 = mint_p[0][0]
+def _exact_intervals(f: _Factor, nint: int):
+    """Exact level-0 intervals of Q(v) <= nint for the integer gram.
+
+    Yields (suffix, v1, lo, hi, c, b) for every level-1 node with points:
+    there Q(v) = a0 v0^2 + 2 b v0 + c, and a0 v0^2 + 2 b v0 + c - nint <= 0
+    iff (a0 v0 + b)^2 <= b^2 - a0 (c - nint), where both sides are
+    integers, so floor square roots give exact endpoints.
+    """
+    g = f.mint
+    a0, a01, a1 = g[0][0], g[0][1], g[1][1]
+    top = float(nint)
+    top += 1e-12 * top + 1e-9  # slack covers float drift of the partial sums
+    for suffix, lo, hi, *_ in _walk(f, top):
+        coords = list(enumerate(suffix, 2))
+        lin0 = sum(g[0][j] * v for j, v in coords)
+        lin1 = sum(g[1][j] * v for j, v in coords)
+        qs = sum(g[i][j] * vi * vj for i, vi in coords for j, vj in coords)
+        for v1 in range(lo, hi + 1):
+            b = lin0 + a01 * v1
+            c = qs + (a1 * v1 + 2 * lin1) * v1
+            disc = b * b - a0 * (c - nint)
+            if disc < 0:
+                continue
+            s = math.isqrt(disc)
+            lo0, hi0 = -((s + b) // a0), (s - b) // a0
+            if lo0 <= hi0:
+                yield suffix, v1, lo0, hi0, c, b
+
+
+def _count_exact(f: _Factor, nint: int) -> int:
+    """Exact number of points with Q(v) <= nint."""
+    return sum(hi - lo + 1 for _, _, lo, hi, _, _ in _exact_intervals(f, nint))
+
+
+def _enumerate_exact(f: _Factor, nint: int):
+    """Points (permuted coordinates) with Q(v) <= nint and exact integer values."""
     pts, vals = [], []
-
-    def rec(i, prefix, cent, tf, lin, qval):
-        rem = (nf + slack - tf) / q[i]
-        if rem < 0.0:
-            return
-        rad = math.sqrt(max(rem, 0.0))
-        c = cent[i]
-        lo = math.ceil(-c - rad) - _PAD
-        hi = math.floor(-c + rad) + _PAD
-        col = [row[i] for row in mint_p]
-        mi = m[i]
-        if i == 0:
-            for v in range(lo, hi + 1):
-                value = qval + a0 * v * v + 2 * v * lin[0]
-                if value <= nint:
-                    pts.append([v] + prefix[::-1])
-                    vals.append(value)
-            return
-        for v in range(lo, hi + 1):
-            lin2 = [lin[k] + col[k] * v for k in range(i)]
-            qv = qval + col[i] * v * v + 2 * v * lin[i]
-            tf2 = tf + q[i] * (v + c) ** 2
-            rec(i - 1, prefix + [v], [cent[k] + mi[k] * v for k in range(i)], tf2, lin2, qv)
-
-    rec(d - 1, [], [0.0] * d, 0.0, [0] * d, 0)
+    a0 = f.mint[0][0]
+    for suffix, v1, lo, hi, c, b in _exact_intervals(f, nint):
+        for v0 in range(lo, hi + 1):
+            pts.append((v0, v1) + suffix)
+            vals.append(c + (a0 * v0 + 2 * b) * v0)
     if not pts:
-        return np.empty((0, d), dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty((0, f.dim), dtype=np.int64), np.empty(0, dtype=np.int64)
     return np.array(pts, dtype=np.int64), np.array(vals, dtype=np.int64)
 
 
@@ -396,19 +321,15 @@ def enumerate_points(form: QuadForm, bound: float, mode: str = "auto", budget: f
     if bound < 0:
         d = form.dim
         return np.empty((0, d), dtype=np.int64), np.empty(0)
-    used_mode, mint = _resolve_mode(form, mode)
-    perm = _pivot_order(form.gram)
-    if _budget_estimate(_permuted(form.gram, perm), float(bound)) > budget:
+    f = _factor(form, mode)
+    if _budget_estimate(f, float(bound)) > budget:
         raise EnumerationBudgetError("enumeration tree exceeds the node budget")
-    if used_mode == "exact":
-        mint_p = [[mint[i][j] for j in perm] for i in perm]
-        pts_p, vals = _enumerate_exact(mint_p, math.floor(bound))
+    if f.mint is not None:
+        pts_p, vals = _enumerate_exact(f, math.floor(bound))
     else:
-        gram_p = _permuted(form.gram, perm)
-        pts_p, vals = _enumerate_float(gram_p, float(bound))
+        pts_p, vals = _enumerate_float(f, float(bound))
     pts = np.empty_like(pts_p)
-    for new_pos, orig in enumerate(perm):
-        pts[:, orig] = pts_p[:, new_pos]
+    pts[:, f.perm] = pts_p
     return pts, vals
 
 
@@ -434,20 +355,22 @@ def _exact_threshold(radius) -> int:
     return math.floor(rsq)
 
 
-def count_full(spec: EllipsoidSpec, mode: str = "auto", threads: int = 1) -> CountResult:
+def _n0_band(f: _Factor, radius: float, k: int = 1) -> list[int]:
+    """N0(radius / k) counted to the upper and to the lower edge of the
+    float boundary band; both are the exact count in exact mode."""
+    if f.mint is not None:
+        return [_count_exact(f, _exact_threshold(radius) // (k * k))] * 2
+    rsq = (radius / k) ** 2
+    tol = _float_tolerance(rsq, f.dim)
+    return _count_float(f, (rsq + tol, rsq - tol))
+
+
+def count_full(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
     """Number of integer points with Q(v) <= R^2, origin included."""
     _check_overflow(spec)
-    used_mode, mint = _resolve_mode(spec.form, mode)
-    perm = _pivot_order(spec.form.gram)
-    if used_mode == "exact":
-        mint_p = [[mint[i][j] for j in perm] for i in perm]
-        n0 = _count_exact(mint_p, _exact_threshold(spec.radius), threads=threads)
-        return CountResult(n0=n0, boundary_ambiguous=0, mode="exact")
-    gram_p = _permuted(spec.form.gram, perm)
-    rsq = spec.radius ** 2
-    tol = _float_tolerance(rsq, spec.form.dim)
-    n_hi, n_lo = _count_float(gram_p, rsq + tol, rsq - tol, threads=threads)
-    return CountResult(n0=n_hi, boundary_ambiguous=n_hi - n_lo, mode="float")
+    f = _factor(spec.form, mode)
+    n_hi, n_lo = _n0_band(f, spec.radius)
+    return CountResult(n0=n_hi, boundary_ambiguous=n_hi - n_lo, mode=f.mode)
 
 
 def count_primitive_direct(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
@@ -468,7 +391,7 @@ def count_primitive_direct(spec: EllipsoidSpec, mode: str = "auto") -> CountResu
     return CountResult(n1=n1, boundary_ambiguous=amb, mode="float")
 
 
-def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto", threads: int = 1) -> CountResult:
+def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
     """Primitive count via the sieve: N1(R) = sum_k mu(k) (N0(R/k) - 1).
 
     Subtracting the origin from each full count makes the identity exact at
@@ -478,8 +401,7 @@ def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto", threads: in
     0 as well.
     """
     _check_overflow(spec)
-    used_mode, mint = _resolve_mode(spec.form, mode)
-    perm = _pivot_order(spec.form.gram)
+    f = _factor(spec.form, mode)
     kmax = max(math.floor(spec.radius / _shortest_radius_lower_bound(spec.form)), 1)
     # N0(R/k) >= 3 while a basis vector e_i has Q(e_i) <= (R/k)^2, so the
     # sum runs at least to k = R / sqrt(min_i Q(e_i)): size the table there
@@ -488,30 +410,15 @@ def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto", threads: in
     n1 = 0
     n0_full = None
     boundary = 0
-    if used_mode == "exact":
-        mint_p = [[mint[i][j] for j in perm] for i in perm]
-        rsq = Fraction(spec.radius) ** 2
-        for k, mu_k in _squarefree_terms(first, kmax):
-            n0 = _count_exact(mint_p, math.floor(rsq / (k * k)), threads=threads)
-            if k == 1:
-                n0_full = n0
-            n1 += mu_k * (n0 - 1)
-            if n0 == 1:
-                break
-        return CountResult(n0=n0_full, n1=n1, boundary_ambiguous=0, mode="exact")
-    gram_p = _permuted(spec.form.gram, perm)
-    d = spec.form.dim
     for k, mu_k in _squarefree_terms(first, kmax):
-        rsq = (spec.radius / k) ** 2
-        tol = _float_tolerance(rsq, d)
-        n_hi, n_lo = _count_float(gram_p, rsq + tol, rsq - tol, threads=threads)
+        n_hi, n_lo = _n0_band(f, spec.radius, k)
         if k == 1:
             n0_full = n_hi
         boundary += n_hi - n_lo
         n1 += mu_k * (n_hi - 1)
         if n_hi == 1:
             break
-    return CountResult(n0=n0_full, n1=n1, boundary_ambiguous=boundary, mode="float")
+    return CountResult(n0=n0_full, n1=n1, boundary_ambiguous=boundary, mode=f.mode)
 
 
 def _squarefree_terms(first: int, kmax: int):
@@ -575,11 +482,11 @@ def shell_counts(spec: EllipsoidSpec, xs, mode: str = "auto"):
     return r0, r1
 
 
-def error_terms(spec: EllipsoidSpec, mode: str = "auto", threads: int = 1) -> CountResult:
+def error_terms(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
     """Full and primitive counts with e0 = n0 - omega R^d and
     e1 = n1 - omega R^d / zeta(d)."""
     cst = constants(spec.form.dim)
-    res = count_primitive_moebius(spec, mode=mode, threads=threads)
+    res = count_primitive_moebius(spec, mode=mode)
     main = cst.omega * spec.radius ** spec.form.dim
     res.e0 = res.n0 - main
     res.e1 = res.n1 - main / cst.zeta

@@ -17,11 +17,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .latcount import CountingError, EllipsoidSpec, count_primitive_moebius, enumerate_points
+from .latcount import (
+    CountingError,
+    EllipsoidSpec,
+    count_primitive_moebius,
+    enumerate_points,
+    reference_exponent,
+)
 from .quadform import QuadForm, constants
 
 __all__ = [
@@ -139,7 +144,7 @@ def _sigma_for(q: QuadForm, sigma: int | None) -> int:
 
 
 def chimney_count(q: QuadForm, t: float, sigma: int | None = None,
-                  mode: str = "auto", threads: int = 1) -> ChimneyCount:
+                  mode: str = "auto") -> ChimneyCount:
     """Orbit points of Q in the chimney truncated at level T.
 
     rel_error compares sigma(Q) * count (the stabilizer-weighted count the
@@ -153,7 +158,7 @@ def chimney_count(q: QuadForm, t: float, sigma: int | None = None,
         predicted = (cst.omega / (cst.alpha * cst.zeta)) * math.exp(0.5 * t * math.sqrt((d - 1) * d))
         return ChimneyCount(T=t, R=radius, count=0, sigma_q=sig,
                             predicted=predicted, rel_error=-1.0)
-    res = count_primitive_moebius(EllipsoidSpec(q, radius), mode=mode, threads=threads)
+    res = count_primitive_moebius(EllipsoidSpec(q, radius), mode=mode)
     denom = cst.alpha * sig
     if res.n1 % denom != 0:
         raise CountingError(
@@ -166,7 +171,7 @@ def chimney_count(q: QuadForm, t: float, sigma: int | None = None,
                         predicted=predicted, rel_error=rel)
 
 
-def horoball_count(q: QuadForm, t: float, mode: str = "auto", threads: int = 1) -> ChimneyCount:
+def horoball_count(q: QuadForm, t: float, mode: str = "auto") -> ChimneyCount:
     """Horosphere lifts meeting the ball of radius T around Q: N1 / 2."""
     d = q.dim
     cst = constants(d)
@@ -175,7 +180,7 @@ def horoball_count(q: QuadForm, t: float, mode: str = "auto", threads: int = 1) 
     if radius < 1e-12:
         return ChimneyCount(T=t, R=radius, count=0, sigma_q=1,
                             predicted=predicted, rel_error=-1.0)
-    res = count_primitive_moebius(EllipsoidSpec(q, radius), mode=mode, threads=threads)
+    res = count_primitive_moebius(EllipsoidSpec(q, radius), mode=mode)
     if res.n1 % 2 != 0:
         raise CountingError("primitive count is odd; +-v symmetry violated")
     count = res.n1 // 2
@@ -185,16 +190,13 @@ def horoball_count(q: QuadForm, t: float, mode: str = "auto", threads: int = 1) 
 
 
 def theory_slope(d: int) -> float:
-    """Published decay exponent (per unit T) for the counting error."""
-    if d == 2:
-        return -285.0 / (416.0 * math.sqrt(2.0))
-    if d == 3:
-        return -243.0 / (158.0 * math.sqrt(6.0))
-    if d == 4:
-        return -43.0 * math.sqrt(3.0) / 104.0
-    if d >= 5:
-        return -math.sqrt((d - 1) / d)
-    raise CountingError("dimension must be >= 2")
+    """Published decay exponent (per unit T) for the counting error.
+
+    An error O(R^theta) against the main term omega R^d decays like
+    R^(theta - d) = e^{T (theta - d) sqrt((d-1)/d) / 2}, with theta the
+    reference exponent.
+    """
+    return (reference_exponent(d) - d) * math.sqrt((d - 1) / d) / 2.0
 
 
 def _envelope_indices(absvals: np.ndarray) -> np.ndarray:
@@ -232,9 +234,8 @@ def fit_error_exponent(series, envelope: bool = False) -> DecayFit:
 
 
 def sweep(q: QuadForm, t_values, kind: str = "chimney", sigma: int | None = None,
-          mode: str = "auto", threads: int = 1) -> list[ChimneyCount]:
-    """Counts over a T-grid; grid points are independent tasks, output
-    sorted by T regardless of execution order."""
+          mode: str = "auto") -> list[ChimneyCount]:
+    """Counts over a T-grid, sorted by T."""
     if kind == "chimney":
         sig = _sigma_for(q, sigma)
         job = lambda t: chimney_count(q, t, sigma=sig, mode=mode)
@@ -242,10 +243,4 @@ def sweep(q: QuadForm, t_values, kind: str = "chimney", sigma: int | None = None
         job = lambda t: horoball_count(q, t, mode=mode)
     else:
         raise CountingError(f"unknown sweep kind {kind!r}")
-    t_values = list(t_values)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, t_values))
-    else:
-        results = [job(t) for t in t_values]
-    return sorted(results, key=lambda c: c.T)
+    return sorted((job(t) for t in t_values), key=lambda c: c.T)

@@ -43,11 +43,14 @@ __all__ = [
     "chi_d",
     "constants",
     "zeta",
+    "integer_gram_or_none",
 ]
 
 SYM_TOL = 1e-12
 DET_TOL = 1e-9
 PIVOT_TOL = 1e-12
+ZETA_TERMS = 16
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)  # B_2 ... B_12
 
 # vol(M_2) = 2*pi/3 in the rescaled-hyperbolic-plane normalization used
 # throughout; for d >= 3 the analogous volume depends on a measure
@@ -114,6 +117,17 @@ def _int_det(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def integer_gram_or_none(gram: np.ndarray, tol: float = 1e-9):
+    """The gram matrix as nested python ints if it is integral within a
+    relative tolerance (large-entry unimodular grams carry float noise
+    proportional to their scale)."""
+    r = np.rint(gram)
+    scale = max(1.0, float(np.max(np.abs(gram))))
+    if float(np.max(np.abs(gram - r))) <= tol * scale:
+        return [[int(x) for x in row] for row in r]
+    return None
+
+
 def _unimodular_integer_rounding(m: np.ndarray):
     """The rounded integer matrix if m is integral within relative
     tolerance and has exact integer determinant one, else None.
@@ -122,12 +136,8 @@ def _unimodular_integer_rounding(m: np.ndarray):
     grams the floating determinant carries enough noise that blind
     renormalization would perturb the entries.
     """
-    r = np.rint(m)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - r))) > 1e-9 * scale:
-        return None
-    mint = [[int(x) for x in row] for row in r]
-    if _int_det(mint) != 1:
+    mint = integer_gram_or_none(m)
+    if mint is None or _int_det(mint) != 1:
         return None
     return mint
 
@@ -337,19 +347,24 @@ def chi_d(a: GroupElement) -> float:
     return float(result)
 
 
-@lru_cache(maxsize=None)
 def zeta(d: int) -> float:
-    """Riemann zeta at an integer d >= 2 by direct summation.
+    """Riemann zeta at an integer d >= 2 by Euler-Maclaurin summation.
 
-    Partial sum of 10^6 terms plus the tail corrections
-    N^{1-d}/(d-1) - N^{-d}/2 + d N^{-d-1}/12; the omitted remainder is
-    O(N^{-d-3}), far below 1e-15 relative accuracy.
+    The first ZETA_TERMS - 1 terms, then the integral, half the boundary
+    term and the Bernoulli corrections B_2j / (2j)! d (d+1) ... (d+2j-2)
+    N^{1-d-2j} at N = ZETA_TERMS; for N = 16 and j <= 6 the omitted
+    remainder is below 1e-20 relative.
     """
     _check_dim(d)
-    n = 1_000_000
-    s = math.fsum(k ** -float(d) for k in range(1, n + 1))
-    tail = n ** (1 - d) / (d - 1) - 0.5 * n ** (-d) + d * n ** (-d - 1) / 12.0
-    return s + tail
+    n = ZETA_TERMS
+    terms = [k ** -float(d) for k in range(1, n)]
+    terms += [n ** (1.0 - d) / (d - 1), 0.5 * n ** -float(d)]
+    rising, factorial = float(d), 2.0  # d (d+1) ... (d+2j-2) and (2j)!
+    for j, b in enumerate(_BERNOULLI, 1):
+        terms.append(b / factorial * rising * n ** (1.0 - d - 2 * j))
+        rising *= (d + 2 * j - 1) * (d + 2 * j)
+        factorial *= (2 * j + 1) * (2 * j + 2)
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)

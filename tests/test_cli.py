@@ -65,6 +65,17 @@ class TestCount:
                                "--radius", "2")
         assert code == 2
 
+    def test_unfactorable_gram(self, capsys, tmp_path):
+        # det 1 and integral, but not positive definite in float once pivoted
+        path = tmp_path / "large.txt"
+        path.write_text("38957694870466 -810730334757 -4737644889\n"
+                        "-810730334757 16871729138 98592908\n"
+                        "-4737644889 98592908 576145\n")
+        code, _, err = run_cli(capsys, "count", "--dim", "3", "--gram", str(path),
+                               "--radius", "40")
+        assert code == 2
+        assert "reduce the basis" in err
+
     def test_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "constants", "--dim", "3")
         _, out2, _ = run_cli(capsys, "constants", "--dim", "3")
@@ -194,8 +205,7 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     def test_threads_only_where_used(self):
-        # equidist never counts, so it takes no --threads option
+        # counting runs in one thread; no subcommand takes --threads
         with pytest.raises(SystemExit) as exc:
-            main(["equidist", "--dim", "2", "--tmin", "0", "--tmax", "1", "--steps", "2",
-                  "--threads", "2"])
+            main(["count", "--dim", "2", "--radius", "3", "--threads", "2"])
         assert exc.value.code == 2

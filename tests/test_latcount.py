@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from horocount import latcount
 from horocount.latcount import (
     CountingError,
     EllipsoidSpec,
@@ -109,16 +110,27 @@ class TestCountFull:
                     assert count_full(EllipsoidSpec(moved, r)).n0 == base
                     assert count_primitive_moebius(EllipsoidSpec(moved, r)).n1 == base1
 
-    def test_threads_bit_identical(self):
-        q = QuadForm.identity(3)
-        spec = EllipsoidSpec(q, 14.2)
-        a = count_full(spec, threads=1)
-        b = count_full(spec, threads=3)
-        assert a.n0 == b.n0
-        rng = np.random.default_rng(17)
-        form = random_form(rng, 2)
-        spec = EllipsoidSpec(form, 30.0)
-        assert count_full(spec, threads=1).n0 == count_full(spec, threads=4).n0
+    def test_block_crossing(self):
+        # I_3 at R = 60 has more level-1 nodes (pairs (a, b)) than one
+        # float-leaf block holds
+        r = 60
+        pairs = [(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)
+                 if a * a + b * b <= r * r]
+        assert len(pairs) > 2 * latcount.BLOCK
+        want = sum(2 * math.isqrt(r * r - a * a - b * b) + 1 for a, b in pairs)
+        spec = EllipsoidSpec(QuadForm.identity(3), float(r))
+        assert count_full(spec, mode="exact").n0 == want
+        assert count_full(spec, mode="float").n0 == want
+
+    def test_large_entry_gram_refused(self):
+        # integral with det 1 and GL_3(Z)-equivalent to the identity, but
+        # not numerically positive definite in float after pivoting
+        gram = [[38957694870466, -810730334757, -4737644889],
+                [-810730334757, 16871729138, 98592908],
+                [-4737644889, 98592908, 576145]]
+        spec = EllipsoidSpec(QuadForm.from_gram(gram), 40.0)
+        with pytest.raises(CountingError, match="reduce the basis"):
+            count_full(spec)
 
     def test_overflow_guard(self):
         with pytest.raises(CountingError):
@@ -272,6 +284,24 @@ class TestEnumerate:
         for p, v in zip(pts[:50], vals[:50]):
             assert form.evaluate(p) == pytest.approx(v, abs=1e-9)
         assert np.all(vals <= 9.0 + 1e-9)
+
+    def test_exact_and_float_agree(self):
+        # integer grams: float mode at B + 1/2 finds the exact points with
+        # Q <= B; d = 3 and 4 span several float-leaf blocks
+        cases = (([[2, 1], [1, 1]], 4000),
+                 ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 3000),
+                 ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]], 200))
+        for gamma, b in cases:
+            form = int_form(len(gamma), gamma)
+            if len(gamma) > 2:
+                walk = latcount._walk(latcount._factor(form, "float"), b + 0.5)
+                assert sum(hi - lo + 1 for _, lo, hi, *_ in walk) > 2 * latcount.BLOCK
+            pe, ve = enumerate_points(form, b + 0.5, mode="exact")
+            pf, vf = enumerate_points(form, b + 0.5, mode="float")
+            oe, of = np.lexsort(pe.T), np.lexsort(pf.T)
+            assert np.array_equal(pe[oe], pf[of])
+            assert np.array_equal(ve[oe], np.rint(vf[of]).astype(np.int64))
+            assert int(ve.max()) <= b
 
     def test_exact_values_are_integers(self):
         pts, vals = enumerate_points(QuadForm.identity(2), 25, mode="exact")
