@@ -92,9 +92,9 @@ def box_scan_counts(form: QuadForm, radius: float) -> tuple[int, int]:
 
 
 def _timed(criterion, name, fn):
-    start = time.time()
+    start = time.perf_counter()
     passed, details = fn()
-    return CheckResult(criterion, name, bool(passed), time.time() - start, details)
+    return CheckResult(criterion, name, bool(passed), time.perf_counter() - start, details)
 
 
 # ---------------------------------------------------------------------------

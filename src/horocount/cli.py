@@ -101,14 +101,14 @@ def cmd_count(args) -> int:
     form = _load_gram(args.gram, args.dim)
     spec = EllipsoidSpec(form, args.radius)
     mode = "exact" if args.exact else "auto"
-    start = time.time()
+    start = time.perf_counter()
     if args.primitive:
         res = error_terms(spec, mode=mode)
     else:
         res = count_full(spec, mode=mode)
         cst = constants(args.dim)
         res.e0 = res.n0 - cst.omega * args.radius ** args.dim
-    elapsed_ms = 1000.0 * (time.time() - start)
+    elapsed_ms = 1000.0 * (time.perf_counter() - start)
     payload = {
         "config": {"subcommand": "count", "dim": args.dim, "gram": args.gram,
                    "radius": args.radius, "primitive": args.primitive,

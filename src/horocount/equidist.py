@@ -181,17 +181,16 @@ class HoroAverage:
 class QuadratureSpec:
     """Grids for the fiber/base quadrature.
 
-    torus_grid is a baseline; with scale_with_t the effective per-axis
-    size grows like e^{mu t / 2} (the width scale of the fiber strips)
-    and is rounded up to an odd prime, which breaks resonances between
-    the midpoint grid and the rational strip centers.
+    torus_grid is a baseline: the effective per-axis size grows like
+    e^{mu t / 2} (the width scale of the fiber strips) and is rounded up
+    to an odd prime, which breaks resonances between the midpoint grid and
+    the rational strip centers.  The error estimate compares with grids
+    REFINEMENT_FACTOR times finer.
     """
 
     torus_grid: int = 101
     base_grid: tuple = (16, 24)
     base_cutoff_height: float | None = None
-    refinement_factor: int = 2
-    scale_with_t: bool = True
 
     def __post_init__(self):
         if self.torus_grid < 8:
@@ -201,8 +200,6 @@ class QuadratureSpec:
             raise EquidistError("base grids must be >= 8")
         if self.base_cutoff_height is not None and self.base_cutoff_height < 1.0:
             raise EquidistError("base cutoff height must be >= 1")
-        if self.refinement_factor < 2:
-            raise EquidistError("refinement factor must be >= 2")
 
 
 def default_quadrature(d: int) -> QuadratureSpec:
@@ -211,6 +208,7 @@ def default_quadrature(d: int) -> QuadratureSpec:
 
 TORUS_SCALE = {2: 24.0, 3: 8.0}
 TORUS_CAP = {2: 100_003, 3: 83}
+REFINEMENT_FACTOR = 2  # grid refinement of the quadrature error estimate
 
 
 def _next_odd_prime(n: int) -> int:
@@ -469,16 +467,10 @@ def _average_once(d: int, t: float, h: RadialProfile, torus_n: int,
     return float(wts @ means) / float(wts.sum())
 
 
-def _grid_for(q: QuadratureSpec, d: int, t: float) -> int:
-    if q.scale_with_t:
-        return _effective_torus(q.torus_grid, d, t)
-    return q.torus_grid
-
-
 def _value_with_estimate(d, t, h, q: QuadratureSpec):
-    n = _grid_for(q, d, t)
+    n = _effective_torus(q.torus_grid, d, t)
     coarse = _average_once(d, t, h, n, q.base_grid, q.base_cutoff_height)
-    rf = q.refinement_factor
+    rf = REFINEMENT_FACTOR
     fine = _average_once(d, t, h, _next_odd_prime(n * rf),
                          (q.base_grid[0] * rf, q.base_grid[1] * rf),
                          q.base_cutoff_height)
@@ -606,12 +598,10 @@ def truncated_average(t: float, alpha: float, h: RadialProfile,
         raise EquidistError("alpha must be >= sqrt(3)/2 for the truncated average")
     q = q or default_quadrature(3)
     y_alpha = max(1.0 + 1e-9, math.exp(alpha * t / math.sqrt(2.0)))
-    q_trunc = QuadratureSpec(q.torus_grid, q.base_grid, y_alpha,
-                             q.refinement_factor, q.scale_with_t)
+    q_trunc = QuadratureSpec(q.torus_grid, q.base_grid, y_alpha)
     factor = 32.0 if y_alpha <= 1e4 else 4.0
     y_full = max(default_cutoff_height(t), factor * y_alpha)
-    q_full = QuadratureSpec(q.torus_grid, q.base_grid, y_full,
-                            q.refinement_factor, q.scale_with_t)
+    q_full = QuadratureSpec(q.torus_grid, q.base_grid, y_full)
     truncated = horosphere_average(t, h, q_trunc, d=3)
     full = horosphere_average(t, h, q_full, d=3)
     return truncated, full, truncated.value - full.value
@@ -710,7 +700,7 @@ def estimate_lipschitz(h: RadialProfile, d: int, t_probes,
     q = q or default_quadrature(d)
     worst = 0.0
     for t in t_probes:
-        n = _grid_for(q, d, t)
+        n = _effective_torus(q.torus_grid, d, t)
         f0 = _average_once(d, t, h, n, q.base_grid, q.base_cutoff_height)
         f1 = _average_once(d, t + delta, h, n, q.base_grid, q.base_cutoff_height)
         worst = max(worst, abs(f1 - f0) / delta)

@@ -12,11 +12,13 @@ Two modes:
   * float  -- general real gram; a point with |Q(v) - R^2| <= 8*ulp(R^2)*d
     is counted as inside and flagged as boundary-ambiguous.
 
-Every count and enumeration runs one walk (Fincke-Pohst).  Coordinates are
-pivoted so the most constrained direction is outermost, which keeps the
-tree small for very eccentric forms, and the Cholesky factor R of the
-permuted gram writes Q(v) as a sum of q_i (v_i + c_i)^2, where the centre
-c_i depends only on the coordinates above i.  _walk recurses over levels
+Counts do not change under GL_d(Z), so every count and enumeration first
+LLL-reduces the gram (quadform.lll_reduce, in Python ints when the gram is
+integral) and walks (Fincke-Pohst) in the reduced coordinates w, v = u w,
+which keeps the tree small and the float Cholesky well conditioned for
+very eccentric forms.  The Cholesky factor R of the reduced gram writes
+Q(u w) as a sum of q_i (w_i + c_i)^2, where the centre c_i depends only on
+the coordinates above i.  _walk recurses over levels
 d-1 ... 2 and, for each admissible suffix (v_2, ..., v_{d-1}), yields the
 range of v_1, widened by _PAD on both sides, with the level-1 and level-0
 centres and the partial sum.  Two leaves finish the last two levels:
@@ -35,13 +37,14 @@ entries add nothing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .quadform import QuadForm, constants, integer_gram_or_none
+from .quadform import QuadForm, constants, integer_gram_or_none, lll_reduce
 
 __all__ = [
     "CountingError",
@@ -95,44 +98,32 @@ class CountResult:
 
 
 def _resolve_mode(form: QuadForm, mode: str):
+    """(mode used, the gram as nested ints if it is integral, else None)."""
     if mode not in ("auto", "exact", "float"):
         raise CountingError(f"unknown mode {mode!r}")
     mint = integer_gram_or_none(form.gram)
     if mode == "exact" and mint is None:
         raise CountingError("exact mode requires an integer gram matrix")
-    if mode == "float":
-        return "float", None
-    if mint is not None:
-        return "exact", mint
-    return "float", None
-
-
-def _pivot_order(gram: np.ndarray) -> list[int]:
-    """Coordinate permutation, innermost first.
-
-    The most constrained coordinate (smallest diagonal of the inverse
-    gram) goes outermost so that the top-level loop is short.
-    """
-    inv_diag = np.diagonal(np.linalg.inv(gram))
-    order = list(np.argsort(inv_diag))
-    return order[::-1]  # position 0 = innermost = least constrained
+    return ("float" if mode == "float" or mint is None else "exact"), mint
 
 
 @dataclass(frozen=True, eq=False)
 class _Factor:
-    """What the walk needs of a form, in pivoted coordinates.
+    """What the walk needs of a form, in LLL-reduced coordinates.
 
-    q[i] = R[i, i]^2 and m[i][k] = R[k, i] / R[k, k] (the shift of the
-    level-k centre per unit of v_i) for the Cholesky factor R of the
-    permuted gram; mint is the permuted integer gram in exact mode and
-    None in float mode.
+    u is the reduction (v = u w for the walk's coordinates w); q[i] =
+    R[i, i]^2 and m[i][k] = R[k, i] / R[k, k] (the shift of the level-k
+    centre per unit of w_i) for the Cholesky factor R of the reduced gram;
+    mint is the reduced integer gram in exact mode and None in float mode;
+    shortest is the least diagonal entry of the reduced gram.
     """
 
     dim: int
-    perm: list[int]
+    u: list[list[int]]
     q: list[float]
     m: list[list[float]]
     mint: list[list[int]] | None
+    shortest: float
 
     @property
     def mode(self) -> str:
@@ -140,20 +131,18 @@ class _Factor:
 
 
 def _factor(form: QuadForm, mode: str) -> _Factor:
-    _, mint = _resolve_mode(form, mode)
-    perm = _pivot_order(form.gram)
-    gram = form.gram if mint is None else np.array(mint, dtype=float)
+    used, mint = _resolve_mode(form, mode)
+    u, reduced = lll_reduce(form.gram if mint is None else mint)
     try:
-        r = np.linalg.cholesky(gram[np.ix_(perm, perm)]).T
+        r = np.linalg.cholesky(np.array(reduced, dtype=float)).T
     except np.linalg.LinAlgError as exc:
         raise CountingError(
-            "gram matrix is not numerically positive definite in float; "
-            "reduce the basis first") from exc
+            "reduced gram matrix is not numerically positive definite in float") from exc
     d = form.dim
     m = [[float(r[k, i] / r[k, k]) for k in range(i)] for i in range(d)]
-    if mint is not None:
-        mint = [[mint[i][j] for j in perm] for i in perm]
-    return _Factor(d, perm, (np.diagonal(r) ** 2).tolist(), m, mint)
+    return _Factor(d, u, (np.diagonal(r) ** 2).tolist(), m,
+                   reduced if used == "exact" else None,
+                   float(min(reduced[i][i] for i in range(d))))
 
 
 def _budget_estimate(f: _Factor, bound: float) -> float:
@@ -248,7 +237,7 @@ def _count_float(f: _Factor, bounds) -> list[int]:
 
 
 def _enumerate_float(f: _Factor, bound: float):
-    """Points (permuted coordinates, int64) with Q(v) <= bound and their values."""
+    """Points (reduced coordinates, int64) with Q(v) <= bound and their values."""
     pts, vals = [], []
     for rows, n1, v1, t1, c0 in _float_blocks(f, bound):
         lo, n = (x[0] for x in _level0(f, np.array([[bound]]), t1, c0))
@@ -300,7 +289,7 @@ def _count_exact(f: _Factor, nint: int) -> int:
 
 
 def _enumerate_exact(f: _Factor, nint: int):
-    """Points (permuted coordinates) with Q(v) <= nint and exact integer values."""
+    """Points (reduced coordinates) with Q(v) <= nint and exact integer values."""
     pts, vals = [], []
     a0 = f.mint[0][0]
     for suffix, v1, lo, hi, c, b in _exact_intervals(f, nint):
@@ -325,12 +314,10 @@ def enumerate_points(form: QuadForm, bound: float, mode: str = "auto", budget: f
     if _budget_estimate(f, float(bound)) > budget:
         raise EnumerationBudgetError("enumeration tree exceeds the node budget")
     if f.mint is not None:
-        pts_p, vals = _enumerate_exact(f, math.floor(bound))
+        pts, vals = _enumerate_exact(f, math.floor(bound))
     else:
-        pts_p, vals = _enumerate_float(f, float(bound))
-    pts = np.empty_like(pts_p)
-    pts[:, f.perm] = pts_p
-    return pts, vals
+        pts, vals = _enumerate_float(f, float(bound))
+    return pts @ np.array(f.u, dtype=np.int64).T, vals
 
 
 # ---------------------------------------------------------------------------
@@ -396,21 +383,19 @@ def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto") -> CountRes
 
     Subtracting the origin from each full count makes the identity exact at
     every radius.  The k-sum stops at the first squarefree k with
-    N0(R/k) = 1: N0 is monotone in the radius, so every later term is
+    N0(R/k) = 1, which every positive definite form reaches: N0 is monotone in the radius, so every later term is
     mu(k) (1 - 1) = 0, and in float mode its boundary band n_hi - n_lo is
     0 as well.
     """
     _check_overflow(spec)
     f = _factor(spec.form, mode)
-    kmax = max(math.floor(spec.radius / _shortest_radius_lower_bound(spec.form)), 1)
-    # N0(R/k) >= 3 while a basis vector e_i has Q(e_i) <= (R/k)^2, so the
-    # sum runs at least to k = R / sqrt(min_i Q(e_i)): size the table there
-    shortest_basis = math.sqrt(float(np.min(np.diagonal(spec.form.gram))))
-    first = min(kmax, math.floor(spec.radius / shortest_basis) + 1)
+    # N0(R/k) >= 3 while a reduced basis vector b has Q(b) <= (R/k)^2, so
+    # the sum runs at least to k = R / sqrt(min Q(b)): size the table there
+    first = math.floor(spec.radius / math.sqrt(f.shortest)) + 1
     n1 = 0
     n0_full = None
     boundary = 0
-    for k, mu_k in _squarefree_terms(first, kmax):
+    for k, mu_k in _squarefree_terms(first):
         n_hi, n_lo = _n0_band(f, spec.radius, k)
         if k == 1:
             n0_full = n_hi
@@ -421,32 +406,23 @@ def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto") -> CountRes
     return CountResult(n0=n0_full, n1=n1, boundary_ambiguous=boundary, mode=f.mode)
 
 
-def _squarefree_terms(first: int, kmax: int):
-    """(k, mu(k)) for the squarefree k <= kmax in increasing order.
+def _squarefree_terms(first: int):
+    """(k, mu(k)) for the squarefree k = 1, 2, ... in increasing order,
+    without end.
 
     The Moebius table starts at first entries and grows by doubling as k
     advances, so a caller that stops at some k >= first / 2 never has a
-    table longer than 2k (nor than kmax).
+    table longer than 2k.
     """
     from .moebius import sieve  # local import to avoid a module cycle
 
     table = sieve(first)
-    for k in range(1, kmax + 1):
+    for k in itertools.count(1):
         if k > table.limit:
-            table = sieve(min(2 * table.limit, kmax))
+            table = sieve(2 * table.limit)
         mu_k = int(table.mu[k])
         if mu_k:
             yield k, mu_k
-
-
-def _shortest_radius_lower_bound(form: QuadForm) -> float:
-    """A positive lower bound for |v|_Q over nonzero integer v.
-
-    Q(v) >= |v|^2 / lambda_max(gram^{-1})^{-1}... we use the smallest
-    eigenvalue of the gram matrix, which is cheap and safe.
-    """
-    w = np.linalg.eigvalsh(form.gram)
-    return math.sqrt(max(float(w[0]), 1e-300))
 
 
 def shell_counts(spec: EllipsoidSpec, xs, mode: str = "auto"):

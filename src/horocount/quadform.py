@@ -44,11 +44,19 @@ __all__ = [
     "constants",
     "zeta",
     "integer_gram_or_none",
+    "lll_reduce",
 ]
 
 SYM_TOL = 1e-12
 DET_TOL = 1e-9
 PIVOT_TOL = 1e-12
+LLL_DELTA = 0.75
+# |mu| up to 1/2 + LLL_SIZE_SLACK counts as size reduced, so float noise
+# around |mu| = 1/2 cannot flip b_k back and forth between b_k +- b_j
+LLL_SIZE_SLACK = 1e-9
+# exact LLL makes at most about (d^2 / 2) log_{4/3}(max entry) swaps: under
+# 5,000 for d <= 8 and entries below 2^64
+LLL_STEP_LIMIT = 100_000
 ZETA_TERMS = 16
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)  # B_2 ... B_12
 
@@ -126,6 +134,63 @@ def integer_gram_or_none(gram: np.ndarray, tol: float = 1e-9):
     if float(np.max(np.abs(gram - r))) <= tol * scale:
         return [[int(x) for x in row] for row in r]
     return None
+
+
+def lll_reduce(gram):
+    """LLL reduction (Lenstra-Lenstra-Lovasz 1982) of a positive definite
+    gram matrix, with delta = 3/4.
+
+    Returns (u, reduced) as nested lists, with reduced = u^T gram u and
+    det u = +1 (each swap also negates one vector): the columns of u are a
+    basis with |mu_kj| <= 1/2 + LLL_SIZE_SLACK and |b*_k|^2 >=
+    (3/4 - mu_{k,k-1}^2) |b*_{k-1}|^2.  An integer gram (Python ints or an
+    integer array) is updated in Python ints, so reduced == u^T gram u
+    exactly; floats only choose each step, from a Gram-Schmidt of the
+    current gram, so in an ill-conditioned gram a poor choice costs steps,
+    never exactness.  A float gram is reduced in floats.
+    """
+    rows = [list(row) for row in gram]
+    exact = all(isinstance(x, (int, np.integer)) for row in rows for x in row)
+    g = [[int(x) if exact else float(x) for x in row] for row in rows]
+    d = len(g)
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    mu = [[0.0] * d for _ in range(d)]
+    r = [0.0] * d  # squared Gram-Schmidt norms
+    k = 1
+    for _ in range(LLL_STEP_LIMIT):
+        if k == d:
+            return u, g
+        r[0] = float(g[0][0])
+        if not r[0] > 0.0:
+            raise GeometryError("gram matrix is not positive definite")
+        # Gram-Schmidt row k from the current gram; rows < k are still valid
+        a = [0.0] * k
+        for j in range(k):
+            a[j] = float(g[k][j]) - sum(mu[j][i] * a[i] for i in range(j))
+            mu[k][j] = a[j] / r[j]
+        r[k] = float(g[k][k]) - sum(mu[k][j] * a[j] for j in range(k))
+        reduced = False
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > 0.5 + LLL_SIZE_SLACK:  # b_k <- b_k - c b_j
+                c = round(mu[k][j])
+                for row in g + u:
+                    row[k] -= c * row[j]
+                g[k] = [x - c * y for x, y in zip(g[k], g[j])]
+                for i in range(j):
+                    mu[k][i] -= c * mu[j][i]
+                mu[k][j] -= c
+                reduced = True
+        if reduced:
+            continue  # Gram-Schmidt row k again, now from the updated gram
+        if r[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * r[k - 1]:
+            k += 1
+            continue
+        for row in g + u:  # (b_{k-1}, b_k) <- (b_k, -b_{k-1}), det +1
+            row[k - 1], row[k] = row[k], -row[k - 1]
+        g[k - 1], g[k] = g[k], [-x for x in g[k - 1]]
+        k = max(k - 1, 1)
+    raise GeometryError(f"LLL reduction did not finish in {LLL_STEP_LIMIT} steps; "
+                        "the gram matrix is not numerically positive definite")
 
 
 def _unimodular_integer_rounding(m: np.ndarray):

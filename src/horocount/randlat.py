@@ -10,9 +10,10 @@ Two samplers:
     trace-zero increments.  Its stationary law on the quotient by the
     integer group is the invariant probability measure, so only
     integer-group-invariant observables may be consumed.  Basis matrices
-    are coset representatives, not canonical forms; after every step the
-    representative is reduced by a unimodular column operation purely to
-    keep the matrix well conditioned (the coset is unchanged).
+    are coset representatives, not canonical forms: after every step
+    g <- g u, with u (det u = +1) from the LLL reduction of the gram g^T g
+    (quadform.lll_reduce), which keeps the representative well
+    conditioned and leaves the coset g SL_d(Z) unchanged.
 
 The discrepancy observable counts primitive lattice points in a ball and
 compares with the volume main term; mean_square_check Monte Carlos its
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .latcount import CountingError, EllipsoidSpec, count_primitive_moebius
-from .quadform import GroupElement, QuadForm, constants
+from .quadform import GroupElement, QuadForm, constants, lll_reduce
 
 __all__ = [
     "LatticeSample",
@@ -108,40 +109,6 @@ def fundamental_domain_im_cdf(y: float) -> float:
     return mass / FUNDAMENTAL_AREA
 
 
-def _lll_unimodular(basis: np.ndarray, delta: float = 0.75) -> np.ndarray:
-    """Column LLL reduction; returns the reduced basis of the same lattice
-    with determinant of the applied transform forced to +1."""
-    b = basis.copy()
-    d = b.shape[1]
-    u = np.eye(d, dtype=np.int64)
-
-    def gso(mat):
-        q, r = np.linalg.qr(mat)
-        return r
-
-    k = 1
-    guard = 0
-    while k < d and guard < 10_000:
-        guard += 1
-        r = gso(b)
-        for j in range(k - 1, -1, -1):
-            mu = r[j, k] / r[j, j]
-            if abs(mu) > 0.5:
-                q = round(mu)
-                b[:, k] -= q * b[:, j]
-                u[:, k] -= q * u[:, j]
-                r = gso(b)
-        if r[k, k] ** 2 >= (delta - (r[k - 1, k] / r[k - 1, k - 1]) ** 2) * r[k - 1, k - 1] ** 2:
-            k += 1
-        else:
-            b[:, [k - 1, k]] = b[:, [k, k - 1]]
-            u[:, [k - 1, k]] = u[:, [k, k - 1]]
-            k = max(k - 1, 1)
-    if round(float(np.linalg.det(u.astype(float)))) == -1:
-        b[:, 0] = -b[:, 0]
-    return b
-
-
 def sample_walk(rng: np.random.Generator, d: int, step_sigma: float = 0.5,
                 burn_in: int = 200, thin: int = 10, n: int = 100) -> list[LatticeSample]:
     """Random-walk samples of unimodular lattices in dimension d."""
@@ -160,7 +127,8 @@ def sample_walk(rng: np.random.Generator, d: int, step_sigma: float = 0.5,
         xi = step_sigma * rng.standard_normal((d, d))
         xi -= np.trace(xi) / d * np.eye(d)
         g = expm(xi) @ g
-        g = _lll_unimodular(g)
+        u, _ = lll_reduce(g.T @ g)
+        g = g @ np.array(u, dtype=float)
         det = float(np.linalg.det(g))
         g = g / abs(det) ** (1.0 / d)
         if step >= burn_in and (step - burn_in) % thin == thin - 1:

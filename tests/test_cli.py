@@ -65,16 +65,17 @@ class TestCount:
                                "--radius", "2")
         assert code == 2
 
-    def test_unfactorable_gram(self, capsys, tmp_path):
-        # det 1 and integral, but not positive definite in float once pivoted
+    def test_large_entry_gram(self, capsys, tmp_path):
+        # det 1 and integral, GL_3(Z)-equivalent to the identity, and not
+        # positive definite in float until reduced
         path = tmp_path / "large.txt"
         path.write_text("38957694870466 -810730334757 -4737644889\n"
                         "-810730334757 16871729138 98592908\n"
                         "-4737644889 98592908 576145\n")
-        code, _, err = run_cli(capsys, "count", "--dim", "3", "--gram", str(path),
+        code, out, _ = run_cli(capsys, "count", "--dim", "3", "--gram", str(path),
                                "--radius", "40")
-        assert code == 2
-        assert "reduce the basis" in err
+        assert code == 0
+        assert '"n0": 267761' in out
 
     def test_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "constants", "--dim", "3")

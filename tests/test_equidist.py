@@ -7,9 +7,10 @@ import scipy.integrate
 from horocount.equidist import (
     EquidistError,
     HoroAverage,
+    REFINEMENT_FACTOR,
     QuadratureSpec,
+    _effective_torus,
     _fiber_values,
-    _grid_for,
     _modular_grid,
     _next_odd_prime,
     _torus_points,
@@ -205,7 +206,7 @@ def _per_base_average(t, h, q):
             total += wt * float(_fiber_values(3, t, base, h, xpts).mean())
         return total / float(wts.sum())
 
-    n, rf = _grid_for(q, 3, t), q.refinement_factor
+    n, rf = _effective_torus(q.torus_grid, 3, t), REFINEMENT_FACTOR
     nx, ny = q.base_grid
     coarse = once(n, nx, ny)
     fine = once(_next_odd_prime(n * rf), nx * rf, ny * rf)
@@ -214,16 +215,13 @@ def _per_base_average(t, h, q):
 
 class TestAverages:
     def test_d3_matches_per_base_loop(self):
-        specs = (QuadratureSpec(torus_grid=9, base_grid=(8, 8)),
-                 QuadratureSpec(torus_grid=10, base_grid=(8, 8), scale_with_t=False))
-        for q in specs:
-            for h in (indicator_profile(1.0), bump_profile(1.0, 0.5)):
-                for t in (0.0, 0.9, 2.2):
-                    a = horosphere_average(t, h, q, d=3)
-                    value, est = _per_base_average(t, h, q)
-                    assert a.value == pytest.approx(value, abs=1e-12)
-                    assert a.quad_error_estimate == pytest.approx(est, abs=1e-12)
-
+        q = QuadratureSpec(torus_grid=9, base_grid=(8, 8))
+        for h in (indicator_profile(1.0), bump_profile(1.0, 0.5)):
+            for t in (0.0, 0.9, 2.2):
+                a = horosphere_average(t, h, q, d=3)
+                value, est = _per_base_average(t, h, q)
+                assert a.value == pytest.approx(value, abs=1e-12)
+                assert a.quad_error_estimate == pytest.approx(est, abs=1e-12)
 
     def test_d2_t0(self):
         a = horosphere_average(0.0, indicator_profile(1.0), d=2)
@@ -241,9 +239,9 @@ class TestAverages:
         assert a.quad_error_estimate > 0.0
 
     def test_d3_refinement_invariant(self):
-        q = QuadratureSpec(torus_grid=17, base_grid=(10, 12), refinement_factor=2)
+        q = QuadratureSpec(torus_grid=17, base_grid=(10, 12))
         a = horosphere_average(1.0, bump_profile(1.0), q, d=3)
-        q2 = QuadratureSpec(torus_grid=34, base_grid=(20, 24), refinement_factor=2)
+        q2 = QuadratureSpec(torus_grid=34, base_grid=(20, 24))
         b = horosphere_average(1.0, bump_profile(1.0), q2, d=3)
         assert abs(b.value - a.value) < 3.0 * max(a.quad_error_estimate, 1e-6)
 

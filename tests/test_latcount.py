@@ -122,15 +122,23 @@ class TestCountFull:
         assert count_full(spec, mode="exact").n0 == want
         assert count_full(spec, mode="float").n0 == want
 
-    def test_large_entry_gram_refused(self):
-        # integral with det 1 and GL_3(Z)-equivalent to the identity, but
-        # not numerically positive definite in float after pivoting
+    def test_large_entry_gram_counts(self):
+        # integral with det 1 and GL_3(Z)-equivalent to the identity; the
+        # float Cholesky of the gram itself fails, that of its exact LLL
+        # reduction is the identity's
         gram = [[38957694870466, -810730334757, -4737644889],
                 [-810730334757, 16871729138, 98592908],
                 [-4737644889, 98592908, 576145]]
         spec = EllipsoidSpec(QuadForm.from_gram(gram), 40.0)
-        with pytest.raises(CountingError, match="reduce the basis"):
-            count_full(spec)
+        ident = EllipsoidSpec(QuadForm.identity(3), 40.0)
+        assert count_full(spec).n0 == 267761
+        for mode in ("auto", "float"):
+            for fn in (count_full, error_terms):
+                got, want = fn(spec, mode=mode), fn(ident, mode=mode)
+                assert got.mode == want.mode == ("exact" if mode == "auto" else "float")
+                assert (got.n0, got.n1, got.boundary_ambiguous) == \
+                    (want.n0, want.n1, want.boundary_ambiguous)
+                assert want.n0 == 267761
 
     def test_overflow_guard(self):
         with pytest.raises(CountingError):
@@ -139,6 +147,53 @@ class TestCountFull:
     def test_rejects_bad_radius(self):
         with pytest.raises(CountingError):
             EllipsoidSpec(QuadForm.identity(2), 0.0)
+
+
+def random_unimodular(rng, m, top):
+    """A random U in GL_d(Z), as Python ints, built from column additions
+    with small multipliers and column swaps until U^T m U has an entry
+    above top (each step grows the entries at most 16-fold)."""
+    d = len(m)
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    while max(abs(x) for row in transformed(u, m) for x in row) <= top:
+        i, j = (int(x) for x in rng.choice(d, 2, replace=False))
+        c = int(rng.integers(-3, 4))
+        swap = rng.random() < 0.15
+        for row in u:
+            row[i] += c * row[j]
+            if swap:
+                row[i], row[j] = row[j], row[i]
+    return u
+
+
+def transformed(u, m):
+    d = len(u)
+    return [[sum(u[a][i] * m[a][b] * u[b][j] for a in range(d) for b in range(d))
+             for j in range(d)] for i in range(d)]
+
+
+class TestGLInvariance:
+    def test_counts_invariant_under_random_unimodular(self):
+        # N0 and N1 are functions on the space of lattices, so U^T M U must
+        # count as M for every U in GL_d(Z).  U is kept small enough that
+        # the gram entries stay below 2^53, and in fact below about 2^20:
+        # QuadForm.from_gram refuses every gram above 2^53 and, through its
+        # float Cholesky, many integral det-1 grams from about 2^22 on.
+        rng = np.random.default_rng(31)
+        for d, radius in ((2, 30.0), (3, 9.0), (4, 4.5)):
+            m = transformed(random_unimodular(rng, np.eye(d, dtype=int).tolist(), 2),
+                            np.eye(d, dtype=int).tolist())
+            spec = EllipsoidSpec(QuadForm.from_gram(m), radius)
+            n0 = count_full(spec, mode="exact").n0
+            n1 = count_primitive_moebius(spec, mode="exact").n1
+            for top in (2 ** 6, 2 ** 10, 2 ** 14, 2 ** 18, 2 ** 18, 2 ** 18):
+                moved = transformed(random_unimodular(rng, m, top), m)
+                assert max(abs(x) for row in moved for x in row) < 2 ** 53
+                mspec = EllipsoidSpec(QuadForm.from_gram(moved), radius)
+                assert count_full(mspec, mode="exact").n0 == n0
+                assert count_primitive_moebius(mspec, mode="exact").n1 == n1
+                res = count_full(mspec, mode="float")
+                assert n0 <= res.n0 <= n0 + res.boundary_ambiguous
 
 
 class TestPrimitive:

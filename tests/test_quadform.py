@@ -19,6 +19,7 @@ from horocount.quadform import (
     geodesic_rho,
     iwasawa_compose,
     iwasawa_decompose,
+    lll_reduce,
     phi_t,
     rate_lambda,
     rate_mu,
@@ -75,6 +76,58 @@ class TestQuadForm:
             assert np.allclose(np.triu(low, 1), 0.0)
             assert np.all(np.diagonal(low) > 0)
             assert np.allclose(low.T @ low, q.gram, atol=1e-12)
+
+
+class TestLLL:
+    LARGE_ENTRY_GRAM = [[38957694870466, -810730334757, -4737644889],
+                        [-810730334757, 16871729138, 98592908],
+                        [-4737644889, 98592908, 576145]]
+
+    def test_identity_and_idempotent(self):
+        rng = np.random.default_rng(5)
+        for d in (2, 3, 4, 5):
+            eye = [[int(i == j) for j in range(d)] for i in range(d)]
+            assert lll_reduce(eye) == (eye, eye)
+            assert lll_reduce(np.eye(d))[0] == eye
+            g = random_group_element(rng, d, scale=2.0).mat
+            _, reduced = lll_reduce(g.T @ g)
+            assert lll_reduce(reduced) == (eye, reduced)
+
+    def test_large_entry_gram_exact(self):
+        m = self.LARGE_ENTRY_GRAM
+        u, reduced = lll_reduce(m)
+        assert reduced == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert all(type(x) is int for mat in (u, reduced) for row in mat for x in row)
+        ut_m_u = [[sum(u[a][i] * m[a][b] * u[b][j] for a in range(3) for b in range(3))
+                   for j in range(3)] for i in range(3)]
+        assert ut_m_u == reduced
+        assert u[0][0] * (u[1][1] * u[2][2] - u[1][2] * u[2][1]) \
+            - u[0][1] * (u[1][0] * u[2][2] - u[1][2] * u[2][0]) \
+            + u[0][2] * (u[1][0] * u[2][1] - u[1][1] * u[2][0]) == 1
+
+    def test_skewed_float_grams(self):
+        rng = np.random.default_rng(6)
+        for d in (2, 3, 4, 5):
+            for _ in range(40):
+                shear = np.eye(d) + np.triu(rng.integers(-20, 21, (d, d)), 1)
+                g = random_group_element(rng, d, scale=0.5).mat @ shear
+                gram = g.T @ g
+                u, reduced = lll_reduce(gram)
+                ua = np.array(u, dtype=float)
+                assert round(float(np.linalg.det(ua))) == 1
+                r = np.linalg.cholesky(np.array(reduced)).T
+                mu = r / np.diagonal(r)[:, None]  # mu[j, k] = mu_kj for j < k
+                assert np.all(np.abs(np.triu(mu, 1)) <= 0.5 + 1e-9)
+                norms = np.diagonal(r) ** 2
+                for k in range(1, d):
+                    assert norms[k] >= (0.75 - mu[k - 1, k] ** 2) * norms[k - 1] * (1.0 - 1e-12)
+                # both sides carry rounding of order |u|^2 |gram| ulp
+                tol = 1e-12 * np.max(np.abs(ua)) ** 2 * np.max(np.abs(gram))
+                assert np.allclose(ua.T @ gram @ ua, reduced, rtol=0.0, atol=tol)
+
+    def test_not_positive_definite(self):
+        with pytest.raises(GeometryError):
+            lll_reduce([[0, 1], [1, 0]])
 
 
 class TestAction:
