@@ -178,8 +178,7 @@ def cmd_equidist(args) -> int:
         cutoff = None
         if args.alpha is not None:
             cutoff = max(equidist.CUTOFF_FLOOR, math.exp(args.alpha * t / math.sqrt(2.0)))
-        q = equidist.QuadratureSpec(torus_grid=args.torus_grid, base_grid=base_grid,
-                                    base_cutoff_height=cutoff)
+        q = equidist.QuadratureSpec(base_grid=base_grid, base_cutoff_height=cutoff)
         averages.append(equidist.horosphere_average(t, profile, q, d=args.dim))
     header = "t,value,target,err,quad_err"
     rows = [f"{_fmt(a.t)},{_fmt(a.value)},{_fmt(a.target)},{_fmt(a.err)},{_fmt(a.quad_error_estimate)}"
@@ -196,8 +195,7 @@ def cmd_equidist(args) -> int:
         "config": {"subcommand": "equidist", "dim": args.dim, "profile": args.profile,
                    "support": args.support, "plateau": args.plateau,
                    "tmin": args.tmin, "tmax": args.tmax, "steps": args.steps,
-                   "torus_grid": args.torus_grid, "base_grid": args.base_grid,
-                   "alpha": args.alpha, "output": args.output},
+                   "base_grid": args.base_grid, "alpha": args.alpha, "output": args.output},
         **fit_payload,
         "theory_slope_thm12": -cst.exponent_pointwise,
         "theory_slope_thm11": -cst.exponent_interval,
@@ -327,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin", type=float, required=True)
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--torus-grid", type=int, default=101)
     p.add_argument("--base-grid", default="16,24")
     p.add_argument("--alpha", type=float, default=None,
                    help="cusp cutoff exponent for the d=3 base")

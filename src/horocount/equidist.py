@@ -12,23 +12,25 @@ locally symmetric space is
 
     Q_{t,b,x}(w, k) = e^{-lambda t} Q_b(w) + e^{mu t} (<x, w> + k)^2,
 
-integrated by a midpoint rule over x in [-1/2, 1/2)^{d-1} and, for d = 3,
+averaged exactly over x in the torus [-1/2, 1/2)^{d-1} and, for d = 3,
 by a hyperbolic-measure quadrature over the modular fundamental domain
 (grid in (x, log y), density 1/y^2, cusp cut at height Y).
 
-For d = 3 the n x n torus mean is evaluated exactly as an n-point sum.
-Write w = g0 w' with gcd(w') = 1.  On the midpoint grid
-x = ((i + 1/2)/n - 1/2, (j + 1/2)/n - 1/2) one has
-n <x, w> = g0 (w1' i + w2' j) + C with C = (w1 + w2)(1 - n)/2, and
-(i, j) -> w1' i + w2' j mod n takes every residue exactly n times, for
-every n (w' is primitive, so the map onto Z/n is onto).  The sum over k
-is g0-periodic in <x, w>: all k count when g0 = 1, and the k prime to
-g0 (the primitivity rule) are invariant under k -> k + g0.  Hence the
-mean over the n^2 grid equals (1/n) sum_{r < n} F_w((g0 r + C)/n), with
-no approximation.  The modular base needs no form object either: for
-z = x + iy, Q_z(w) = |w1 z + w2|^2 / y = w1^2 y + (w1 x + w2)^2 / y, so
-the w under a bound have closed-form ranges, and all (base point, w)
-pairs of a level go through one blocked array kernel.
+The torus mean is a closed-form sum over w, by unfolding.  The w = 0 row
+has k = +-1 only and gives 2 h(e^{mu t}).  For w != 0 write w = g0 w'
+with gcd(w') = 1: x -> <x, w'> mod 1 pushes Haar measure on the torus to
+Haar measure on the circle, and the k prime to g0 fill phi(g0) residue
+classes mod g0, so the k-sum averages to a line integral.  The fiber mean
+is therefore exactly
+
+    2 h(e^{mu t}) + e^{-mu t/2} sum_{w != 0} (phi(g0)/g0) L(e^{-lambda t} Q_b(w)),
+
+with L(a) the integral of h(a + v^2) over the real line (RadialProfile.
+line).  For d = 2 the base is a point and Q_b(w) = w^2 (the horocycle).
+The modular base needs no form object: for z = x + iy,
+Q_z(w) = |w1 z + w2|^2 / y = w1^2 y + (w1 x + w2)^2 / y, so the w under
+a bound have closed-form ranges, and the sum over all (base point, w)
+pairs of a level is one array expression.
 
 Supported dimensions for averages: d = 2 (base is a point) and d = 3.
 """
@@ -41,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .latcount import enumerate_points
+from .moebius import sieve
 from .orbits import DecayFit, fit_error_exponent
 from .quadform import (
     GeometryError,
@@ -72,7 +75,6 @@ __all__ = [
     "good_t_locator",
     "check_thm12_bound",
     "truncated_average",
-    "truncation_decay_check",
     "shortest_primitive_value",
     "cusp_orbit_check",
     "estimate_f_norm",
@@ -80,7 +82,6 @@ __all__ = [
     "integrated_error_bound",
     "transported_quadrature_ratio",
     "default_cutoff_height",
-    "default_quadrature",
     "modular_base_gram",
 ]
 
@@ -88,7 +89,8 @@ ENUM_BUDGET = 1e8
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 CUTOFF_ALPHA = max(1.0, 0.5 * math.sqrt(3.0))
 CUTOFF_FLOOR = 8.0
-TORUS_BLOCK = 1 << 14  # (pair, residue, k-offset) elements per kernel block
+_GAUSS8 = np.polynomial.legendre.leggauss(8)  # exact to degree 15
+_GAUSS64 = np.polynomial.legendre.leggauss(64)
 
 
 class EquidistError(ValueError):
@@ -141,12 +143,29 @@ class RadialProfile:
             # closed form: int_0^1 w^nu (1 - 3w^2 + 2w^3) dw, scaled
             tail = q ** (nu + 1.0) * (1.0 / (nu + 1.0) - 3.0 / (nu + 3.0) + 2.0 / (nu + 4.0))
         else:
-            nodes, weights = np.polynomial.legendre.leggauss(64)
+            nodes, weights = _GAUSS64
             w = 0.5 * (nodes + 1.0)
             taper = 1.0 - w * w * (3.0 - 2.0 * w)
             integrand = taper * (p + q * w) ** nu
             tail = 0.5 * q * float(np.sum(weights * integrand))
         return omega * p ** (d / 2.0) + 0.5 * d * omega * tail
+
+    def line(self, a):
+        """L(a) = integral of h(a + v^2) over v in R, per entry of a.
+
+        The indicator gives the chord 2 sqrt(s - a)_+.  The bump gives its
+        plateau chord plus the taper segment, where h(a + v^2) is a degree-6
+        polynomial in v, so the 8-node Gauss-Legendre rule is exact.
+        """
+        a = np.asarray(a, dtype=float)
+        top = np.sqrt(np.maximum(self.support_end - a, 0.0))
+        if self.kind == "indicator":
+            return 2.0 * top
+        flat = np.sqrt(np.maximum(self.plateau - a, 0.0))
+        nodes, weights = _GAUSS8
+        mid, half = 0.5 * (top + flat), 0.5 * (top - flat)
+        taper = sum(wt * self.value(a + (mid + half * x) ** 2) for x, wt in zip(nodes, weights))
+        return 2.0 * (flat + half * taper)
 
 
 def indicator_profile(support_end: float) -> RadialProfile:
@@ -179,22 +198,16 @@ class HoroAverage:
 
 @dataclass
 class QuadratureSpec:
-    """Grids for the fiber/base quadrature.
-
-    torus_grid is a baseline: the effective per-axis size grows like
-    e^{mu t / 2} (the width scale of the fiber strips) and is rounded up
-    to an odd prime, which breaks resonances between the midpoint grid and
-    the rational strip centers.  The error estimate compares with grids
+    """Grid and cusp cut of the d = 3 base quadrature (the torus fiber is
+    averaged exactly).  The error estimate compares with a base grid
     REFINEMENT_FACTOR times finer.
     """
 
-    torus_grid: int = 101
+    torus_grid: int = 101  # unread (the fiber mean is exact); kept so existing callers still work
     base_grid: tuple = (16, 24)
     base_cutoff_height: float | None = None
 
     def __post_init__(self):
-        if self.torus_grid < 8:
-            raise EquidistError("torus grid must be >= 8")
         nx, ny = self.base_grid
         if nx < 8 or ny < 8:
             raise EquidistError("base grids must be >= 8")
@@ -202,31 +215,7 @@ class QuadratureSpec:
             raise EquidistError("base cutoff height must be >= 1")
 
 
-def default_quadrature(d: int) -> QuadratureSpec:
-    return QuadratureSpec() if d == 2 else QuadratureSpec(torus_grid=25)
-
-
-TORUS_SCALE = {2: 24.0, 3: 8.0}
-TORUS_CAP = {2: 100_003, 3: 83}
-REFINEMENT_FACTOR = 2  # grid refinement of the quadrature error estimate
-
-
-def _next_odd_prime(n: int) -> int:
-    n = max(n, 3)
-    if n % 2 == 0:
-        n += 1
-    while True:
-        for p in range(3, math.isqrt(n) + 1, 2):
-            if n % p == 0:
-                break
-        else:
-            return n
-        n += 2
-
-
-def _effective_torus(n0: int, d: int, t: float) -> int:
-    scaled = int(math.ceil(TORUS_SCALE[d] * math.exp(0.5 * rate_mu(d) * max(t, 0.0))))
-    return _next_odd_prime(min(max(n0, scaled), TORUS_CAP[d]))
+REFINEMENT_FACTOR = 2  # base-grid refinement of the quadrature error estimate
 
 
 def default_cutoff_height(t: float, alpha: float = CUTOFF_ALPHA,
@@ -257,18 +246,13 @@ def space_average(h: RadialProfile, d: int) -> float:
     return h.integral(d) / constants(d).zeta
 
 
-def _check_torus_grid(n: int):
+def _torus_points(n: int) -> np.ndarray:
+    """The n x n midpoint grid on the 2-torus [-1/2, 1/2)^2."""
     if n < 8:
         raise EquidistError("torus grid must be >= 8")
-
-
-def _torus_points(n: int, k: int) -> np.ndarray:
-    _check_torus_grid(n)
     xs = (np.arange(n) + 0.5) / n - 0.5
-    if k == 1:
-        return xs[:, None]
-    grids = np.meshgrid(*([xs] * k), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    xg, yg = np.meshgrid(xs, xs, indexing="ij")
+    return np.stack([xg.ravel(), yg.ravel()], axis=1)
 
 
 def _half_lattice(pts: np.ndarray, vals: np.ndarray):
@@ -284,113 +268,52 @@ def _half_lattice(pts: np.ndarray, vals: np.ndarray):
     return pts[lead], vals[lead]
 
 
-def _fiber_values(d: int, t: float, base_form: QuadForm | None,
-                  h: RadialProfile, xpts: np.ndarray) -> np.ndarray:
-    """Test-function values at the torus family over one base point.
+def _w_bound(d: int, t: float, h: RadialProfile) -> float:
+    """Largest base value Q_b(w) whose line integral can be nonzero at level t."""
+    return (h.support_end + _support_tol(h.support_end)) * math.exp(rate_lambda(d) * t)
 
-    xpts: (m, d-1) torus samples; returns (m,) values.
+
+def _phi_ratio(g: np.ndarray) -> np.ndarray:
+    """phi(g)/g = sum over m | g of mu(m)/m, per entry of g >= 1."""
+    top = max(int(g.max()), 1) if g.size else 1
+    mu = sieve(top).mu
+    ratio = np.zeros(top + 1)
+    for m in np.flatnonzero(mu):
+        ratio[m::m] += mu[m] / m
+    return ratio[g]
+
+
+def _fiber_means(t: float, h: RadialProfile, owner: np.ndarray, ws: np.ndarray,
+                 qbs: np.ndarray, n_bases: int) -> np.ndarray:
+    """Exact torus-fiber means of the test function, one per base point.
+
+    Each pair is given by its base index in owner, its half-lattice w
+    (rows of ws, d - 1 columns) and Q_b(w) in qbs; the mean is the
+    unfolded sum of the module docstring.
     """
+    d = ws.shape[1] + 1
     lam, mu = rate_lambda(d), rate_mu(d)
-    s_eff = h.support_end + _support_tol(h.support_end)
-    el, em = math.exp(-lam * t), math.exp(mu * t)
-    m = xpts.shape[0]
-    out = np.zeros(m)
-    if em <= s_eff:
-        out += 2.0 * h.value_scalar(em)
-    wbound = s_eff / el
-    if d == 2:
-        wmax = math.floor(math.sqrt(wbound))
-        if wmax < 1:
-            return out
-        ws = np.arange(1, wmax + 1, dtype=np.int64)[:, None]
-        qbs = (ws[:, 0].astype(float)) ** 2
-    else:
-        if base_form is None:
-            raise EquidistError("base form required for d >= 3")
-        pts, vals = enumerate_points(base_form, wbound, mode="float", budget=ENUM_BUDGET)
-        ws, qbs = _half_lattice(pts, np.asarray(vals, dtype=float))
-        if ws.shape[0] == 0:
-            return out
-    for w, qb in zip(ws, qbs):
-        base_val = el * float(qb)
-        margin = s_eff - base_val
-        if margin < 0.0:
-            continue
-        beta = math.sqrt(margin / em)
-        dots = xpts @ w.astype(float)
-        k0 = np.rint(-dots)
-        g0 = int(np.gcd.reduce(np.abs(w)))
-        koff = int(math.floor(beta + 0.5 + 1e-12))
-        for off in range(-koff, koff + 1):
-            k = k0 + off
-            arg = base_val + em * (dots + k) ** 2
-            mask = arg <= s_eff
-            if g0 != 1:
-                mask &= np.gcd(g0, np.abs(k.astype(np.int64))) == 1
-            if mask.any():
-                out[mask] += 2.0 * h.value(arg[mask])
-    return out
+    g0 = np.gcd.reduce(np.abs(ws), axis=1)
+    terms = _phi_ratio(g0) * h.line(math.exp(-lam * t) * np.asarray(qbs, dtype=float))
+    sums = np.bincount(owner, weights=terms, minlength=n_bases)
+    return 2.0 * h.value_scalar(math.exp(mu * t)) + 2.0 * math.exp(-0.5 * mu * t) * sums
 
 
-def _w_bound_d3(t: float, h: RadialProfile) -> float:
-    """Largest base value Q_b(w) whose fiber strips meet the support at level t."""
-    return (h.support_end + _support_tol(h.support_end)) / math.exp(-rate_lambda(3) * t)
-
-
-def _torus_means_d3(t: float, h: RadialProfile, n: int, owner: np.ndarray,
-                    ws: np.ndarray, qbs: np.ndarray, n_bases: int) -> np.ndarray:
-    """Means of the d = 3 fiber values over the n x n midpoint torus grid,
-    one per base point.
-
-    Each (base point, w) pair is given by its base index in owner, its
-    half-lattice w (rows of ws) and Q_b(w) in qbs.  The mean over the grid
-    is the exact n-point residue sum of the module docstring, evaluated
-    for residues x k-offsets in blocks of TORUS_BLOCK elements.
-    """
-    _check_torus_grid(n)
-    s_eff = h.support_end + _support_tol(h.support_end)
-    el, em = math.exp(-rate_lambda(3) * t), math.exp(rate_mu(3) * t)
-    base_val = el * np.asarray(qbs, dtype=float)
-    keep = base_val <= s_eff
-    owner, ws, base_val = owner[keep], ws[keep], base_val[keep]
-    sums = np.zeros(len(base_val))
-    if len(base_val):
-        beta = np.sqrt((s_eff - base_val) / em)
-        koff = math.floor(float(beta.max()) + 0.5 + 1e-12)
-        offs = np.arange(-koff, koff + 1, dtype=float)
-        g0 = np.gcd(ws[:, 0], ws[:, 1])
-        shift = (ws[:, 0] + ws[:, 1]) * (1 - n) / 2.0
-        residues = np.arange(n, dtype=float)
-        step = max(1, TORUS_BLOCK // (n * offs.size))
-        for lo in range(0, len(base_val), step):
-            blk = slice(lo, lo + step)
-            dots = (g0[blk, None] * residues + shift[blk, None]) / n
-            k = np.rint(-dots)[:, :, None] + offs
-            arg = base_val[blk, None, None] + em * (dots[:, :, None] + k) ** 2
-            inside = arg <= s_eff
-            if np.any(g0[blk] > 1):
-                inside &= np.gcd(g0[blk, None, None], np.abs(k).astype(np.int64)) == 1
-            sums[blk] = np.where(inside, h.value(arg), 0.0).sum(axis=(1, 2))
-    const = 2.0 * h.value_scalar(em) if em <= s_eff else 0.0
-    return const + (2.0 / n) * np.bincount(owner, weights=sums, minlength=n_bases)
-
-
-def fiber_integral(t: float, base, h: RadialProfile, grid: int) -> float:
-    """Midpoint-rule average of the test function over the torus fiber.
+def fiber_integral(t: float, base, h: RadialProfile) -> float:
+    """Exact average of the test function over the torus fiber.
 
     base: None (d = 2), a GroupElement of the base group, or a base
     QuadForm of dimension d - 1.
     """
     base_form = _as_base_form(base)
-    if base_form is not None and base_form.dim == 2:
-        pts, vals = enumerate_points(base_form, _w_bound_d3(t, h), mode="float",
-                                     budget=ENUM_BUDGET)
+    if base_form is None:
+        ws = np.arange(1, math.floor(math.sqrt(_w_bound(2, t, h))) + 1, dtype=np.int64)[:, None]
+        qbs = ws[:, 0].astype(float) ** 2
+    else:
+        pts, vals = enumerate_points(base_form, _w_bound(base_form.dim + 1, t, h),
+                                     mode="float", budget=ENUM_BUDGET)
         ws, qbs = _half_lattice(pts, np.asarray(vals, dtype=float))
-        owner = np.zeros(len(ws), dtype=np.intp)
-        return float(_torus_means_d3(t, h, grid, owner, ws, qbs, 1)[0])
-    d = 2 if base_form is None else base_form.dim + 1
-    xpts = _torus_points(grid, d - 1)
-    return float(_fiber_values(d, t, base_form, h, xpts).mean())
+    return float(_fiber_means(t, h, np.zeros(len(ws), dtype=np.intp), ws, qbs, 1)[0])
 
 
 def _as_base_form(base) -> QuadForm | None:
@@ -453,41 +376,40 @@ def _modular_pairs(xs: np.ndarray, ys: np.ndarray, bound: float):
     return owner, np.stack([w1, w2], axis=1), qbs
 
 
-def _average_once(d: int, t: float, h: RadialProfile, torus_n: int,
-                  base_dims, y_max: float | None) -> float:
+def _average_once(d: int, t: float, h: RadialProfile, base_dims,
+                  y_max: float | None) -> float:
     if d == 2:
-        xpts = _torus_points(torus_n, 1)
-        return float(_fiber_values(2, t, None, h, xpts).mean())
+        return fiber_integral(t, None, h)
     if d != 3:
         raise EquidistError("averages are implemented for d in {2, 3}")
     y_top = default_cutoff_height(t) if y_max is None else y_max
     xs, ys, wts = _modular_grid(base_dims[0], base_dims[1], y_top)
-    owner, ws, qbs = _modular_pairs(xs, ys, _w_bound_d3(t, h))
-    means = _torus_means_d3(t, h, torus_n, owner, ws, qbs, len(xs))
+    owner, ws, qbs = _modular_pairs(xs, ys, _w_bound(3, t, h))
+    means = _fiber_means(t, h, owner, ws, qbs, len(xs))
     return float(wts @ means) / float(wts.sum())
 
 
 def _value_with_estimate(d, t, h, q: QuadratureSpec):
-    n = _effective_torus(q.torus_grid, d, t)
-    coarse = _average_once(d, t, h, n, q.base_grid, q.base_cutoff_height)
+    """The average on the refined base grid, with 1.5 times the refinement
+    difference (d = 3 only; d = 2 is one exact sum) plus a rounding floor."""
     rf = REFINEMENT_FACTOR
-    fine = _average_once(d, t, h, _next_odd_prime(n * rf),
-                         (q.base_grid[0] * rf, q.base_grid[1] * rf),
-                         q.base_cutoff_height)
-    est = 1.5 * abs(fine - coarse) + 1e-9 * (1.0 + abs(fine))
-    if not math.isfinite(fine):
+    value = _average_once(d, t, h, (q.base_grid[0] * rf, q.base_grid[1] * rf),
+                          q.base_cutoff_height)
+    if not math.isfinite(value):
         raise EquidistError("quadrature did not produce a finite value")
-    return fine, est
+    est = 1e-9 * (1.0 + abs(value))
+    if d == 3:
+        est += 1.5 * abs(value - _average_once(d, t, h, q.base_grid, q.base_cutoff_height))
+    return value, est
 
 
 def horosphere_average(t: float, h: RadialProfile,
                        q: QuadratureSpec | None = None, d: int = 2) -> HoroAverage:
     """Level-t horospherical average of the test function, with target and
-    refinement-based quadrature error estimate."""
+    quadrature error estimate."""
     if d not in (2, 3):
         raise EquidistError("averages are implemented for d in {2, 3}")
-    q = q or default_quadrature(d)
-    value, est = _value_with_estimate(d, t, h, q)
+    value, est = _value_with_estimate(d, t, h, q or QuadratureSpec())
     target = space_average(h, d)
     return HoroAverage(t=t, value=value, target=target, err=value - target,
                        quad_error_estimate=est)
@@ -499,7 +421,6 @@ def decay_series(h: RadialProfile, t_grid, q: QuadratureSpec | None = None,
 
     Returns (list of HoroAverage, DecayFit, reference slopes dict).
     """
-    q = q or default_quadrature(d)
     averages = [horosphere_average(t, h, q, d) for t in t_grid]
     series = [(a.t, a.err) for a in averages]
     fit = fit_error_exponent(series, envelope=envelope)
@@ -596,39 +517,15 @@ def truncated_average(t: float, alpha: float, h: RadialProfile,
     """
     if alpha < 0.5 * math.sqrt(3.0) - 1e-12:
         raise EquidistError("alpha must be >= sqrt(3)/2 for the truncated average")
-    q = q or default_quadrature(3)
+    base_grid = (q or QuadratureSpec()).base_grid
     y_alpha = max(1.0 + 1e-9, math.exp(alpha * t / math.sqrt(2.0)))
-    q_trunc = QuadratureSpec(q.torus_grid, q.base_grid, y_alpha)
+    q_trunc = QuadratureSpec(base_grid=base_grid, base_cutoff_height=y_alpha)
     factor = 32.0 if y_alpha <= 1e4 else 4.0
     y_full = max(default_cutoff_height(t), factor * y_alpha)
-    q_full = QuadratureSpec(q.torus_grid, q.base_grid, y_full)
+    q_full = QuadratureSpec(base_grid=base_grid, base_cutoff_height=y_full)
     truncated = horosphere_average(t, h, q_trunc, d=3)
     full = horosphere_average(t, h, q_full, d=3)
     return truncated, full, truncated.value - full.value
-
-
-def truncation_decay_check(t_grid, alpha: float, h: RadialProfile,
-                           q: QuadratureSpec | None = None, slack: float = 0.2) -> dict:
-    """Fit the decay of the truncation difference against theta * alpha,
-    theta = sqrt((d-2)(d-1))/2, d = 3.
-
-    The theta*alpha rate is proved for compactly supported functions.
-    Siegel transforms of compact radial profiles are not compactly
-    supported (they grow like sqrt(y) up the base cusp), which slows the
-    attainable rate to about 1/(2 sqrt 6) + alpha/(2 sqrt 2); the slack
-    absorbs the difference for admissible alpha near sqrt(3)/2.
-    """
-    theta = 0.5 * math.sqrt(2.0)
-    diffs = []
-    for t in t_grid:
-        _, _, diff = truncated_average(t, alpha, h, q)
-        diffs.append((t, diff))
-    usable = [(t, x) for t, x in diffs if x != 0.0]
-    fit = fit_error_exponent(usable, envelope=False) if len(usable) >= 4 else None
-    rate = theta * alpha
-    ok = fit is not None and fit.slope <= -rate + slack
-    c_fit = math.exp(fit.intercept) if fit is not None else None
-    return {"diffs": diffs, "fit": fit, "theory_rate": rate, "c_fit": c_fit, "passed": ok}
 
 
 def shortest_primitive_value(q: QuadForm) -> float:
@@ -657,7 +554,7 @@ def cusp_orbit_check(base, t: float, a: float, grid: int = 17) -> bool:
     el, em = math.exp(-lam * t), math.exp(mu * t)
     threshold = math.exp(a * math.sqrt((d - 1) / d))
     hgram = base_form.gram
-    for xvec in _torus_points(grid, 2):
+    for xvec in _torus_points(grid):
         x = xvec.reshape(2, 1)
         g = np.zeros((3, 3))
         g[:2, :2] = el * hgram + em * (x @ x.T)
@@ -697,12 +594,11 @@ def estimate_lipschitz(h: RadialProfile, d: int, t_probes,
                        delta: float = 1e-3, inflate: float = 10.0) -> float:
     """Empirical Lipschitz bound of t -> F(t): max finite difference over
     the probe set, inflated by the documented safety factor."""
-    q = q or default_quadrature(d)
+    q = q or QuadratureSpec()
     worst = 0.0
     for t in t_probes:
-        n = _effective_torus(q.torus_grid, d, t)
-        f0 = _average_once(d, t, h, n, q.base_grid, q.base_cutoff_height)
-        f1 = _average_once(d, t + delta, h, n, q.base_grid, q.base_cutoff_height)
+        f0 = _average_once(d, t, h, q.base_grid, q.base_cutoff_height)
+        f1 = _average_once(d, t + delta, h, q.base_grid, q.base_cutoff_height)
         worst = max(worst, abs(f1 - f0) / delta)
     return inflate * worst
 
@@ -720,7 +616,7 @@ def integrated_error_bound(h: RadialProfile, d: int, big_t_values,
     """
     if d != 2:
         raise EquidistError("the integrated bound driver is implemented for d = 2")
-    q = q or default_quadrature(2)
+    q = q or QuadratureSpec()
     cst = constants(d)
     alpha = 0.5 * math.sqrt((d - 1) * d)
     beta = 0.5 * alpha

@@ -119,8 +119,7 @@ class TestEquidistCommand:
         out_file = tmp_path / "eq.csv"
         code, out, _ = run_cli(capsys, "equidist", "--dim", "2", "--profile", "indicator",
                                "--support", "1.0", "--tmin", "0", "--tmax", "4",
-                               "--steps", "5", "--torus-grid", "101",
-                               "--output", str(out_file))
+                               "--steps", "5", "--output", str(out_file))
         assert code == 0
         lines = out_file.read_text().strip().split("\n")
         assert lines[0] == "t,value,target,err,quad_err"
