@@ -181,6 +181,42 @@ class TestFiber:
                 errs = _midpoint_errors(t, base, h, (8, 32))
                 assert errs[1] <= min(errs[0], 2e-3)
 
+    def test_fast_path_matches_generic_eval_d3(self):
+        # the indicator's midpoint means converge too slowly to reach with
+        # eval_test_function itself, so a vectorised count over a box of
+        # primitive (w, k) is first checked against it pointwise, then its
+        # fine-grid mean against the exact fiber mean; tolerance is about
+        # twice the measured n = 1001 error (1.8e-3 at t = 0)
+        rng = np.random.default_rng(53)
+        base = modular_base_gram(0.21, 1.4)
+        h = indicator_profile(1.0)
+        box = np.array([v for v in np.ndindex(13, 13, 13)]) - 6
+        box = box[np.gcd.reduce(np.abs(box), axis=1) == 1]
+        ws, ks = box[:, :2].astype(float), box[:, 2].astype(float)
+        qbs = np.einsum("ij,jk,ik->i", ws, base, ws)
+        for t in (0.0, 2.1):
+            el, em = math.exp(-rate_lambda(3) * t), math.exp(rate_mu(3) * t)
+            # Q <= 1 needs e^{-lambda t} Q_b(w) <= 1, an ellipse whose axis
+            # extents are sqrt(inv(base)_ii / el), and |<x, w> + k| <= 1:
+            # both inside the box
+            assert np.sqrt(np.diag(np.linalg.inv(base)) / el).max() < 6
+            live = el * qbs <= 1.0
+            assert np.abs(box[live, :2]).sum(axis=1).max() / 2 + 1 < 6
+            w, k, qb = ws[live], ks[live], el * qbs[live]
+
+            def counts(xs):
+                s = xs @ w.T + k
+                return np.sum(qb + em * s * s <= 1.0 + 1e-12, axis=1)
+
+            xs = rng.uniform(-0.5, 0.5, (4, 2))
+            for x, c in zip(xs, counts(xs)):
+                slow = eval_test_function(QuadForm.from_gram(_fiber_gram(t, base, x)), h)
+                assert c == slow
+            grid = (np.arange(1001) + 0.5) / 1001 - 0.5
+            pts = np.stack([g.ravel() for g in np.meshgrid(grid, grid, indexing="ij")], axis=1)
+            mean = sum(counts(pts[i:i + 50000]).sum() for i in range(0, len(pts), 50000)) / len(pts)
+            assert mean == pytest.approx(fiber_integral(t, QuadForm.from_gram(base), h), abs=4e-3)
+
     def test_fiber_family_is_level_shift_of_shears(self):
         # the level-t fiber form over x is the level shift of the unit
         # shear at x: closes the loop between the group machinery and the
