@@ -21,30 +21,43 @@ Q(u w) as a sum of q_i (w_i + c_i)^2, where the centre c_i depends only on
 the coordinates above i.  _walk recurses over levels
 d-1 ... 2 and, for each admissible suffix (v_2, ..., v_{d-1}), yields the
 range of v_1, widened by _PAD on both sides, with the level-1 and level-0
-centres and the partial sum.  Two leaves finish the last two levels:
+centres and the partial sum.  Two leaves finish the last two levels, each
+for a nonincreasing list of thresholds at once, walking only at the first:
 
   * the float leaf gathers the level-1 nodes of many suffixes into numpy
-    arrays, in blocks of at most BLOCK nodes, and reads each node's level-0
-    interval off floor/ceil of centre +- radius, for all thresholds in one
-    broadcast;
+    arrays, in blocks of at most BLOCK nodes, pairs each node with the
+    thresholds it can meet (a ragged expansion, in slices of at most BLOCK
+    pairs), and reads each pair's level-0 interval off floor/ceil of
+    centre +- radius;
   * the exact leaf computes each node's level-0 interval from the integer
-    gram with math.isqrt, so floats only ever guide the outer ranges.
+    gram with math.isqrt, threshold by threshold until one is empty, so
+    floats only ever guide the outer ranges.
 
 A count sums the interval lengths; an enumeration expands the intervals.
 Each leaf decides every point against its own bound, so the widened
 entries add nothing.
+
+The primitive count is the Moebius sum N1(R) = sum_k mu(k) (N0(R/k) - 1).
+Every nonzero v has Q(v) >= min_i q_i, so its terms vanish before
+K = floor(R / sqrt(min_i q_i)) + 2, and one walk at R counts N0(R/k) for
+every squarefree k <= K.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .quadform import QuadForm, constants, integer_gram_or_none, lll_reduce
+from .quadform import (
+    QuadForm,
+    _unimodular_integer_rounding,
+    constants,
+    integer_gram_or_none,
+    lll_reduce,
+)
 
 __all__ = [
     "CountingError",
@@ -64,7 +77,8 @@ __all__ = [
 COUNT_LIMIT = 2 ** 62  # refuse counts that could overflow 64-bit consumers
 _PAD = 1  # integer widening of float-guided ranges; exactness is restored
 # at the innermost level, so the padding only costs a few empty probes.
-BLOCK = 1 << 12  # level-1 nodes per float-leaf block: caps the leaf's scratch memory
+BLOCK = 1 << 12  # level-1 nodes per float-leaf block and (node, threshold) pairs per
+# slice of its expansion: caps the leaf's scratch memory
 
 
 class CountingError(ValueError):
@@ -98,12 +112,17 @@ class CountResult:
 
 
 def _resolve_mode(form: QuadForm, mode: str):
-    """(mode used, the gram as nested ints if it is integral, else None)."""
+    """(mode used, the gram as nested ints if it is integral, else None).
+
+    The gram counts as integral under from_gram's own rule: it rounds to
+    integers and the rounded gram has determinant one.  A float gram within
+    the rounding tolerance of some other integer gram is another form.
+    """
     if mode not in ("auto", "exact", "float"):
         raise CountingError(f"unknown mode {mode!r}")
-    mint = integer_gram_or_none(form.gram)
+    mint = _unimodular_integer_rounding(form.gram)
     if mode == "exact" and mint is None:
-        raise CountingError("exact mode requires an integer gram matrix")
+        raise CountingError("exact mode requires an integer gram matrix of determinant one")
     return ("float" if mode == "float" or mint is None else "exact"), mint
 
 
@@ -114,8 +133,7 @@ class _Factor:
     u is the reduction (v = u w for the walk's coordinates w); q[i] =
     R[i, i]^2 and m[i][k] = R[k, i] / R[k, k] (the shift of the level-k
     centre per unit of w_i) for the Cholesky factor R of the reduced gram;
-    mint is the reduced integer gram in exact mode and None in float mode;
-    shortest is the least diagonal entry of the reduced gram.
+    mint is the reduced integer gram in exact mode and None in float mode.
     """
 
     dim: int
@@ -123,7 +141,6 @@ class _Factor:
     q: list[float]
     m: list[list[float]]
     mint: list[list[int]] | None
-    shortest: float
 
     @property
     def mode(self) -> str:
@@ -141,8 +158,7 @@ def _factor(form: QuadForm, mode: str) -> _Factor:
     d = form.dim
     m = [[float(r[k, i] / r[k, k]) for k in range(i)] for i in range(d)]
     return _Factor(d, u, (np.diagonal(r) ** 2).tolist(), m,
-                   reduced if used == "exact" else None,
-                   float(min(reduced[i][i] for i in range(d))))
+                   reduced if used == "exact" else None)
 
 
 def _budget_estimate(f: _Factor, bound: float) -> float:
@@ -227,13 +243,40 @@ def _level0(f: _Factor, bounds: np.ndarray, t1, c0):
     return lo, np.where(rem >= 0.0, np.floor(rad - c0) - lo + 1.0, 0.0)
 
 
-def _count_float(f: _Factor, bounds) -> list[int]:
-    """Number of points with Q(v) <= b for each float bound b."""
-    column = np.array(bounds)[:, None]
-    totals = np.zeros(len(bounds), dtype=np.int64)
-    for _, _, _, t1, c0 in _float_blocks(f, max(bounds)):
-        totals += _level0(f, column, t1, c0)[1].sum(axis=1).astype(np.int64)
-    return totals.tolist()
+def _count_float(f: _Factor, upper, lower) -> tuple[list[int], list[int]]:
+    """Number of points with Q(v) <= upper[k] and with Q(v) <= lower[k], for
+    each k; upper is nonincreasing and lower[k] <= upper[k].
+
+    One walk at upper[0], so every level-1 node is a candidate for that
+    bound and is evaluated at it in the block.  For k >= 1 a node is
+    paired only with the k where upper[k] reaches its partial sum t1; the
+    other pairs would have rem < 0 at both bounds, so they count nothing.
+    These pairs are expanded in slices of at most BLOCK.
+    """
+    bounds = np.array([upper, lower], dtype=float)
+    m = bounds.shape[1]
+    totals = np.zeros((2, m), dtype=np.int64)
+    for _, _, _, t1, c0 in _float_blocks(f, bounds[0, 0]):
+        totals[:, 0] += _level0(f, bounds[:, :1], t1, c0)[1].sum(axis=1).astype(np.int64)
+        if m == 1:
+            continue
+        reach = np.searchsorted(-bounds[0, 1:], -t1, side="right")  # upper[reach] >= t1
+        ends = np.cumsum(reach)  # pairs of node i: ends[i] - reach[i] .. ends[i] - 1
+        total = int(ends[-1])
+        for lo in range(0, total, BLOCK):
+            hi = min(lo + BLOCK, total)
+            a, b = np.searchsorted(ends, (lo, hi - 1), side="right")
+            nodes = slice(a, b + 1)  # the nodes with pairs in lo .. hi - 1
+            start = ends[nodes] - reach[nodes]
+            r = np.minimum(ends[nodes], hi) - np.maximum(start, lo)
+            k = np.arange(lo + 1, hi + 1) - np.repeat(start, r)
+            # take returns a C-ordered array, bounds[:, k] does not; the
+            # leaf's ufuncs run markedly faster on the former
+            n = _level0(f, bounds.take(k, axis=1), np.repeat(t1[nodes], r),
+                        np.repeat(c0[nodes], r))[1]
+            for row in range(2):
+                totals[row] += np.bincount(k, weights=n[row], minlength=m).astype(np.int64)
+    return totals[0].tolist(), totals[1].tolist()
 
 
 def _enumerate_float(f: _Factor, bound: float):
@@ -254,16 +297,16 @@ def _enumerate_float(f: _Factor, bound: float):
     return np.concatenate(pts), np.concatenate(vals)
 
 
-def _exact_intervals(f: _Factor, nint: int):
-    """Exact level-0 intervals of Q(v) <= nint for the integer gram.
+def _exact_rows(f: _Factor, nint: int):
+    """The walk over Q(v) <= nint on the integer gram, row by row.
 
-    Yields (suffix, v1, lo, hi, c, b) for every level-1 node with points:
-    there Q(v) = a0 v0^2 + 2 b v0 + c, and a0 v0^2 + 2 b v0 + c - nint <= 0
-    iff (a0 v0 + b)^2 <= b^2 - a0 (c - nint), where both sides are
-    integers, so floor square roots give exact endpoints.
+    Yields (suffix, v1s, bs, cs) per walk row: for each v1 in the range
+    v1s, Q(v) = a0 v0^2 + 2 b v0 + c with b, c the matching entries of bs
+    and cs.  Q(v) <= n iff (a0 v0 + b)^2 <= b^2 - a0 (c - n), where both
+    sides are integers, so floor square roots give exact endpoints.
     """
     g = f.mint
-    a0, a01, a1 = g[0][0], g[0][1], g[1][1]
+    a01, a1 = g[0][1], g[1][1]
     top = float(nint)
     top += 1e-12 * top + 1e-9  # slack covers float drift of the partial sums
     for suffix, lo, hi, *_ in _walk(f, top):
@@ -271,31 +314,50 @@ def _exact_intervals(f: _Factor, nint: int):
         lin0 = sum(g[0][j] * v for j, v in coords)
         lin1 = sum(g[1][j] * v for j, v in coords)
         qs = sum(g[i][j] * vi * vj for i, vi in coords for j, vj in coords)
-        for v1 in range(lo, hi + 1):
-            b = lin0 + a01 * v1
-            c = qs + (a1 * v1 + 2 * lin1) * v1
-            disc = b * b - a0 * (c - nint)
-            if disc < 0:
-                continue
-            s = math.isqrt(disc)
-            lo0, hi0 = -((s + b) // a0), (s - b) // a0
-            if lo0 <= hi0:
-                yield suffix, v1, lo0, hi0, c, b
+        v1s = range(lo, hi + 1)
+        yield (suffix, v1s, [lin0 + a01 * v1 for v1 in v1s],
+               [qs + (a1 * v1 + 2 * lin1) * v1 for v1 in v1s])
 
 
-def _count_exact(f: _Factor, nint: int) -> int:
-    """Exact number of points with Q(v) <= nint."""
-    return sum(hi - lo + 1 for _, _, lo, hi, _, _ in _exact_intervals(f, nint))
+def _count_exact(f: _Factor, nints) -> list[int]:
+    """Exact number of points with Q(v) <= n for each n of the
+    nonincreasing thresholds nints, from one walk at nints[0].
+
+    A node's intervals are nested in n, so its first empty one ends it.
+    """
+    a0 = f.mint[0][0]
+    a0n = [a0 * n for n in nints]
+    counts = [0] * len(nints)
+    for _, _, bs, cs in _exact_rows(f, nints[0]):
+        for b, c in zip(bs, cs):
+            base = b * b - a0 * c
+            j = 0
+            for an in a0n:
+                disc = base + an
+                if disc < 0:
+                    break
+                s = math.isqrt(disc)
+                width = (s - b) // a0 + (s + b) // a0 + 1
+                if width <= 0:
+                    break
+                counts[j] += width
+                j += 1
+    return counts
 
 
 def _enumerate_exact(f: _Factor, nint: int):
     """Points (reduced coordinates) with Q(v) <= nint and exact integer values."""
     pts, vals = [], []
     a0 = f.mint[0][0]
-    for suffix, v1, lo, hi, c, b in _exact_intervals(f, nint):
-        for v0 in range(lo, hi + 1):
-            pts.append((v0, v1) + suffix)
-            vals.append(c + (a0 * v0 + 2 * b) * v0)
+    for suffix, v1s, bs, cs in _exact_rows(f, nint):
+        for v1, b, c in zip(v1s, bs, cs):
+            disc = b * b - a0 * (c - nint)
+            if disc < 0:
+                continue
+            s = math.isqrt(disc)
+            for v0 in range(-((s + b) // a0), (s - b) // a0 + 1):
+                pts.append((v0, v1) + suffix)
+                vals.append(c + (a0 * v0 + 2 * b) * v0)
     if not pts:
         return np.empty((0, f.dim), dtype=np.int64), np.empty(0, dtype=np.int64)
     return np.array(pts, dtype=np.int64), np.array(vals, dtype=np.int64)
@@ -342,21 +404,24 @@ def _exact_threshold(radius) -> int:
     return math.floor(rsq)
 
 
-def _n0_band(f: _Factor, radius: float, k: int = 1) -> list[int]:
-    """N0(radius / k) counted to the upper and to the lower edge of the
-    float boundary band; both are the exact count in exact mode."""
+def _n0_bands(f: _Factor, radius: float, ks) -> tuple[list[int], list[int]]:
+    """N0(radius / k) for each k of the increasing ks, counted to the upper
+    and to the lower edge of the float boundary band; both are the exact
+    count in exact mode."""
     if f.mint is not None:
-        return [_count_exact(f, _exact_threshold(radius) // (k * k))] * 2
-    rsq = (radius / k) ** 2
-    tol = _float_tolerance(rsq, f.dim)
-    return _count_float(f, (rsq + tol, rsq - tol))
+        top = _exact_threshold(radius)
+        n = _count_exact(f, [top // (k * k) for k in ks])
+        return n, n
+    rsq = [(radius / k) ** 2 for k in ks]
+    tol = [_float_tolerance(x, f.dim) for x in rsq]
+    return _count_float(f, [x + t for x, t in zip(rsq, tol)], [x - t for x, t in zip(rsq, tol)])
 
 
 def count_full(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
     """Number of integer points with Q(v) <= R^2, origin included."""
     _check_overflow(spec)
     f = _factor(spec.form, mode)
-    n_hi, n_lo = _n0_band(f, spec.radius)
+    (n_hi,), (n_lo,) = _n0_bands(f, spec.radius, [1])
     return CountResult(n0=n_hi, boundary_ambiguous=n_hi - n_lo, mode=f.mode)
 
 
@@ -382,47 +447,27 @@ def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto") -> CountRes
     """Primitive count via the sieve: N1(R) = sum_k mu(k) (N0(R/k) - 1).
 
     Subtracting the origin from each full count makes the identity exact at
-    every radius.  The k-sum stops at the first squarefree k with
-    N0(R/k) = 1, which every positive definite form reaches: N0 is monotone in the radius, so every later term is
-    mu(k) (1 - 1) = 0, and in float mode its boundary band n_hi - n_lo is
-    0 as well.
+    every radius.  In the reduced coordinates every nonzero v has
+    Q(v) >= min_i q_i, the least squared Gram-Schmidt norm, so N0(R/k) = 1
+    once R/k < sqrt(min_i q_i): those terms are mu(k) (1 - 1) = 0, and in
+    float mode their boundary band is 0 as well.  The sum runs to
+    K = floor(R / sqrt(min_i q_i)) + 2, one past the first such k, so that
+    N0(R/K) = 1 also where a rounded R / sqrt(min_i q_i) falls just below
+    an integer k and the float band at R/k holds a shortest vector.  One
+    Moebius table of size K and one walk at R give N0(R/k) for every
+    squarefree k <= K; the float leaf pairs each level-1 node only with
+    the k it can reach, in slices of at most BLOCK pairs.
     """
+    from .moebius import sieve  # call-time import: moebius imports this module
+
     _check_overflow(spec)
     f = _factor(spec.form, mode)
-    # N0(R/k) >= 3 while a reduced basis vector b has Q(b) <= (R/k)^2, so
-    # the sum runs at least to k = R / sqrt(min Q(b)): size the table there
-    first = math.floor(spec.radius / math.sqrt(f.shortest)) + 1
-    n1 = 0
-    n0_full = None
-    boundary = 0
-    for k, mu_k in _squarefree_terms(first):
-        n_hi, n_lo = _n0_band(f, spec.radius, k)
-        if k == 1:
-            n0_full = n_hi
-        boundary += n_hi - n_lo
-        n1 += mu_k * (n_hi - 1)
-        if n_hi == 1:
-            break
-    return CountResult(n0=n0_full, n1=n1, boundary_ambiguous=boundary, mode=f.mode)
-
-
-def _squarefree_terms(first: int):
-    """(k, mu(k)) for the squarefree k = 1, 2, ... in increasing order,
-    without end.
-
-    The Moebius table starts at first entries and grows by doubling as k
-    advances, so a caller that stops at some k >= first / 2 never has a
-    table longer than 2k.
-    """
-    from .moebius import sieve  # local import to avoid a module cycle
-
-    table = sieve(first)
-    for k in itertools.count(1):
-        if k > table.limit:
-            table = sieve(2 * table.limit)
-        mu_k = int(table.mu[k])
-        if mu_k:
-            yield k, mu_k
+    kmax = math.floor(spec.radius / math.sqrt(min(f.q))) + 2
+    mu = sieve(kmax).mu
+    ks = np.flatnonzero(mu).tolist()
+    n_hi, n_lo = _n0_bands(f, spec.radius, ks)
+    n1 = sum(int(mu[k]) * (n - 1) for k, n in zip(ks, n_hi))
+    return CountResult(n0=n_hi[0], n1=n1, boundary_ambiguous=sum(n_hi) - sum(n_lo), mode=f.mode)
 
 
 def shell_counts(spec: EllipsoidSpec, xs, mode: str = "auto"):

@@ -45,6 +45,16 @@ def random_form(rng, d, scale=0.25):
     return QuadForm.from_gram(a.T @ a)
 
 
+def numpy_brute_n0(gram, radius):
+    """Points of a binary form with Q(v) <= radius^2, row by row over a box."""
+    gram = np.asarray(gram, dtype=float)
+    half = np.floor(radius * np.sqrt(np.diagonal(np.linalg.inv(gram)))).astype(int) + 1
+    v0 = np.arange(-half[0], half[0] + 1, dtype=float)
+    return sum(int(np.count_nonzero(
+        gram[0, 0] * v0 * v0 + 2.0 * gram[0, 1] * v0 * v1 + gram[1, 1] * v1 * v1 <= radius ** 2))
+        for v1 in range(-half[1], half[1] + 1))
+
+
 def int_form(d, gamma):
     return act(QuadForm.identity(d), GroupElement.from_matrix(gamma))
 
@@ -139,6 +149,21 @@ class TestCountFull:
                 assert (got.n0, got.n1, got.boundary_ambiguous) == \
                     (want.n0, want.n1, want.boundary_ambiguous)
                 assert want.n0 == 267761
+
+    def test_near_integral_grams_count_their_own_form(self):
+        # det-1 float grams within the integer rounding tolerance of a gram
+        # of det 2 (resp. of a singular one) must be counted as stored; the
+        # det-2 gram has 1999 points at R = 30, the stored one 2835
+        for gram in ([[2 - 1 / 500001, 1000], [1000, 500001]], [[1e-6, 0.0], [0.0, 1e6]]):
+            form = QuadForm.from_gram(gram)
+            want = numpy_brute_n0(form.gram, 30.0)
+            assert want == 2835 or gram[0][1] == 0
+            for mode in ("auto", "float"):
+                res = count_full(EllipsoidSpec(form, 30.0), mode=mode)
+                assert res.mode == "float"
+                assert res.n0 - res.boundary_ambiguous <= want <= res.n0
+            with pytest.raises(CountingError):
+                count_full(EllipsoidSpec(form, 30.0), mode="exact")
 
     def test_overflow_guard(self):
         with pytest.raises(CountingError):
@@ -248,6 +273,70 @@ class TestPrimitive:
             want = count_primitive_moebius(EllipsoidSpec(QuadForm.identity(len(gamma)), r))
             assert got.mode == "exact"
             assert (got.n0, got.n1) == (want.n0, want.n1)
+
+
+class TestMoebiusOneWalk:
+    @staticmethod
+    def per_k(spec):
+        """N0, N1 and the band by one count_full per squarefree k <= K."""
+        from horocount.moebius import sieve
+
+        f = latcount._factor(spec.form, "float")
+        kmax = math.floor(spec.radius / math.sqrt(min(f.q))) + 2
+        assert count_full(EllipsoidSpec(spec.form, spec.radius / kmax), mode="float").n0 == 1
+        mu = sieve(kmax).mu
+        n0, n1, band = None, 0, 0
+        for k in range(1, kmax + 1):
+            if mu[k]:
+                res = count_full(EllipsoidSpec(spec.form, spec.radius / k), mode="float")
+                n0 = res.n0 if k == 1 else n0
+                n1 += int(mu[k]) * (res.n0 - 1)
+                band += res.boundary_ambiguous
+        return kmax, (n0, n1, band)
+
+    def test_float_matches_per_k_sum(self, monkeypatch):
+        # R^2 = Q(n e_1) with 6 | n, so the terms at k = 2, 3 and 6 sit on
+        # their boundary band too
+        rng = np.random.default_rng(21)
+        forms = []
+        for d in (2, 3, 4):
+            for _ in range(3):
+                form = random_form(rng, d)
+                u = (np.eye(d, dtype=int) + np.triu(rng.integers(-4, 5, size=(d, d)), 1))[::-1]
+                u[0] *= round(np.linalg.det(u))  # det +1
+                forms += [(form, 6), (act(form, GroupElement.from_matrix(u)), 6)]
+            # deep in the cusp: min_i q_i = s^-2, so K is in the hundreds
+            s = 120.0
+            b = np.diag([1 / s] + [1.0] * (d - 2) + [s]) @ (np.eye(d) + np.triu(
+                rng.uniform(-0.5, 0.5, size=(d, d)), 1))
+            forms.append((QuadForm.from_gram(b.T @ b), 30 * 6))
+        bands = deep = 0
+        for form, n in forms:
+            radius = n * math.sqrt(form.gram[0, 0])
+            spec = EllipsoidSpec(form, radius)
+            kmax, want = self.per_k(spec)
+            got = count_primitive_moebius(spec, mode="float")
+            assert (got.n0, got.n1, got.boundary_ambiguous) == want
+            assert got.mode == "float"
+            with monkeypatch.context() as m:  # many blocks and many slices of pairs
+                m.setattr(latcount, "BLOCK", 5)
+                small = count_primitive_moebius(spec, mode="float")
+            assert (small.n0, small.n1, small.boundary_ambiguous) == want
+            bands += got.boundary_ambiguous > 0
+            deep += kmax >= 100
+        assert bands >= len(forms) // 2
+        assert deep == 3
+
+    def test_exact_matches_direct(self):
+        rng = np.random.default_rng(22)
+        for d, radius in ((2, 40.0), (3, 9.0), (4, 5.0)):
+            for _ in range(3):
+                u = np.eye(d, dtype=int) + np.triu(rng.integers(-6, 7, size=(d, d)), 1)
+                spec = EllipsoidSpec(QuadForm.from_gram(u.T @ u), radius)
+                got = count_primitive_moebius(spec, mode="exact")
+                assert got.mode == "exact" and got.boundary_ambiguous == 0
+                assert got.n1 == count_primitive_direct(spec, mode="exact").n1
+                assert got.n0 == count_full(spec, mode="exact").n0
 
 
 class TestShells:
