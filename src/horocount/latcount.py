@@ -260,7 +260,7 @@ def _count_float(f: _Factor, upper, lower) -> tuple[list[int], list[int]]:
         totals[:, 0] += _level0(f, bounds[:, :1], t1, c0)[1].sum(axis=1).astype(np.int64)
         if m == 1:
             continue
-        reach = np.searchsorted(-bounds[0, 1:], -t1, side="right")  # upper[reach] >= t1
+        reach = np.searchsorted(-bounds[0, 1:], -t1, side="right")  # k = 1 .. reach
         ends = np.cumsum(reach)  # pairs of node i: ends[i] - reach[i] .. ends[i] - 1
         total = int(ends[-1])
         for lo in range(0, total, BLOCK):
