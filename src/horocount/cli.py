@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -177,7 +176,7 @@ def cmd_equidist(args) -> int:
     for t in t_values:
         cutoff = None
         if args.alpha is not None:
-            cutoff = max(equidist.CUTOFF_FLOOR, math.exp(args.alpha * t / math.sqrt(2.0)))
+            cutoff = equidist.default_cutoff_height(t, args.alpha)
         q = equidist.QuadratureSpec(base_grid=base_grid, base_cutoff_height=cutoff)
         averages.append(equidist.horosphere_average(t, profile, q, d=args.dim))
     header = "t,value,target,err,quad_err"

@@ -85,7 +85,6 @@ __all__ = [
     "modular_base_gram",
 ]
 
-ENUM_BUDGET = 1e8
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 CUTOFF_ALPHA = max(1.0, 0.5 * math.sqrt(3.0))
 CUTOFF_FLOOR = 8.0
@@ -229,10 +228,10 @@ def default_cutoff_height(t: float, alpha: float = CUTOFF_ALPHA,
     return max(floor, math.exp(alpha * t / math.sqrt(2.0)))
 
 
-def eval_test_function(q: QuadForm, h: RadialProfile, budget: float = ENUM_BUDGET) -> float:
+def eval_test_function(q: QuadForm, h: RadialProfile) -> float:
     """Sum of h(Q(v)) over primitive integer v (exact for integer grams)."""
     bound = h.support_end + 2.0 * _support_tol(h.support_end)
-    pts, vals = enumerate_points(q, bound, mode="auto", budget=budget)
+    pts, vals = enumerate_points(q, bound, mode="auto")
     if pts.shape[0] == 0:
         return 0.0
     prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
@@ -310,8 +309,7 @@ def fiber_integral(t: float, base, h: RadialProfile) -> float:
         ws = np.arange(1, math.floor(math.sqrt(_w_bound(2, t, h))) + 1, dtype=np.int64)[:, None]
         qbs = ws[:, 0].astype(float) ** 2
     else:
-        pts, vals = enumerate_points(base_form, _w_bound(base_form.dim + 1, t, h),
-                                     mode="float", budget=ENUM_BUDGET)
+        pts, vals = enumerate_points(base_form, _w_bound(base_form.dim + 1, t, h), mode="float")
         ws, qbs = _half_lattice(pts, np.asarray(vals, dtype=float))
     return float(_fiber_means(t, h, np.zeros(len(ws), dtype=np.intp), ws, qbs, 1)[0])
 

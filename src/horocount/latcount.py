@@ -6,19 +6,22 @@ and the error terms against the volume main terms.
 
 Two modes:
 
-  * exact  -- integer gram matrix; thresholds are floored to integers and
-    every point is decided in exact integer arithmetic (isqrt at the
-    innermost level).  boundary_ambiguous is always 0.
+  * exact  -- the form's integer gram QuadForm.mint, which quadform sets
+    once when the stored gram is integral with determinant one (nothing
+    here rounds grams); thresholds are floored to integers and every
+    point is decided in exact integer arithmetic (isqrt at the innermost
+    level).  boundary_ambiguous is always 0.  auto counts exactly iff
+    mint is set.
   * float  -- general real gram; a point with |Q(v) - R^2| <= 8*ulp(R^2)*d
     is counted as inside and flagged as boundary-ambiguous.
 
 Counts do not change under GL_d(Z), so every count and enumeration first
-LLL-reduces the gram (quadform.lll_reduce, in Python ints when the gram is
-integral) and walks (Fincke-Pohst) in the reduced coordinates w, v = u w,
-which keeps the tree small and the float Cholesky well conditioned for
-very eccentric forms.  The Cholesky factor R of the reduced gram writes
-Q(u w) as a sum of q_i (w_i + c_i)^2, where the centre c_i depends only on
-the coordinates above i.  _walk recurses over levels
+LLL-reduces the gram (quadform.lll_reduce, in Python ints from mint when
+the form has one, in either mode) and walks (Fincke-Pohst) in the reduced
+coordinates w, v = u w, which keeps the tree small and the float Cholesky
+well conditioned for very eccentric forms.  The Cholesky factor R of the
+reduced gram writes Q(u w) as a sum of q_i (w_i + c_i)^2, where the
+centre c_i depends only on the coordinates above i.  _walk recurses over levels
 d-1 ... 2 and, for each admissible suffix (v_2, ..., v_{d-1}), yields the
 range of v_1, widened by _PAD on both sides, with the level-1 and level-0
 centres and the partial sum.  Two leaves finish the last two levels, each
@@ -51,13 +54,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quadform import (
-    QuadForm,
-    _unimodular_integer_rounding,
-    constants,
-    integer_gram_or_none,
-    lll_reduce,
-)
+from .quadform import QuadForm, constants, lll_reduce
 
 __all__ = [
     "CountingError",
@@ -71,10 +68,10 @@ __all__ = [
     "error_terms",
     "reference_exponent",
     "enumerate_points",
-    "integer_gram_or_none",
 ]
 
 COUNT_LIMIT = 2 ** 62  # refuse counts that could overflow 64-bit consumers
+ENUM_BUDGET = 1e8  # refuse enumerations whose predicted tree is larger
 _PAD = 1  # integer widening of float-guided ranges; exactness is restored
 # at the innermost level, so the padding only costs a few empty probes.
 BLOCK = 1 << 12  # level-1 nodes per float-leaf block and (node, threshold) pairs per
@@ -86,7 +83,7 @@ class CountingError(ValueError):
 
 
 class EnumerationBudgetError(CountingError):
-    """Predicted traversal size exceeds the configured budget."""
+    """Predicted traversal size exceeds ENUM_BUDGET."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,19 +108,14 @@ class CountResult:
     mode: str = "float"
 
 
-def _resolve_mode(form: QuadForm, mode: str):
-    """(mode used, the gram as nested ints if it is integral, else None).
-
-    The gram counts as integral under from_gram's own rule: it rounds to
-    integers and the rounded gram has determinant one.  A float gram within
-    the rounding tolerance of some other integer gram is another form.
-    """
+def _resolve_mode(form: QuadForm, mode: str) -> str:
+    """The mode used: exact iff the form carries its integer gram
+    (QuadForm.mint) and float mode was not asked for."""
     if mode not in ("auto", "exact", "float"):
         raise CountingError(f"unknown mode {mode!r}")
-    mint = _unimodular_integer_rounding(form.gram)
-    if mode == "exact" and mint is None:
+    if mode == "exact" and form.mint is None:
         raise CountingError("exact mode requires an integer gram matrix of determinant one")
-    return ("float" if mode == "float" or mint is None else "exact"), mint
+    return "float" if mode == "float" or form.mint is None else "exact"
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +140,8 @@ class _Factor:
 
 
 def _factor(form: QuadForm, mode: str) -> _Factor:
-    used, mint = _resolve_mode(form, mode)
-    u, reduced = lll_reduce(form.gram if mint is None else mint)
+    used = _resolve_mode(form, mode)
+    u, reduced = lll_reduce(form.gram if form.mint is None else form.mint)
     try:
         r = np.linalg.cholesky(np.array(reduced, dtype=float)).T
     except np.linalg.LinAlgError as exc:
@@ -363,7 +355,7 @@ def _enumerate_exact(f: _Factor, nint: int):
     return np.array(pts, dtype=np.int64), np.array(vals, dtype=np.int64)
 
 
-def enumerate_points(form: QuadForm, bound: float, mode: str = "auto", budget: float = 1e8):
+def enumerate_points(form: QuadForm, bound: float, mode: str = "auto"):
     """Integer points v with Q(v) <= bound, in original coordinates.
 
     Returns (points (m, d) int64, values (m,)); values are exact integers
@@ -373,7 +365,7 @@ def enumerate_points(form: QuadForm, bound: float, mode: str = "auto", budget: f
         d = form.dim
         return np.empty((0, d), dtype=np.int64), np.empty(0)
     f = _factor(form, mode)
-    if _budget_estimate(f, float(bound)) > budget:
+    if _budget_estimate(f, float(bound)) > ENUM_BUDGET:
         raise EnumerationBudgetError("enumeration tree exceeds the node budget")
     if f.mint is not None:
         pts, vals = _enumerate_exact(f, math.floor(bound))
@@ -428,7 +420,7 @@ def count_full(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
 def count_primitive_direct(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
     """Primitive points by full enumeration plus a gcd filter (oracle role)."""
     _check_overflow(spec)
-    used_mode, _ = _resolve_mode(spec.form, mode)
+    used_mode = _resolve_mode(spec.form, mode)
     rsq = spec.radius ** 2
     if used_mode == "exact":
         thr = _exact_threshold(spec.radius)
@@ -483,7 +475,7 @@ def shell_counts(spec: EllipsoidSpec, xs, mode: str = "auto"):
         raise CountingError("shell levels must be nondecreasing")
     if not xs:
         return [], []
-    used_mode, _ = _resolve_mode(spec.form, mode)
+    used_mode = _resolve_mode(spec.form, mode)
     top = max(xs)
     pts, vals = enumerate_points(spec.form, top if used_mode == "exact" else top * (1 + 1e-12) + 1e-12,
                                  mode=used_mode)

@@ -1,16 +1,19 @@
 """Moebius sieve and the shell/error inversion identities.
 
-The sieve table backs primitive counting; the two report functions check,
-in exact integer arithmetic respectively against a rigorous truncation
-budget, the identities that transport counting results between the full
-lattice and its primitive vectors:
+The sieve table backs primitive counting; the two report functions check
+the identities that transport counting results between the full lattice
+and its primitive vectors, the shell form in exact integer arithmetic
+(forms with an integer gram, QuadForm.mint) and the error form against a
+float rounding budget:
 
   * shell form:  r0(x) = sum_{k^2 | x} r1(x/k^2)  and its inverse
     r1(x) = sum_{k^2 <= x} mu(k) r0(x/k^2);
   * error form:  E1(R) = sum_{k<=R} mu(k) (E0(R/k) - 1)
                    - omega R^d sum_{k>R} mu(k)/k^d
     (and the non-inverted partner).  The "- 1" removes the origin, which
-    the volume-normalized error term E0 = N0 - omega R^d retains.
+    the volume-normalized error term E0 = N0 - omega R^d retains.  The
+    tails over k > R are taken in closed form, zeta(d) and 1/zeta(d)
+    minus the finite heads, so they carry rounding error only.
 """
 
 from __future__ import annotations
@@ -21,14 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .latcount import (
-    CountingError,
-    EllipsoidSpec,
-    count_primitive_moebius,
-    enumerate_points,
-    integer_gram_or_none,
-)
-from .quadform import constants
+from .latcount import CountingError, EllipsoidSpec, count_primitive_moebius, enumerate_points
+from .quadform import constants, zeta
 
 __all__ = [
     "MoebiusTable",
@@ -40,8 +37,6 @@ __all__ = [
     "mu_tail",
     "zeta_tail",
 ]
-
-TAIL_TERMS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,10 +82,11 @@ class InversionReport:
 def verify_inversion(spec: EllipsoidSpec) -> InversionReport:
     """Check both shell identities exactly at all integer levels <= R^2.
 
-    Requires an integer gram matrix so that the value set is integral.
+    Requires a form with an integer gram of determinant one
+    (QuadForm.mint), so that the value set is integral.
     """
-    if integer_gram_or_none(spec.form.gram) is None:
-        raise CountingError("shell inversion requires an integer gram matrix")
+    if spec.form.mint is None:
+        raise CountingError("shell inversion requires an integer gram matrix of determinant one")
     top = math.floor(spec.radius ** 2)
     pts, vals = enumerate_points(spec.form, top, mode="exact")
     vals = vals.astype(np.int64)
@@ -117,27 +113,26 @@ def verify_inversion(spec: EllipsoidSpec) -> InversionReport:
     return InversionReport(True, top)
 
 
-def zeta_tail(d: int, r: float, terms: int = TAIL_TERMS):
-    """sum_{k > r} k^{-d} as (value, rigor bracket half-width)."""
+def zeta_tail(d: int, r: float):
+    """sum_{k > r} k^{-d} = zeta(d) - sum_{k <= r} k^{-d}, as (value,
+    half-width).
+
+    The half-width is a rounding allowance of one ulp of 1 per term of the
+    head (each a power within one ulp of itself) and two for zeta(d) and
+    the final roundings; the head is summed with math.fsum.
+    """
     k0 = math.floor(r)
-    ks = np.arange(k0 + 1, terms + 1, dtype=float)
-    partial = float(np.sum(ks ** -float(d))) if ks.size else 0.0
-    lo = terms ** (1 - d) / (d - 1) - 0.5 * terms ** (-d)
-    width = 0.5 * terms ** (-d)
-    return partial + lo, width
+    head = math.fsum(k ** -float(d) for k in range(1, k0 + 1))
+    return zeta(d) - head, (k0 + 2) * math.ulp(1.0)
 
 
-def mu_tail(d: int, r: float, terms: int = TAIL_TERMS):
-    """sum_{k > r} mu(k) k^{-d} as (value, rigor bracket half-width)."""
+def mu_tail(d: int, r: float):
+    """sum_{k > r} mu(k) k^{-d} = 1/zeta(d) - sum_{k <= r} mu(k) k^{-d}, as
+    (value, half-width), with the half-width of zeta_tail."""
     k0 = math.floor(r)
-    table = sieve(terms)
-    ks = np.arange(k0 + 1, terms + 1, dtype=float)
-    if ks.size:
-        partial = float(np.sum(table.mu[k0 + 1 : terms + 1] * ks ** -float(d)))
-    else:
-        partial = 0.0
-    width = terms ** (1 - d) / (d - 1)
-    return partial, width
+    mu = sieve(max(k0, 1)).mu
+    head = math.fsum(int(mu[k]) * k ** -float(d) for k in range(1, k0 + 1))
+    return 1.0 / zeta(d) - head, (k0 + 2) * math.ulp(1.0)
 
 
 @dataclass
@@ -154,8 +149,9 @@ class ErrorRelationReport:
 def error_relation_check(spec: EllipsoidSpec, mode: str = "auto") -> ErrorRelationReport:
     """Evaluate both error-transport identities and report the residuals.
 
-    The residual budget combines the tail truncation bracket with a
-    d * 1000 * ulp float allowance on the dominant scale.
+    The residual budget combines the tails' rounding allowances, scaled by
+    their coefficients, with a d * 1000 * ulp float allowance on the
+    dominant scale.
     """
     d = spec.form.dim
     r = spec.radius

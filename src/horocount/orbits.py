@@ -143,50 +143,41 @@ def _sigma_for(q: QuadForm, sigma: int | None) -> int:
     return 1
 
 
+def _dictionary_count(q: QuadForm, t: float, weight: int, denom: float, sigma_q: int,
+                      mode: str, why: str) -> ChimneyCount:
+    """count = N1(Q, R(T)) / weight against the main term
+    omega_d e^{T sqrt((d-1)d)/2} / (denom zeta(d)); rel_error is
+    (N1 / denom) / predicted - 1 = N1 zeta(d) / (omega_d R^d) - 1."""
+    d = q.dim
+    cst = constants(d)
+    radius = radius_of_t(d, t)
+    predicted = (cst.omega / (denom * cst.zeta)) * math.exp(0.5 * t * math.sqrt((d - 1) * d))
+    if radius < 1e-12:
+        return ChimneyCount(T=t, R=radius, count=0, sigma_q=sigma_q,
+                            predicted=predicted, rel_error=-1.0)
+    n1 = count_primitive_moebius(EllipsoidSpec(q, radius), mode=mode).n1
+    if n1 % weight != 0:
+        raise CountingError(f"primitive count {n1} not divisible by {weight}; {why}")
+    return ChimneyCount(T=t, R=radius, count=n1 // weight, sigma_q=sigma_q,
+                        predicted=predicted, rel_error=(n1 / denom) / predicted - 1.0)
+
+
 def chimney_count(q: QuadForm, t: float, sigma: int | None = None,
                   mode: str = "auto") -> ChimneyCount:
-    """Orbit points of Q in the chimney truncated at level T.
+    """Orbit points of Q in the chimney truncated at level T: N1 / (alpha sigma).
 
     rel_error compares sigma(Q) * count (the stabilizer-weighted count the
     volume asymptotic speaks about) with the predicted main term.
     """
-    d = q.dim
-    cst = constants(d)
-    radius = radius_of_t(d, t)
     sig = _sigma_for(q, sigma)
-    if radius < 1e-12:
-        predicted = (cst.omega / (cst.alpha * cst.zeta)) * math.exp(0.5 * t * math.sqrt((d - 1) * d))
-        return ChimneyCount(T=t, R=radius, count=0, sigma_q=sig,
-                            predicted=predicted, rel_error=-1.0)
-    res = count_primitive_moebius(EllipsoidSpec(q, radius), mode=mode)
-    denom = cst.alpha * sig
-    if res.n1 % denom != 0:
-        raise CountingError(
-            f"primitive count {res.n1} not divisible by alpha*sigma = {denom}; "
-            "wrong stabilizer order or boundary ambiguity")
-    count = res.n1 // denom
-    predicted = (cst.omega / (cst.alpha * cst.zeta)) * math.exp(0.5 * t * math.sqrt((d - 1) * d))
-    rel = (res.n1 / cst.alpha) / predicted - 1.0
-    return ChimneyCount(T=t, R=radius, count=count, sigma_q=sig,
-                        predicted=predicted, rel_error=rel)
+    alpha = constants(q.dim).alpha
+    return _dictionary_count(q, t, alpha * sig, alpha, sig, mode,
+                             "wrong stabilizer order or boundary ambiguity")
 
 
 def horoball_count(q: QuadForm, t: float, mode: str = "auto") -> ChimneyCount:
     """Horosphere lifts meeting the ball of radius T around Q: N1 / 2."""
-    d = q.dim
-    cst = constants(d)
-    radius = radius_of_t(d, t)
-    predicted = (cst.omega / (2.0 * cst.zeta)) * math.exp(0.5 * t * math.sqrt((d - 1) * d))
-    if radius < 1e-12:
-        return ChimneyCount(T=t, R=radius, count=0, sigma_q=1,
-                            predicted=predicted, rel_error=-1.0)
-    res = count_primitive_moebius(EllipsoidSpec(q, radius), mode=mode)
-    if res.n1 % 2 != 0:
-        raise CountingError("primitive count is odd; +-v symmetry violated")
-    count = res.n1 // 2
-    rel = count / predicted - 1.0
-    return ChimneyCount(T=t, R=radius, count=count, sigma_q=1,
-                        predicted=predicted, rel_error=rel)
+    return _dictionary_count(q, t, 2, 2, 1, mode, "+-v symmetry violated")
 
 
 def theory_slope(d: int) -> float:

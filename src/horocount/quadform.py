@@ -10,7 +10,9 @@ the counting and equidistribution drivers.
 Conventions:
   * lambda = 1/sqrt((d-1)d) and mu = (d-1)*lambda are the rates of the
     diagonal geodesic flows.
-  * Every QuadForm is normalized to determinant one at construction.
+  * Every QuadForm is normalized to determinant one at construction, and
+    decides there, once, whether its gram is integral: QuadForm.mint holds
+    the integer gram (Python ints) or None.  Nothing else rounds grams.
   * Iwasawa coordinates use G = K*A*N with N unit lower triangular; the
     solvable representative of a form is the unique lower triangular
     matrix L with positive diagonal and L^T L = gram.
@@ -43,7 +45,6 @@ __all__ = [
     "chi_d",
     "constants",
     "zeta",
-    "integer_gram_or_none",
     "lll_reduce",
 ]
 
@@ -103,9 +104,9 @@ def _reverse_cholesky(m: np.ndarray) -> np.ndarray:
     return c.T[::-1, ::-1]
 
 
-def _int_det(mat: list[list[int]]) -> int:
+def _int_det(mat) -> int:
     """Exact integer determinant (Bareiss elimination)."""
-    a = [row[:] for row in mat]
+    a = [list(row) for row in mat]
     n = len(a)
     sign = 1
     prev = 1
@@ -123,17 +124,6 @@ def _int_det(mat: list[list[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def integer_gram_or_none(gram: np.ndarray, tol: float = 1e-9):
-    """The gram matrix as nested python ints if it is integral within a
-    relative tolerance (large-entry unimodular grams carry float noise
-    proportional to their scale)."""
-    r = np.rint(gram)
-    scale = max(1.0, float(np.max(np.abs(gram))))
-    if float(np.max(np.abs(gram - r))) <= tol * scale:
-        return [[int(x) for x in row] for row in r]
-    return None
 
 
 def lll_reduce(gram):
@@ -194,30 +184,36 @@ def lll_reduce(gram):
 
 
 def _unimodular_integer_rounding(m: np.ndarray):
-    """The rounded integer matrix if m is integral within relative
-    tolerance and has exact integer determinant one, else None.
+    """m rounded to a nested tuple of Python ints if it is integral within
+    a relative tolerance of 1e-9 and the rounded matrix has exact
+    determinant one, else None.
 
-    Recognizing this case exactly matters: for very eccentric integer
-    grams the floating determinant carries enough noise that blind
-    renormalization would perturb the entries.
+    The tolerance is relative because large-entry unimodular grams carry
+    float noise proportional to their scale; the exact determinant matters
+    because for very eccentric integer grams the float determinant is too
+    noisy to renormalize by.
     """
-    mint = integer_gram_or_none(m)
-    if mint is None or _int_det(mint) != 1:
+    r = np.rint(m)
+    if not float(np.max(np.abs(m - r))) <= 1e-9 * max(1.0, float(np.max(np.abs(m)))):
         return None
-    return mint
+    mint = tuple(tuple(int(x) for x in row) for row in r)
+    return mint if _int_det(mint) == 1 else None
 
 
 @dataclass(frozen=True, eq=False)
 class QuadForm:
     """Positive definite quadratic form of determinant one.
 
-    gram is the symmetric matrix of the form, chol its lower Cholesky
-    factor (gram = chol @ chol.T).
+    gram is the symmetric matrix of the form.  mint is the same gram as a
+    nested tuple of Python ints when the stored gram rounds to an integer
+    matrix of determinant one (_unimodular_integer_rounding), else None;
+    it is decided once, here, and the counting drivers count exactly iff
+    it is set.
     """
 
     dim: int
     gram: np.ndarray
-    chol: np.ndarray
+    mint: tuple[tuple[int, ...], ...] | None
 
     @staticmethod
     def from_gram(mat) -> "QuadForm":
@@ -238,14 +234,16 @@ class QuadForm:
             if not det > 0.0:
                 raise GeometryError("gram matrix is not positive definite")
             m = m / det ** (1.0 / d)
-        chol = _cholesky_lower(m)
-        return QuadForm(d, m, chol)
+            # the rescaled gram may round to a unimodular one: 4 I becomes
+            # (1 + 2^-52) I, which is counted as I
+            mint = _unimodular_integer_rounding(m)
+        _cholesky_lower(m)  # definiteness check
+        return QuadForm(d, m, mint)
 
     @staticmethod
     def identity(d: int) -> "QuadForm":
         _check_dim(d)
-        eye = np.eye(d)
-        return QuadForm(d, eye, eye.copy())
+        return QuadForm(d, np.eye(d), tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
 
     def evaluate(self, v) -> float:
         v = np.asarray(v, dtype=float)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from horocount import equidist
 from horocount.cli import main
 
 
@@ -128,6 +129,23 @@ class TestEquidistCommand:
         assert float(first[2]) == pytest.approx(6.0 / math.pi, rel=1e-9)
         payload = json.loads(out)
         assert payload["theory_slope_thm12"] == pytest.approx(-math.sqrt(2.0) / 8.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_alpha_sets_cutoff(self, capsys, tmp_path, alpha):
+        out_file = tmp_path / "eq3.csv"
+        code, _, _ = run_cli(capsys, "equidist", "--dim", "3", "--alpha", str(alpha),
+                             "--tmin", "3", "--tmax", "5", "--steps", "3",
+                             "--output", str(out_file))
+        assert code == 0
+        profile = equidist.indicator_profile(1.0)
+        want = []
+        for t in (3.0, 4.0, 5.0):
+            spec = equidist.QuadratureSpec(
+                base_cutoff_height=equidist.default_cutoff_height(t, alpha))
+            a = equidist.horosphere_average(t, profile, spec, d=3)
+            want.append(",".join(repr(float(x)) for x in
+                                 (a.t, a.value, a.target, a.err, a.quad_error_estimate)))
+        assert out_file.read_text().strip().split("\n")[1:] == want
 
     def test_rejects_bad_dim(self, capsys):
         with pytest.raises(SystemExit):

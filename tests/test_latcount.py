@@ -156,14 +156,27 @@ class TestCountFull:
         # det-2 gram has 1999 points at R = 30, the stored one 2835
         for gram in ([[2 - 1 / 500001, 1000], [1000, 500001]], [[1e-6, 0.0], [0.0, 1e6]]):
             form = QuadForm.from_gram(gram)
+            assert form.mint is None
             want = numpy_brute_n0(form.gram, 30.0)
             assert want == 2835 or gram[0][1] == 0
             for mode in ("auto", "float"):
                 res = count_full(EllipsoidSpec(form, 30.0), mode=mode)
                 assert res.mode == "float"
                 assert res.n0 - res.boundary_ambiguous <= want <= res.n0
+                assert res.n0 == 2835 or gram[0][1] == 0
             with pytest.raises(CountingError):
                 count_full(EllipsoidSpec(form, 30.0), mode="exact")
+
+    def test_rescaled_integer_gram_counts_exactly(self):
+        # from_gram stores 4 I as (1 + 2^-52) I, whose integer gram is I
+        form = QuadForm.from_gram([[4, 0], [0, 4]])
+        spec, ident = EllipsoidSpec(form, 10.0), EllipsoidSpec(QuadForm.identity(2), 10.0)
+        for fn in (count_full, count_primitive_moebius, count_primitive_direct):
+            got, want = fn(spec), fn(ident)
+            assert got.mode == "exact"
+            assert (got.n0, got.n1, got.boundary_ambiguous) == (want.n0, want.n1, 0)
+        assert count_full(spec).n0 == 317
+        assert shell_counts(spec, [25.0, 50.0]) == shell_counts(ident, [25.0, 50.0])
 
     def test_overflow_guard(self):
         with pytest.raises(CountingError):

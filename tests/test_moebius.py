@@ -11,7 +11,7 @@ from horocount.moebius import (
     verify_inversion,
     zeta_tail,
 )
-from horocount.quadform import GroupElement, QuadForm, act, zeta
+from horocount.quadform import GroupElement, QuadForm, act, constants, zeta
 
 
 def mu_by_factorization(n):
@@ -98,6 +98,13 @@ class TestInversion:
         with pytest.raises(CountingError):
             verify_inversion(EllipsoidSpec(q, 3.0))
 
+    def test_rejects_near_integral_gram(self):
+        # det 1 in float, but its rounding has determinant 2: no integer gram
+        q = QuadForm.from_gram([[2 - 1 / 500001, 1000], [1000, 500001]])
+        assert q.mint is None
+        with pytest.raises(CountingError, match="integer gram"):
+            verify_inversion(EllipsoidSpec(q, 3.0))
+
     def test_synthetic_roundtrip(self):
         # random primitive shells pushed to full shells and recovered exactly
         rng = np.random.default_rng(22)
@@ -128,6 +135,13 @@ class TestErrorRelation:
         assert rep.ok
         assert rep.residual_primitive_from_full < 1e-6
 
+    @pytest.mark.parametrize("d, radius", [(2, 200.0), (3, 60.0)])
+    def test_budget_is_rounding_only(self, d, radius):
+        # closed-form tails leave only float rounding in the budget
+        rep = error_relation_check(EllipsoidSpec(QuadForm.identity(d), radius))
+        assert rep.ok
+        assert rep.budget < 1e-9 * constants(d).omega * radius ** d
+
     def test_small_radius_reduces_to_tails(self):
         rep = error_relation_check(EllipsoidSpec(QuadForm.identity(2), 0.5))
         assert rep.ok
@@ -151,4 +165,4 @@ class TestTails:
                 head = sum(int(table.mu[k]) * k ** -float(d)
                            for k in range(1, math.floor(r) + 1))
                 tail, width = mu_tail(d, r)
-                assert head + tail == pytest.approx(1.0 / zeta(d), abs=1e-7)
+                assert head + tail == pytest.approx(1.0 / zeta(d), abs=1e-13)

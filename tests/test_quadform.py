@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -49,12 +50,23 @@ class TestQuadForm:
         q = QuadForm.from_gram([[4.0, 0.0], [0.0, 4.0]])
         assert np.linalg.det(q.gram) == pytest.approx(1.0, abs=1e-9)
 
-    def test_cholesky_consistency(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            g = random_group_element(rng, 3)
-            q = act(QuadForm.identity(3), g)
-            assert np.allclose(q.chol @ q.chol.T, q.gram, atol=1e-12)
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(QuadForm)] == ["dim", "gram", "mint"]
+
+    def test_integer_gram_recorded_once(self):
+        # an integral unimodular gram keeps its entries as Python ints
+        q = QuadForm.from_gram([[2, 1], [1, 1]])
+        assert q.mint == ((2, 1), (1, 1))
+        assert all(type(x) is int for row in q.mint for x in row)
+        assert QuadForm.identity(3).mint == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        # 4 I is rescaled to (1 + 2^-52) I, which still rounds to I
+        q = QuadForm.from_gram([[4, 0], [0, 4]])
+        assert not np.array_equal(q.gram, np.eye(2))
+        assert q.mint == ((1, 0), (0, 1))
+        # no integer gram: a float form, and a near-integral det-1 gram
+        # whose rounding has determinant 2
+        assert QuadForm.from_gram([[1.3, 0.1], [0.1, 1.0]]).mint is None
+        assert QuadForm.from_gram([[2 - 1 / 500001, 1000], [1000, 500001]]).mint is None
 
     def test_rejects_asymmetric(self):
         with pytest.raises(GeometryError):
