@@ -301,8 +301,7 @@ def _fiber_means(t: float, h: RadialProfile, owner: np.ndarray, ws: np.ndarray,
 def fiber_integral(t: float, base, h: RadialProfile) -> float:
     """Exact average of the test function over the torus fiber.
 
-    base: None (d = 2), a GroupElement of the base group, or a base
-    QuadForm of dimension d - 1.
+    base: None (d = 2) or a base QuadForm of dimension d - 1.
     """
     base_form = _as_base_form(base)
     if base_form is None:
@@ -319,8 +318,6 @@ def _as_base_form(base) -> QuadForm | None:
         return None
     if isinstance(base, QuadForm):
         return base
-    if isinstance(base, GroupElement):
-        return QuadForm.from_gram(base.mat.T @ base.mat)
     raise EquidistError(f"unsupported base point type {type(base)!r}")
 
 

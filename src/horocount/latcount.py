@@ -9,9 +9,8 @@ Two modes:
   * exact  -- the form's integer gram QuadForm.mint, which quadform sets
     once when the stored gram is integral with determinant one (nothing
     here rounds grams); thresholds are floored to integers and every
-    point is decided in exact integer arithmetic (isqrt at the innermost
-    level).  boundary_ambiguous is always 0.  auto counts exactly iff
-    mint is set.
+    point is decided in exact integer arithmetic.  boundary_ambiguous is
+    always 0.  auto counts exactly iff mint is set.
   * float  -- general real gram; a point with |Q(v) - R^2| <= 8*ulp(R^2)*d
     is counted as inside and flagged as boundary-ambiguous.
 
@@ -24,20 +23,19 @@ reduced gram writes Q(u w) as a sum of q_i (w_i + c_i)^2, where the
 centre c_i depends only on the coordinates above i.  _walk recurses over levels
 d-1 ... 2 and, for each admissible suffix (v_2, ..., v_{d-1}), yields the
 range of v_1, widened by _PAD on both sides, with the level-1 and level-0
-centres and the partial sum.  Two leaves finish the last two levels, each
-for a nonincreasing list of thresholds at once, walking only at the first:
-
-  * the float leaf gathers the level-1 nodes of many suffixes into numpy
-    arrays, in blocks of at most BLOCK nodes, pairs each node with the
-    thresholds it can meet (a ragged expansion, in slices of at most BLOCK
-    pairs), and reads each pair's level-0 interval off floor/ceil of
-    centre +- radius;
-  * the exact leaf computes each node's level-0 interval from the integer
-    gram with math.isqrt, threshold by threshold until one is empty, so
-    floats only ever guide the outer ranges.
+centres and the partial sum.  One leaf finishes the last two levels for a
+nonincreasing list of thresholds at once, walking only at the first: it
+gathers the level-1 nodes of many suffixes into numpy arrays, in blocks
+of at most BLOCK nodes, pairs each node with the thresholds it can meet
+(a ragged expansion, in slices of at most BLOCK pairs), and reads each
+pair's level-0 interval by the mode's rule: floor/ceil of centre +- radius
+in float mode; in exact mode, floor square roots of integers computed in
+int64 from the reduced integer gram, so floats only ever guide the outer
+ranges.  The exact rule checks before each block that every int64
+intermediate stays below INT64_LIMIT = 2^62, else it raises CountingError.
 
 A count sums the interval lengths; an enumeration expands the intervals.
-Each leaf decides every point against its own bound, so the widened
+Each rule decides every point against its own bound, so the widened
 entries add nothing.
 
 The primitive count is the Moebius sum N1(R) = sum_k mu(k) (N0(R/k) - 1).
@@ -74,8 +72,9 @@ COUNT_LIMIT = 2 ** 62  # refuse counts that could overflow 64-bit consumers
 ENUM_BUDGET = 1e8  # refuse enumerations whose predicted tree is larger
 _PAD = 1  # integer widening of float-guided ranges; exactness is restored
 # at the innermost level, so the padding only costs a few empty probes.
-BLOCK = 1 << 12  # level-1 nodes per float-leaf block and (node, threshold) pairs per
-# slice of its expansion: caps the leaf's scratch memory
+BLOCK = 1 << 12  # level-1 nodes per leaf block and (node, threshold) pairs per slice
+# of its expansion: caps the leaf's scratch memory
+INT64_LIMIT = 2 ** 62  # bound on every int64 intermediate of the exact rule
 
 
 class CountingError(ValueError):
@@ -160,7 +159,7 @@ def _budget_estimate(f: _Factor, bound: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the walk and its two leaves
+# the walk, its leaf and the leaf's two level-0 rules
 
 def _walk(f: _Factor, top: float):
     """Admissible suffixes of the walk over Q(v) <= top.
@@ -190,32 +189,29 @@ def _walk(f: _Factor, top: float):
     return rec(f.dim - 1, (), [0.0] * f.dim, 0.0)
 
 
-def _float_blocks(f: _Factor, top: float):
+def _blocks(rule):
     """The walk's level-1 nodes as arrays, in blocks of at most BLOCK nodes
     (a longer suffix is a block of its own).
 
-    Yields (rows, n, v1, t1, c0): the block's walk rows, the node count of
-    each row, and per node v_1, the partial sum through level 1 and the
-    level-0 centre.
+    Yields (cols, n, v1, key, aux): the block's walk rows as columns, the
+    node count of each row, v_1 per node (in the dtype of the rule's
+    bounds) and the rule's two arrays per node.
     """
-    q1, m10 = f.q[1], f.m[1][0]
     rows, size = [], 0
+    dtype = rule.bounds.dtype
 
     def gather():
+        cols = tuple(zip(*rows))
         if len(rows) == 1:  # one suffix, always so in d = 2: nothing to gather
-            _, lo, hi, c1, c0, t = rows[0]
-            n = np.array([hi - lo + 1])
-            v1 = np.arange(lo, hi + 1, dtype=float)
+            lo, hi = rows[0][1:3]
+            n, v1 = np.array([hi - lo + 1]), np.arange(lo, hi + 1, dtype=dtype)
         else:
-            lo, hi, c1, c0, t = (np.array(col) for col in list(zip(*rows))[1:])
+            lo, hi = np.array(cols[1]), np.array(cols[2])
             n = hi - lo + 1
-            v1 = (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)).astype(float)
-            c1, c0, t = (np.repeat(col, n) for col in (c1, c0, t))
-        # float_power calls C pow, as ** on the walk's Python floats does;
-        # numpy's ** 2 multiplies, which can round the last bit differently
-        return rows, n, v1, t + q1 * np.float_power(v1 + c1, 2), c0 + m10 * v1
+            v1 = (np.arange(n.sum()) - (np.cumsum(n) - n - lo).repeat(n)).astype(dtype)
+        return (cols, n, v1, *rule.nodes(cols, n, v1))
 
-    for row in _walk(f, top):
+    for row in _walk(rule.f, rule.top):
         width = row[2] - row[1] + 1
         if rows and size + width > BLOCK:
             yield gather()
@@ -226,33 +222,103 @@ def _float_blocks(f: _Factor, top: float):
         yield gather()
 
 
-def _level0(f: _Factor, bounds: np.ndarray, t1, c0):
-    """Level-0 intervals lo .. lo + n - 1 of each node, one row per bound
-    (bounds is a column)."""
-    rem = (bounds - t1) / f.q[0]
-    rad = np.sqrt(np.maximum(rem, 0.0))
-    lo = np.ceil(-c0 - rad)
-    return lo, np.where(rem >= 0.0, np.floor(rad - c0) - lo + 1.0, 0.0)
+class _FloatRule:
+    """Level 0 in floats, for bounds on Q (one row per band edge).
 
-
-def _count_float(f: _Factor, upper, lower) -> tuple[list[int], list[int]]:
-    """Number of points with Q(v) <= upper[k] and with Q(v) <= lower[k], for
-    each k; upper is nonincreasing and lower[k] <= upper[k].
-
-    One walk at upper[0], so every level-1 node is a candidate for that
-    bound and is evaluated at it in the block.  For k >= 1 a node is
-    paired only with the k where upper[k] reaches its partial sum t1; the
-    other pairs would have rem < 0 at both bounds, so they count nothing.
-    These pairs are expanded in slices of at most BLOCK.
+    A node is (t1, c0): its partial sum through level 1, which is also its
+    pairing key, and its level-0 centre.  Its interval is floor/ceil of
+    centre +- radius.
     """
-    bounds = np.array([upper, lower], dtype=float)
+
+    def __init__(self, f: _Factor, *edges):
+        self.f, self.q0, self.q1, self.m10 = f, f.q[0], f.q[1], f.m[1][0]
+        self.bounds = np.array(edges, dtype=float)
+        self.top = edges[0][0]
+
+    def nodes(self, cols, n, v1):
+        if len(n) == 1:
+            c1, c0, t = cols[3][0], cols[4][0], cols[5][0]
+        else:
+            c1, c0, t = (np.array(col).repeat(n) for col in cols[3:])
+        # float_power calls C pow, as ** on the walk's Python floats does;
+        # numpy's ** 2 multiplies, which can round the last bit differently
+        return t + self.q1 * np.float_power(v1 + c1, 2), c0 + self.m10 * v1
+
+    def level0(self, bounds, t1, c0):
+        rem = (bounds - t1) / self.q0
+        rad = np.sqrt(np.maximum(rem, 0.0))
+        lo = np.ceil(-c0 - rad)
+        return lo, np.where(rem >= 0.0, np.floor(rad - c0) - lo + 1.0, 0.0)
+
+    def values(self, v0, t1, c0):
+        return t1 + self.q0 * (v0 + c0) ** 2
+
+
+class _ExactRule:
+    """Level 0 in int64 on the reduced integer gram, for thresholds n.
+
+    On a node's line Q(v) = a0 v0^2 + 2 b v0 + c, and Q(v) <= n iff
+    (a0 v0 + b)^2 <= a0 n - (a0 c - b^2), so the bounds are a0 n and a
+    node is (a0 c - b^2, b), keyed by its first entry (never negative).
+    """
+
+    def __init__(self, f: _Factor, ns):
+        g = f.mint
+        self.f, self.a0 = f, g[0][0]
+        if self.a0 * ns[0] >= INT64_LIMIT:
+            raise CountingError(f"exact threshold {ns[0]} is beyond the int64 range of the exact rule")
+        self.g = np.array(g, dtype=np.int64)
+        self.bounds = np.array([[self.a0 * n for n in ns]], dtype=np.int64)
+        self.top = float(ns[0])
+        self.top += 1e-12 * self.top + 1e-9  # slack covers float drift of the partial sums
+        # for coordinates up to V, each partial sum of b is at most b_abs V
+        # in size, and each of c at most c_abs V^2
+        self.b_abs = sum(abs(x) for x in g[0][1:])
+        self.c_abs = sum(abs(x) for row in g[1:] for x in row[1:])
+
+    def nodes(self, cols, n, v1):
+        s = np.array(cols[0], dtype=np.int64).reshape(len(n), self.f.dim - 2)
+        v = max(int(np.abs(v1).max()), int(np.abs(s).max(initial=0)))
+        if (self.b_abs * v) ** 2 >= INT64_LIMIT or self.a0 * self.c_abs * v * v >= INT64_LIMIT:
+            raise CountingError(f"walk coordinates up to {v} are beyond the int64 range of the exact rule")
+        lin0, lin1 = ((s @ self.g[i, 2:]).repeat(n) for i in (0, 1))
+        b = lin0 + self.g[0, 1] * v1
+        c = ((s @ self.g[2:, 2:]) * s).sum(axis=1).repeat(n) + (self.g[1, 1] * v1 + 2 * lin1) * v1
+        return self.a0 * c - b * b, b
+
+    def level0(self, bounds, key, b):
+        disc = bounds - key
+        # below 2^62 the float root is within one of floor(sqrt(disc))
+        s = np.sqrt(np.maximum(disc, 0)).astype(np.int64)
+        s -= s * s > disc
+        s += (s + 1) * (s + 1) <= disc
+        lo = -((s + b) // self.a0)
+        return lo, np.where(disc >= 0, (s - b) // self.a0 - lo + 1, 0)
+
+    def values(self, v0, key, b):
+        u = self.a0 * v0 + b  # u^2 + key <= a0 n on the interval
+        return (u * u + key) // self.a0
+
+
+def _count(rule) -> np.ndarray:
+    """Number of points within the rule's bounds[j, k], for each band edge
+    j and threshold k; each row is nonincreasing in k and rows after the
+    first lie below it.
+
+    One walk at bounds[0, 0], so every level-1 node is a candidate for
+    that bound and is evaluated at it in the block.  For k >= 1 a node is
+    paired only with the k where bounds[0, k] reaches its key; the other
+    pairs count nothing at any edge.  These pairs are expanded in slices
+    of at most BLOCK.
+    """
+    bounds = rule.bounds
     m = bounds.shape[1]
-    totals = np.zeros((2, m), dtype=np.int64)
-    for _, _, _, t1, c0 in _float_blocks(f, bounds[0, 0]):
-        totals[:, 0] += _level0(f, bounds[:, :1], t1, c0)[1].sum(axis=1).astype(np.int64)
+    totals = np.zeros(bounds.shape, dtype=np.int64)
+    for _, _, _, key, aux in _blocks(rule):
+        totals[:, 0] += rule.level0(bounds[:, :1], key, aux)[1].sum(axis=1).astype(np.int64)
         if m == 1:
             continue
-        reach = np.searchsorted(-bounds[0, 1:], -t1, side="right")  # k = 1 .. reach
+        reach = np.searchsorted(-bounds[0, 1:], -key, side="right")  # k = 1 .. reach
         ends = np.cumsum(reach)  # pairs of node i: ends[i] - reach[i] .. ends[i] - 1
         total = int(ends[-1])
         for lo in range(0, total, BLOCK):
@@ -261,98 +327,32 @@ def _count_float(f: _Factor, upper, lower) -> tuple[list[int], list[int]]:
             nodes = slice(a, b + 1)  # the nodes with pairs in lo .. hi - 1
             start = ends[nodes] - reach[nodes]
             r = np.minimum(ends[nodes], hi) - np.maximum(start, lo)
-            k = np.arange(lo + 1, hi + 1) - np.repeat(start, r)
+            k = np.arange(lo + 1, hi + 1) - start.repeat(r)
             # take returns a C-ordered array, bounds[:, k] does not; the
             # leaf's ufuncs run markedly faster on the former
-            n = _level0(f, bounds.take(k, axis=1), np.repeat(t1[nodes], r),
-                        np.repeat(c0[nodes], r))[1]
-            for row in range(2):
+            n = rule.level0(bounds.take(k, axis=1), key[nodes].repeat(r), aux[nodes].repeat(r))[1]
+            for row in range(len(n)):
                 totals[row] += np.bincount(k, weights=n[row], minlength=m).astype(np.int64)
-    return totals[0].tolist(), totals[1].tolist()
+    return totals
 
 
-def _enumerate_float(f: _Factor, bound: float):
-    """Points (reduced coordinates, int64) with Q(v) <= bound and their values."""
+def _enumerate(rule, bound):
+    """Points (reduced coordinates, int64) with Q(v) <= bound, the rule's
+    one threshold, and their values."""
     pts, vals = [], []
-    for rows, n1, v1, t1, c0 in _float_blocks(f, bound):
-        lo, n = (x[0] for x in _level0(f, np.array([[bound]]), t1, c0))
+    for cols, n1, v1, key, aux in _blocks(rule):
+        lo, n = (x[0] for x in rule.level0(rule.bounds, key, aux))
         n = n.astype(np.int64)
-        v0 = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
-        value = np.repeat(t1, n) + f.q[0] * (v0 + np.repeat(c0, n)) ** 2
+        v0 = (lo - (np.cumsum(n) - n)).repeat(n) + np.arange(n.sum())
+        value = rule.values(v0, key.repeat(n), aux.repeat(n))
         keep = value <= bound
-        suffixes = np.array([row[0] for row in rows], dtype=np.int64).reshape(len(rows), f.dim - 2)
-        nodes = np.column_stack([v1, np.repeat(suffixes, n1, axis=0)]).astype(np.int64)
-        pts.append(np.column_stack([v0.astype(np.int64), np.repeat(nodes, n, axis=0)])[keep])
+        suffixes = np.array(cols[0], dtype=np.int64).reshape(len(n1), rule.f.dim - 2)
+        nodes = np.column_stack([v1, suffixes.repeat(n1, axis=0)]).astype(np.int64)
+        pts.append(np.column_stack([v0.astype(np.int64), nodes.repeat(n, axis=0)])[keep])
         vals.append(value[keep])
     if not pts:
-        return np.empty((0, f.dim), dtype=np.int64), np.empty(0)
+        return np.empty((0, rule.f.dim), dtype=np.int64), np.empty(0, dtype=rule.bounds.dtype)
     return np.concatenate(pts), np.concatenate(vals)
-
-
-def _exact_rows(f: _Factor, nint: int):
-    """The walk over Q(v) <= nint on the integer gram, row by row.
-
-    Yields (suffix, v1s, bs, cs) per walk row: for each v1 in the range
-    v1s, Q(v) = a0 v0^2 + 2 b v0 + c with b, c the matching entries of bs
-    and cs.  Q(v) <= n iff (a0 v0 + b)^2 <= b^2 - a0 (c - n), where both
-    sides are integers, so floor square roots give exact endpoints.
-    """
-    g = f.mint
-    a01, a1 = g[0][1], g[1][1]
-    top = float(nint)
-    top += 1e-12 * top + 1e-9  # slack covers float drift of the partial sums
-    for suffix, lo, hi, *_ in _walk(f, top):
-        coords = list(enumerate(suffix, 2))
-        lin0 = sum(g[0][j] * v for j, v in coords)
-        lin1 = sum(g[1][j] * v for j, v in coords)
-        qs = sum(g[i][j] * vi * vj for i, vi in coords for j, vj in coords)
-        v1s = range(lo, hi + 1)
-        yield (suffix, v1s, [lin0 + a01 * v1 for v1 in v1s],
-               [qs + (a1 * v1 + 2 * lin1) * v1 for v1 in v1s])
-
-
-def _count_exact(f: _Factor, nints) -> list[int]:
-    """Exact number of points with Q(v) <= n for each n of the
-    nonincreasing thresholds nints, from one walk at nints[0].
-
-    A node's intervals are nested in n, so its first empty one ends it.
-    """
-    a0 = f.mint[0][0]
-    a0n = [a0 * n for n in nints]
-    counts = [0] * len(nints)
-    for _, _, bs, cs in _exact_rows(f, nints[0]):
-        for b, c in zip(bs, cs):
-            base = b * b - a0 * c
-            j = 0
-            for an in a0n:
-                disc = base + an
-                if disc < 0:
-                    break
-                s = math.isqrt(disc)
-                width = (s - b) // a0 + (s + b) // a0 + 1
-                if width <= 0:
-                    break
-                counts[j] += width
-                j += 1
-    return counts
-
-
-def _enumerate_exact(f: _Factor, nint: int):
-    """Points (reduced coordinates) with Q(v) <= nint and exact integer values."""
-    pts, vals = [], []
-    a0 = f.mint[0][0]
-    for suffix, v1s, bs, cs in _exact_rows(f, nint):
-        for v1, b, c in zip(v1s, bs, cs):
-            disc = b * b - a0 * (c - nint)
-            if disc < 0:
-                continue
-            s = math.isqrt(disc)
-            for v0 in range(-((s + b) // a0), (s - b) // a0 + 1):
-                pts.append((v0, v1) + suffix)
-                vals.append(c + (a0 * v0 + 2 * b) * v0)
-    if not pts:
-        return np.empty((0, f.dim), dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.array(pts, dtype=np.int64), np.array(vals, dtype=np.int64)
 
 
 def enumerate_points(form: QuadForm, bound: float, mode: str = "auto"):
@@ -367,10 +367,8 @@ def enumerate_points(form: QuadForm, bound: float, mode: str = "auto"):
     f = _factor(form, mode)
     if _budget_estimate(f, float(bound)) > ENUM_BUDGET:
         raise EnumerationBudgetError("enumeration tree exceeds the node budget")
-    if f.mint is not None:
-        pts, vals = _enumerate_exact(f, math.floor(bound))
-    else:
-        pts, vals = _enumerate_float(f, float(bound))
+    bound = float(bound) if f.mint is None else math.floor(bound)
+    pts, vals = _enumerate((_FloatRule if f.mint is None else _ExactRule)(f, [bound]), bound)
     return pts @ np.array(f.u, dtype=np.int64).T, vals
 
 
@@ -396,17 +394,18 @@ def _exact_threshold(radius) -> int:
     return math.floor(rsq)
 
 
-def _n0_bands(f: _Factor, radius: float, ks) -> tuple[list[int], list[int]]:
+def _n0_bands(f: _Factor, radius: float, ks) -> list[list[int]]:
     """N0(radius / k) for each k of the increasing ks, counted to the upper
     and to the lower edge of the float boundary band; both are the exact
     count in exact mode."""
     if f.mint is not None:
         top = _exact_threshold(radius)
-        n = _count_exact(f, [top // (k * k) for k in ks])
-        return n, n
+        n = _count(_ExactRule(f, [top // (k * k) for k in ks]))[0].tolist()
+        return [n, n]
     rsq = [(radius / k) ** 2 for k in ks]
     tol = [_float_tolerance(x, f.dim) for x in rsq]
-    return _count_float(f, [x + t for x, t in zip(rsq, tol)], [x - t for x, t in zip(rsq, tol)])
+    return _count(_FloatRule(f, [x + t for x, t in zip(rsq, tol)],
+                             [x - t for x, t in zip(rsq, tol)])).tolist()
 
 
 def count_full(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
@@ -447,8 +446,8 @@ def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto") -> CountRes
     N0(R/K) = 1 also where a rounded R / sqrt(min_i q_i) falls just below
     an integer k and the float band at R/k holds a shortest vector.  One
     Moebius table of size K and one walk at R give N0(R/k) for every
-    squarefree k <= K; the float leaf pairs each level-1 node only with
-    the k it can reach, in slices of at most BLOCK pairs.
+    squarefree k <= K; the leaf pairs each level-1 node only with the k
+    it can reach, in slices of at most BLOCK pairs.
     """
     from .moebius import sieve  # call-time import: moebius imports this module
 

@@ -48,7 +48,6 @@ __all__ = [
     "lll_reduce",
 ]
 
-SYM_TOL = 1e-12
 DET_TOL = 1e-9
 PIVOT_TOL = 1e-12
 LLL_DELTA = 0.75
@@ -208,7 +207,8 @@ class QuadForm:
     nested tuple of Python ints when the stored gram rounds to an integer
     matrix of determinant one (_unimodular_integer_rounding), else None;
     it is decided once, here, and the counting drivers count exactly iff
-    it is set.
+    it is set.  Definiteness is checked by a float Cholesky of gram, or,
+    when mint is set, exactly by the leading principal minors of mint.
     """
 
     dim: int
@@ -237,7 +237,10 @@ class QuadForm:
             # the rescaled gram may round to a unimodular one: 4 I becomes
             # (1 + 2^-52) I, which is counted as I
             mint = _unimodular_integer_rounding(m)
-        _cholesky_lower(m)  # definiteness check
+        if mint is None:
+            _cholesky_lower(m)  # definiteness check
+        elif any(_int_det([row[:k] for row in mint[:k]]) <= 0 for k in range(1, d)):
+            raise GeometryError("gram matrix is not positive definite")
         return QuadForm(d, m, mint)
 
     @staticmethod

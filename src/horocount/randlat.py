@@ -50,7 +50,6 @@ FUNDAMENTAL_AREA = math.pi / 3.0  # hyperbolic area of {|x|<=1/2, |z|>=1}
 class LatticeSample:
     basis: GroupElement  # columns span the lattice
     origin_tag: str
-    weight: float = 1.0
 
 
 @dataclass

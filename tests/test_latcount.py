@@ -86,6 +86,15 @@ class TestCountFull:
                 spec = EllipsoidSpec(form, r)
                 assert count_full(spec).n0 == n0
                 assert count_primitive_direct(spec).n1 == n1
+        # integral grams, counted by the exact rule (the oracle's float
+        # arithmetic is exact on their small integer entries)
+        for gamma, r in (([[2, 1], [1, 1]], 9.5), ([[3, 5], [1, 2]], 7.0),
+                         ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 4.0), ([[1, 2, 3], [0, 1, 4], [0, 0, 1]], 3.0)):
+            spec = EllipsoidSpec(int_form(len(gamma), gamma), r)
+            n0, n1 = brute_counts(spec.form, r)
+            assert count_full(spec, mode="exact").n0 == n0
+            assert count_primitive_direct(spec, mode="exact").n1 == n1
+            assert count_primitive_moebius(spec, mode="exact").n1 == n1
 
     def test_monotone_in_radius(self):
         q = int_form(3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
@@ -214,9 +223,10 @@ class TestGLInvariance:
     def test_counts_invariant_under_random_unimodular(self):
         # N0 and N1 are functions on the space of lattices, so U^T M U must
         # count as M for every U in GL_d(Z).  U is kept small enough that
-        # the gram entries stay below 2^53, and in fact below about 2^20:
-        # QuadForm.from_gram refuses every gram above 2^53 and, through its
-        # float Cholesky, many integral det-1 grams from about 2^22 on.
+        # the gram entries stay below 2^53, where QuadForm.from_gram still
+        # reads a float gram exactly; it decides the definiteness of an
+        # integral det-1 gram from exact minors, so entries up to 2^48
+        # construct.
         rng = np.random.default_rng(31)
         for d, radius in ((2, 30.0), (3, 9.0), (4, 4.5)):
             m = transformed(random_unimodular(rng, np.eye(d, dtype=int).tolist(), 2),
@@ -224,7 +234,7 @@ class TestGLInvariance:
             spec = EllipsoidSpec(QuadForm.from_gram(m), radius)
             n0 = count_full(spec, mode="exact").n0
             n1 = count_primitive_moebius(spec, mode="exact").n1
-            for top in (2 ** 6, 2 ** 10, 2 ** 14, 2 ** 18, 2 ** 18, 2 ** 18):
+            for top in (2 ** 6, 2 ** 10, 2 ** 14, 2 ** 18, 2 ** 18, 2 ** 18, 2 ** 30, 2 ** 40, 2 ** 48):
                 moved = transformed(random_unimodular(rng, m, top), m)
                 assert max(abs(x) for row in moved for x in row) < 2 ** 53
                 mspec = EllipsoidSpec(QuadForm.from_gram(moved), radius)
@@ -340,7 +350,7 @@ class TestMoebiusOneWalk:
         assert bands >= len(forms) // 2
         assert deep == 3
 
-    def test_exact_matches_direct(self):
+    def test_exact_matches_direct(self, monkeypatch):
         rng = np.random.default_rng(22)
         for d, radius in ((2, 40.0), (3, 9.0), (4, 5.0)):
             for _ in range(3):
@@ -350,6 +360,11 @@ class TestMoebiusOneWalk:
                 assert got.mode == "exact" and got.boundary_ambiguous == 0
                 assert got.n1 == count_primitive_direct(spec, mode="exact").n1
                 assert got.n0 == count_full(spec, mode="exact").n0
+                with monkeypatch.context() as m:  # many blocks and many slices of pairs
+                    m.setattr(latcount, "BLOCK", 5)
+                    small = count_primitive_moebius(spec, mode="exact")
+                    assert (small.n0, small.n1) == (got.n0, got.n1)
+                    assert count_primitive_direct(spec, mode="exact").n1 == got.n1
 
 
 class TestShells:
@@ -442,9 +457,10 @@ class TestEnumerate:
             assert form.evaluate(p) == pytest.approx(v, abs=1e-9)
         assert np.all(vals <= 9.0 + 1e-9)
 
-    def test_exact_and_float_agree(self):
+    def test_exact_and_float_agree(self, monkeypatch):
         # integer grams: float mode at B + 1/2 finds the exact points with
-        # Q <= B; d = 3 and 4 span several float-leaf blocks
+        # Q <= B; d = 3 and 4 span several leaf blocks, and many more with
+        # BLOCK = 5
         cases = (([[2, 1], [1, 1]], 4000),
                  ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 3000),
                  ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]], 200))
@@ -453,12 +469,44 @@ class TestEnumerate:
             if len(gamma) > 2:
                 walk = latcount._walk(latcount._factor(form, "float"), b + 0.5)
                 assert sum(hi - lo + 1 for _, lo, hi, *_ in walk) > 2 * latcount.BLOCK
-            pe, ve = enumerate_points(form, b + 0.5, mode="exact")
-            pf, vf = enumerate_points(form, b + 0.5, mode="float")
-            oe, of = np.lexsort(pe.T), np.lexsort(pf.T)
-            assert np.array_equal(pe[oe], pf[of])
-            assert np.array_equal(ve[oe], np.rint(vf[of]).astype(np.int64))
-            assert int(ve.max()) <= b
+            for block in (latcount.BLOCK, 5):
+                with monkeypatch.context() as m:
+                    m.setattr(latcount, "BLOCK", block)
+                    pe, ve = enumerate_points(form, b + 0.5, mode="exact")
+                    pf, vf = enumerate_points(form, b + 0.5, mode="float")
+                oe, of = np.lexsort(pe.T), np.lexsort(pf.T)
+                assert np.array_equal(pe[oe], pf[of])
+                assert np.array_equal(ve[oe], np.rint(vf[of]).astype(np.int64))
+                assert int(ve.max()) <= b
+
+    def test_exact_range_check_raises(self, monkeypatch):
+        # I_3 at R = 40: a0 n = 1600, and the walk reaches coordinates of
+        # 40, so c_abs V^2 >= 2 * 40^2.  A limit below either refuses the
+        # exact count rather than returning a number; float mode is untouched.
+        spec = EllipsoidSpec(QuadForm.identity(3), 40.0)
+        want = count_full(spec, mode="exact").n0
+        for limit, check in ((1000, "threshold"), (2000, "coordinates")):
+            with monkeypatch.context() as m:
+                m.setattr(latcount, "INT64_LIMIT", limit)
+                with pytest.raises(CountingError, match=check):
+                    count_full(spec, mode="exact")
+                with pytest.raises(CountingError, match=check):
+                    enumerate_points(spec.form, 1600, mode="exact")
+                assert count_full(spec, mode="float").n0 == want
+
+    def test_exact_roots_near_int64_limit(self):
+        # near 2^62 a float root can be one off; the exact rule's widths
+        # still match math.isqrt
+        f = latcount._factor(QuadForm.identity(2), "exact")
+        rule = latcount._ExactRule(f, [latcount.INT64_LIMIT - 1])
+        bound = rule.bounds[0, 0]
+        discs = [r * r + e for r in (2 ** 31 - 1, 2 ** 31 - 2, 1_518_500_250, 2 ** 30 + 7)
+                 for e in (-1, 0, 1, 2 * r)]
+        for b in (0, 1, -5):
+            key = np.array([int(bound) - x for x in discs], dtype=np.int64)
+            _, width = rule.level0(rule.bounds, key, np.full(len(discs), b, dtype=np.int64))
+            want = [(math.isqrt(x) - b) + (math.isqrt(x) + b) + 1 for x in discs]
+            assert width[0].tolist() == want
 
     def test_exact_values_are_integers(self):
         pts, vals = enumerate_points(QuadForm.identity(2), 25, mode="exact")

@@ -73,8 +73,12 @@ class TestQuadForm:
             QuadForm.from_gram([[1.0, 0.5], [0.0, 1.0]])
 
     def test_rejects_indefinite(self):
-        with pytest.raises(GeometryError):
-            QuadForm.from_gram([[1.0, 2.0], [2.0, 1.0]])
+        # the last three are integral with determinant 1, so their leading
+        # minors decide
+        for gram in ([[1.0, 2.0], [2.0, 1.0]], [[-1, 0], [0, -1]],
+                     [[1, 0, 0], [0, -1, 0], [0, 0, -1]], [[1, 3, 0], [3, 8, 0], [0, 0, -1]]):
+            with pytest.raises(GeometryError):
+                QuadForm.from_gram(gram)
 
     def test_rejects_dim_one(self):
         with pytest.raises(GeometryError):
