@@ -88,6 +88,7 @@ __all__ = [
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 CUTOFF_ALPHA = max(1.0, 0.5 * math.sqrt(3.0))
 CUTOFF_FLOOR = 8.0
+LIPSCHITZ_STEP, LIPSCHITZ_INFLATE = 1e-3, 10.0  # estimate_lipschitz's difference step and safety factor
 _GAUSS8 = np.polynomial.legendre.leggauss(8)  # exact to degree 15
 _GAUSS64 = np.polynomial.legendre.leggauss(64)
 
@@ -217,15 +218,14 @@ class QuadratureSpec:
 REFINEMENT_FACTOR = 2  # base-grid refinement of the quadrature error estimate
 
 
-def default_cutoff_height(t: float, alpha: float = CUTOFF_ALPHA,
-                          floor: float = CUTOFF_FLOOR) -> float:
-    """Cusp cutoff height Y(t) = max(floor, e^{alpha t / sqrt(2)}).
+def default_cutoff_height(t: float, alpha: float = CUTOFF_ALPHA) -> float:
+    """Cusp cutoff height Y(t) = max(CUTOFF_FLOOR, e^{alpha t / sqrt(2)}).
 
     The exponential growth keeps the discarded cusp mass decaying in t;
     the floor keeps small-t averages from living on a sliver of the
     fundamental domain.
     """
-    return max(floor, math.exp(alpha * t / math.sqrt(2.0)))
+    return max(CUTOFF_FLOOR, math.exp(alpha * t / math.sqrt(2.0)))
 
 
 def eval_test_function(q: QuadForm, h: RadialProfile) -> float:
@@ -585,17 +585,16 @@ def estimate_f_norm(h: RadialProfile, d: int = 2, n: int = 4000, seed: int = 7):
 
 
 def estimate_lipschitz(h: RadialProfile, d: int, t_probes,
-                       q: QuadratureSpec | None = None,
-                       delta: float = 1e-3, inflate: float = 10.0) -> float:
-    """Empirical Lipschitz bound of t -> F(t): max finite difference over
-    the probe set, inflated by the documented safety factor."""
+                       q: QuadratureSpec | None = None) -> float:
+    """Empirical Lipschitz bound of t -> F(t): LIPSCHITZ_INFLATE times the
+    largest finite difference, step LIPSCHITZ_STEP, over the probe set."""
     q = q or QuadratureSpec()
     worst = 0.0
     for t in t_probes:
         f0 = _average_once(d, t, h, q.base_grid, q.base_cutoff_height)
-        f1 = _average_once(d, t + delta, h, q.base_grid, q.base_cutoff_height)
-        worst = max(worst, abs(f1 - f0) / delta)
-    return inflate * worst
+        f1 = _average_once(d, t + LIPSCHITZ_STEP, h, q.base_grid, q.base_cutoff_height)
+        worst = max(worst, abs(f1 - f0) / LIPSCHITZ_STEP)
+    return LIPSCHITZ_INFLATE * worst
 
 
 def integrated_error_bound(h: RadialProfile, d: int, big_t_values,

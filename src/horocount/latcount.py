@@ -461,12 +461,22 @@ def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto") -> CountRes
     return CountResult(n0=n_hi[0], n1=n1, boundary_ambiguous=sum(n_hi) - sum(n_lo), mode=f.mode)
 
 
+def _shell_table(form: QuadForm, top: float):
+    """(r0, r1): full and primitive counts at the integer levels 0 .. top
+    (top >= 0) as int64 arrays, binned from one exact enumeration."""
+    pts, vals = enumerate_points(form, top, mode="exact")
+    prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
+    n = math.floor(top) + 1
+    return np.bincount(vals, minlength=n), np.bincount(vals[prim], minlength=n)
+
+
 def shell_counts(spec: EllipsoidSpec, xs, mode: str = "auto"):
     """Counts on the level sets Q(v) = x for each x in xs.
 
-    xs must be nondecreasing.  In exact mode the levels are matched
-    exactly (non-represented levels give 0); in float mode the level set
-    is read off within a small relative window.
+    xs must be nondecreasing.  In exact mode the levels are read off
+    _shell_table (negative, non-integer and non-represented levels give
+    0); in float mode the level set is read off within a small relative
+    window.
     Returns (r0, r1): full and primitive shell counts.
     """
     xs = list(xs)
@@ -474,21 +484,18 @@ def shell_counts(spec: EllipsoidSpec, xs, mode: str = "auto"):
         raise CountingError("shell levels must be nondecreasing")
     if not xs:
         return [], []
-    used_mode = _resolve_mode(spec.form, mode)
     top = max(xs)
-    pts, vals = enumerate_points(spec.form, top if used_mode == "exact" else top * (1 + 1e-12) + 1e-12,
-                                 mode=used_mode)
+    if _resolve_mode(spec.form, mode) == "exact":
+        x = np.array(xs, dtype=float)
+        hit = (x >= 0) & (x == np.floor(x))
+        idx = np.where(hit, x, 0).astype(np.int64)
+        return tuple(np.where(hit, t[idx], 0).tolist() for t in _shell_table(spec.form, max(top, 0)))
+    pts, vals = enumerate_points(spec.form, top * (1 + 1e-12) + 1e-12, mode="float")
     prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
     r0, r1 = [], []
     for x in xs:
-        if used_mode == "exact":
-            if float(x).is_integer():
-                sel = vals == int(x)
-            else:
-                sel = np.zeros(len(vals), dtype=bool)
-        else:
-            eps = 8.0 * math.ulp(max(float(x), 1.0)) * spec.form.dim + 1e-12
-            sel = np.abs(vals - float(x)) <= eps
+        eps = 8.0 * math.ulp(max(float(x), 1.0)) * spec.form.dim + 1e-12
+        sel = np.abs(vals - float(x)) <= eps
         r0.append(int(sel.sum()))
         r1.append(int((sel & prim).sum()))
     return r0, r1

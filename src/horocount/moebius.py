@@ -7,13 +7,19 @@ and its primitive vectors, the shell form in exact integer arithmetic
 float rounding budget:
 
   * shell form:  r0(x) = sum_{k^2 | x} r1(x/k^2)  and its inverse
-    r1(x) = sum_{k^2 <= x} mu(k) r0(x/k^2);
-  * error form:  E1(R) = sum_{k<=R} mu(k) (E0(R/k) - 1)
-                   - omega R^d sum_{k>R} mu(k)/k^d
+    r1(x) = sum_{k^2 | x} mu(k) r0(x/k^2).  latcount bins one exact
+    enumeration into the arrays r0, r1 over the levels 0..R^2; adding
+    r1 (and mu(k) r0) into every k^2-th entry for each k <= R gives both
+    right-hand sides at every level in O(R^2) array work;
+  * error form:  E1(R) = sum_{k<=K} mu(k) (E0(R/k) - 1)
+                   - omega R^d sum_{k>K} mu(k)/k^d
     (and the non-inverted partner).  The "- 1" removes the origin, which
-    the volume-normalized error term E0 = N0 - omega R^d retains.  The
-    tails over k > R are taken in closed form, zeta(d) and 1/zeta(d)
-    minus the finite heads, so they carry rounding error only.
+    the volume-normalized error term E0 = N0 - omega R^d retains.  Any K
+    past the last k with N0(R/k) > 1 makes it exact; the check takes that
+    last k, but at least floor(R), so a form with vectors shorter than 1
+    sums further than R.  The tails over k > K are taken in closed form,
+    zeta(d) and 1/zeta(d) minus the finite heads, so they carry rounding
+    error only.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .latcount import CountingError, EllipsoidSpec, count_primitive_moebius, enumerate_points
+from .latcount import CountingError, EllipsoidSpec, _shell_table, count_primitive_moebius
 from .quadform import constants, zeta
 
 __all__ = [
@@ -83,34 +89,28 @@ def verify_inversion(spec: EllipsoidSpec) -> InversionReport:
     """Check both shell identities exactly at all integer levels <= R^2.
 
     Requires a form with an integer gram of determinant one
-    (QuadForm.mint), so that the value set is integral.
+    (QuadForm.mint), so that the value set is integral.  Both right-hand
+    sides are built from latcount's shell table by adding r1 and
+    mu(k) r0 into every k^2-th entry, for k <= sqrt(R^2).
     """
     if spec.form.mint is None:
         raise CountingError("shell inversion requires an integer gram matrix of determinant one")
     top = math.floor(spec.radius ** 2)
-    pts, vals = enumerate_points(spec.form, top, mode="exact")
-    vals = vals.astype(np.int64)
-    prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
-    r0 = np.bincount(vals, minlength=top + 1)
-    r1 = np.bincount(vals[prim], minlength=top + 1)
-    table = sieve(max(math.isqrt(top), 1))
-    for x in range(1, top + 1):
-        lhs0 = int(r0[x])
-        rhs0 = 0
-        rhs1 = 0
-        k = 1
-        while k * k <= x:
-            if x % (k * k) == 0:
-                rhs0 += int(r1[x // (k * k)])
-                rhs1 += int(table.mu[k]) * int(r0[x // (k * k)])
-            k += 1
-        if lhs0 != rhs0:
-            return InversionReport(False, x, {"level": x, "identity": "r0_from_r1",
-                                              "lhs": lhs0, "rhs": rhs0})
-        if int(r1[x]) != rhs1:
-            return InversionReport(False, x, {"level": x, "identity": "r1_from_r0",
-                                              "lhs": int(r1[x]), "rhs": rhs1})
-    return InversionReport(True, top)
+    r0, r1 = _shell_table(spec.form, top)
+    mu = sieve(max(math.isqrt(top), 1)).mu
+    rhs0, rhs1 = np.zeros_like(r0), np.zeros_like(r1)
+    for k in range(1, math.isqrt(top) + 1):
+        n = top // (k * k) + 1
+        rhs0[:: k * k] += r1[:n]
+        rhs1[:: k * k] += int(mu[k]) * r0[:n]
+    bad0, bad1 = r0 != rhs0, r1 != rhs1
+    bad = np.flatnonzero((bad0 | bad1)[1:])
+    if len(bad) == 0:
+        return InversionReport(True, top)
+    x = int(bad[0]) + 1
+    name, lhs, rhs = ("r0_from_r1", r0, rhs0) if bad0[x] else ("r1_from_r0", r1, rhs1)
+    return InversionReport(False, x, {"level": x, "identity": name,
+                                      "lhs": int(lhs[x]), "rhs": int(rhs[x])})
 
 
 def zeta_tail(d: int, r: float):
@@ -149,6 +149,9 @@ class ErrorRelationReport:
 def error_relation_check(spec: EllipsoidSpec, mode: str = "auto") -> ErrorRelationReport:
     """Evaluate both error-transport identities and report the residuals.
 
+    The sums run to K, the last k with N0(R/k) > 1 but at least floor(R),
+    and both closed-form tails start after K.
+
     The residual budget combines the tails' rounding allowances, scaled by
     their coefficients, with a d * 1000 * ulp float allowance on the
     dominant scale.
@@ -158,27 +161,23 @@ def error_relation_check(spec: EllipsoidSpec, mode: str = "auto") -> ErrorRelati
     cst = constants(d)
     main = cst.omega * r ** d
 
-    kmax = math.floor(r)
-    e0 = {}
-    e1 = {}
-    for k in range(1, kmax + 1):
-        sub = EllipsoidSpec(spec.form, r / k)
-        res = count_primitive_moebius(sub, mode=mode)
-        e0[k] = res.n0 - cst.omega * (r / k) ** d
-        e1[k] = res.n1 - cst.omega * (r / k) ** d / cst.zeta
-    if kmax >= 1:
-        e0_r, e1_r = e0[1], e1[1]
-    else:
-        e0_r, e1_r = 1.0 - main, -main / cst.zeta
+    k, res = 1, count_primitive_moebius(spec, mode=mode)
+    e0_r, e1_r = res.n0 - main, res.n1 - main / cst.zeta
+    e0, e1 = [], []  # E0(R/k) and E1(R/k) for k = 1 .. K
+    while k <= r or res.n0 > 1:
+        e0.append(res.n0 - cst.omega * (r / k) ** d)
+        e1.append(res.n1 - cst.omega * (r / k) ** d / cst.zeta)
+        k += 1
+        res = count_primitive_moebius(EllipsoidSpec(spec.form, r / k), mode=mode)
+    kmax = len(e0)
+    z_tail, z_w = zeta_tail(d, kmax)
+    m_tail, m_w = mu_tail(d, kmax)
+    mu = sieve(max(kmax, 1)).mu
 
-    z_tail, z_w = zeta_tail(d, r)
-    m_tail, m_w = mu_tail(d, r)
-    table = sieve(max(kmax, 1))
-
-    rhs_e0 = sum(e1[k] for k in e1) - (cst.omega / cst.zeta) * r ** d * z_tail
+    rhs_e0 = sum(e1) - (cst.omega / cst.zeta) * r ** d * z_tail
     residual_e0 = abs((e0_r - 1.0) - rhs_e0)
 
-    rhs_e1 = sum(int(table.mu[k]) * (e0[k] - 1.0) for k in e0) - main * m_tail
+    rhs_e1 = sum(int(mu[k]) * (x - 1.0) for k, x in enumerate(e0, 1)) - main * m_tail
     residual_e1 = abs(e1_r - rhs_e1)
 
     scale = max(main, 1.0)

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 STABILIZER_CANDIDATE_CAP = 4096
+STABILIZER_TOL = 1e-7  # relative to the largest gram entry
 
 
 @dataclass
@@ -76,52 +77,45 @@ def radius_of_t(d: int, t: float) -> float:
     return math.exp(0.5 * t * math.sqrt((d - 1) / d))
 
 
-def stabilizer_order(q: QuadForm, tol: float = 1e-7) -> int:
+def stabilizer_order(q: QuadForm) -> int:
     """Order of the stabilizer of Q in the projectivized integer group.
 
-    Enumerates integer matrices g with g^T M g = M by assembling columns
-    from lattice vectors v with Q(v) = M_jj, then divides out the center
-    (+-identity for even d).
+    Counts integer matrices g of determinant one with g^T M g = M.  Column
+    j of g is a lattice vector v with Q(v) = M_jj; one table per column
+    pair i < j says which candidates for the two columns have inner
+    product M_ij, so the candidates left for column j are the AND of the
+    table rows picked for the columns before it.  The count is divided by
+    the center (+-identity for even d).
     """
     d = q.dim
     if d not in (2, 3, 4):
         raise CountingError("stabilizer enumeration supports d in {2, 3, 4}")
     m = q.gram
-    scale = float(np.max(np.abs(m)))
-    candidates = []
+    tol = STABILIZER_TOL * float(np.max(np.abs(m)))
+    cols = []
     for j in range(d):
         target = float(m[j, j])
-        pts, vals = enumerate_points(q, target + tol * scale, mode="float")
-        sel = np.abs(np.asarray(vals, dtype=float) - target) <= tol * scale
-        cols = pts[sel]
-        if cols.shape[0] > STABILIZER_CANDIDATE_CAP:
+        pts, vals = enumerate_points(q, target + tol, mode="float")
+        sel = np.abs(vals - target) <= tol
+        if np.count_nonzero(sel) > STABILIZER_CANDIDATE_CAP:
             raise CountingError("stabilizer candidate set too large for this form")
-        candidates.append(cols)
+        cols.append(pts[sel].astype(float))
+    table = {(i, j): np.abs(cols[i] @ m @ cols[j].T - m[i, j]) <= tol
+             for j in range(d) for i in range(j)}
 
-    count = 0
-    cols_acc: list[np.ndarray] = []
+    def extend(chosen, allowed):
+        """Completions of the columns chosen so far; allowed[n] masks the
+        candidates for column len(chosen) + n that fit them."""
+        j = len(chosen)
+        if j == d - 1:
+            last = cols[j][allowed[0]]
+            g = np.stack([np.broadcast_to(c, last.shape) for c in chosen] + [last], axis=-1)
+            return int(np.count_nonzero(np.round(np.linalg.det(g)) == 1))
+        return sum(extend(chosen + [cols[j][a]],
+                          [mask & table[j, k][a] for k, mask in enumerate(allowed[1:], j + 1)])
+                   for a in np.flatnonzero(allowed[0]))
 
-    def extend(j):
-        nonlocal count
-        if j == d:
-            g = np.stack(cols_acc, axis=1)
-            if round(float(np.linalg.det(g))) != 1:
-                return
-            if float(np.max(np.abs(g.T @ m @ g - m))) <= tol * scale:
-                count += 1
-            return
-        for cand in candidates[j]:
-            ok = True
-            for i in range(j):
-                if abs(float(cols_acc[i] @ m @ cand) - float(m[i, j])) > tol * scale:
-                    ok = False
-                    break
-            if ok:
-                cols_acc.append(np.asarray(cand, dtype=float))
-                extend(j + 1)
-                cols_acc.pop()
-
-    extend(0)
+    count = extend([], [np.ones(len(c), dtype=bool) for c in cols])
     alpha = constants(d).alpha
     if count % alpha != 0:
         raise CountingError("stabilizer enumeration inconsistent with the center")

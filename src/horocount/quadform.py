@@ -286,9 +286,6 @@ class GroupElement:
             raise GeometryError("dimension mismatch in group multiplication")
         return GroupElement(self.dim, self.mat @ other.mat)
 
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.dim, np.linalg.inv(self.mat))
-
 
 @dataclass(frozen=True, eq=False)
 class IwasawaCoord:

@@ -49,7 +49,6 @@ FUNDAMENTAL_AREA = math.pi / 3.0  # hyperbolic area of {|x|<=1/2, |z|>=1}
 @dataclass(frozen=True, eq=False)
 class LatticeSample:
     basis: GroupElement  # columns span the lattice
-    origin_tag: str
 
 
 @dataclass
@@ -82,7 +81,7 @@ def sample_exact_d2(rng: np.random.Generator, n: int) -> list[LatticeSample]:
                 break
             s = 1.0 / math.sqrt(yi)
             basis = GroupElement(2, np.array([[s, s * xi], [0.0, s * yi]]))
-            out.append(LatticeSample(basis=basis, origin_tag="exact-d2"))
+            out.append(LatticeSample(basis=basis))
     return out
 
 
@@ -131,8 +130,7 @@ def sample_walk(rng: np.random.Generator, d: int, step_sigma: float = 0.5,
         det = float(np.linalg.det(g))
         g = g / abs(det) ** (1.0 / d)
         if step >= burn_in and (step - burn_in) % thin == thin - 1:
-            out.append(LatticeSample(basis=GroupElement(d, g.copy()),
-                                     origin_tag=f"walk-d{d}"))
+            out.append(LatticeSample(basis=GroupElement(d, g.copy())))
     return out
 
 

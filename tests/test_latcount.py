@@ -391,6 +391,22 @@ class TestShells:
         with pytest.raises(CountingError):
             shell_counts(EllipsoidSpec(QuadForm.identity(2), 2.0), [2.0, 1.0])
 
+    def test_negative_zero_and_fractional_levels(self):
+        for mode in ("exact", "float"):
+            r0, r1 = shell_counts(EllipsoidSpec(QuadForm.identity(2), 3.0), [-1, 0, 2.5], mode=mode)
+            assert r0 == [0, 1, 0] and r1 == [0, 0, 0]
+        assert shell_counts(EllipsoidSpec(QuadForm.identity(2), 3.0), [-2, -1]) == ([0, 0], [0, 0])
+
+    @pytest.mark.parametrize("d, top", [(2, 400), (3, 300)])
+    def test_matches_per_level_scan(self, d, top):
+        q = act(QuadForm.identity(d), GroupElement.from_matrix(np.eye(d) + np.eye(d, k=1)))
+        pts, vals = enumerate_points(q, top, mode="exact")
+        prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
+        levels = list(range(top + 1))
+        r0, r1 = shell_counts(EllipsoidSpec(q, math.sqrt(top)), levels)
+        assert r0 == [int((vals == x).sum()) for x in levels]
+        assert r1 == [int(((vals == x) & prim).sum()) for x in levels]
+
 
 class TestErrorTerms:
     def test_example_values(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from horocount import latcount, moebius
 from horocount.latcount import CountingError, EllipsoidSpec
 from horocount.moebius import (
     error_relation_check,
@@ -93,6 +94,22 @@ class TestInversion:
         r0, r1 = shell_counts(EllipsoidSpec(q, 1.0), [1.0])
         assert r1[0] == r0[0] == 4
 
+    def test_reports_first_violation(self, monkeypatch):
+        # drop (-1, 0) from the enumeration: level 1 stays consistent
+        # (r0 = r1 = 3), level 4 gets r0 = 4 against r1(4) + r1(1) = 3
+        real = latcount.enumerate_points
+
+        def dropped(form, bound, mode="auto"):
+            pts, vals = real(form, bound, mode)
+            keep = ~((pts[:, 0] == -1) & (pts[:, 1] == 0))
+            return pts[keep], vals[keep]
+
+        monkeypatch.setattr(latcount, "enumerate_points", dropped)
+        monkeypatch.setattr(moebius, "enumerate_points", dropped, raising=False)
+        rep = verify_inversion(EllipsoidSpec(QuadForm.identity(2), 5.0))
+        assert not rep.ok and rep.levels_checked == 4
+        assert rep.first_violation == {"level": 4, "identity": "r0_from_r1", "lhs": 4, "rhs": 3}
+
     def test_rejects_float_gram(self):
         q = QuadForm.from_gram([[1.3, 0.1], [0.1, 1.0]])
         with pytest.raises(CountingError):
@@ -141,6 +158,20 @@ class TestErrorRelation:
         rep = error_relation_check(EllipsoidSpec(QuadForm.identity(d), radius))
         assert rep.ok
         assert rep.budget < 1e-9 * constants(d).omega * radius ** d
+
+    @pytest.mark.parametrize("gram", [[[0.25, 0.0], [0.0, 4.0]], [[0.01, 0.0], [0.0, 100.0]],
+                                      [[0.5, 0.1], [0.1, 2.02]]])
+    @pytest.mark.parametrize("radius", [0.5, 2.3, 10.7])
+    def test_forms_with_short_vectors(self, gram, radius):
+        # nonzero vectors with Q(v) < 1 keep N0(R/k) > 1 past k = R, so
+        # the sums must run further than floor(R)
+        q = QuadForm.from_gram(gram)
+        rep = error_relation_check(EllipsoidSpec(q, radius))
+        assert rep.ok
+        n1 = latcount.count_primitive_moebius(EllipsoidSpec(q, radius)).n1
+        assert rep.details["e1"] == n1 - constants(2).omega * radius ** 2 / zeta(2)
+        if radius == 0.5 and gram[0][0] < 0.5:
+            assert n1 == 2  # +-(1, 0): R < 1 does not make N0(R) = 1
 
     def test_small_radius_reduces_to_tails(self):
         rep = error_relation_check(EllipsoidSpec(QuadForm.identity(2), 0.5))

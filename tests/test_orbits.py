@@ -43,6 +43,16 @@ class TestStabilizer:
         g = GroupElement.from_matrix([[1.0, 0.0], [0.37, 1.0]])
         assert stabilizer_order(act(QuadForm.identity(2), g)) == 1
 
+    @pytest.mark.parametrize("gram, order", [
+        ([[2, -1], [-1, 2]], 3),  # A_2, hexagonal
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 24),  # A_3, face-centred cubic
+        ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 60),  # A_4
+        ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 288),  # D_4
+    ])
+    def test_root_lattices(self, gram, order):
+        # rotation subgroup of the automorphism group, modulo the center
+        assert stabilizer_order(QuadForm.from_gram(gram)) == order
+
     def test_invariant_under_integer_conjugation(self):
         gamma = GroupElement.from_matrix([[2, 1], [1, 1]])
         assert stabilizer_order(act(QuadForm.identity(2), gamma)) == 2

@@ -107,22 +107,21 @@ class TestWalkSampler:
 
 class TestDiscrepancy:
     def test_square_lattice_example(self):
-        sample = LatticeSample(basis=GroupElement.identity(2), origin_tag="test")
+        sample = LatticeSample(basis=GroupElement.identity(2))
         d = discrepancy(sample, 2.0)
         expected = abs(constants(2).zeta * 8.0 / (4.0 * math.pi) - 1.0)
         assert d == pytest.approx(expected, rel=1e-12)
         assert d == pytest.approx(0.04719755, abs=1e-7)
 
     def test_tiny_radius_gives_one(self):
-        sample = LatticeSample(basis=GroupElement.identity(3), origin_tag="test")
+        sample = LatticeSample(basis=GroupElement.identity(3))
         assert discrepancy(sample, 1e-6) == pytest.approx(1.0)
 
     def test_invariance_under_unimodular(self):
         rng = np.random.default_rng(47)
         s = sample_exact_d2(rng, 1)[0]
         gamma = np.array([[2.0, 1.0], [1.0, 1.0]])
-        moved = LatticeSample(basis=GroupElement.from_matrix(s.basis.mat @ gamma),
-                              origin_tag="test")
+        moved = LatticeSample(basis=GroupElement.from_matrix(s.basis.mat @ gamma))
         assert discrepancy(moved, 4.0) == discrepancy(s, 4.0)
 
 
