@@ -240,16 +240,12 @@ def criterion_8_mean_square() -> CheckResult:
     def body():
         out = {}
         ok = True
-        for radius in (5.0, 10.0, 20.0):
-            rep = randlat.mean_square_check(2, radius, 10_000, sampler="exact", seed=SEED)
-            out[f"d2_R{radius:g}"] = {"mean_e1sq": rep.mean_e1sq, "bound_e1sq": rep.bound_e1sq,
-                                      "passed": rep.passed}
-            ok &= rep.passed
-        for radius in (3.0, 5.0):
-            rep = randlat.mean_square_check(3, radius, 2_000, sampler="walk", seed=SEED + 3)
-            out[f"d3_R{radius:g}"] = {"mean_e1sq": rep.mean_e1sq, "bound_e1sq": rep.bound_e1sq,
-                                      "passed": rep.passed}
-            ok &= rep.passed
+        for d, radii, n, sampler, seed in ((2, [5.0, 10.0, 20.0], 10_000, "exact", SEED),
+                                           (3, [3.0, 5.0], 2_000, "walk", SEED + 3)):
+            for rep in randlat.mean_square_check(d, radii, n, sampler=sampler, seed=seed):
+                out[f"d{d}_R{rep.radius:g}"] = {"mean_e1sq": rep.mean_e1sq,
+                                                "bound_e1sq": rep.bound_e1sq, "passed": rep.passed}
+                ok &= rep.passed
         return ok, out
 
     return _timed(8, "mean-square discrepancy bound holds", body)

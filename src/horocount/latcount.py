@@ -42,10 +42,21 @@ The primitive count is the Moebius sum N1(R) = sum_k mu(k) (N0(R/k) - 1).
 Every nonzero v has Q(v) >= min_i q_i, so its terms vanish before
 K = floor(R / sqrt(min_i q_i)) + 2, and one walk at R counts N0(R/k) for
 every squarefree k <= K.
+
+count_primitive_many counts many float forms of one dimension at one R
+in one pass of the leaf: their walks feed the same blocks, and every
+level-1 node carries an owner, the index of its form.  The float rule
+gathers q0, q1 and m10 per node by owner (a one-form rule keeps them as
+scalars), so each node's arithmetic is that of a count of its form
+alone.  Each form keeps its own K: a node is paired only with the
+squarefree k <= its owner's K, and its pairs are binned by (owner, k)
+into one ragged row of totals.  Exact forms are counted one by one
+through the same entry; count_primitive_moebius is its one-form case.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +73,7 @@ __all__ = [
     "count_full",
     "count_primitive_direct",
     "count_primitive_moebius",
+    "count_primitive_many",
     "shell_counts",
     "error_terms",
     "reference_exponent",
@@ -190,62 +202,75 @@ def _walk(f: _Factor, top: float):
 
 
 def _blocks(rule):
-    """The walk's level-1 nodes as arrays, in blocks of at most BLOCK nodes
-    (a longer suffix is a block of its own).
+    """The level-1 nodes of the walks of the rule's forms as arrays, in
+    blocks of at most BLOCK nodes (a longer suffix is a block of its own).
 
-    Yields (cols, n, v1, key, aux): the block's walk rows as columns, the
-    node count of each row, v_1 per node (in the dtype of the rule's
-    bounds) and the rule's two arrays per node.
+    Yields (cols, n, v1, owner, key, aux): the block's walk rows as
+    columns, the node count of each row, v_1 per node (in the dtype of the
+    rule's bounds), the index of each node's form in rule.fs (None for a
+    one-form rule) and the rule's two arrays per node.
     """
-    rows, size = [], 0
+    rows, owners, size = [], [], 0
     dtype = rule.bounds.dtype
 
     def gather():
         cols = tuple(zip(*rows))
-        if len(rows) == 1:  # one suffix, always so in d = 2: nothing to gather
+        if len(rows) == 1:  # one suffix, always so for one form in d = 2: nothing to gather
             lo, hi = rows[0][1:3]
             n, v1 = np.array([hi - lo + 1]), np.arange(lo, hi + 1, dtype=dtype)
         else:
             lo, hi = np.array(cols[1]), np.array(cols[2])
             n = hi - lo + 1
             v1 = (np.arange(n.sum()) - (np.cumsum(n) - n - lo).repeat(n)).astype(dtype)
-        return (cols, n, v1, *rule.nodes(cols, n, v1))
+        owner = np.array(owners).repeat(n) if len(rule.fs) > 1 else None
+        return (cols, n, v1, owner, *rule.nodes(cols, n, v1, owner))
 
-    for row in _walk(rule.f, rule.top):
-        width = row[2] - row[1] + 1
-        if rows and size + width > BLOCK:
-            yield gather()
-            rows, size = [], 0
-        rows.append(row)
-        size += width
+    for i, f in enumerate(rule.fs):
+        for row in _walk(f, rule.top):
+            width = row[2] - row[1] + 1
+            if rows and size + width > BLOCK:
+                yield gather()
+                rows, owners, size = [], [], 0
+            rows.append(row)
+            owners.append(i)
+            size += width
     if rows:
         yield gather()
 
 
 class _FloatRule:
-    """Level 0 in floats, for bounds on Q (one row per band edge).
+    """Level 0 in floats, for bounds on Q (one row per band edge), over the
+    nodes of one or more forms fs of one dimension.
 
     A node is (t1, c0): its partial sum through level 1, which is also its
     pairing key, and its level-0 centre.  Its interval is floor/ceil of
-    centre +- radius.
+    centre +- radius.  The form's q0, q1 and m10 are scalars for one form
+    and are gathered per node by owner for many, with the same arithmetic.
     """
 
-    def __init__(self, f: _Factor, *edges):
-        self.f, self.q0, self.q1, self.m10 = f, f.q[0], f.q[1], f.m[1][0]
+    def __init__(self, fs, *edges):
+        self.fs = fs
+        params = [(f.q[0], f.q[1], f.m[1][0]) for f in fs]
+        self.q0, self.q1, self.m10 = params[0] if len(fs) == 1 else np.array(params).T
         self.bounds = np.array(edges, dtype=float)
         self.top = edges[0][0]
 
-    def nodes(self, cols, n, v1):
+    @staticmethod
+    def _per_node(x, owner):
+        return x if owner is None else x[owner]
+
+    def nodes(self, cols, n, v1, owner):
         if len(n) == 1:
             c1, c0, t = cols[3][0], cols[4][0], cols[5][0]
         else:
             c1, c0, t = (np.array(col).repeat(n) for col in cols[3:])
+        q1, m10 = self._per_node(self.q1, owner), self._per_node(self.m10, owner)
         # float_power calls C pow, as ** on the walk's Python floats does;
         # numpy's ** 2 multiplies, which can round the last bit differently
-        return t + self.q1 * np.float_power(v1 + c1, 2), c0 + self.m10 * v1
+        return t + q1 * np.float_power(v1 + c1, 2), c0 + m10 * v1
 
-    def level0(self, bounds, t1, c0):
-        rem = (bounds - t1) / self.q0
+    def level0(self, bounds, t1, c0, owner=None):
+        rem = (bounds - t1) / self._per_node(self.q0, owner)
         rad = np.sqrt(np.maximum(rem, 0.0))
         lo = np.ceil(-c0 - rad)
         return lo, np.where(rem >= 0.0, np.floor(rad - c0) - lo + 1.0, 0.0)
@@ -264,7 +289,7 @@ class _ExactRule:
 
     def __init__(self, f: _Factor, ns):
         g = f.mint
-        self.f, self.a0 = f, g[0][0]
+        self.f, self.fs, self.a0 = f, (f,), g[0][0]
         if self.a0 * ns[0] >= INT64_LIMIT:
             raise CountingError(f"exact threshold {ns[0]} is beyond the int64 range of the exact rule")
         self.g = np.array(g, dtype=np.int64)
@@ -276,7 +301,7 @@ class _ExactRule:
         self.b_abs = sum(abs(x) for x in g[0][1:])
         self.c_abs = sum(abs(x) for row in g[1:] for x in row[1:])
 
-    def nodes(self, cols, n, v1):
+    def nodes(self, cols, n, v1, owner):
         s = np.array(cols[0], dtype=np.int64).reshape(len(n), self.f.dim - 2)
         v = max(int(np.abs(v1).max()), int(np.abs(s).max(initial=0)))
         if (self.b_abs * v) ** 2 >= INT64_LIMIT or self.a0 * self.c_abs * v * v >= INT64_LIMIT:
@@ -286,7 +311,7 @@ class _ExactRule:
         c = ((s @ self.g[2:, 2:]) * s).sum(axis=1).repeat(n) + (self.g[1, 1] * v1 + 2 * lin1) * v1
         return self.a0 * c - b * b, b
 
-    def level0(self, bounds, key, b):
+    def level0(self, bounds, key, b, owner=None):
         disc = bounds - key
         # below 2^62 the float root is within one of floor(sqrt(disc))
         s = np.sqrt(np.maximum(disc, 0)).astype(np.int64)
@@ -300,25 +325,40 @@ class _ExactRule:
         return (u * u + key) // self.a0
 
 
-def _count(rule) -> np.ndarray:
+def _count(rule, sizes=None) -> np.ndarray:
     """Number of points within the rule's bounds[j, k], for each band edge
-    j and threshold k; each row is nonincreasing in k and rows after the
-    first lie below it.
+    j, form of the rule and threshold k < sizes[form] (default: all of
+    them).  Returns the int64 totals, one row per edge and the forms'
+    columns side by side, form i's from sizes[0] + ... + sizes[i - 1] on;
+    each form's row is nonincreasing in k and rows after the first lie
+    below the first.
 
-    One walk at bounds[0, 0], so every level-1 node is a candidate for
-    that bound and is evaluated at it in the block.  For k >= 1 a node is
-    paired only with the k where bounds[0, k] reaches its key; the other
-    pairs count nothing at any edge.  These pairs are expanded in slices
-    of at most BLOCK.
+    One walk per form at bounds[0, 0], so every level-1 node is a
+    candidate for that bound and is evaluated at it in the block.  For
+    k >= 1 a node is paired only with the k < sizes[owner] where
+    bounds[0, k] reaches its key; the other pairs count nothing at any
+    edge, or are not asked for.  These pairs are expanded in slices of at
+    most BLOCK and binned by (owner, k).
     """
     bounds = rule.bounds
     m = bounds.shape[1]
-    totals = np.zeros(bounds.shape, dtype=np.int64)
-    for _, _, _, key, aux in _blocks(rule):
-        totals[:, 0] += rule.level0(bounds[:, :1], key, aux)[1].sum(axis=1).astype(np.int64)
+    if len(rule.fs) > 1:
+        sizes = np.array(sizes)
+        starts = np.cumsum(sizes) - sizes
+    totals = np.zeros((len(bounds), m if sizes is None else int(sum(sizes))), dtype=np.int64)
+    for _, _, _, owner, key, aux in _blocks(rule):
+        n = rule.level0(bounds[:, :1], key, aux, owner)[1]
+        if owner is None:
+            totals[:, 0] += n.sum(axis=1).astype(np.int64)
+        else:  # the owners of a block are consecutive
+            cols = starts[owner[0]:owner[-1] + 1]
+            for row in range(len(n)):
+                totals[row, cols] += np.bincount(owner - owner[0], weights=n[row]).astype(np.int64)
         if m == 1:
             continue
         reach = np.searchsorted(-bounds[0, 1:], -key, side="right")  # k = 1 .. reach
+        if owner is not None:
+            reach = np.minimum(reach, sizes[owner] - 1)
         ends = np.cumsum(reach)  # pairs of node i: ends[i] - reach[i] .. ends[i] - 1
         total = int(ends[-1])
         for lo in range(0, total, BLOCK):
@@ -328,11 +368,19 @@ def _count(rule) -> np.ndarray:
             start = ends[nodes] - reach[nodes]
             r = np.minimum(ends[nodes], hi) - np.maximum(start, lo)
             k = np.arange(lo + 1, hi + 1) - start.repeat(r)
+            own = None if owner is None else owner[nodes].repeat(r)
             # take returns a C-ordered array, bounds[:, k] does not; the
             # leaf's ufuncs run markedly faster on the former
-            n = rule.level0(bounds.take(k, axis=1), key[nodes].repeat(r), aux[nodes].repeat(r))[1]
+            n = rule.level0(bounds.take(k, axis=1), key[nodes].repeat(r), aux[nodes].repeat(r), own)[1]
+            if own is None:
+                for row in range(len(n)):
+                    totals[row] += np.bincount(k, weights=n[row], minlength=m).astype(np.int64)
+                continue
+            first = starts[own[0]]  # pairs bin into first + 1 ..
+            at = starts[own] - first + k
             for row in range(len(n)):
-                totals[row] += np.bincount(k, weights=n[row], minlength=m).astype(np.int64)
+                binned = np.bincount(at, weights=n[row]).astype(np.int64)
+                totals[row, first:first + len(binned)] += binned
     return totals
 
 
@@ -340,18 +388,18 @@ def _enumerate(rule, bound):
     """Points (reduced coordinates, int64) with Q(v) <= bound, the rule's
     one threshold, and their values."""
     pts, vals = [], []
-    for cols, n1, v1, key, aux in _blocks(rule):
+    for cols, n1, v1, _, key, aux in _blocks(rule):
         lo, n = (x[0] for x in rule.level0(rule.bounds, key, aux))
         n = n.astype(np.int64)
         v0 = (lo - (np.cumsum(n) - n)).repeat(n) + np.arange(n.sum())
         value = rule.values(v0, key.repeat(n), aux.repeat(n))
         keep = value <= bound
-        suffixes = np.array(cols[0], dtype=np.int64).reshape(len(n1), rule.f.dim - 2)
+        suffixes = np.array(cols[0], dtype=np.int64).reshape(len(n1), rule.fs[0].dim - 2)
         nodes = np.column_stack([v1, suffixes.repeat(n1, axis=0)]).astype(np.int64)
         pts.append(np.column_stack([v0.astype(np.int64), nodes.repeat(n, axis=0)])[keep])
         vals.append(value[keep])
     if not pts:
-        return np.empty((0, rule.f.dim), dtype=np.int64), np.empty(0, dtype=rule.bounds.dtype)
+        return np.empty((0, rule.fs[0].dim), dtype=np.int64), np.empty(0, dtype=rule.bounds.dtype)
     return np.concatenate(pts), np.concatenate(vals)
 
 
@@ -368,7 +416,8 @@ def enumerate_points(form: QuadForm, bound: float, mode: str = "auto"):
     if _budget_estimate(f, float(bound)) > ENUM_BUDGET:
         raise EnumerationBudgetError("enumeration tree exceeds the node budget")
     bound = float(bound) if f.mint is None else math.floor(bound)
-    pts, vals = _enumerate((_FloatRule if f.mint is None else _ExactRule)(f, [bound]), bound)
+    rule = _FloatRule([f], [bound]) if f.mint is None else _ExactRule(f, [bound])
+    pts, vals = _enumerate(rule, bound)
     return pts @ np.array(f.u, dtype=np.int64).T, vals
 
 
@@ -379,9 +428,8 @@ def _float_tolerance(rsq: float, d: int) -> float:
     return 8.0 * math.ulp(rsq) * d
 
 
-def _check_overflow(spec: EllipsoidSpec):
-    d = spec.form.dim
-    approx = constants(d).omega * spec.radius ** d
+def _check_overflow(d: int, radius: float):
+    approx = constants(d).omega * radius ** d
     if approx > COUNT_LIMIT:
         raise CountingError(
             "count would exceed 2^62; reduce the radius or aggregate shellwise"
@@ -394,31 +442,33 @@ def _exact_threshold(radius) -> int:
     return math.floor(rsq)
 
 
-def _n0_bands(f: _Factor, radius: float, ks) -> list[list[int]]:
-    """N0(radius / k) for each k of the increasing ks, counted to the upper
-    and to the lower edge of the float boundary band; both are the exact
-    count in exact mode."""
-    if f.mint is not None:
+def _n0_bands(fs, radius: float, ks, sizes=None) -> np.ndarray:
+    """N0(radius / k) for the forms fs (one exact form, or float forms of
+    one dimension) and each k of the increasing ks, form i reading only
+    the first sizes[i] of them (default: all), counted to the upper and
+    to the lower edge of the float boundary band; both are the exact
+    count in exact mode.  Returns _count's totals: rows n_hi and n_lo."""
+    if fs[0].mint is not None:
         top = _exact_threshold(radius)
-        n = _count(_ExactRule(f, [top // (k * k) for k in ks]))[0].tolist()
-        return [n, n]
+        n = _count(_ExactRule(fs[0], [top // (k * k) for k in ks]))
+        return np.concatenate([n, n])
     rsq = [(radius / k) ** 2 for k in ks]
-    tol = [_float_tolerance(x, f.dim) for x in rsq]
-    return _count(_FloatRule(f, [x + t for x, t in zip(rsq, tol)],
-                             [x - t for x, t in zip(rsq, tol)])).tolist()
+    tol = [_float_tolerance(x, fs[0].dim) for x in rsq]
+    return _count(_FloatRule(fs, [x + t for x, t in zip(rsq, tol)],
+                             [x - t for x, t in zip(rsq, tol)]), sizes)
 
 
 def count_full(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
     """Number of integer points with Q(v) <= R^2, origin included."""
-    _check_overflow(spec)
+    _check_overflow(spec.form.dim, spec.radius)
     f = _factor(spec.form, mode)
-    (n_hi,), (n_lo,) = _n0_bands(f, spec.radius, [1])
+    n_hi, n_lo = _n0_bands([f], spec.radius, [1])[:, 0].tolist()
     return CountResult(n0=n_hi, boundary_ambiguous=n_hi - n_lo, mode=f.mode)
 
 
 def count_primitive_direct(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
     """Primitive points by full enumeration plus a gcd filter (oracle role)."""
-    _check_overflow(spec)
+    _check_overflow(spec.form.dim, spec.radius)
     used_mode = _resolve_mode(spec.form, mode)
     rsq = spec.radius ** 2
     if used_mode == "exact":
@@ -434,31 +484,69 @@ def count_primitive_direct(spec: EllipsoidSpec, mode: str = "auto") -> CountResu
     return CountResult(n1=n1, boundary_ambiguous=amb, mode="float")
 
 
-def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
-    """Primitive count via the sieve: N1(R) = sum_k mu(k) (N0(R/k) - 1).
+def _moebius_limit(f: _Factor, radius: float) -> int:
+    """K = floor(R / sqrt(min_i q_i)) + 2: N0(R/k) = 1 for every k >= K."""
+    return math.floor(radius / math.sqrt(min(f.q))) + 2
+
+
+def count_primitive_many(forms, radius: float, mode: str = "auto") -> list[CountResult]:
+    """Primitive counts of many forms of one dimension at one radius, by
+    the sieve: N1(R) = sum_k mu(k) (N0(R/k) - 1) per form.
 
     Subtracting the origin from each full count makes the identity exact at
     every radius.  In the reduced coordinates every nonzero v has
     Q(v) >= min_i q_i, the least squared Gram-Schmidt norm, so N0(R/k) = 1
     once R/k < sqrt(min_i q_i): those terms are mu(k) (1 - 1) = 0, and in
-    float mode their boundary band is 0 as well.  The sum runs to
-    K = floor(R / sqrt(min_i q_i)) + 2, one past the first such k, so that
-    N0(R/K) = 1 also where a rounded R / sqrt(min_i q_i) falls just below
-    an integer k and the float band at R/k holds a shortest vector.  One
-    Moebius table of size K and one walk at R give N0(R/k) for every
-    squarefree k <= K; the leaf pairs each level-1 node only with the k
-    it can reach, in slices of at most BLOCK pairs.
+    float mode their boundary band is 0 as well.  Each form's sum runs to
+    its own K = floor(R / sqrt(min_i q_i)) + 2, one past the first such k,
+    so that N0(R/K) = 1 also where a rounded R / sqrt(min_i q_i) falls just
+    below an integer k and the float band at R/k holds a shortest vector.
+
+    Each form is factored once.  The float forms share one pass of the
+    leaf: their walks at R, in turn, feed the same blocks, and each node
+    is paired only with the squarefree k <= its own form's K that it can
+    reach, so one deep-cusp form does not widen the pairing of the others.
+    Each exact form takes a pass of its own.
     """
     from .moebius import sieve  # call-time import: moebius imports this module
 
-    _check_overflow(spec)
-    f = _factor(spec.form, mode)
-    kmax = math.floor(spec.radius / math.sqrt(min(f.q))) + 2
-    mu = sieve(kmax).mu
+    forms = list(forms)
+    if not forms:
+        return []
+    if len({form.dim for form in forms}) > 1:
+        raise CountingError("the forms of one count must share a dimension")
+    if not radius > 0.0:
+        raise CountingError(f"radius must be positive, got {radius}")
+    _check_overflow(forms[0].dim, radius)
+    fs = [_factor(form, mode) for form in forms]
+    kmax = [_moebius_limit(f, radius) for f in fs]
+    mu = sieve(max(kmax)).mu
     ks = np.flatnonzero(mu).tolist()
-    n_hi, n_lo = _n0_bands(f, spec.radius, ks)
-    n1 = sum(int(mu[k]) * (n - 1) for k, n in zip(ks, n_hi))
-    return CountResult(n0=n_hi[0], n1=n1, boundary_ambiguous=sum(n_hi) - sum(n_lo), mode=f.mode)
+    sizes = [bisect.bisect_right(ks, k) for k in kmax]
+    floats = [i for i, f in enumerate(fs) if f.mint is None]
+    exact = [i for i, f in enumerate(fs) if f.mint is not None]
+    parts = [_n0_bands([fs[i]], radius, ks[:sizes[i]]) for i in exact]
+    if floats:
+        parts.insert(0, _n0_bands([fs[i] for i in floats], radius, ks, [sizes[i] for i in floats]))
+    order = floats + exact
+    n = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)  # columns in this order
+    width = np.array([sizes[i] for i in order])
+    starts = np.cumsum(width) - width
+    coef = mu[ks][np.arange(n.shape[1]) - starts.repeat(width)]  # mu(k) per column
+    # int64 sums are exact: an intermediate could only wrap modulo 2^64,
+    # and every result lies between 0 and the count N0 < COUNT_LIMIT
+    n1 = np.add.reduceat(coef * (n[0] - 1), starts).tolist()
+    band = np.add.reduceat(n[0] - n[1], starts).tolist()
+    n0 = n[0, starts].tolist()
+    out = [None] * len(fs)
+    for j, i in enumerate(order):
+        out[i] = CountResult(n0=n0[j], n1=n1[j], boundary_ambiguous=band[j], mode=fs[i].mode)
+    return out
+
+
+def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
+    """Primitive count via the sieve: count_primitive_many for one form."""
+    return count_primitive_many([spec.form], spec.radius, mode)[0]
 
 
 def _shell_table(form: QuadForm, top: float):

@@ -30,7 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .latcount import CountingError, EllipsoidSpec, _shell_table, count_primitive_moebius
+from .latcount import (CountingError, EllipsoidSpec, _check_overflow, _factor, _moebius_limit,
+                       _n0_bands, _shell_table)
 from .quadform import constants, zeta
 
 __all__ = [
@@ -150,7 +151,10 @@ def error_relation_check(spec: EllipsoidSpec, mode: str = "auto") -> ErrorRelati
     """Evaluate both error-transport identities and report the residuals.
 
     The sums run to K, the last k with N0(R/k) > 1 but at least floor(R),
-    and both closed-form tails start after K.
+    and both closed-form tails start after K.  One walk at R with the
+    thresholds (R/n)^2 gives N0(R/n) for every n up to max(floor(R), the
+    primitive count's K), past which N0(R/n) = 1, and
+    N1(R/k) = sum_j mu(j) (N0(R/(kj)) - 1) is read off that list.
 
     The residual budget combines the tails' rounding allowances, scaled by
     their coefficients, with a d * 1000 * ulp float allowance on the
@@ -161,18 +165,20 @@ def error_relation_check(spec: EllipsoidSpec, mode: str = "auto") -> ErrorRelati
     cst = constants(d)
     main = cst.omega * r ** d
 
-    k, res = 1, count_primitive_moebius(spec, mode=mode)
-    e0_r, e1_r = res.n0 - main, res.n1 - main / cst.zeta
-    e0, e1 = [], []  # E0(R/k) and E1(R/k) for k = 1 .. K
-    while k <= r or res.n0 > 1:
-        e0.append(res.n0 - cst.omega * (r / k) ** d)
-        e1.append(res.n1 - cst.omega * (r / k) ** d / cst.zeta)
-        k += 1
-        res = count_primitive_moebius(EllipsoidSpec(spec.form, r / k), mode=mode)
-    kmax = len(e0)
+    _check_overflow(d, r)
+    f = _factor(spec.form, mode)
+    plan = max(math.floor(r), _moebius_limit(f, r))  # N0(R/n) = 1 for n >= plan
+    n0 = _n0_bands([f], r, range(1, plan + 1))[0]  # N0(R/n), n = 1 .. plan
+    kmax = max(math.floor(r), int(np.count_nonzero(n0 > 1)))  # N0(R/n) is nonincreasing in n
+    mu = sieve(plan).mu
+    # N1(R/k) = sum_j mu(j) (N0(R/(kj)) - 1), whose terms vanish past kj = plan
+    n1 = [int(mu[1 : plan // k + 1] @ (n0[k - 1 :: k] - 1)) for k in range(1, max(kmax, 1) + 1)]
+    e0_r, e1_r = int(n0[0]) - main, n1[0] - main / cst.zeta
+    # E0(R/k) and E1(R/k) for k = 1 .. K
+    e0 = [int(n0[k - 1]) - cst.omega * (r / k) ** d for k in range(1, kmax + 1)]
+    e1 = [n1[k - 1] - cst.omega * (r / k) ** d / cst.zeta for k in range(1, kmax + 1)]
     z_tail, z_w = zeta_tail(d, kmax)
     m_tail, m_w = mu_tail(d, kmax)
-    mu = sieve(max(kmax, 1)).mu
 
     rhs_e0 = sum(e1) - (cst.omega / cst.zeta) * r ** d * z_tail
     residual_e0 = abs((e0_r - 1.0) - rhs_e0)

@@ -18,18 +18,21 @@ Two samplers:
 The discrepancy observable counts primitive lattice points in a ball and
 compares with the volume main term; mean_square_check Monte Carlos its
 second moment against the inequality bound 2 zeta(d)/vol(B) for d >= 3
-(factor 4 for d = 2).
+(factor 4 for d = 2).  It draws its samples once for all the radii it is
+given and counts every sample at a radius in one
+latcount.count_primitive_many call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .latcount import CountingError, EllipsoidSpec, count_primitive_moebius
+from .latcount import CountingError, EllipsoidSpec, count_primitive_many, count_primitive_moebius
 from .quadform import GroupElement, QuadForm, constants, lll_reduce
 
 __all__ = [
@@ -134,39 +137,25 @@ def sample_walk(rng: np.random.Generator, d: int, step_sigma: float = 0.5,
     return out
 
 
+def _discrepancy(n1: int, d: int, radius: float) -> float:
+    cst = constants(d)
+    vol = cst.omega * radius ** d
+    return abs(cst.zeta * n1 / vol - 1.0)
+
+
 def discrepancy(sample: LatticeSample, radius: float, mode: str = "auto") -> float:
     """|zeta(d) * #(primitive lattice points in B_R) / vol(B_R) - 1|."""
     if radius <= 0:
         raise CountingError("radius must be positive")
     g = sample.basis.mat
-    d = sample.basis.dim
     form = QuadForm.from_gram(g.T @ g)
     res = count_primitive_moebius(EllipsoidSpec(form, radius), mode=mode)
-    cst = constants(d)
-    vol = cst.omega * radius ** d
-    return abs(cst.zeta * res.n1 / vol - 1.0)
+    return _discrepancy(res.n1, sample.basis.dim, radius)
 
 
-def mean_square_check(d: int, radius: float, n_samples: int,
-                      sampler: str = "exact", seed: int = 0,
-                      step_sigma: float = 0.5, burn_in: int = 200,
-                      thin: int = 10) -> MeanSquareReport:
-    """Monte Carlo of the mean squared discrepancy against the bound.
-
-    passed means mean - 2 * standard_error <= bound; with a single sample
-    the standard error is undefined and the report is flagged degenerate.
-    """
-    rng = np.random.default_rng(seed)
-    if sampler == "exact":
-        if d != 2:
-            raise CountingError("the exact sampler is only available for d = 2")
-        samples = sample_exact_d2(rng, n_samples)
-    elif sampler == "walk":
-        samples = sample_walk(rng, d, step_sigma=step_sigma, burn_in=burn_in,
-                              thin=thin, n=n_samples)
-    else:
-        raise CountingError(f"unknown sampler {sampler!r}")
-    dsq = np.array([discrepancy(s, radius) ** 2 for s in samples])
+def _report(d: int, radius: float, forms: list[QuadForm]) -> MeanSquareReport:
+    dsq = np.array([_discrepancy(res.n1, d, radius) ** 2
+                    for res in count_primitive_many(forms, radius)])
     mean = float(np.mean(dsq))
     cst = constants(d)
     vol = cst.omega * radius ** d
@@ -181,3 +170,33 @@ def mean_square_check(d: int, radius: float, n_samples: int,
         bound=bound, passed=passed, degenerate=degenerate,
         mean_e1sq=mean * e1_factor, bound_e1sq=bound * e1_factor,
     )
+
+
+def mean_square_check(d: int, radius: float | Sequence[float], n_samples: int,
+                      sampler: str = "exact", seed: int = 0,
+                      step_sigma: float = 0.5, burn_in: int = 200,
+                      thin: int = 10) -> MeanSquareReport | list[MeanSquareReport]:
+    """Monte Carlo of the mean squared discrepancy against the bound.
+
+    passed means mean - 2 * standard_error <= bound; with a single sample
+    the standard error is undefined and the report is flagged degenerate.
+    A float radius gives one report.  A sequence of radii gives one report
+    per radius, in order, all from the same samples; each radius counts
+    every sample in one count_primitive_many call.
+    """
+    radii = [radius] if np.ndim(radius) == 0 else list(radius)
+    if not all(r > 0 for r in radii):
+        raise CountingError("radius must be positive")
+    rng = np.random.default_rng(seed)
+    if sampler == "exact":
+        if d != 2:
+            raise CountingError("the exact sampler is only available for d = 2")
+        samples = sample_exact_d2(rng, n_samples)
+    elif sampler == "walk":
+        samples = sample_walk(rng, d, step_sigma=step_sigma, burn_in=burn_in,
+                              thin=thin, n=n_samples)
+    else:
+        raise CountingError(f"unknown sampler {sampler!r}")
+    forms = [QuadForm.from_gram(s.basis.mat.T @ s.basis.mat) for s in samples]
+    reports = [_report(d, r, forms) for r in radii]
+    return reports[0] if np.ndim(radius) == 0 else reports

@@ -9,6 +9,7 @@ from horocount.latcount import (
     EllipsoidSpec,
     count_full,
     count_primitive_direct,
+    count_primitive_many,
     count_primitive_moebius,
     enumerate_points,
     error_terms,
@@ -365,6 +366,84 @@ class TestMoebiusOneWalk:
                     small = count_primitive_moebius(spec, mode="exact")
                     assert (small.n0, small.n1) == (got.n0, got.n1)
                     assert count_primitive_direct(spec, mode="exact").n1 == got.n1
+
+
+class TestCountPrimitiveMany:
+    @staticmethod
+    def batch(d, rng):
+        """Random float forms, an integral (exact) form and GL_d(Z) images
+        of both; in d = 2 also exact-sampler lattices, two deep in the cusp."""
+        from horocount.randlat import sample_exact_d2
+
+        forms = [random_form(rng, d) for _ in range(5)]
+        u = np.eye(d, dtype=int) + np.triu(rng.integers(-3, 4, size=(d, d)), 1)
+        forms += [int_form(d, u), act(forms[0], GroupElement.from_matrix(u.T))]
+        if d == 2:
+            forms += [QuadForm.from_gram(s.basis.mat.T @ s.basis.mat)
+                      for s in sample_exact_d2(np.random.default_rng(5), 40)]
+            for y in (400.0, 9000.0):
+                b = np.array([[1.0, 0.3], [0.0, y]]) / math.sqrt(y)
+                forms.append(QuadForm.from_gram(b.T @ b))
+        return forms
+
+    @staticmethod
+    def fields(res):
+        return res.n0, res.n1, res.boundary_ambiguous, res.mode
+
+    def test_matches_per_form(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        for d, radius in ((2, 7.3), (3, 3.4), (4, 2.6)):
+            forms = self.batch(d, rng)
+            want = [self.fields(count_primitive_moebius(EllipsoidSpec(q, radius))) for q in forms]
+            assert [w[1] for w in want] == [count_primitive_direct(EllipsoidSpec(q, radius)).n1
+                                            for q in forms]
+            assert [self.fields(r) for r in count_primitive_many(forms, radius)] == want
+            for block in (5, 64):  # blocks and slices of pairs that span several forms
+                with monkeypatch.context() as m:
+                    m.setattr(latcount, "BLOCK", block)
+                    assert [self.fields(r) for r in count_primitive_many(forms, radius)] == want
+            assert {w[3] for w in want} == {"float", "exact"}
+            if d == 2:
+                kmax = {latcount._moebius_limit(latcount._factor(q, "auto"), radius) for q in forms}
+                assert min(kmax) < 20 and max(kmax) > 600
+
+    def test_boundary_band_per_form(self):
+        # the identity in float mode has 12 points on the circle of radius 5
+        rng = np.random.default_rng(24)
+        forms = [random_form(rng, 2), QuadForm.identity(2), random_form(rng, 2)]
+        got = count_primitive_many(forms, 5.0, mode="float")
+        want = [count_primitive_moebius(EllipsoidSpec(q, 5.0), mode="float") for q in forms]
+        assert [self.fields(r) for r in got] == [self.fields(r) for r in want]
+        assert got[1].boundary_ambiguous > 0 and got[1].mode == "float"
+
+    def test_pairs_only_up_to_own_k(self, monkeypatch):
+        # a batch evaluates exactly the (node, k) pairs of its forms' own
+        # counts: a deep-cusp form does not widen the pairing of the others
+        forms = self.batch(2, np.random.default_rng(25))
+        seen = []
+        level0 = latcount._FloatRule.level0
+
+        def spy(self, bounds, t1, c0, owner=None):
+            seen.append(np.broadcast(bounds, t1).size)
+            return level0(self, bounds, t1, c0, owner)
+
+        monkeypatch.setattr(latcount._FloatRule, "level0", spy)
+        floats = [q for q in forms if q.mint is None]
+        count_primitive_many(floats, 7.3)
+        batched, seen[:] = sum(seen), []
+        for q in floats:
+            count_primitive_moebius(EllipsoidSpec(q, 7.3))
+        assert batched == sum(seen)
+
+    def test_empty_and_invalid(self):
+        assert count_primitive_many([], 3.0) == []
+        with pytest.raises(CountingError, match="dimension"):
+            count_primitive_many([QuadForm.identity(2), QuadForm.identity(3)], 3.0)
+        for radius in (0.0, -1.0):
+            with pytest.raises(CountingError):
+                count_primitive_many([QuadForm.identity(2)], radius)
+        with pytest.raises(CountingError):
+            count_primitive_many([QuadForm.identity(2)], 3.0, mode="magic")
 
 
 class TestShells:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from horocount.quadform import constants
 from horocount.randlat import (
     FUNDAMENTAL_AREA,
     LatticeSample,
+    MeanSquareReport,
     discrepancy,
     fundamental_domain_im_cdf,
     mean_square_check,
@@ -151,3 +153,29 @@ class TestMeanSquare:
     def test_exact_sampler_requires_d2(self):
         with pytest.raises(CountingError):
             mean_square_check(3, 5.0, 10, sampler="exact")
+
+    def test_radii_list_matches_per_radius_calls(self):
+        for d, radii, n, kw in ((2, [4.0, 9.0, 15.5], 300, {"sampler": "exact", "seed": 51}),
+                                (3, [2.0, 3.5], 40, {"sampler": "walk", "seed": 52,
+                                                     "burn_in": 100, "thin": 2})):
+            reps = mean_square_check(d, radii, n, **kw)
+            assert [r.radius for r in reps] == radii
+            for rep, radius in zip(reps, radii):
+                one = mean_square_check(d, radius, n, **kw)
+                assert isinstance(one, MeanSquareReport)
+                assert dataclasses.astuple(rep) == dataclasses.astuple(one)
+
+    def test_matches_per_sample_discrepancy(self):
+        rep = mean_square_check(2, 6.0, 200, sampler="exact", seed=53)
+        samples = sample_exact_d2(np.random.default_rng(53), 200)
+        assert rep.mean_d2 == float(np.mean(np.array([discrepancy(s, 6.0) ** 2 for s in samples])))
+
+    def test_rejects_invalid_input(self):
+        for radius in (0.0, -2.0, [5.0, 0.0]):
+            with pytest.raises(CountingError, match="radius"):
+                mean_square_check(2, radius, 10, sampler="exact")
+        for sampler, d in (("exact", 2), ("walk", 3)):
+            with pytest.raises(CountingError):
+                mean_square_check(d, [3.0, 5.0], 0, sampler=sampler)
+        with pytest.raises(CountingError):
+            mean_square_check(2, [3.0, 5.0], 10, sampler="magic")
