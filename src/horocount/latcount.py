@@ -327,11 +327,11 @@ class _ExactRule:
 
 def _count(rule, sizes=None) -> np.ndarray:
     """Number of points within the rule's bounds[j, k], for each band edge
-    j, form of the rule and threshold k < sizes[form] (default: all of
-    them).  Returns the int64 totals, one row per edge and the forms'
-    columns side by side, form i's from sizes[0] + ... + sizes[i - 1] on;
-    each form's row is nonincreasing in k and rows after the first lie
-    below the first.
+    j, form of the rule and threshold k < sizes[form] (a one-form rule
+    reads all of them).  Returns the int64 totals, one row per edge and
+    the forms' columns side by side, form i's from sizes[0] + ... +
+    sizes[i - 1] on; each form's row is nonincreasing in k and rows after
+    the first lie below the first.
 
     One walk per form at bounds[0, 0], so every level-1 node is a
     candidate for that bound and is evaluated at it in the block.  For
@@ -345,7 +345,7 @@ def _count(rule, sizes=None) -> np.ndarray:
     if len(rule.fs) > 1:
         sizes = np.array(sizes)
         starts = np.cumsum(sizes) - sizes
-    totals = np.zeros((len(bounds), m if sizes is None else int(sum(sizes))), dtype=np.int64)
+    totals = np.zeros((len(bounds), m if len(rule.fs) == 1 else int(sizes.sum())), dtype=np.int64)
     for _, _, _, owner, key, aux in _blocks(rule):
         n = rule.level0(bounds[:, :1], key, aux, owner)[1]
         if owner is None:
@@ -527,7 +527,8 @@ def count_primitive_many(forms, radius: float, mode: str = "auto") -> list[Count
     exact = [i for i, f in enumerate(fs) if f.mint is not None]
     parts = [_n0_bands([fs[i]], radius, ks[:sizes[i]]) for i in exact]
     if floats:
-        parts.insert(0, _n0_bands([fs[i] for i in floats], radius, ks, [sizes[i] for i in floats]))
+        own = [sizes[i] for i in floats]
+        parts.insert(0, _n0_bands([fs[i] for i in floats], radius, ks[:max(own)], own))
     order = floats + exact
     n = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)  # columns in this order
     width = np.array([sizes[i] for i in order])

@@ -407,6 +407,16 @@ class TestCountPrimitiveMany:
                 kmax = {latcount._moebius_limit(latcount._factor(q, "auto"), radius) for q in forms}
                 assert min(kmax) < 20 and max(kmax) > 600
 
+    def test_one_float_form_beside_a_deeper_exact_form(self, monkeypatch):
+        # the float pass reads fewer thresholds than the batch's largest K
+        rng = np.random.default_rng(26)
+        forms = [random_form(rng, 3), int_form(3, [[1, 2, -1], [0, 1, 3], [0, 0, 1]])]
+        want = [self.fields(count_primitive_moebius(EllipsoidSpec(q, 4.2))) for q in forms]
+        limit = latcount._moebius_limit
+        monkeypatch.setattr(latcount, "_moebius_limit",
+                            lambda f, r: limit(f, r) + 12 * (f.mint is not None))
+        assert [self.fields(r) for r in count_primitive_many(forms, 4.2)] == want
+
     def test_boundary_band_per_form(self):
         # the identity in float mode has 12 points on the circle of radius 5
         rng = np.random.default_rng(24)
