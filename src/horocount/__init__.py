@@ -36,6 +36,7 @@ from .latcount import (
     EllipsoidSpec,
     count_full,
     count_primitive_direct,
+    count_primitive_many,
     count_primitive_moebius,
     error_terms,
     reference_exponent,

@@ -57,6 +57,7 @@ through the same entry; count_primitive_moebius is its one-form case.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -210,7 +211,7 @@ def _blocks(rule):
     rule's bounds), the index of each node's form in rule.fs (None for a
     one-form rule) and the rule's two arrays per node.
     """
-    rows, owners, size = [], [], 0
+    rows, marks, size = [], [], 0  # marks: (first row, form) per form in the block
     dtype = rule.bounds.dtype
 
     def gather():
@@ -222,17 +223,20 @@ def _blocks(rule):
             lo, hi = np.array(cols[1]), np.array(cols[2])
             n = hi - lo + 1
             v1 = (np.arange(n.sum()) - (np.cumsum(n) - n - lo).repeat(n)).astype(dtype)
-        owner = np.array(owners).repeat(n) if len(rule.fs) > 1 else None
+        owner = None
+        if len(rule.fs) > 1:
+            first, form = zip(*marks)
+            owner = np.repeat(form, np.diff(first + (len(rows),))).repeat(n)
         return (cols, n, v1, owner, *rule.nodes(cols, n, v1, owner))
 
     for i, f in enumerate(rule.fs):
+        marks.append((len(rows), i))
         for row in _walk(f, rule.top):
             width = row[2] - row[1] + 1
             if rows and size + width > BLOCK:
                 yield gather()
-                rows, owners, size = [], [], 0
+                rows, marks, size = [], [(0, i)], 0
             rows.append(row)
-            owners.append(i)
             size += width
     if rows:
         yield gather()
@@ -255,22 +259,18 @@ class _FloatRule:
         self.bounds = np.array(edges, dtype=float)
         self.top = edges[0][0]
 
-    @staticmethod
-    def _per_node(x, owner):
-        return x if owner is None else x[owner]
-
     def nodes(self, cols, n, v1, owner):
         if len(n) == 1:
             c1, c0, t = cols[3][0], cols[4][0], cols[5][0]
         else:
             c1, c0, t = (np.array(col).repeat(n) for col in cols[3:])
-        q1, m10 = self._per_node(self.q1, owner), self._per_node(self.m10, owner)
+        q1, m10 = (self.q1, self.m10) if owner is None else (self.q1[owner], self.m10[owner])
         # float_power calls C pow, as ** on the walk's Python floats does;
         # numpy's ** 2 multiplies, which can round the last bit differently
         return t + q1 * np.float_power(v1 + c1, 2), c0 + m10 * v1
 
     def level0(self, bounds, t1, c0, owner=None):
-        rem = (bounds - t1) / self._per_node(self.q0, owner)
+        rem = (bounds - t1) / (self.q0 if owner is None else self.q0[owner])
         rad = np.sqrt(np.maximum(rem, 0.0))
         lo = np.ceil(-c0 - rad)
         return lo, np.where(rem >= 0.0, np.floor(rad - c0) - lo + 1.0, 0.0)
@@ -513,30 +513,35 @@ def count_primitive_many(forms, radius: float, mode: str = "auto") -> list[Count
     forms = list(forms)
     if not forms:
         return []
-    if len({form.dim for form in forms}) > 1:
+    d = forms[0].dim
+    if any(form.dim != d for form in forms):
         raise CountingError("the forms of one count must share a dimension")
     if not radius > 0.0:
         raise CountingError(f"radius must be positive, got {radius}")
-    _check_overflow(forms[0].dim, radius)
+    _check_overflow(d, radius)
     fs = [_factor(form, mode) for form in forms]
     kmax = [_moebius_limit(f, radius) for f in fs]
     mu = sieve(max(kmax)).mu
     ks = np.flatnonzero(mu).tolist()
     sizes = [bisect.bisect_right(ks, k) for k in kmax]
-    floats = [i for i, f in enumerate(fs) if f.mint is None]
-    exact = [i for i, f in enumerate(fs) if f.mint is not None]
-    parts = [_n0_bands([fs[i]], radius, ks[:sizes[i]]) for i in exact]
-    if floats:
-        own = [sizes[i] for i in floats]
-        parts.insert(0, _n0_bands([fs[i] for i in floats], radius, ks[:max(own)], own))
-    order = floats + exact
-    n = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)  # columns in this order
-    width = np.array([sizes[i] for i in order])
-    starts = np.cumsum(width) - width
-    coef = mu[ks][np.arange(n.shape[1]) - starts.repeat(width)]  # mu(k) per column
+    # the float forms share one pass and come first; each exact form takes its own
+    order = [i for i, f in enumerate(fs) if f.mint is None]
+    parts = []
+    if order:
+        own = [sizes[i] for i in order]
+        parts.append(_n0_bands([fs[i] for i in order], radius, ks[:max(own)], own))
+    for i, f in enumerate(fs):
+        if f.mint is not None:
+            order.append(i)
+            parts.append(_n0_bands([f], radius, ks[:sizes[i]]))
+    n = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    width = [sizes[i] for i in order]
+    starts = list(itertools.accumulate(width[:-1], initial=0))
+    # the index into ks of each column; one form's columns are ks in order
+    kcol = np.arange(n.shape[1]) - np.repeat(starts, width) if len(fs) > 1 else slice(None)
     # int64 sums are exact: an intermediate could only wrap modulo 2^64,
     # and every result lies between 0 and the count N0 < COUNT_LIMIT
-    n1 = np.add.reduceat(coef * (n[0] - 1), starts).tolist()
+    n1 = np.add.reduceat(mu[ks][kcol] * (n[0] - 1), starts).tolist()
     band = np.add.reduceat(n[0] - n[1], starts).tolist()
     n0 = n[0, starts].tolist()
     out = [None] * len(fs)
