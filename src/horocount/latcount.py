@@ -151,18 +151,33 @@ class _Factor:
         return "float" if self.mint is None else "exact"
 
 
-def _factor(form: QuadForm, mode: str) -> _Factor:
-    used = _resolve_mode(form, mode)
-    u, reduced = lll_reduce(form.gram if form.mint is None else form.mint)
+def _factors(forms, mode: str) -> list[_Factor]:
+    """The _Factor of each of the forms, all of one dimension: each is
+    LLL-reduced in turn, and their reduced grams are factored by one
+    stacked Cholesky.  Each reduced gram goes into the float stack at
+    once, so a batch keeps no Python lists of its float reduced grams."""
+    d = forms[0].dim
+    grams = np.empty((len(forms), d, d))
+    us, mints = [], []
+    for i, form in enumerate(forms):
+        used = _resolve_mode(form, mode)
+        u, reduced = lll_reduce(form.gram if form.mint is None else form.mint)
+        grams[i] = reduced
+        us.append(u)
+        mints.append(reduced if used == "exact" else None)
     try:
-        r = np.linalg.cholesky(np.array(reduced, dtype=float)).T
+        low = np.linalg.cholesky(grams)
     except np.linalg.LinAlgError as exc:
         raise CountingError(
             "reduced gram matrix is not numerically positive definite in float") from exc
-    d = form.dim
-    m = [[float(r[k, i] / r[k, k]) for k in range(i)] for i in range(d)]
-    return _Factor(d, u, (np.diagonal(r) ** 2).tolist(), m,
-                   reduced if used == "exact" else None)
+    diag = np.diagonal(low, axis1=1, axis2=2)
+    shifts = low / diag[:, None, :]  # [f, i, k] = R[k, i] / R[k, k]
+    return [_Factor(d, u, q, [row[:i] for i, row in enumerate(shift.tolist())], mint)
+            for u, q, shift, mint in zip(us, (diag ** 2).tolist(), shifts, mints)]
+
+
+def _factor(form: QuadForm, mode: str) -> _Factor:
+    return _factors([form], mode)[0]
 
 
 def _budget_estimate(f: _Factor, bound: float) -> float:
@@ -502,7 +517,8 @@ def count_primitive_many(forms, radius: float, mode: str = "auto") -> list[Count
     so that N0(R/K) = 1 also where a rounded R / sqrt(min_i q_i) falls just
     below an integer k and the float band at R/k holds a shortest vector.
 
-    Each form is factored once.  The float forms share one pass of the
+    Each form is LLL-reduced once, and the reduced grams are factored by
+    one stacked Cholesky (_factors).  The float forms share one pass of the
     leaf: their walks at R, in turn, feed the same blocks, and each node
     is paired only with the squarefree k <= its own form's K that it can
     reach, so one deep-cusp form does not widen the pairing of the others.
@@ -519,7 +535,7 @@ def count_primitive_many(forms, radius: float, mode: str = "auto") -> list[Count
     if not radius > 0.0:
         raise CountingError(f"radius must be positive, got {radius}")
     _check_overflow(d, radius)
-    fs = [_factor(form, mode) for form in forms]
+    fs = _factors(forms, mode)
     kmax = [_moebius_limit(f, radius) for f in fs]
     mu = sieve(max(kmax)).mu
     ks = np.flatnonzero(mu).tolist()

@@ -87,11 +87,12 @@ def _check_dim(d: int) -> None:
 
 
 def _cholesky_lower(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of m, or of each matrix of a stack m."""
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise GeometryError("matrix is not positive definite") from exc
-    if np.min(np.diagonal(chol)) ** 2 <= PIVOT_TOL:
+    if chol.diagonal(0, -2, -1).min() ** 2 <= PIVOT_TOL:
         raise GeometryError("Cholesky pivot below tolerance; matrix too close to singular")
     return chol
 
@@ -138,7 +139,9 @@ def lll_reduce(gram):
     current gram, so in an ill-conditioned gram a poor choice costs steps,
     never exactness.  A float gram is reduced in floats.
     """
-    rows = [list(row) for row in gram]
+    # an array is read as Python scalars at once: per-element numpy
+    # scalars cost more than the reduction of a small gram
+    rows = gram.tolist() if isinstance(gram, np.ndarray) else [list(row) for row in gram]
     exact = all(isinstance(x, (int, np.integer)) for row in rows for x in row)
     g = [[int(x) if exact else float(x) for x in row] for row in rows]
     d = len(g)
@@ -182,10 +185,16 @@ def lll_reduce(gram):
                         "the gram matrix is not numerically positive definite")
 
 
-def _unimodular_integer_rounding(m: np.ndarray):
-    """m rounded to a nested tuple of Python ints if it is integral within
-    a relative tolerance of 1e-9 and the rounded matrix has exact
-    determinant one, else None.
+def _rows(idx: list, n: int):
+    """Index of the rows idx of an n-row stack: a slice, which takes a view,
+    when idx is every row."""
+    return slice(None) if len(idx) == n else idx
+
+
+def _unimodular_integer_roundings(m: np.ndarray) -> list:
+    """For each matrix of the stack m, the matrix rounded to a nested tuple
+    of Python ints if it is integral within a relative tolerance of 1e-9
+    and the rounded matrix has exact determinant one, else None.
 
     The tolerance is relative because large-entry unimodular grams carry
     float noise proportional to their scale; the exact determinant matters
@@ -193,10 +202,13 @@ def _unimodular_integer_rounding(m: np.ndarray):
     noisy to renormalize by.
     """
     r = np.rint(m)
-    if not float(np.max(np.abs(m - r))) <= 1e-9 * max(1.0, float(np.max(np.abs(m)))):
-        return None
-    mint = tuple(tuple(int(x) for x in row) for row in r)
-    return mint if _int_det(mint) == 1 else None
+    close = np.abs(m - r).max(axis=(1, 2)) <= 1e-9 * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    out = [None] * len(m)
+    for i, integral in enumerate(close.tolist()):
+        if integral:
+            mint = tuple(tuple(int(x) for x in row) for row in r[i].tolist())
+            out[i] = mint if _int_det(mint) == 1 else None
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +217,7 @@ class QuadForm:
 
     gram is the symmetric matrix of the form.  mint is the same gram as a
     nested tuple of Python ints when the stored gram rounds to an integer
-    matrix of determinant one (_unimodular_integer_rounding), else None;
+    matrix of determinant one (_unimodular_integer_roundings), else None;
     it is decided once, here, and the counting drivers count exactly iff
     it is set.  Definiteness is checked by a float Cholesky of gram, or,
     when mint is set, exactly by the leading principal minors of mint.
@@ -217,31 +229,56 @@ class QuadForm:
 
     @staticmethod
     def from_gram(mat) -> "QuadForm":
+        """The form of one gram matrix: from_grams of a one-matrix stack."""
         m = np.array(mat, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:
             raise GeometryError(f"gram matrix must be square, got shape {m.shape}")
-        d = m.shape[0]
+        return QuadForm.from_grams(m[None])[0]
+
+    @staticmethod
+    def from_grams(stack) -> "list[QuadForm]":
+        """The forms of a stack of gram matrices of one dimension, in order.
+
+        Each gram is symmetrized and normalized to determinant one, and its
+        integer gram mint decided, as array operations on the whole stack;
+        only the exact integer work of integral grams runs per form.  An
+        invalid gram raises the GeometryError that it raises alone.
+        """
+        if len(stack) == 0:
+            return []
+        m = np.array(stack, dtype=float)
+        if m.ndim != 3 or m.shape[1] != m.shape[2]:
+            raise GeometryError(f"gram matrix must be square, got shape {m.shape[1:]}")
+        d = m.shape[1]
         _check_dim(d)
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(m - m.T))) > 1e-9 * scale:
+        scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+        mt = m.transpose(0, 2, 1)
+        if (np.abs(m - mt).max(axis=(1, 2)) > 1e-9 * scale).any():
             raise GeometryError("gram matrix is not symmetric")
-        m = 0.5 * (m + m.T)
-        mint = _unimodular_integer_rounding(m)
-        if mint is not None:
-            m = np.array(mint, dtype=float)
-        else:
-            det = float(np.linalg.det(m))
-            if not det > 0.0:
+        m = 0.5 * (m + mt)
+        mints = _unimodular_integer_roundings(m)
+        for i, mint in enumerate(mints):
+            if mint is not None:
+                m[i] = mint
+        rest = [i for i, mint in enumerate(mints) if mint is None]
+        if rest:
+            sub = _rows(rest, len(m))
+            dets = np.linalg.det(m[sub]).tolist()
+            if not all(det > 0.0 for det in dets):
                 raise GeometryError("gram matrix is not positive definite")
-            m = m / det ** (1.0 / d)
+            # Python's ** is C pow, as for one form; numpy's ** 0.5 is a sqrt
+            m[sub] /= np.array([det ** (1.0 / d) for det in dets])[:, None, None]
             # the rescaled gram may round to a unimodular one: 4 I becomes
             # (1 + 2^-52) I, which is counted as I
-            mint = _unimodular_integer_rounding(m)
-        if mint is None:
-            _cholesky_lower(m)  # definiteness check
-        elif any(_int_det([row[:k] for row in mint[:k]]) <= 0 for k in range(1, d)):
-            raise GeometryError("gram matrix is not positive definite")
-        return QuadForm(d, m, mint)
+            for i, mint in zip(rest, _unimodular_integer_roundings(m[sub])):
+                mints[i] = mint
+            floats = [i for i in rest if mints[i] is None]
+            if floats:
+                _cholesky_lower(m[_rows(floats, len(m))])  # definiteness check
+        for mint in mints:
+            if mint is not None and any(_int_det([row[:k] for row in mint[:k]]) <= 0 for k in range(1, d)):
+                raise GeometryError("gram matrix is not positive definite")
+        return [QuadForm(d, g, mint) for g, mint in zip(m, mints)]
 
     @staticmethod
     def identity(d: int) -> "QuadForm":

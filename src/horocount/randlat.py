@@ -13,13 +13,20 @@ Two samplers:
     are coset representatives, not canonical forms: after every step
     g <- g u, with u (det u = +1) from the LLL reduction of the gram g^T g
     (quadform.lll_reduce), which keeps the representative well
-    conditioned and leaves the coset g SL_d(Z) unchanged.
+    conditioned and leaves the coset g SL_d(Z) unchanged.  The increments
+    are made WALK_CHUNK steps at a time, by one Gaussian draw, one trace
+    removal and one scipy expm on the stack; they do not depend on g, and
+    the draw reads the generator's stream in the order a step-by-step walk
+    does, so the samples are those of one draw and one expm per step.  Only
+    the product, the reduction and the renormalization to det 1 run step
+    by step.
 
 The discrepancy observable counts primitive lattice points in a ball and
 compares with the volume main term; mean_square_check Monte Carlos its
 second moment against the inequality bound 2 zeta(d)/vol(B) for d >= 3
 (factor 4 for d = 2).  It draws its samples once for all the radii it is
-given and counts every sample at a radius in one
+given, builds their forms with one QuadForm.from_grams call on the stack
+of grams, and counts every sample at a radius in one
 latcount.count_primitive_many call.
 """
 
@@ -47,6 +54,7 @@ __all__ = [
 
 Y_MIN = math.sqrt(3.0) / 2.0
 FUNDAMENTAL_AREA = math.pi / 3.0  # hyperbolic area of {|x|<=1/2, |z|>=1}
+WALK_CHUNK = 64  # walk steps whose increments are drawn and exponentiated in one call
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,19 +129,23 @@ def sample_walk(rng: np.random.Generator, d: int, step_sigma: float = 0.5,
         raise CountingError("burn_in must be >= 100")
     if thin < 1 or n < 1:
         raise CountingError("thin and n must be >= 1")
-    g = np.eye(d)
+    eye = np.eye(d)
+    g = eye
     out = []
     total = burn_in + thin * n
-    for step in range(total):
-        xi = step_sigma * rng.standard_normal((d, d))
-        xi -= np.trace(xi) / d * np.eye(d)
-        g = expm(xi) @ g
-        u, _ = lll_reduce(g.T @ g)
-        g = g @ np.array(u, dtype=float)
-        det = float(np.linalg.det(g))
-        g = g / abs(det) ** (1.0 / d)
-        if step >= burn_in and (step - burn_in) % thin == thin - 1:
-            out.append(LatticeSample(basis=GroupElement(d, g.copy())))
+    for start in range(0, total, WALK_CHUNK):
+        # the last chunk draws only the steps left, so rng ends where a
+        # step-by-step walk would leave it
+        xi = step_sigma * rng.standard_normal((min(WALK_CHUNK, total - start), d, d))
+        xi -= (np.trace(xi, axis1=1, axis2=2) / d)[:, None, None] * eye
+        for step, e in enumerate(expm(xi), start):
+            g = e @ g
+            u, _ = lll_reduce(g.T @ g)
+            g = g @ np.array(u, dtype=float)
+            det = float(np.linalg.det(g))
+            g = g / abs(det) ** (1.0 / d)
+            if step >= burn_in and (step - burn_in) % thin == thin - 1:
+                out.append(LatticeSample(basis=GroupElement(d, g.copy())))
     return out
 
 
@@ -197,6 +209,6 @@ def mean_square_check(d: int, radius: float | Sequence[float], n_samples: int,
                               thin=thin, n=n_samples)
     else:
         raise CountingError(f"unknown sampler {sampler!r}")
-    forms = [QuadForm.from_gram(s.basis.mat.T @ s.basis.mat) for s in samples]
+    forms = QuadForm.from_grams([s.basis.mat.T @ s.basis.mat for s in samples])
     reports = [_report(d, r, forms) for r in radii]
     return reports[0] if np.ndim(radius) == 0 else reports

@@ -26,6 +26,7 @@ from horocount.quadform import (
     rate_mu,
     zeta,
 )
+from horocount.randlat import sample_exact_d2, sample_walk
 
 
 def random_group_element(rng, d, scale=0.4):
@@ -35,6 +36,25 @@ def random_group_element(rng, d, scale=0.4):
         m[:, 0] = -m[:, 0]
         det = -det
     return GroupElement.from_matrix(m / det ** (1.0 / d))
+
+
+def reference_from_gram(mat):
+    """(gram, mint) of QuadForm.from_gram on one valid gram, one step at a
+    time: symmetrize, round, else normalize by the float det and round."""
+    def rounding(m):
+        r = np.rint(m)
+        if not float(np.max(np.abs(m - r))) <= 1e-9 * max(1.0, float(np.max(np.abs(m)))):
+            return None
+        mint = tuple(tuple(int(x) for x in row) for row in r)
+        return mint if round(np.linalg.det(np.array(mint, dtype=float))) == 1 else None
+
+    m = np.array(mat, dtype=float)
+    m = 0.5 * (m + m.T)
+    mint = rounding(m)
+    if mint is not None:
+        return np.array(mint, dtype=float), mint
+    m = m / float(np.linalg.det(m)) ** (1.0 / m.shape[0])
+    return m, rounding(m)
 
 
 def random_rotation(rng, d):
@@ -83,6 +103,43 @@ class TestQuadForm:
     def test_rejects_dim_one(self):
         with pytest.raises(GeometryError):
             QuadForm.from_gram([[2.0]])
+
+    def test_from_grams_matches_from_gram(self):
+        rng = np.random.default_rng(12)
+        integral = []
+        for d in (2, 3, 4):
+            us = [np.eye(d, dtype=np.int64) + np.triu(rng.integers(-4, 5, (d, d)), 1) for _ in range(10)]
+            integral.append([u.T @ u for u in us])
+        exact = [s.basis.mat.T @ s.basis.mat for s in sample_exact_d2(rng, 300)]
+        walk = [s.basis.mat.T @ s.basis.mat for s in sample_walk(rng, 3, n=60, thin=2, burn_in=100)]
+        mixed = [[[4, 0], [0, 4]], [[2, 1], [1, 1]], [[1.3, 0.1], [0.1, 1.0]], [[8.0, 4.0], [4.0, 4.0]]]
+        for stack in [exact, walk, mixed] + integral:
+            forms = QuadForm.from_grams(stack)
+            assert len(forms) == len(stack)
+            for form, gram in zip(forms, stack):
+                one = QuadForm.from_gram(gram)
+                assert form.dim == one.dim
+                assert np.array_equal(form.gram, one.gram) and form.mint == one.mint
+                ref_gram, ref_mint = reference_from_gram(gram)
+                assert np.array_equal(form.gram, ref_gram) and form.mint == ref_mint
+        assert all(form.mint is not None for stack in integral for form in QuadForm.from_grams(stack))
+        # 4 I is stored as (1 + 2^-52) I and counted as I, also within a stack
+        four = QuadForm.from_grams(mixed)[0]
+        assert np.array_equal(four.gram, (1.0 + 2.0 ** -52) * np.eye(2)) and four.mint == ((1, 0), (0, 1))
+        assert QuadForm.from_grams([]) == []
+        assert QuadForm.from_grams(np.empty((0, 3, 3))) == []
+
+    def test_from_grams_rejects_as_from_gram(self):
+        good = {2: [[2.0, 0.3], [0.3, 1.0]], 3: np.eye(3).tolist()}
+        bad = ([[1.0, 0.5], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.1], [0.1, -2.0]],
+               [[-1, 0], [0, -1]], [[1, 3, 0], [3, 8, 0], [0, 0, -1]])
+        for gram in bad:
+            with pytest.raises(GeometryError) as one:
+                QuadForm.from_gram(gram)
+            other = good[len(gram)]
+            with pytest.raises(GeometryError) as many:
+                QuadForm.from_grams([other, gram, other])
+            assert str(many.value) == str(one.value)
 
     def test_solvable_rep(self):
         rng = np.random.default_rng(1)
@@ -144,6 +201,27 @@ class TestLLL:
     def test_not_positive_definite(self):
         with pytest.raises(GeometryError):
             lll_reduce([[0, 1], [1, 0]])
+
+    def test_array_input(self):
+        # a float array reduces as the same gram in nested Python floats;
+        # an integer array stays exact, in Python ints
+        rng = np.random.default_rng(7)
+        for d in (2, 3, 4, 5):
+            for _ in range(20):
+                shear = np.eye(d) + np.triu(rng.integers(-20, 21, (d, d)), 1)
+                g = random_group_element(rng, d, scale=0.5).mat @ shear
+                gram = g.T @ g
+                got = lll_reduce(gram)
+                assert got == lll_reduce([[float(x) for x in row] for row in gram])
+                assert all(type(x) is float for row in got[1] for x in row)
+                u = shear.astype(np.int64)
+                for gram in (u.T @ u, u.T @ np.diag(np.arange(1, d + 1)) @ u):
+                    got = lll_reduce(gram)
+                    assert got == lll_reduce(gram.tolist())
+                    assert all(type(x) is int for mat in got for row in mat for x in row)
+        u, reduced = lll_reduce(np.array(self.LARGE_ENTRY_GRAM))
+        assert (u, reduced) == lll_reduce(self.LARGE_ENTRY_GRAM)
+        assert reduced == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 class TestAction:

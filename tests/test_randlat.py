@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import expm
 
-from horocount.latcount import CountingError
-from horocount.quadform import constants
+from horocount.latcount import CountingError, count_primitive_many
+from horocount.quadform import QuadForm, constants, lll_reduce
 from horocount.randlat import (
     FUNDAMENTAL_AREA,
+    WALK_CHUNK,
     LatticeSample,
     MeanSquareReport,
     discrepancy,
@@ -18,6 +20,34 @@ from horocount.randlat import (
     sample_walk,
 )
 from horocount.quadform import GroupElement
+
+
+def step_by_step_walk(rng, d, step_sigma=0.5, burn_in=200, thin=10, n=100):
+    """Reference for sample_walk: one draw and one expm per step."""
+    g = np.eye(d)
+    out = []
+    for step in range(burn_in + thin * n):
+        xi = step_sigma * rng.standard_normal((d, d))
+        xi -= np.trace(xi) / d * np.eye(d)
+        g = expm(xi) @ g
+        u, _ = lll_reduce(g.T @ g)
+        g = g @ np.array(u, dtype=float)
+        det = float(np.linalg.det(g))
+        g = g / abs(det) ** (1.0 / d)
+        if step >= burn_in and (step - burn_in) % thin == thin - 1:
+            out.append(g.copy())
+    return out
+
+
+def batch_discrepancies(samples, radius):
+    """discrepancy of every sample, from one from_grams and one
+    count_primitive_many call."""
+    d = samples[0].basis.dim
+    forms = QuadForm.from_grams([s.basis.mat.T @ s.basis.mat for s in samples])
+    cst = constants(d)
+    vol = cst.omega * radius ** d
+    return np.array([abs(cst.zeta * res.n1 / vol - 1.0)
+                     for res in count_primitive_many(forms, radius)])
 
 
 class TestExactSampler:
@@ -79,12 +109,30 @@ class TestWalkSampler:
             # reduction keeps the representative well conditioned
             assert np.linalg.cond(s.basis.mat) < 1e4
 
+    def test_matches_step_by_step_walk(self):
+        # the benchmark warm-up's settings, a walk that crosses several
+        # chunk boundaries and ends inside a chunk, and one that ends on one
+        burn_in = WALK_CHUNK * math.ceil(100 / WALK_CHUNK)
+        for d in (2, 3, 4):
+            for kw in ({"burn_in": 100, "thin": 1, "n": 8},
+                       {"burn_in": 100, "thin": 2, "n": WALK_CHUNK + 5},
+                       {"burn_in": burn_in, "thin": 1, "n": 2 * WALK_CHUNK}):
+                rng, ref_rng = np.random.default_rng(60 + d), np.random.default_rng(60 + d)
+                got = sample_walk(rng, d, **kw)
+                want = step_by_step_walk(ref_rng, d, **kw)
+                assert len(got) == len(want) == kw["n"]
+                assert all(np.array_equal(s.basis.mat, w) for s, w in zip(got, want))
+                # the generator is left where the step-by-step walk leaves it
+                assert rng.random() == ref_rng.random()
+
     def test_matches_exact_sampler_d2(self):
         n = 10_000
         exact = sample_exact_d2(np.random.default_rng(45), n)
         walk = sample_walk(np.random.default_rng(46), 2, n=n, thin=5, burn_in=300)
-        de = np.array([discrepancy(s, 5.0) for s in exact])
-        dw = np.array([discrepancy(s, 5.0) for s in walk])
+        de = batch_discrepancies(exact, 5.0)
+        dw = batch_discrepancies(walk, 5.0)
+        for samples, values in ((exact, de), (walk, dw)):
+            assert values[:200].tolist() == [discrepancy(s, 5.0) for s in samples[:200]]
         ks = stats.ks_2samp(de, dw)
         assert ks.statistic < 0.03
 
