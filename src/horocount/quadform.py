@@ -266,7 +266,8 @@ class QuadForm:
             dets = np.linalg.det(m[sub]).tolist()
             if not all(det > 0.0 for det in dets):
                 raise GeometryError("gram matrix is not positive definite")
-            # Python's ** is C pow, as for one form; numpy's ** 0.5 is a sqrt
+            # each det's 1/d power by C pow (Python's **); numpy's ** 0.5 takes
+            # a sqrt, which may round the last bit differently
             m[sub] /= np.array([det ** (1.0 / d) for det in dets])[:, None, None]
             # the rescaled gram may round to a unimodular one: 4 I becomes
             # (1 + 2^-52) I, which is counted as I
