@@ -4,8 +4,9 @@ Library layout:
 
   quadform  -- forms, group elements, geodesics, Busemann functions,
                Iwasawa coordinates, named constants
-  latcount  -- exact/float counting of (primitive) lattice points
-  moebius   -- sieve and the full/primitive inversion identities
+  latcount  -- exact/float counting of (primitive) lattice points and
+               the Moebius table
+  moebius   -- the full/primitive inversion identities
   orbits    -- chimney and horosphere counting with decay-exponent fits
   equidist  -- horospherical averages, decay checks, locator, truncation
   randlat   -- random unimodular lattices and the mean-square bound
@@ -34,15 +35,16 @@ from .latcount import (
     CountResult,
     CountingError,
     EllipsoidSpec,
+    MoebiusTable,
     count_full,
     count_primitive_direct,
     count_primitive_many,
     count_primitive_moebius,
     error_terms,
-    reference_exponent,
     shell_counts,
+    sieve,
 )
-from .moebius import MoebiusTable, error_relation_check, sieve, verify_inversion
+from .moebius import error_relation_check, verify_inversion
 from .orbits import (
     ChimneyCount,
     DecayFit,

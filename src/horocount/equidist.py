@@ -42,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .latcount import enumerate_points
-from .moebius import sieve
+from .latcount import enumerate_points, sieve
 from .orbits import DecayFit, fit_error_exponent
 from .quadform import (
     GeometryError,

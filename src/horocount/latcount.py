@@ -38,10 +38,13 @@ A count sums the interval lengths; an enumeration expands the intervals.
 Each rule decides every point against its own bound, so the widened
 entries add nothing.
 
-The primitive count is the Moebius sum N1(R) = sum_k mu(k) (N0(R/k) - 1).
-Every nonzero v has Q(v) >= min_i q_i, so its terms vanish before
+The primitive count is the Moebius sum N1(R) = sum_k mu(k) (N0(R/k) - 1),
+with mu from this module's sieve table.  Every nonzero v has
+Q(v) >= min_i q_i, so its terms vanish before
 K = floor(R / sqrt(min_i q_i)) + 2, and one walk at R counts N0(R/k) for
-every squarefree k <= K.
+every squarefree k <= K.  n0_series gives N0(R/n) for every n up to
+max(floor(R), K) from one such walk, and shell_table the full and
+primitive counts per integer level; moebius checks its identities on them.
 
 count_primitive_many counts many float forms of one dimension at one R
 in one pass of the leaf: their walks feed the same blocks, and every
@@ -61,6 +64,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,9 +79,12 @@ __all__ = [
     "count_primitive_direct",
     "count_primitive_moebius",
     "count_primitive_many",
+    "MoebiusTable",
+    "sieve",
+    "n0_series",
+    "shell_table",
     "shell_counts",
     "error_terms",
-    "reference_exponent",
     "enumerate_points",
 ]
 
@@ -231,13 +238,9 @@ def _blocks(rule):
 
     def gather():
         cols = tuple(zip(*rows))
-        if len(rows) == 1:  # one suffix, always so for one form in d = 2: nothing to gather
-            lo, hi = rows[0][1:3]
-            n, v1 = np.array([hi - lo + 1]), np.arange(lo, hi + 1, dtype=dtype)
-        else:
-            lo, hi = np.array(cols[1]), np.array(cols[2])
-            n = hi - lo + 1
-            v1 = (np.arange(n.sum()) - (np.cumsum(n) - n - lo).repeat(n)).astype(dtype)
+        lo, hi = np.array(cols[1]), np.array(cols[2])
+        n = hi - lo + 1
+        v1 = (np.arange(n.sum()) - (np.cumsum(n) - n - lo).repeat(n)).astype(dtype)
         owner = None
         if len(rule.fs) > 1:
             first, form = zip(*marks)
@@ -275,10 +278,7 @@ class _FloatRule:
         self.top = edges[0][0]
 
     def nodes(self, cols, n, v1, owner):
-        if len(n) == 1:
-            c1, c0, t = cols[3][0], cols[4][0], cols[5][0]
-        else:
-            c1, c0, t = (np.array(col).repeat(n) for col in cols[3:])
+        c1, c0, t = (np.array(col).repeat(n) for col in cols[3:])
         q1, m10 = (self.q1, self.m10) if owner is None else (self.q1[owner], self.m10[owner])
         # float_power calls C pow, as ** on the walk's Python floats does;
         # numpy's ** 2 multiplies, which can round the last bit differently
@@ -482,21 +482,53 @@ def count_full(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
 
 
 def count_primitive_direct(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
-    """Primitive points by full enumeration plus a gcd filter (oracle role)."""
+    """Primitive points by full enumeration plus a gcd filter (oracle role),
+    flagging those between the band edges lo and hi (both floor(R^2) in
+    exact mode, so none is flagged)."""
     _check_overflow(spec.form.dim, spec.radius)
-    used_mode = _resolve_mode(spec.form, mode)
-    rsq = spec.radius ** 2
-    if used_mode == "exact":
-        thr = _exact_threshold(spec.radius)
-        pts, vals = enumerate_points(spec.form, thr, mode="exact")
-        prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
-        return CountResult(n1=int(prim.sum()), boundary_ambiguous=0, mode="exact")
-    tol = _float_tolerance(rsq, spec.form.dim)
-    pts, vals = enumerate_points(spec.form, rsq + tol, mode="float")
+    used = _resolve_mode(spec.form, mode)
+    if used == "exact":
+        hi = lo = _exact_threshold(spec.radius)
+    else:
+        rsq = spec.radius ** 2
+        tol = _float_tolerance(rsq, spec.form.dim)
+        hi, lo = rsq + tol, rsq - tol
+    pts, vals = enumerate_points(spec.form, hi, mode=used)
     prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
-    n1 = int(prim.sum())
-    amb = int((prim & (vals > rsq - tol)).sum())
-    return CountResult(n1=n1, boundary_ambiguous=amb, mode="float")
+    return CountResult(n1=int(prim.sum()), boundary_ambiguous=int((prim & (vals > lo)).sum()), mode=used)
+
+
+@dataclass(frozen=True, eq=False)
+class MoebiusTable:
+    limit: int
+    mu: np.ndarray  # int8, index 0..limit, mu[0] = 0
+
+    def mertens(self, n: int) -> int:
+        return int(self.mu[1 : n + 1].sum())
+
+
+@lru_cache(maxsize=8)
+def sieve(limit: int) -> MoebiusTable:
+    """Moebius function on 1..limit by a vectorized factor sieve."""
+    if limit < 1:
+        raise CountingError("sieve limit must be >= 1")
+    mu = np.ones(limit + 1, dtype=np.int64)
+    mu[0] = 0
+    tracked = np.ones(limit + 1, dtype=np.int64)
+    root = math.isqrt(limit)
+    is_prime = np.ones(root + 1, dtype=bool)
+    for p in range(2, root + 1):
+        if not is_prime[p]:
+            continue
+        is_prime[p * p :: p] = False
+        mu[p::p] *= -1
+        tracked[p::p] *= p
+        mu[p * p :: p * p] = 0
+    # entries whose tracked product falls short have exactly one prime
+    # factor above sqrt(limit): flip the sign once more
+    leftover = tracked < np.arange(limit + 1)
+    mu[leftover] *= -1
+    return MoebiusTable(limit=limit, mu=mu.astype(np.int8))
 
 
 def _moebius_limit(f: _Factor, radius: float) -> int:
@@ -524,8 +556,6 @@ def count_primitive_many(forms, radius: float, mode: str = "auto") -> list[Count
     reach, so one deep-cusp form does not widen the pairing of the others.
     Each exact form takes a pass of its own.
     """
-    from .moebius import sieve  # call-time import: moebius imports this module
-
     forms = list(forms)
     if not forms:
         return []
@@ -571,7 +601,18 @@ def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto") -> CountRes
     return count_primitive_many([spec.form], spec.radius, mode)[0]
 
 
-def _shell_table(form: QuadForm, top: float):
+def n0_series(spec: EllipsoidSpec, mode: str = "auto") -> np.ndarray:
+    """N0(R/n) for n = 1 .. max(floor(R), K) as int64, entry n - 1, from
+    one walk at R with the thresholds (R/n)^2 (floor(R^2) // n^2 in exact
+    mode), counted to the upper edge of the float boundary band.  Past the
+    last entry N0(R/n) = 1, and the list is nonincreasing."""
+    _check_overflow(spec.form.dim, spec.radius)
+    f = _factor(spec.form, mode)
+    plan = max(math.floor(spec.radius), _moebius_limit(f, spec.radius))
+    return _n0_bands([f], spec.radius, range(1, plan + 1))[0]
+
+
+def shell_table(form: QuadForm, top: float):
     """(r0, r1): full and primitive counts at the integer levels 0 .. top
     (top >= 0) as int64 arrays, binned from one exact enumeration."""
     pts, vals = enumerate_points(form, top, mode="exact")
@@ -584,7 +625,7 @@ def shell_counts(spec: EllipsoidSpec, xs, mode: str = "auto"):
     """Counts on the level sets Q(v) = x for each x in xs.
 
     xs must be nondecreasing.  In exact mode the levels are read off
-    _shell_table (negative, non-integer and non-represented levels give
+    shell_table (negative, non-integer and non-represented levels give
     0); in float mode the level set is read off within a small relative
     window.
     Returns (r0, r1): full and primitive shell counts.
@@ -599,7 +640,7 @@ def shell_counts(spec: EllipsoidSpec, xs, mode: str = "auto"):
         x = np.array(xs, dtype=float)
         hit = (x >= 0) & (x == np.floor(x))
         idx = np.where(hit, x, 0).astype(np.int64)
-        return tuple(np.where(hit, t[idx], 0).tolist() for t in _shell_table(spec.form, max(top, 0)))
+        return tuple(np.where(hit, t[idx], 0).tolist() for t in shell_table(spec.form, max(top, 0)))
     pts, vals = enumerate_points(spec.form, top * (1 + 1e-12) + 1e-12, mode="float")
     prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
     r0, r1 = [], []
@@ -621,15 +662,3 @@ def error_terms(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
     res.e1 = res.n1 - main / cst.zeta
     return res
 
-
-def reference_exponent(d: int) -> float:
-    """Best published error exponent for the full-count error term E_0."""
-    if d < 2:
-        raise CountingError("dimension must be >= 2")
-    if d == 2:
-        return 131.0 / 208.0
-    if d == 3:
-        return 231.0 / 158.0
-    if d == 4:
-        return 61.0 / 26.0
-    return float(d - 2)

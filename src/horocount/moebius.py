@@ -1,10 +1,11 @@
-"""Moebius sieve and the shell/error inversion identities.
+"""The shell/error inversion identities between full and primitive counts.
 
-The sieve table backs primitive counting; the two report functions check
-the identities that transport counting results between the full lattice
-and its primitive vectors, the shell form in exact integer arithmetic
-(forms with an integer gram, QuadForm.mint) and the error form against a
-float rounding budget:
+The two report functions check the identities that transport counting
+results between the full lattice and its primitive vectors, the shell
+form in exact integer arithmetic (forms with an integer gram,
+QuadForm.mint) and the error form against a float rounding budget.  The
+counts and the Moebius table (sieve, re-exported here) come from
+latcount:
 
   * shell form:  r0(x) = sum_{k^2 | x} r1(x/k^2)  and its inverse
     r1(x) = sum_{k^2 | x} mu(k) r0(x/k^2).  latcount bins one exact
@@ -13,29 +14,26 @@ float rounding budget:
     right-hand sides at every level in O(R^2) array work;
   * error form:  E1(R) = sum_{k<=K} mu(k) (E0(R/k) - 1)
                    - omega R^d sum_{k>K} mu(k)/k^d
-    (and the non-inverted partner).  The "- 1" removes the origin, which
-    the volume-normalized error term E0 = N0 - omega R^d retains.  Any K
-    past the last k with N0(R/k) > 1 makes it exact; the check takes that
-    last k, but at least floor(R), so a form with vectors shorter than 1
-    sums further than R.  The tails over k > K are taken in closed form,
-    zeta(d) and 1/zeta(d) minus the finite heads, so they carry rounding
-    error only.
+    (and the non-inverted partner), over latcount.n0_series.  The "- 1"
+    removes the origin, which the volume-normalized error term
+    E0 = N0 - omega R^d retains.  Any K past the last k with N0(R/k) > 1
+    makes it exact; the check takes that last k, but at least floor(R), so
+    a form with vectors shorter than 1 sums further than R.  The tails over
+    k > K are taken in closed form, zeta(d) and 1/zeta(d) minus the finite
+    heads, so they carry rounding error only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .latcount import (CountingError, EllipsoidSpec, _check_overflow, _factor, _moebius_limit,
-                       _n0_bands, _shell_table)
+from .latcount import CountingError, EllipsoidSpec, n0_series, shell_table, sieve
 from .quadform import constants, zeta
 
 __all__ = [
-    "MoebiusTable",
     "sieve",
     "InversionReport",
     "verify_inversion",
@@ -44,39 +42,6 @@ __all__ = [
     "mu_tail",
     "zeta_tail",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class MoebiusTable:
-    limit: int
-    mu: np.ndarray  # int8, index 0..limit, mu[0] = 0
-
-    def mertens(self, n: int) -> int:
-        return int(self.mu[1 : n + 1].sum())
-
-
-@lru_cache(maxsize=8)
-def sieve(limit: int) -> MoebiusTable:
-    """Moebius function on 1..limit by a vectorized factor sieve."""
-    if limit < 1:
-        raise CountingError("sieve limit must be >= 1")
-    mu = np.ones(limit + 1, dtype=np.int64)
-    mu[0] = 0
-    tracked = np.ones(limit + 1, dtype=np.int64)
-    root = math.isqrt(limit)
-    is_prime = np.ones(root + 1, dtype=bool)
-    for p in range(2, root + 1):
-        if not is_prime[p]:
-            continue
-        is_prime[p * p :: p] = False
-        mu[p::p] *= -1
-        tracked[p::p] *= p
-        mu[p * p :: p * p] = 0
-    # entries whose tracked product falls short have exactly one prime
-    # factor above sqrt(limit): flip the sign once more
-    leftover = tracked < np.arange(limit + 1)
-    mu[leftover] *= -1
-    return MoebiusTable(limit=limit, mu=mu.astype(np.int8))
 
 
 @dataclass
@@ -97,7 +62,7 @@ def verify_inversion(spec: EllipsoidSpec) -> InversionReport:
     if spec.form.mint is None:
         raise CountingError("shell inversion requires an integer gram matrix of determinant one")
     top = math.floor(spec.radius ** 2)
-    r0, r1 = _shell_table(spec.form, top)
+    r0, r1 = shell_table(spec.form, top)
     mu = sieve(max(math.isqrt(top), 1)).mu
     rhs0, rhs1 = np.zeros_like(r0), np.zeros_like(r1)
     for k in range(1, math.isqrt(top) + 1):
@@ -151,10 +116,10 @@ def error_relation_check(spec: EllipsoidSpec, mode: str = "auto") -> ErrorRelati
     """Evaluate both error-transport identities and report the residuals.
 
     The sums run to K, the last k with N0(R/k) > 1 but at least floor(R),
-    and both closed-form tails start after K.  One walk at R with the
-    thresholds (R/n)^2 gives N0(R/n) for every n up to max(floor(R), the
-    primitive count's K), past which N0(R/n) = 1, and
-    N1(R/k) = sum_j mu(j) (N0(R/(kj)) - 1) is read off that list.
+    and both closed-form tails start after K.  latcount.n0_series gives
+    N0(R/n) for every n up to max(floor(R), the primitive count's K) from
+    one walk, past which N0(R/n) = 1, and
+    N1(R/k) = sum_j mu(j) (N0(R/(kj)) - 1) is read off that one list.
 
     The residual budget combines the tails' rounding allowances, scaled by
     their coefficients, with a d * 1000 * ulp float allowance on the
@@ -165,10 +130,8 @@ def error_relation_check(spec: EllipsoidSpec, mode: str = "auto") -> ErrorRelati
     cst = constants(d)
     main = cst.omega * r ** d
 
-    _check_overflow(d, r)
-    f = _factor(spec.form, mode)
-    plan = max(math.floor(r), _moebius_limit(f, r))  # N0(R/n) = 1 for n >= plan
-    n0 = _n0_bands([f], r, range(1, plan + 1))[0]  # N0(R/n), n = 1 .. plan
+    n0 = n0_series(spec, mode)  # N0(R/n), n = 1 .. plan; N0(R/n) = 1 past plan
+    plan = len(n0)
     kmax = max(math.floor(r), int(np.count_nonzero(n0 > 1)))  # N0(R/n) is nonincreasing in n
     mu = sieve(plan).mu
     # N1(R/k) = sum_j mu(j) (N0(R/(kj)) - 1), whose terms vanish past kj = plan

@@ -25,7 +25,6 @@ from .latcount import (
     EllipsoidSpec,
     count_primitive_moebius,
     enumerate_points,
-    reference_exponent,
 )
 from .quadform import QuadForm, constants
 
@@ -179,9 +178,9 @@ def theory_slope(d: int) -> float:
 
     An error O(R^theta) against the main term omega R^d decays like
     R^(theta - d) = e^{T (theta - d) sqrt((d-1)/d) / 2}, with theta the
-    reference exponent.
+    published exponent constants(d).exponent_counting.
     """
-    return (reference_exponent(d) - d) * math.sqrt((d - 1) / d) / 2.0
+    return (constants(d).exponent_counting - d) * math.sqrt((d - 1) / d) / 2.0
 
 
 def _envelope_indices(absvals: np.ndarray) -> np.ndarray:

@@ -492,6 +492,7 @@ class Constants:
     exponent_pointwise: float  # all-t rate sqrt((d-1)d)/8
     exponent_edwards: float  # reference only: (1/4) sqrt(d/(d-1))
     exponent_rh: float | None  # reference only: 3 sqrt(2)/8, d = 2
+    exponent_counting: float  # theta of the published full-count error O(R^theta)
 
 
 @lru_cache(maxsize=None)
@@ -523,4 +524,5 @@ def constants(d: int) -> Constants:
         exponent_pointwise=sq / 8.0,
         exponent_edwards=0.25 * math.sqrt(d / (d - 1)),
         exponent_rh=3.0 * math.sqrt(2.0) / 8.0 if d == 2 else None,
+        exponent_counting={2: 131.0 / 208.0, 3: 231.0 / 158.0, 4: 61.0 / 26.0}.get(d, float(d - 2)),
     )

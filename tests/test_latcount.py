@@ -13,7 +13,6 @@ from horocount.latcount import (
     count_primitive_moebius,
     enumerate_points,
     error_terms,
-    reference_exponent,
     shell_counts,
 )
 from horocount.quadform import GroupElement, QuadForm, act, constants
@@ -278,10 +277,9 @@ class TestPrimitive:
     def test_moebius_stops_where_terms_vanish(self, monkeypatch):
         # skewed GL_d(Z) images of the identity have a tiny lambda_min, so
         # R / sqrt(lambda_min) once planned sieves of up to 3e8 entries;
-        # the spy fails before any such table is allocated
-        import horocount.moebius
-
-        real_sieve = horocount.moebius.sieve
+        # the spy, at the binding that count_primitive_many calls, fails
+        # before any such table is allocated
+        real_sieve = latcount.sieve
         for gamma, r in (([[1, 10 ** 6], [0, 1]], 300.0),
                          ([[1, 40, 0], [0, 1, 25], [0, 0, 1]], 20.0)):
             cap = 2 * (math.floor(r) + 1)
@@ -291,7 +289,7 @@ class TestPrimitive:
                     raise AssertionError(f"sieve({limit}) requested, above {cap}")
                 return real_sieve(limit)
 
-            monkeypatch.setattr(horocount.moebius, "sieve", spy)
+            monkeypatch.setattr(latcount, "sieve", spy)
             g = np.array(gamma)
             got = count_primitive_moebius(EllipsoidSpec(QuadForm.from_gram(g.T @ g), r))
             want = count_primitive_moebius(EllipsoidSpec(QuadForm.identity(len(gamma)), r))
@@ -303,12 +301,10 @@ class TestMoebiusOneWalk:
     @staticmethod
     def per_k(spec):
         """N0, N1 and the band by one count_full per squarefree k <= K."""
-        from horocount.moebius import sieve
-
         f = latcount._factor(spec.form, "float")
         kmax = math.floor(spec.radius / math.sqrt(min(f.q))) + 2
         assert count_full(EllipsoidSpec(spec.form, spec.radius / kmax), mode="float").n0 == 1
-        mu = sieve(kmax).mu
+        mu = latcount.sieve(kmax).mu
         n0, n1, band = None, 0, 0
         for k in range(1, kmax + 1):
             if mu[k]:
@@ -539,18 +535,6 @@ class TestKnownValues:
         grids = np.meshgrid(*([xs] * 5), indexing="ij")
         vals = sum(g ** 2 for g in grids)
         assert n0 == int((vals <= 6.25).sum())
-
-
-class TestReferenceExponent:
-    def test_values(self):
-        assert reference_exponent(2) == pytest.approx(131.0 / 208.0)
-        assert reference_exponent(3) == pytest.approx(231.0 / 158.0)
-        assert reference_exponent(4) == pytest.approx(61.0 / 26.0)
-        assert reference_exponent(7) == 5.0
-
-    def test_rejects_small(self):
-        with pytest.raises(CountingError):
-            reference_exponent(1)
 
 
 class TestEnumerate:

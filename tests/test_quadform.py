@@ -452,6 +452,13 @@ class TestConstants:
         assert constants(3).exponent_rh is None
         assert constants(3).exponent_edwards == pytest.approx(0.25 * math.sqrt(1.5), rel=1e-15)
 
+    def test_exponent_counting(self):
+        assert constants(2).exponent_counting == pytest.approx(131.0 / 208.0)
+        assert constants(3).exponent_counting == pytest.approx(231.0 / 158.0)
+        assert constants(4).exponent_counting == pytest.approx(61.0 / 26.0)
+        for d in (5, 6, 7):
+            assert constants(d).exponent_counting == d - 2
+
     def test_rejects_small_dim(self):
         with pytest.raises(GeometryError):
             constants(1)
