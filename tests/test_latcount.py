@@ -15,7 +15,7 @@ from horocount.latcount import (
     error_terms,
     shell_counts,
 )
-from horocount.quadform import GroupElement, QuadForm, act, constants
+from horocount.quadform import GeometryError, GroupElement, QuadForm, act, constants
 
 
 def brute_counts(form, radius):
@@ -535,6 +535,14 @@ class TestKnownValues:
         grids = np.meshgrid(*([xs] * 5), indexing="ij")
         vals = sum(g ** 2 for g in grids)
         assert n0 == int((vals <= 6.25).sum())
+
+
+class TestReferenceExponent:
+    def test_rejects_small(self):
+        # the published counting exponent is read from quadform.Constants,
+        # which refuses dimensions below two
+        with pytest.raises(GeometryError):
+            _ = constants(1).exponent_counting
 
 
 class TestEnumerate:
