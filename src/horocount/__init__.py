@@ -35,7 +35,6 @@ from .latcount import (
     CountResult,
     CountingError,
     EllipsoidSpec,
-    MoebiusTable,
     count_full,
     count_primitive_direct,
     count_primitive_many,

@@ -214,7 +214,7 @@ def criterion_6_pointwise_rate() -> CheckResult:
         t_grid = np.linspace(1.0, 14.0, 40)
         averages, fit, refs = equidist.decay_series(bump, t_grid, d=2)
         slope_req = refs["theory_slope_pointwise"] + 0.03
-        f_norm, f_norm_se = equidist.estimate_f_norm(bump, d=2, n=4000, seed=SEED)
+        f_norm, f_norm_se = equidist.estimate_f_norm(bump, n=4000, seed=SEED)
         grad_bound = equidist.estimate_lipschitz(bump, 2, t_probes=[1.0, 3.0, 6.0, 10.0, 13.0])
         report = equidist.check_thm12_bound(averages, f_norm, grad_bound, d=2)
         ok = fit.slope <= slope_req and report["passed"]
@@ -228,9 +228,8 @@ def criterion_6_pointwise_rate() -> CheckResult:
 def criterion_7_integrated_bound() -> CheckResult:
     def body():
         ind = equidist.indicator_profile(1.0)
-        f_norm, f_norm_se = equidist.estimate_f_norm(ind, d=2, n=6000, seed=SEED + 2)
-        rows = equidist.integrated_error_bound(ind, 2, [4.0, 6.0, 8.0, 10.0],
-                                               f_norm=f_norm, f_norm_se=f_norm_se)
+        f_norm, f_norm_se = equidist.estimate_f_norm(ind, n=6000, seed=SEED + 2)
+        rows = equidist.integrated_error_bound(ind, [4.0, 6.0, 8.0, 10.0], f_norm, f_norm_se)
         return all(r["passed"] for r in rows), {"rows": rows}
 
     return _timed(7, "integrated error bound holds at all checkpoints", body)

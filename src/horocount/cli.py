@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, required=True)
         p.add_argument("--envelope", action="store_true")
         p.add_argument("--sigma", type=int, default=None,
-                       help="stabilizer order (required for d >= 5 symmetric forms)")
+                       help="stabilizer order (required for d >= 5)")
         common(p)
         p.set_defaults(fn=cmd_chimney if name == "chimney" else cmd_horoball)
 

@@ -33,6 +33,9 @@ a bound have closed-form ranges, and the sum over all (base point, w)
 pairs of a level is one array expression.
 
 Supported dimensions for averages: d = 2 (base is a point) and d = 3.
+The norm estimate (estimate_f_norm, over the exact d = 2 sampler) and
+the integrated bound (integrated_error_bound) are d = 2 drivers, where
+each average is one exact sum, and take no dimension.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .quadform import (
     rate_lambda,
     rate_mu,
 )
-from .randlat import Y_MIN
+from .randlat import Y_MIN, sample_exact_d2
 
 __all__ = [
     "EquidistError",
@@ -88,6 +91,7 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 CUTOFF_ALPHA = max(1.0, 0.5 * math.sqrt(3.0))
 CUTOFF_FLOOR = 8.0
 LIPSCHITZ_STEP, LIPSCHITZ_INFLATE = 1e-3, 10.0  # estimate_lipschitz's difference step and safety factor
+INTEGRATED_STEP = 0.1  # integrated_error_bound's trapezoid step in t
 _GAUSS8 = np.polynomial.legendre.leggauss(8)  # exact to degree 15
 _GAUSS64 = np.polynomial.legendre.leggauss(64)
 
@@ -274,7 +278,7 @@ def _w_bound(d: int, t: float, h: RadialProfile) -> float:
 def _phi_ratio(g: np.ndarray) -> np.ndarray:
     """phi(g)/g = sum over m | g of mu(m)/m, per entry of g >= 1."""
     top = max(int(g.max()), 1) if g.size else 1
-    mu = sieve(top).mu
+    mu = sieve(top)
     ratio = np.zeros(top + 1)
     for m in np.flatnonzero(mu):
         ratio[m::m] += mu[m] / m
@@ -410,14 +414,14 @@ def horosphere_average(t: float, h: RadialProfile,
 
 
 def decay_series(h: RadialProfile, t_grid, q: QuadratureSpec | None = None,
-                 d: int = 2, envelope: bool = True):
+                 d: int = 2):
     """Averages over a t-grid plus an envelope fit of log|err| against t.
 
     Returns (list of HoroAverage, DecayFit, reference slopes dict).
     """
     averages = [horosphere_average(t, h, q, d) for t in t_grid]
     series = [(a.t, a.err) for a in averages]
-    fit = fit_error_exponent(series, envelope=envelope)
+    fit = fit_error_exponent(series, envelope=True)
     cst = constants(d)
     refs = {
         "theory_slope_pointwise": -cst.exponent_pointwise,
@@ -564,13 +568,10 @@ def cusp_orbit_check(base, t: float, a: float, grid: int = 17) -> bool:
 # ---------------------------------------------------------------------------
 # norm estimation and integrated bound
 
-def estimate_f_norm(h: RadialProfile, d: int = 2, n: int = 4000, seed: int = 7):
-    """Monte Carlo estimate of sqrt of the space average of f^2 using the
-    exact d = 2 sampler.  Returns (norm, standard error of the squared mean)."""
-    if d != 2:
-        raise EquidistError("norm estimation uses the exact sampler (d = 2)")
-    from .randlat import sample_exact_d2
-
+def estimate_f_norm(h: RadialProfile, n: int, seed: int):
+    """Monte Carlo estimate of sqrt of the space average of f^2 over n
+    samples of the exact d = 2 sampler.  Returns (norm, standard error of
+    the squared mean)."""
     rng = np.random.default_rng(seed)
     samples = sample_exact_d2(rng, n)
     sq = np.empty(n)
@@ -596,35 +597,30 @@ def estimate_lipschitz(h: RadialProfile, d: int, t_probes,
     return LIPSCHITZ_INFLATE * worst
 
 
-def integrated_error_bound(h: RadialProfile, d: int, big_t_values,
-                           q: QuadratureSpec | None = None,
-                           f_norm: float | None = None, f_norm_se: float = 0.0,
-                           t_lo: float | None = None, step: float = 0.1) -> list[dict]:
-    """Trapezoid evaluation of |int_{-inf}^T e^{t sqrt((d-1)d)/2} err(t) dt|
-    against C_d * ||f|| * e^{T sqrt((d-1)d)/4} plus a quadrature budget.
+def integrated_error_bound(h: RadialProfile, big_t_values, f_norm: float,
+                           f_norm_se: float) -> list[dict]:
+    """Trapezoid evaluation (step INTEGRATED_STEP) of
+    |int_{-inf}^T e^{t sqrt((d-1)d)/2} err(t) dt| against
+    C_d * ||f|| * e^{T sqrt((d-1)d)/4} plus a quadrature budget, for d = 2,
+    where each value is one exact sum.
 
     The budget collects: per-point quadrature estimates, the trapezoid
     refinement difference, the truncated lower tail, and the Monte Carlo
-    uncertainty of ||f||.
+    uncertainty f_norm_se of ||f||.
     """
-    if d != 2:
-        raise EquidistError("the integrated bound driver is implemented for d = 2")
-    q = q or QuadratureSpec()
+    d = 2
     cst = constants(d)
     alpha = 0.5 * math.sqrt((d - 1) * d)
     beta = 0.5 * alpha
-    if f_norm is None:
-        f_norm, f_norm_se = estimate_f_norm(h, d)
     target = space_average(h, d)
     top = max(big_t_values)
-    if t_lo is None:
-        # below t_lo the integrand is bounded by (2 + target) e^{alpha t}
-        t_lo = math.log(1e-6 / (2.0 + target)) / alpha
-    ts = np.arange(t_lo, top + step / 2.0, step)
+    # below t_lo the integrand is bounded by (2 + target) e^{alpha t}
+    t_lo = math.log(1e-6 / (2.0 + target)) / alpha
+    ts = np.arange(t_lo, top + INTEGRATED_STEP / 2.0, INTEGRATED_STEP)
     errs = np.empty(len(ts))
     ests = np.empty(len(ts))
     for i, t in enumerate(ts):
-        value, est = _value_with_estimate(d, float(t), h, q)
+        value, est = _value_with_estimate(d, float(t), h, QuadratureSpec())
         errs[i] = value - target
         ests[i] = est
     weight = np.exp(alpha * ts)

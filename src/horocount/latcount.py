@@ -39,12 +39,13 @@ Each rule decides every point against its own bound, so the widened
 entries add nothing.
 
 The primitive count is the Moebius sum N1(R) = sum_k mu(k) (N0(R/k) - 1),
-with mu from this module's sieve table.  Every nonzero v has
-Q(v) >= min_i q_i, so its terms vanish before
+with mu the read-only int8 array of this module's sieve.  Every nonzero
+v has Q(v) >= min_i q_i, so its terms vanish before
 K = floor(R / sqrt(min_i q_i)) + 2, and one walk at R counts N0(R/k) for
 every squarefree k <= K.  n0_series gives N0(R/n) for every n up to
 max(floor(R), K) from one such walk, and shell_table the full and
-primitive counts per integer level; moebius checks its identities on them.
+primitive counts per integer level of an exact form, which shell_counts
+reads; moebius checks its identities on them.
 
 count_primitive_many counts many float forms of one dimension at one R
 in one pass of the leaf: their walks feed the same blocks, and every
@@ -53,7 +54,7 @@ gathers q0, q1 and m10 per node by owner (a one-form rule keeps them as
 scalars), so each node's arithmetic is that of a count of its form
 alone.  Each form keeps its own K: a node is paired only with the
 squarefree k <= its owner's K, and its pairs are binned by (owner, k)
-into one ragged row of totals.  Exact forms are counted one by one
+into one ragged row of totals.  Each exact form is a pass of its own
 through the same entry; count_primitive_moebius is its one-form case.
 """
 
@@ -79,7 +80,6 @@ __all__ = [
     "count_primitive_direct",
     "count_primitive_moebius",
     "count_primitive_many",
-    "MoebiusTable",
     "sieve",
     "n0_series",
     "shell_table",
@@ -498,18 +498,11 @@ def count_primitive_direct(spec: EllipsoidSpec, mode: str = "auto") -> CountResu
     return CountResult(n1=int(prim.sum()), boundary_ambiguous=int((prim & (vals > lo)).sum()), mode=used)
 
 
-@dataclass(frozen=True, eq=False)
-class MoebiusTable:
-    limit: int
-    mu: np.ndarray  # int8, index 0..limit, mu[0] = 0
-
-    def mertens(self, n: int) -> int:
-        return int(self.mu[1 : n + 1].sum())
-
-
 @lru_cache(maxsize=8)
-def sieve(limit: int) -> MoebiusTable:
-    """Moebius function on 1..limit by a vectorized factor sieve."""
+def sieve(limit: int) -> np.ndarray:
+    """Moebius function on 0..limit (mu[0] = 0) by a vectorized factor
+    sieve, as a read-only int8 array: the cache hands one array to every
+    caller, so a write into it would change later counts."""
     if limit < 1:
         raise CountingError("sieve limit must be >= 1")
     mu = np.ones(limit + 1, dtype=np.int64)
@@ -528,7 +521,9 @@ def sieve(limit: int) -> MoebiusTable:
     # factor above sqrt(limit): flip the sign once more
     leftover = tracked < np.arange(limit + 1)
     mu[leftover] *= -1
-    return MoebiusTable(limit=limit, mu=mu.astype(np.int8))
+    mu = mu.astype(np.int8)
+    mu.flags.writeable = False
+    return mu
 
 
 def _moebius_limit(f: _Factor, radius: float) -> int:
@@ -567,32 +562,26 @@ def count_primitive_many(forms, radius: float, mode: str = "auto") -> list[Count
     _check_overflow(d, radius)
     fs = _factors(forms, mode)
     kmax = [_moebius_limit(f, radius) for f in fs]
-    mu = sieve(max(kmax)).mu
+    mu = sieve(max(kmax))
     ks = np.flatnonzero(mu).tolist()
     sizes = [bisect.bisect_right(ks, k) for k in kmax]
-    # the float forms share one pass and come first; each exact form takes its own
-    order = [i for i, f in enumerate(fs) if f.mint is None]
-    parts = []
-    if order:
-        own = [sizes[i] for i in order]
-        parts.append(_n0_bands([fs[i] for i in order], radius, ks[:max(own)], own))
-    for i, f in enumerate(fs):
-        if f.mint is not None:
-            order.append(i)
-            parts.append(_n0_bands([f], radius, ks[:sizes[i]]))
-    n = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    width = [sizes[i] for i in order]
-    starts = list(itertools.accumulate(width[:-1], initial=0))
-    # the index into ks of each column; one form's columns are ks in order
-    kcol = np.arange(n.shape[1]) - np.repeat(starts, width) if len(fs) > 1 else slice(None)
-    # int64 sums are exact: an intermediate could only wrap modulo 2^64,
-    # and every result lies between 0 and the count N0 < COUNT_LIMIT
-    n1 = np.add.reduceat(mu[ks][kcol] * (n[0] - 1), starts).tolist()
-    band = np.add.reduceat(n[0] - n[1], starts).tolist()
-    n0 = n[0, starts].tolist()
+    mu_ks = mu[ks]
+    # the float forms share one pass; each exact form takes its own
+    floats = [i for i, f in enumerate(fs) if f.mint is None]
+    groups = ([floats] if floats else []) + [[i] for i, f in enumerate(fs) if f.mint is not None]
     out = [None] * len(fs)
-    for j, i in enumerate(order):
-        out[i] = CountResult(n0=n0[j], n1=n1[j], boundary_ambiguous=band[j], mode=fs[i].mode)
+    for group in groups:
+        width = [sizes[i] for i in group]
+        n = _n0_bands([fs[i] for i in group], radius, ks[:max(width)], width)
+        starts = list(itertools.accumulate(width[:-1], initial=0))
+        kcol = np.arange(n.shape[1]) - np.repeat(starts, width)  # the index into ks of each column
+        # int64 sums are exact: an intermediate could only wrap modulo 2^64,
+        # and every result lies between 0 and the count N0 < COUNT_LIMIT
+        n1 = np.add.reduceat(mu_ks[kcol] * (n[0] - 1), starts).tolist()
+        band = np.add.reduceat(n[0] - n[1], starts).tolist()
+        n0 = n[0, starts].tolist()
+        for j, i in enumerate(group):
+            out[i] = CountResult(n0=n0[j], n1=n1[j], boundary_ambiguous=band[j], mode=fs[i].mode)
     return out
 
 
@@ -621,35 +610,23 @@ def shell_table(form: QuadForm, top: float):
     return np.bincount(vals, minlength=n), np.bincount(vals[prim], minlength=n)
 
 
-def shell_counts(spec: EllipsoidSpec, xs, mode: str = "auto"):
-    """Counts on the level sets Q(v) = x for each x in xs.
-
-    xs must be nondecreasing.  In exact mode the levels are read off
-    shell_table (negative, non-integer and non-represented levels give
-    0); in float mode the level set is read off within a small relative
-    window.
+def shell_counts(spec: EllipsoidSpec, xs):
+    """Counts on the level sets Q(v) = x for each x of the nondecreasing
+    xs, read off shell_table: negative, non-integer and non-represented
+    levels give 0.  The form needs its integer gram (QuadForm.mint).
     Returns (r0, r1): full and primitive shell counts.
     """
+    if spec.form.mint is None:
+        raise CountingError("shell counts require an integer gram matrix of determinant one")
     xs = list(xs)
     if any(b < a for a, b in zip(xs, xs[1:])):
         raise CountingError("shell levels must be nondecreasing")
     if not xs:
         return [], []
-    top = max(xs)
-    if _resolve_mode(spec.form, mode) == "exact":
-        x = np.array(xs, dtype=float)
-        hit = (x >= 0) & (x == np.floor(x))
-        idx = np.where(hit, x, 0).astype(np.int64)
-        return tuple(np.where(hit, t[idx], 0).tolist() for t in shell_table(spec.form, max(top, 0)))
-    pts, vals = enumerate_points(spec.form, top * (1 + 1e-12) + 1e-12, mode="float")
-    prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
-    r0, r1 = [], []
-    for x in xs:
-        eps = 8.0 * math.ulp(max(float(x), 1.0)) * spec.form.dim + 1e-12
-        sel = np.abs(vals - float(x)) <= eps
-        r0.append(int(sel.sum()))
-        r1.append(int((sel & prim).sum()))
-    return r0, r1
+    x = np.array(xs, dtype=float)
+    hit = (x >= 0) & (x == np.floor(x))
+    idx = np.where(hit, x, 0).astype(np.int64)
+    return tuple(np.where(hit, t[idx], 0).tolist() for t in shell_table(spec.form, max(max(xs), 0)))
 
 
 def error_terms(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:

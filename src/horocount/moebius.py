@@ -63,7 +63,7 @@ def verify_inversion(spec: EllipsoidSpec) -> InversionReport:
         raise CountingError("shell inversion requires an integer gram matrix of determinant one")
     top = math.floor(spec.radius ** 2)
     r0, r1 = shell_table(spec.form, top)
-    mu = sieve(max(math.isqrt(top), 1)).mu
+    mu = sieve(max(math.isqrt(top), 1))
     rhs0, rhs1 = np.zeros_like(r0), np.zeros_like(r1)
     for k in range(1, math.isqrt(top) + 1):
         n = top // (k * k) + 1
@@ -96,7 +96,7 @@ def mu_tail(d: int, r: float):
     """sum_{k > r} mu(k) k^{-d} = 1/zeta(d) - sum_{k <= r} mu(k) k^{-d}, as
     (value, half-width), with the half-width of zeta_tail."""
     k0 = math.floor(r)
-    mu = sieve(max(k0, 1)).mu
+    mu = sieve(max(k0, 1))
     head = math.fsum(int(mu[k]) * k ** -float(d) for k in range(1, k0 + 1))
     return 1.0 / zeta(d) - head, (k0 + 2) * math.ulp(1.0)
 
@@ -133,7 +133,7 @@ def error_relation_check(spec: EllipsoidSpec, mode: str = "auto") -> ErrorRelati
     n0 = n0_series(spec, mode)  # N0(R/n), n = 1 .. plan; N0(R/n) = 1 past plan
     plan = len(n0)
     kmax = max(math.floor(r), int(np.count_nonzero(n0 > 1)))  # N0(R/n) is nonincreasing in n
-    mu = sieve(plan).mu
+    mu = sieve(plan)
     # N1(R/k) = sum_j mu(j) (N0(R/(kj)) - 1), whose terms vanish past kj = plan
     n1 = [int(mu[1 : plan // k + 1] @ (n0[k - 1 :: k] - 1)) for k in range(1, max(kmax, 1) + 1)]
     e0_r, e1_r = int(n0[0]) - main, n1[0] - main / cst.zeta

@@ -15,7 +15,6 @@ and the relative errors are fitted against the published decay exponents.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +87,8 @@ def stabilizer_order(q: QuadForm) -> int:
     """
     d = q.dim
     if d not in (2, 3, 4):
-        raise CountingError("stabilizer enumeration supports d in {2, 3, 4}")
+        raise CountingError("stabilizer enumeration supports d in {2, 3, 4}; "
+                            f"pass the stabilizer order sigma for d = {d}")
     m = q.gram
     tol = STABILIZER_TOL * float(np.max(np.abs(m)))
     cols = []
@@ -125,15 +125,12 @@ def stabilizer_order(q: QuadForm) -> int:
 
 
 def _sigma_for(q: QuadForm, sigma: int | None) -> int:
+    """The given sigma, else stabilizer_order, which refuses d >= 5."""
     if sigma is not None:
         if sigma < 1:
             raise CountingError("stabilizer order must be >= 1")
         return sigma
-    if q.dim <= 4:
-        return stabilizer_order(q)
-    warnings.warn("stabilizer order defaults to 1 for d >= 5; pass sigma explicitly "
-                  "for symmetric forms", stacklevel=3)
-    return 1
+    return stabilizer_order(q)
 
 
 def _dictionary_count(q: QuadForm, t: float, weight: int, denom: float, sigma_q: int,

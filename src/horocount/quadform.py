@@ -185,12 +185,6 @@ def lll_reduce(gram):
                         "the gram matrix is not numerically positive definite")
 
 
-def _rows(idx: list, n: int):
-    """Index of the rows idx of an n-row stack: a slice, which takes a view,
-    when idx is every row."""
-    return slice(None) if len(idx) == n else idx
-
-
 def _unimodular_integer_roundings(m: np.ndarray) -> list:
     """For each matrix of the stack m, the matrix rounded to a nested tuple
     of Python ints if it is integral within a relative tolerance of 1e-9
@@ -262,20 +256,19 @@ class QuadForm:
                 m[i] = mint
         rest = [i for i, mint in enumerate(mints) if mint is None]
         if rest:
-            sub = _rows(rest, len(m))
-            dets = np.linalg.det(m[sub]).tolist()
+            dets = np.linalg.det(m[rest]).tolist()
             if not all(det > 0.0 for det in dets):
                 raise GeometryError("gram matrix is not positive definite")
             # each det's 1/d power by C pow (Python's **); numpy's ** 0.5 takes
             # a sqrt, which may round the last bit differently
-            m[sub] /= np.array([det ** (1.0 / d) for det in dets])[:, None, None]
+            m[rest] /= np.array([det ** (1.0 / d) for det in dets])[:, None, None]
             # the rescaled gram may round to a unimodular one: 4 I becomes
             # (1 + 2^-52) I, which is counted as I
-            for i, mint in zip(rest, _unimodular_integer_roundings(m[sub])):
+            for i, mint in zip(rest, _unimodular_integer_roundings(m[rest])):
                 mints[i] = mint
             floats = [i for i in rest if mints[i] is None]
             if floats:
-                _cholesky_lower(m[_rows(floats, len(m))])  # definiteness check
+                _cholesky_lower(m[floats])  # definiteness check
         for mint in mints:
             if mint is not None and any(_int_det([row[:k] for row in mint[:k]]) <= 0 for k in range(1, d)):
                 raise GeometryError("gram matrix is not positive definite")

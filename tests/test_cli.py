@@ -107,6 +107,13 @@ class TestOrbitCommands:
         row = out_file.read_text().strip().split("\n")[1].split(",")
         assert int(row[2]) == 2
 
+    def test_chimney_d5_needs_sigma(self, capsys):
+        code, out, err = run_cli(capsys, "chimney", "--dim", "5", "--tmin", "1", "--tmax", "2",
+                                 "--steps", "2")
+        assert code == 2
+        assert out == ""
+        assert "sigma" in err
+
     def test_csv_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for f in (f1, f2):

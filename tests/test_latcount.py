@@ -304,7 +304,7 @@ class TestMoebiusOneWalk:
         f = latcount._factor(spec.form, "float")
         kmax = math.floor(spec.radius / math.sqrt(min(f.q))) + 2
         assert count_full(EllipsoidSpec(spec.form, spec.radius / kmax), mode="float").n0 == 1
-        mu = latcount.sieve(kmax).mu
+        mu = latcount.sieve(kmax)
         n0, n1, band = None, 0, 0
         for k in range(1, kmax + 1):
             if mu[k]:
@@ -477,10 +477,16 @@ class TestShells:
             shell_counts(EllipsoidSpec(QuadForm.identity(2), 2.0), [2.0, 1.0])
 
     def test_negative_zero_and_fractional_levels(self):
-        for mode in ("exact", "float"):
-            r0, r1 = shell_counts(EllipsoidSpec(QuadForm.identity(2), 3.0), [-1, 0, 2.5], mode=mode)
-            assert r0 == [0, 1, 0] and r1 == [0, 0, 0]
+        r0, r1 = shell_counts(EllipsoidSpec(QuadForm.identity(2), 3.0), [-1, 0, 2.5])
+        assert r0 == [0, 1, 0] and r1 == [0, 0, 0]
         assert shell_counts(EllipsoidSpec(QuadForm.identity(2), 3.0), [-2, -1]) == ([0, 0], [0, 0])
+
+    def test_rejects_float_form(self):
+        # a float form has no integer levels to read
+        spec = EllipsoidSpec(QuadForm.from_gram([[2.0, 0.3], [0.3, 1.0]]), 2.0)
+        assert spec.form.mint is None
+        with pytest.raises(CountingError, match="integer gram"):
+            shell_counts(spec, [0.0, 1.0, 2.0])
 
     @pytest.mark.parametrize("d, top", [(2, 400), (3, 300)])
     def test_matches_per_level_scan(self, d, top):

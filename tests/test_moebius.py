@@ -33,21 +33,28 @@ def mu_by_factorization(n):
 
 class TestSieve:
     def test_first_values(self):
-        table = sieve(10)
-        assert list(table.mu[1:11]) == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+        assert list(sieve(10)[1:11]) == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
     def test_square_factor(self):
-        assert sieve(10).mu[4] == 0
+        assert sieve(10)[4] == 0
 
     def test_against_factorization(self):
-        table = sieve(1000)
+        mu = sieve(1000)
         for k in range(1, 1001):
-            assert int(table.mu[k]) == mu_by_factorization(k), k
+            assert int(mu[k]) == mu_by_factorization(k), k
 
     def test_mertens(self):
-        table = sieve(100)
-        assert table.mertens(100) == sum(mu_by_factorization(k) for k in range(1, 101))
-        assert table.mertens(100) == 1
+        mertens = int(sieve(100)[1:].sum())
+        assert mertens == sum(mu_by_factorization(k) for k in range(1, 101))
+        assert mertens == 1
+
+    def test_read_only(self):
+        # the cached array is shared by every caller: a write would change
+        # later counts (mu(2) = 1 doubles n1 of I_2 at R = 3)
+        mu = sieve(10)
+        with pytest.raises(ValueError):
+            mu[2] = 1
+        assert mu.dtype == np.int8 and mu[2] == -1
 
     def test_rejects_zero(self):
         with pytest.raises(CountingError):
@@ -56,7 +63,7 @@ class TestSieve:
     def test_dirichlet_inverse(self):
         # tau = indicator of squares, nu(k^2) = mu(k): tau * nu = delta_1
         n_max = 10_000
-        table = sieve(int(math.isqrt(n_max)) + 1)
+        mu = sieve(int(math.isqrt(n_max)) + 1)
 
         def tau(n):
             r = math.isqrt(n)
@@ -64,7 +71,7 @@ class TestSieve:
 
         def nu(n):
             r = math.isqrt(n)
-            return int(table.mu[r]) if r * r == n else 0
+            return int(mu[r]) if r * r == n else 0
 
         rng = np.random.default_rng(21)
         probes = list(rng.integers(2, n_max, size=60)) + [1, 4, 36, 9973]
@@ -132,9 +139,9 @@ class TestInversion:
         for x in range(1, top + 1):
             r0[x] = sum(r1[x // (k * k)] for k in range(1, math.isqrt(x) + 1)
                         if x % (k * k) == 0)
-        table = sieve(math.isqrt(top) + 1)
+        mu = sieve(math.isqrt(top) + 1)
         for x in range(1, top + 1):
-            rec = sum(int(table.mu[k]) * int(r0[x // (k * k)])
+            rec = sum(int(mu[k]) * int(r0[x // (k * k)])
                       for k in range(1, math.isqrt(x) + 1) if x % (k * k) == 0)
             assert rec == r1[x]
 
@@ -190,10 +197,10 @@ class TestTails:
 
     def test_mu_tail_complement(self):
         # sum_{k<=r} mu(k)/k^d + tail = 1/zeta(d)
-        table = sieve(100)
+        mu = sieve(100)
         for d in (2, 3):
             for r in (1.0, 7.0, 40.0):
-                head = sum(int(table.mu[k]) * k ** -float(d)
+                head = sum(int(mu[k]) * k ** -float(d)
                            for k in range(1, math.floor(r) + 1))
                 tail, width = mu_tail(d, r)
                 assert head + tail == pytest.approx(1.0 / zeta(d), abs=1e-13)

@@ -138,6 +138,21 @@ class TestDictionary:
             assert res.sigma_q == 1
             assert res.count == n1
 
+    def test_d5_needs_sigma(self):
+        # I_5 has stabilizer order 1920, so a default sigma = 1 would
+        # overstate its chimney count by that factor: refuse instead
+        for run in (lambda: chimney_count(QuadForm.identity(5), 2.5),
+                    lambda: sweep(QuadForm.identity(5), [2.5])):
+            with pytest.raises(CountingError, match="sigma"):
+                run()
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((5, 5))
+        q = QuadForm.from_gram(a.T @ a + np.eye(5))
+        res = chimney_count(q, 2.5, sigma=1)
+        n1 = count_primitive_moebius(EllipsoidSpec(q, radius_of_t(5, 2.5))).n1
+        assert res.sigma_q == 1
+        assert res.count == n1 > 0
+
 
 class TestFit:
     def test_exact_exponential(self):

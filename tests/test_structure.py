@@ -53,3 +53,10 @@ def test_latcount_imports_only_quadform_at_top_level():
 
 def test_one_moebius_table():
     assert horocount.moebius.sieve is horocount.latcount.sieve
+
+
+def test_no_call_time_imports():
+    late = [(mod, node.lineno) for mod, tree in trees().items()
+            for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for _, _, node in package_imports(fn)]
+    assert late == []
