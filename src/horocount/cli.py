@@ -124,41 +124,37 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _orbit_command(args, kind: str) -> int:
-    form = _load_gram(args.gram, args.dim)
-    t_values = np.linspace(args.tmin, args.tmax, args.steps)
-    results = orbits.sweep(form, [float(t) for t in t_values], kind=kind,
-                           sigma=args.sigma)
-    header = "T,R,count,predicted,rel_error"
-    rows = [f"{_fmt(r.T)},{_fmt(r.R)},{r.count},{_fmt(r.predicted)},{_fmt(r.rel_error)}"
-            for r in results]
-    _emit_csv(header, rows, args.output)
-    series = [(r.T, r.rel_error) for r in results]
+def _emit_series(config: dict, header: str, rows: list[str], series, envelope: bool,
+                 **refs) -> int:
+    """Write the table to config["output"], then print the config, the decay
+    fit of the (t, rel_error) series (or its error, with null fields) and refs."""
+    _emit_csv(header, rows, config["output"])
     try:
-        fit = orbits.fit_error_exponent(series, envelope=args.envelope)
+        fit = orbits.fit_error_exponent(series, envelope=envelope)
         fit_payload = {"slope": fit.slope, "intercept": fit.intercept,
                        "r2": fit.r2, "n_points": fit.n_points}
     except CountingError as exc:
         fit_payload = {"slope": None, "intercept": None, "r2": None,
                        "error": str(exc)}
-    payload = {
-        "config": {"subcommand": kind, "dim": args.dim, "gram": args.gram,
-                   "tmin": args.tmin, "tmax": args.tmax, "steps": args.steps,
-                   "envelope": args.envelope, "sigma": args.sigma,
-                   "output": args.output},
-        **fit_payload,
-        "theory_slope": orbits.theory_slope(args.dim),
-    }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps({"config": config, **fit_payload, **refs}, indent=2))
     return 0
 
 
-def cmd_chimney(args) -> int:
-    return _orbit_command(args, "chimney")
-
-
-def cmd_horoball(args) -> int:
-    return _orbit_command(args, "horoball")
+def cmd_sweep(args) -> int:
+    """chimney or horoball, by args.subcommand; only chimney takes --sigma."""
+    kind = args.subcommand
+    sigma = {"sigma": args.sigma} if kind == "chimney" else {}
+    form = _load_gram(args.gram, args.dim)
+    t_values = np.linspace(args.tmin, args.tmax, args.steps)
+    results = orbits.sweep(form, [float(t) for t in t_values], kind=kind, **sigma)
+    rows = [f"{_fmt(r.T)},{_fmt(r.R)},{r.count},{_fmt(r.predicted)},{_fmt(r.rel_error)}"
+            for r in results]
+    config = {"subcommand": kind, "dim": args.dim, "gram": args.gram,
+              "tmin": args.tmin, "tmax": args.tmax, "steps": args.steps,
+              "envelope": args.envelope, **sigma, "output": args.output}
+    return _emit_series(config, "T,R,count,predicted,rel_error", rows,
+                        [(r.T, r.rel_error) for r in results], args.envelope,
+                        theory_slope=orbits.theory_slope(args.dim))
 
 
 def cmd_equidist(args) -> int:
@@ -179,29 +175,18 @@ def cmd_equidist(args) -> int:
             cutoff = equidist.default_cutoff_height(t, args.alpha)
         q = equidist.QuadratureSpec(base_grid=base_grid, base_cutoff_height=cutoff)
         averages.append(equidist.horosphere_average(t, profile, q, d=args.dim))
-    header = "t,value,target,err,quad_err"
     rows = [f"{_fmt(a.t)},{_fmt(a.value)},{_fmt(a.target)},{_fmt(a.err)},{_fmt(a.quad_error_estimate)}"
             for a in averages]
-    _emit_csv(header, rows, args.output)
-    try:
-        fit = orbits.fit_error_exponent([(a.t, a.err) for a in averages], envelope=True)
-        fit_payload = {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,
-                       "n_points": fit.n_points}
-    except CountingError as exc:
-        fit_payload = {"slope": None, "error": str(exc)}
+    config = {"subcommand": "equidist", "dim": args.dim, "profile": args.profile,
+              "support": args.support, "plateau": args.plateau,
+              "tmin": args.tmin, "tmax": args.tmax, "steps": args.steps,
+              "base_grid": args.base_grid, "alpha": args.alpha, "output": args.output}
     cst = constants(args.dim)
-    payload = {
-        "config": {"subcommand": "equidist", "dim": args.dim, "profile": args.profile,
-                   "support": args.support, "plateau": args.plateau,
-                   "tmin": args.tmin, "tmax": args.tmax, "steps": args.steps,
-                   "base_grid": args.base_grid, "alpha": args.alpha, "output": args.output},
-        **fit_payload,
-        "theory_slope_thm12": -cst.exponent_pointwise,
-        "theory_slope_thm11": -cst.exponent_interval,
-        "edwards_slope": -cst.exponent_edwards,
-    }
-    print(json.dumps(payload, indent=2))
-    return 0
+    return _emit_series(config, "t,value,target,err,quad_err", rows,
+                        [(a.t, a.err) for a in averages], True,
+                        theory_slope_thm12=-cst.exponent_pointwise,
+                        theory_slope_thm11=-cst.exponent_interval,
+                        edwards_slope=-cst.exponent_edwards)
 
 
 def cmd_locate(args) -> int:
@@ -311,10 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tmax", type=float, required=True)
         p.add_argument("--steps", type=int, required=True)
         p.add_argument("--envelope", action="store_true")
-        p.add_argument("--sigma", type=int, default=None,
-                       help="stabilizer order (required for d >= 5)")
+        if name == "chimney":
+            p.add_argument("--sigma", type=int, default=None,
+                           help="stabilizer order (required for d >= 5)")
         common(p)
-        p.set_defaults(fn=cmd_chimney if name == "chimney" else cmd_horoball)
+        p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("equidist", help="horospherical averages over a t-grid")
     p.add_argument("--dim", type=int, required=True, choices=(2, 3))

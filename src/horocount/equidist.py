@@ -234,7 +234,7 @@ def default_cutoff_height(t: float, alpha: float = CUTOFF_ALPHA) -> float:
 def eval_test_function(q: QuadForm, h: RadialProfile) -> float:
     """Sum of h(Q(v)) over primitive integer v (exact for integer grams)."""
     bound = h.support_end + 2.0 * _support_tol(h.support_end)
-    pts, vals = enumerate_points(q, bound, mode="auto")
+    pts, vals = enumerate_points(q, bound)
     if pts.shape[0] == 0:
         return 0.0
     prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
@@ -531,7 +531,7 @@ def shortest_primitive_value(q: QuadForm) -> float:
     radius from the gram diagonal (e_i is primitive, so never empty)."""
     bound = float(np.min(np.diagonal(q.gram)))
     for _ in range(64):
-        pts, vals = enumerate_points(q, bound, mode="auto")
+        pts, vals = enumerate_points(q, bound)
         if pts.shape[0]:
             prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
             if prim.any():
@@ -551,18 +551,12 @@ def cusp_orbit_check(base, t: float, a: float, grid: int = 17) -> bool:
     lam, mu = rate_lambda(d), rate_mu(d)
     el, em = math.exp(-lam * t), math.exp(mu * t)
     threshold = math.exp(a * math.sqrt((d - 1) / d))
-    hgram = base_form.gram
-    for xvec in _torus_points(grid):
-        x = xvec.reshape(2, 1)
-        g = np.zeros((3, 3))
-        g[:2, :2] = el * hgram + em * (x @ x.T)
-        g[:2, 2:] = em * x
-        g[2:, :2] = em * x.T
-        g[2, 2] = em
-        form = QuadForm.from_gram(g)
-        if shortest_primitive_value(form) > threshold:
-            return False
-    return True
+    xs = _torus_points(grid)
+    g = np.empty((len(xs), 3, 3))
+    g[:, :2, :2] = el * base_form.gram + em * (xs[:, :, None] * xs[:, None, :])
+    g[:, :2, 2] = g[:, 2, :2] = em * xs
+    g[:, 2, 2] = em
+    return all(shortest_primitive_value(form) <= threshold for form in QuadForm.from_grams(g))
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +568,8 @@ def estimate_f_norm(h: RadialProfile, n: int, seed: int):
     the squared mean)."""
     rng = np.random.default_rng(seed)
     samples = sample_exact_d2(rng, n)
-    sq = np.empty(n)
-    for i, smp in enumerate(samples):
-        g = smp.basis.mat
-        form = QuadForm.from_gram(g.T @ g)
-        sq[i] = eval_test_function(form, h) ** 2
+    forms = QuadForm.from_grams([s.basis.mat.T @ s.basis.mat for s in samples])
+    sq = np.array([eval_test_function(form, h) ** 2 for form in forms])
     mean = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / math.sqrt(n))
     return math.sqrt(mean), se

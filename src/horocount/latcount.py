@@ -590,13 +590,13 @@ def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto") -> CountRes
     return count_primitive_many([spec.form], spec.radius, mode)[0]
 
 
-def n0_series(spec: EllipsoidSpec, mode: str = "auto") -> np.ndarray:
+def n0_series(spec: EllipsoidSpec) -> np.ndarray:
     """N0(R/n) for n = 1 .. max(floor(R), K) as int64, entry n - 1, from
     one walk at R with the thresholds (R/n)^2 (floor(R^2) // n^2 in exact
     mode), counted to the upper edge of the float boundary band.  Past the
     last entry N0(R/n) = 1, and the list is nonincreasing."""
     _check_overflow(spec.form.dim, spec.radius)
-    f = _factor(spec.form, mode)
+    f = _factor(spec.form, "auto")
     plan = max(math.floor(spec.radius), _moebius_limit(f, spec.radius))
     return _n0_bands([f], spec.radius, range(1, plan + 1))[0]
 

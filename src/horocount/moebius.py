@@ -14,13 +14,14 @@ latcount:
     right-hand sides at every level in O(R^2) array work;
   * error form:  E1(R) = sum_{k<=K} mu(k) (E0(R/k) - 1)
                    - omega R^d sum_{k>K} mu(k)/k^d
-    (and the non-inverted partner), over latcount.n0_series.  The "- 1"
-    removes the origin, which the volume-normalized error term
-    E0 = N0 - omega R^d retains.  Any K past the last k with N0(R/k) > 1
-    makes it exact; the check takes that last k, but at least floor(R), so
-    a form with vectors shorter than 1 sums further than R.  The tails over
-    k > K are taken in closed form, zeta(d) and 1/zeta(d) minus the finite
-    heads, so they carry rounding error only.
+    (and the non-inverted partner), over latcount.n0_series, exact iff
+    the form has an integer gram.  The "- 1" removes the origin, which the
+    volume-normalized error term E0 = N0 - omega R^d retains.  Any K past
+    the last k with N0(R/k) > 1 makes it exact; the check takes that last
+    k, but at least floor(R), so a form with vectors shorter than 1 sums
+    further than R.  The tails over k > K are taken in closed form,
+    zeta(d) and 1/zeta(d) minus the finite heads, so they carry rounding
+    error only.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class ErrorRelationReport:
     details: dict = field(default_factory=dict)
 
 
-def error_relation_check(spec: EllipsoidSpec, mode: str = "auto") -> ErrorRelationReport:
+def error_relation_check(spec: EllipsoidSpec) -> ErrorRelationReport:
     """Evaluate both error-transport identities and report the residuals.
 
     The sums run to K, the last k with N0(R/k) > 1 but at least floor(R),
@@ -130,7 +131,7 @@ def error_relation_check(spec: EllipsoidSpec, mode: str = "auto") -> ErrorRelati
     cst = constants(d)
     main = cst.omega * r ** d
 
-    n0 = n0_series(spec, mode)  # N0(R/n), n = 1 .. plan; N0(R/n) = 1 past plan
+    n0 = n0_series(spec)  # N0(R/n), n = 1 .. plan; N0(R/n) = 1 past plan
     plan = len(n0)
     kmax = max(math.floor(r), int(np.count_nonzero(n0 > 1)))  # N0(R/n) is nonincreasing in n
     mu = sieve(plan)

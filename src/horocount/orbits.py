@@ -10,6 +10,8 @@ B(Q, T).  The volume main terms give the predictions
   horoball:            count ~ (omega_d / (2 zeta(d)))        e^{T sqrt((d-1)d)/2}
 
 and the relative errors are fitted against the published decay exponents.
+Every N1 is latcount's count_primitive_moebius in its default mode:
+exact for a form with an integer gram (QuadForm.mint), float otherwise.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def _sigma_for(q: QuadForm, sigma: int | None) -> int:
 
 
 def _dictionary_count(q: QuadForm, t: float, weight: int, denom: float, sigma_q: int,
-                      mode: str, why: str) -> ChimneyCount:
+                      why: str) -> ChimneyCount:
     """count = N1(Q, R(T)) / weight against the main term
     omega_d e^{T sqrt((d-1)d)/2} / (denom zeta(d)); rel_error is
     (N1 / denom) / predicted - 1 = N1 zeta(d) / (omega_d R^d) - 1."""
@@ -145,15 +147,14 @@ def _dictionary_count(q: QuadForm, t: float, weight: int, denom: float, sigma_q:
     if radius < 1e-12:
         return ChimneyCount(T=t, R=radius, count=0, sigma_q=sigma_q,
                             predicted=predicted, rel_error=-1.0)
-    n1 = count_primitive_moebius(EllipsoidSpec(q, radius), mode=mode).n1
+    n1 = count_primitive_moebius(EllipsoidSpec(q, radius)).n1
     if n1 % weight != 0:
         raise CountingError(f"primitive count {n1} not divisible by {weight}; {why}")
     return ChimneyCount(T=t, R=radius, count=n1 // weight, sigma_q=sigma_q,
                         predicted=predicted, rel_error=(n1 / denom) / predicted - 1.0)
 
 
-def chimney_count(q: QuadForm, t: float, sigma: int | None = None,
-                  mode: str = "auto") -> ChimneyCount:
+def chimney_count(q: QuadForm, t: float, sigma: int | None = None) -> ChimneyCount:
     """Orbit points of Q in the chimney truncated at level T: N1 / (alpha sigma).
 
     rel_error compares sigma(Q) * count (the stabilizer-weighted count the
@@ -161,13 +162,14 @@ def chimney_count(q: QuadForm, t: float, sigma: int | None = None,
     """
     sig = _sigma_for(q, sigma)
     alpha = constants(q.dim).alpha
-    return _dictionary_count(q, t, alpha * sig, alpha, sig, mode,
-                             "wrong stabilizer order or boundary ambiguity")
+    return _dictionary_count(q, t, alpha * sig, alpha, sig,
+                             "the form is on the symmetric locus (its automorphisms fix some "
+                             "primitive vectors), or sigma or the boundary band is wrong")
 
 
-def horoball_count(q: QuadForm, t: float, mode: str = "auto") -> ChimneyCount:
+def horoball_count(q: QuadForm, t: float) -> ChimneyCount:
     """Horosphere lifts meeting the ball of radius T around Q: N1 / 2."""
-    return _dictionary_count(q, t, 2, 2, 1, mode, "+-v symmetry violated")
+    return _dictionary_count(q, t, 2, 2, 1, "+-v symmetry violated")
 
 
 def theory_slope(d: int) -> float:
@@ -214,14 +216,13 @@ def fit_error_exponent(series, envelope: bool = False) -> DecayFit:
                     n_points=len(ts), envelope=envelope)
 
 
-def sweep(q: QuadForm, t_values, kind: str = "chimney", sigma: int | None = None,
-          mode: str = "auto") -> list[ChimneyCount]:
-    """Counts over a T-grid, sorted by T."""
+def sweep(q: QuadForm, t_values, kind: str = "chimney", sigma: int | None = None) -> list[ChimneyCount]:
+    """Counts over a T-grid, sorted by T; only chimney reads sigma."""
     if kind == "chimney":
         sig = _sigma_for(q, sigma)
-        job = lambda t: chimney_count(q, t, sigma=sig, mode=mode)
+        job = lambda t: chimney_count(q, t, sigma=sig)
     elif kind == "horoball":
-        job = lambda t: horoball_count(q, t, mode=mode)
+        job = lambda t: horoball_count(q, t)
     else:
         raise CountingError(f"unknown sweep kind {kind!r}")
     return sorted((job(t) for t in t_values), key=lambda c: c.T)

@@ -155,13 +155,13 @@ def _discrepancy(n1: int, d: int, radius: float) -> float:
     return abs(cst.zeta * n1 / vol - 1.0)
 
 
-def discrepancy(sample: LatticeSample, radius: float, mode: str = "auto") -> float:
+def discrepancy(sample: LatticeSample, radius: float) -> float:
     """|zeta(d) * #(primitive lattice points in B_R) / vol(B_R) - 1|."""
     if radius <= 0:
         raise CountingError("radius must be positive")
     g = sample.basis.mat
     form = QuadForm.from_gram(g.T @ g)
-    res = count_primitive_moebius(EllipsoidSpec(form, radius), mode=mode)
+    res = count_primitive_moebius(EllipsoidSpec(form, radius))
     return _discrepancy(res.n1, sample.basis.dim, radius)
 
 

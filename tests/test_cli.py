@@ -114,6 +114,13 @@ class TestOrbitCommands:
         assert out == ""
         assert "sigma" in err
 
+    def test_sigma_only_for_chimney(self):
+        # horoball counts read no stabilizer order
+        with pytest.raises(SystemExit) as exc:
+            main(["horoball", "--dim", "2", "--tmin", "2", "--tmax", "6", "--steps", "5",
+                  "--sigma", "7"])
+        assert exc.value.code == 2
+
     def test_csv_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for f in (f1, f2):
@@ -153,6 +160,19 @@ class TestEquidistCommand:
             want.append(",".join(repr(float(x)) for x in
                                  (a.t, a.value, a.target, a.err, a.quad_error_estimate)))
         assert out_file.read_text().strip().split("\n")[1:] == want
+
+    def test_failed_fit_keys_match_sweeps(self, capsys):
+        fit_keys = {"slope", "intercept", "r2", "error", "n_points"}
+        code, out, _ = run_cli(capsys, "equidist", "--dim", "2", "--tmin", "1", "--tmax", "14",
+                               "--steps", "12", "--profile", "bump")
+        assert code == 0
+        eq = json.loads(out[out.index("{"):])
+        code, out, _ = run_cli(capsys, "horoball", "--dim", "2", "--tmin", "2", "--tmax", "3",
+                               "--steps", "2")
+        assert code == 0
+        horo = json.loads(out[out.index("{"):])
+        assert eq["slope"] is None and horo["slope"] is None
+        assert fit_keys & eq.keys() == fit_keys & horo.keys() == {"slope", "intercept", "r2", "error"}
 
     def test_rejects_bad_dim(self, capsys):
         with pytest.raises(SystemExit):

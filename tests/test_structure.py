@@ -60,3 +60,13 @@ def test_no_call_time_imports():
             for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             for _, _, node in package_imports(fn)]
     assert late == []
+
+
+def test_counting_mode_is_set_in_latcount_only():
+    # the consumers of latcount's counts take no counting mode of their own
+    with_mode = [(mod, fn.name) for mod, tree in trees().items()
+                 if mod in ("orbits", "moebius", "randlat", "equidist")
+                 for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+                 if arg.arg == "mode"]
+    assert with_mode == []
