@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import equidist, moebius, orbits, randlat
 from .latcount import (
@@ -54,6 +53,7 @@ class CheckResult:
 def random_form(rng: np.random.Generator, d: int) -> QuadForm:
     """Well-conditioned random determinant-one form (exp of a traceless
     Gaussian keeps the condition number bounded)."""
+    from scipy.linalg import expm  # about 0.37 s to import, and only these forms need it
     s = 0.2 / math.sqrt(d) * rng.standard_normal((d, d))
     s -= np.trace(s) / d * np.eye(d)
     a = expm(s)

@@ -19,7 +19,8 @@ Two samplers:
     the draw reads the generator's stream in the order a step-by-step walk
     does, so the samples are those of one draw and one expm per step.  Only
     the product, the reduction and the renormalization to det 1 run step
-    by step.
+    by step.  expm is imported when sample_walk is called, not with the
+    module, so a process that never walks never loads scipy.
 
 The discrepancy observable counts primitive lattice points in a ball and
 compares with the volume main term; mean_square_check Monte Carlos its
@@ -37,7 +38,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .latcount import CountingError, EllipsoidSpec, count_primitive_many, count_primitive_moebius
 from .quadform import GroupElement, QuadForm, constants, lll_reduce
@@ -121,6 +121,7 @@ def fundamental_domain_im_cdf(y: float) -> float:
 def sample_walk(rng: np.random.Generator, d: int, step_sigma: float = 0.5,
                 burn_in: int = 200, thin: int = 10, n: int = 100) -> list[LatticeSample]:
     """Random-walk samples of unimodular lattices in dimension d."""
+    from scipy.linalg import expm  # about 0.37 s to import, and only the walk needs it
     if d < 2:
         raise CountingError("dimension must be >= 2")
     if not 0.0 < step_sigma <= 2.0:
