@@ -1,11 +1,19 @@
 """Import structure of the package: each module keeps its internals."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 import horocount
 import horocount.latcount
 import horocount.moebius
+from horocount.acceptance import random_form
+from horocount.randlat import sample_walk
 
 PACKAGE = Path(horocount.__file__).parent
 
@@ -34,6 +42,29 @@ def package_imports(tree):
                 parts = a.name.split(".")
                 if parts[0] == "horocount" and len(parts) > 1:
                     yield parts[1], [], node
+
+
+def scipy_imports(node, scope="<module>"):
+    """Enclosing function name ("<module>" outside any) of each import of scipy."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [a.name for a in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            names = [child.module]
+        else:
+            names = []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield scope
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from scipy_imports(child, inner)
+
+
+def run_fresh(code):
+    """Last stdout line of code run in a new interpreter, read as JSON."""
+    path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_no_private_names_across_modules():
@@ -70,3 +101,38 @@ def test_counting_mode_is_set_in_latcount_only():
                  for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
                  if arg.arg == "mode"]
     assert with_mode == []
+
+
+def test_scipy_imported_only_where_called():
+    # expm is the one scipy function in the package; only the walk and the
+    # acceptance forms call it, so no other process should load scipy
+    found = sorted((mod, fn) for mod, tree in trees().items() for fn in scipy_imports(tree))
+    assert found == [("acceptance", "random_form"), ("randlat", "sample_walk")]
+
+
+def test_cli_cold_start_loads_no_scipy():
+    loaded = run_fresh(
+        "import json, sys\n"
+        "import horocount, horocount.cli\n"
+        "horocount.cli.main(['constants', '--dim', '3'])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    assert loaded == []
+
+
+def test_call_time_expm_gives_the_same_numbers():
+    # other test modules import scipy, so in-process calls find it loaded; a
+    # new interpreter meets the call-time import cold and must draw the same bits
+    child = run_fresh(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from horocount.acceptance import random_form\n"
+        "from horocount.randlat import sample_walk\n"
+        "before = 'scipy' in sys.modules\n"
+        "walk = sample_walk(np.random.default_rng(3), 3, n=5, burn_in=100, thin=1)\n"
+        "after = 'scipy.linalg' in sys.modules\n"
+        "gram = random_form(np.random.default_rng(3), 3).gram\n"
+        "print(json.dumps([before, after, [s.basis.mat.tobytes().hex() for s in walk],"
+        " gram.tobytes().hex()]))\n")
+    walk = sample_walk(np.random.default_rng(3), 3, n=5, burn_in=100, thin=1)
+    gram = random_form(np.random.default_rng(3), 3).gram
+    assert child == [False, True, [s.basis.mat.tobytes().hex() for s in walk], gram.tobytes().hex()]
