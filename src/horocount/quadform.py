@@ -137,18 +137,22 @@ def lll_reduce(gram):
     integer array) is updated in Python ints, so reduced == u^T gram u
     exactly; floats only choose each step, from a Gram-Schmidt of the
     current gram, so in an ill-conditioned gram a poor choice costs steps,
-    never exactness.  A float gram is reduced in floats.
+    never exactness.  A float gram is reduced in floats.  The order of the
+    float operations is part of this contract (each sum starts from the int
+    0 and adds left to right): near a tie their last bits choose u, and
+    sample_walk multiplies its basis by u at every step.
     """
     # an array is read as Python scalars at once: per-element numpy
     # scalars cost more than the reduction of a small gram
-    rows = gram.tolist() if isinstance(gram, np.ndarray) else [list(row) for row in gram]
-    exact = all(isinstance(x, (int, np.integer)) for row in rows for x in row)
-    g = [[int(x) if exact else float(x) for x in row] for row in rows]
+    g = gram.tolist() if isinstance(gram, np.ndarray) else [list(row) for row in gram]
+    if not (isinstance(gram, np.ndarray) and gram.dtype.kind == "f"):  # else g holds Python floats
+        exact = all(isinstance(x, (int, np.integer)) for row in g for x in row)
+        g = [[int(x) if exact else float(x) for x in row] for row in g]
     d = len(g)
     u = [[int(i == j) for j in range(d)] for i in range(d)]
     mu = [[0.0] * d for _ in range(d)]
     r = [0.0] * d  # squared Gram-Schmidt norms
-    k = 1
+    k, half = 1, 0.5 + LLL_SIZE_SLACK
     for _ in range(LLL_STEP_LIMIT):
         if k == d:
             return u, g
@@ -156,25 +160,31 @@ def lll_reduce(gram):
         if not r[0] > 0.0:
             raise GeometryError("gram matrix is not positive definite")
         # Gram-Schmidt row k from the current gram; rows < k are still valid
-        a = [0.0] * k
+        gk, muk, a, t = g[k], mu[k], [0.0] * k, 0
         for j in range(k):
-            a[j] = float(g[k][j]) - sum(mu[j][i] * a[i] for i in range(j))
-            mu[k][j] = a[j] / r[j]
-        r[k] = float(g[k][k]) - sum(mu[k][j] * a[j] for j in range(k))
+            s, muj = 0, mu[j]
+            for i in range(j):
+                s += muj[i] * a[i]
+            a[j] = float(gk[j]) - s
+            muk[j] = a[j] / r[j]
+            t += muk[j] * a[j]
+        r[k] = float(gk[k]) - t
         reduced = False
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > 0.5 + LLL_SIZE_SLACK:  # b_k <- b_k - c b_j
-                c = round(mu[k][j])
-                for row in g + u:
+            if abs(muk[j]) > half:  # b_k <- b_k - c b_j
+                c = round(muk[j])
+                for row in g:
+                    row[k] -= c * row[j]
+                for row in u:
                     row[k] -= c * row[j]
                 g[k] = [x - c * y for x, y in zip(g[k], g[j])]
                 for i in range(j):
-                    mu[k][i] -= c * mu[j][i]
-                mu[k][j] -= c
+                    muk[i] -= c * mu[j][i]
+                muk[j] -= c
                 reduced = True
         if reduced:
             continue  # Gram-Schmidt row k again, now from the updated gram
-        if r[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * r[k - 1]:
+        if r[k] >= (LLL_DELTA - muk[k - 1] ** 2) * r[k - 1]:
             k += 1
             continue
         for row in g + u:  # (b_{k-1}, b_k) <- (b_k, -b_{k-1}), det +1

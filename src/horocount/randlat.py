@@ -19,8 +19,8 @@ Two samplers:
     the draw reads the generator's stream in the order a step-by-step walk
     does, so the samples are those of one draw and one expm per step.  Only
     the product, the reduction and the renormalization to det 1 run step
-    by step.  expm is imported when sample_walk is called, not with the
-    module, so a process that never walks never loads scipy.
+    by step.  expm is imported when sample_walk has checked its arguments,
+    not with the module, so a process that never walks never loads scipy.
 
 The discrepancy observable counts primitive lattice points in a ball and
 compares with the volume main term; mean_square_check Monte Carlos its
@@ -121,7 +121,6 @@ def fundamental_domain_im_cdf(y: float) -> float:
 def sample_walk(rng: np.random.Generator, d: int, step_sigma: float = 0.5,
                 burn_in: int = 200, thin: int = 10, n: int = 100) -> list[LatticeSample]:
     """Random-walk samples of unimodular lattices in dimension d."""
-    from scipy.linalg import expm  # about 0.37 s to import, and only the walk needs it
     if d < 2:
         raise CountingError("dimension must be >= 2")
     if not 0.0 < step_sigma <= 2.0:
@@ -130,6 +129,8 @@ def sample_walk(rng: np.random.Generator, d: int, step_sigma: float = 0.5,
         raise CountingError("burn_in must be >= 100")
     if thin < 1 or n < 1:
         raise CountingError("thin and n must be >= 1")
+    # about 0.37 s to import, and only a valid walk needs it
+    from scipy.linalg import expm
     eye = np.eye(d)
     g = eye
     out = []

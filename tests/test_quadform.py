@@ -6,6 +6,9 @@ import pytest
 from scipy.special import zeta as scipy_zeta
 
 from horocount.quadform import (
+    LLL_DELTA,
+    LLL_SIZE_SLACK,
+    LLL_STEP_LIMIT,
     Constants,
     GeometryError,
     GroupElement,
@@ -26,6 +29,7 @@ from horocount.quadform import (
     rate_mu,
     zeta,
 )
+from horocount import randlat
 from horocount.randlat import sample_exact_d2, sample_walk
 
 
@@ -63,6 +67,89 @@ def random_rotation(rng, d):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return GroupElement.from_matrix(q)
+
+
+def skewed_unimodular(rng, d, top):
+    """A random integer matrix of det +-1 from column additions, grown until
+    an entry exceeds top."""
+    u = np.eye(d, dtype=np.int64)
+    while np.abs(u).max() <= top:
+        i, j = rng.choice(d, 2, replace=False)
+        u[:, i] += rng.choice((-1, 1)) * u[:, j]
+    return u
+
+
+def near_tie_grams(rng, d, n):
+    """Grams L diag(r) L^T whose Gram-Schmidt puts one mu_kj of the last
+    row k = d - 1, which has the longest sums, on the size bound 1/2 +
+    LLL_SIZE_SLACK, or r_k on the Lovasz bound, to within rounding: there
+    the last bit of a Gram-Schmidt value decides a step."""
+    out = []
+    k = d - 1
+    for _ in range(n):
+        low = np.eye(d) + np.tril(rng.uniform(-0.5, 0.5, (d, d)), -1)
+        r = rng.uniform(0.5, 2.0, d)
+        if rng.random() < 0.5:
+            low[k, int(rng.integers(0, k))] = rng.choice((-1.0, 1.0)) * (0.5 + LLL_SIZE_SLACK)
+        else:
+            r[k] = (LLL_DELTA - low[k, k - 1] ** 2) * r[k - 1]
+        out.append(low @ np.diag(r) @ low.T)
+    return out
+
+
+def typed(x):
+    """Nested lists with each scalar as (type, repr), so -0.0 differs from 0.0."""
+    return [typed(y) for y in x] if isinstance(x, (list, tuple)) else (type(x), repr(x))
+
+
+def reference_lll_reduce(gram):
+    """lll_reduce in its plain form, with generator sums, as the reference
+    it must equal bit for bit: walk samples depend on the last bits of
+    every reduction, so (u, reduced) and their element types must match."""
+    # an array is read as Python scalars at once: per-element numpy
+    # scalars cost more than the reduction of a small gram
+    rows = gram.tolist() if isinstance(gram, np.ndarray) else [list(row) for row in gram]
+    exact = all(isinstance(x, (int, np.integer)) for row in rows for x in row)
+    g = [[int(x) if exact else float(x) for x in row] for row in rows]
+    d = len(g)
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    mu = [[0.0] * d for _ in range(d)]
+    r = [0.0] * d  # squared Gram-Schmidt norms
+    k = 1
+    for _ in range(LLL_STEP_LIMIT):
+        if k == d:
+            return u, g
+        r[0] = float(g[0][0])
+        if not r[0] > 0.0:
+            raise GeometryError("gram matrix is not positive definite")
+        # Gram-Schmidt row k from the current gram; rows < k are still valid
+        a = [0.0] * k
+        for j in range(k):
+            a[j] = float(g[k][j]) - sum(mu[j][i] * a[i] for i in range(j))
+            mu[k][j] = a[j] / r[j]
+        r[k] = float(g[k][k]) - sum(mu[k][j] * a[j] for j in range(k))
+        reduced = False
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > 0.5 + LLL_SIZE_SLACK:  # b_k <- b_k - c b_j
+                c = round(mu[k][j])
+                for row in g + u:
+                    row[k] -= c * row[j]
+                g[k] = [x - c * y for x, y in zip(g[k], g[j])]
+                for i in range(j):
+                    mu[k][i] -= c * mu[j][i]
+                mu[k][j] -= c
+                reduced = True
+        if reduced:
+            continue  # Gram-Schmidt row k again, now from the updated gram
+        if r[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * r[k - 1]:
+            k += 1
+            continue
+        for row in g + u:  # (b_{k-1}, b_k) <- (b_k, -b_{k-1}), det +1
+            row[k - 1], row[k] = row[k], -row[k - 1]
+        g[k - 1], g[k] = g[k], [-x for x in g[k - 1]]
+        k = max(k - 1, 1)
+    raise GeometryError(f"LLL reduction did not finish in {LLL_STEP_LIMIT} steps; "
+                        "the gram matrix is not numerically positive definite")
 
 
 class TestQuadForm:
@@ -199,8 +286,38 @@ class TestLLL:
                 assert np.allclose(ua.T @ gram @ ua, reduced, rtol=0.0, atol=tol)
 
     def test_not_positive_definite(self):
-        with pytest.raises(GeometryError):
-            lll_reduce([[0, 1], [1, 0]])
+        for reduce in (lll_reduce, reference_lll_reduce):
+            with pytest.raises(GeometryError, match="^gram matrix is not positive definite$"):
+                reduce([[0, 1], [1, 0]])
+
+    def test_matches_reference(self, monkeypatch):
+        # the same (u, reduced), element types included, as the reference on
+        # the grams of walk steps, exact d = 2 samples, sheared integer grams,
+        # float grams that take tens of swaps, and float grams on which a
+        # reordered float sum flips a step
+        walk_grams = []
+
+        def recording(gram):
+            walk_grams.append(gram.copy())
+            return lll_reduce(gram)
+
+        rng = np.random.default_rng(9)
+        with monkeypatch.context() as patch:
+            patch.setattr(randlat, "lll_reduce", recording)
+            for d in (2, 3, 4, 5):
+                sample_walk(rng, d, burn_in=100, thin=1, n=20)
+        assert len(walk_grams) == 4 * 120
+        grams = walk_grams + [s.basis.mat.T @ s.basis.mat for s in sample_exact_d2(rng, 200)]
+        grams += [self.LARGE_ENTRY_GRAM, np.array(self.LARGE_ENTRY_GRAM)]
+        for d in (2, 3, 4, 5):
+            for _ in range(20):
+                shear = np.eye(d, dtype=np.int64) + np.triu(rng.integers(-30, 31, (d, d)), 1)
+                gram = shear.T @ np.diag(rng.integers(1, 4, d)) @ shear
+                g = random_group_element(rng, d, scale=0.5).mat @ skewed_unimodular(rng, d, 300)
+                grams += [gram, gram.tolist(), g.T @ g, (g.T @ g).tolist()]
+            grams += near_tie_grams(rng, d, 1000)
+        for gram in grams:
+            assert typed(lll_reduce(gram)) == typed(reference_lll_reduce(gram))
 
     def test_array_input(self):
         # a float array reduces as the same gram in nested Python floats;

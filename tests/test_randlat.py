@@ -7,7 +7,7 @@ from scipy import stats
 from scipy.linalg import expm
 
 from horocount.latcount import CountingError, count_primitive_many
-from horocount.quadform import QuadForm, constants, lll_reduce
+from horocount.quadform import QuadForm, constants
 from horocount.randlat import (
     FUNDAMENTAL_AREA,
     WALK_CHUNK,
@@ -20,17 +20,19 @@ from horocount.randlat import (
     sample_walk,
 )
 from horocount.quadform import GroupElement
+from test_quadform import reference_lll_reduce
 
 
 def step_by_step_walk(rng, d, step_sigma=0.5, burn_in=200, thin=10, n=100):
-    """Reference for sample_walk: one draw and one expm per step."""
+    """Reference for sample_walk: one draw, one expm and the plain reference
+    LLL per step, so a walk sample that drifts in its last bits shows."""
     g = np.eye(d)
     out = []
     for step in range(burn_in + thin * n):
         xi = step_sigma * rng.standard_normal((d, d))
         xi -= np.trace(xi) / d * np.eye(d)
         g = expm(xi) @ g
-        u, _ = lll_reduce(g.T @ g)
+        u, _ = reference_lll_reduce(g.T @ g)
         g = g @ np.array(u, dtype=float)
         det = float(np.linalg.det(g))
         g = g / abs(det) ** (1.0 / d)

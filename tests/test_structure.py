@@ -119,6 +119,25 @@ def test_cli_cold_start_loads_no_scipy():
     assert loaded == []
 
 
+def test_invalid_walk_loads_no_scipy():
+    # sample_walk checks its arguments before it imports expm
+    out = run_fresh(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from horocount.cli import main\n"
+        "from horocount.latcount import CountingError\n"
+        "from horocount.randlat import sample_walk\n"
+        "try:\n"
+        "    sample_walk(np.random.default_rng(0), 1)\n"
+        "    raised = False\n"
+        "except CountingError:\n"
+        "    raised = True\n"
+        "code = main(['meansq', '--dim', '3', '--radius', '5', '--samples', '150',\n"
+        "             '--sampler', 'walk', '--burnin', '50'])\n"
+        "print(json.dumps([raised, code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n")
+    assert out == [True, 2, []]
+
+
 def test_call_time_expm_gives_the_same_numbers():
     # other test modules import scipy, so in-process calls find it loaded; a
     # new interpreter meets the call-time import cold and must draw the same bits
