@@ -31,6 +31,7 @@ from horocount.quadform import (
 )
 from horocount import randlat
 from horocount.randlat import sample_exact_d2, sample_walk
+from test_latcount import random_unimodular
 
 
 def random_group_element(rng, d, scale=0.4):
@@ -67,16 +68,6 @@ def random_rotation(rng, d):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return GroupElement.from_matrix(q)
-
-
-def skewed_unimodular(rng, d, top):
-    """A random integer matrix of det +-1 from column additions, grown until
-    an entry exceeds top."""
-    u = np.eye(d, dtype=np.int64)
-    while np.abs(u).max() <= top:
-        i, j = rng.choice(d, 2, replace=False)
-        u[:, i] += rng.choice((-1, 1)) * u[:, j]
-    return u
 
 
 def near_tie_grams(rng, d, n):
@@ -313,7 +304,8 @@ class TestLLL:
             for _ in range(20):
                 shear = np.eye(d, dtype=np.int64) + np.triu(rng.integers(-30, 31, (d, d)), 1)
                 gram = shear.T @ np.diag(rng.integers(1, 4, d)) @ shear
-                g = random_group_element(rng, d, scale=0.5).mat @ skewed_unimodular(rng, d, 300)
+                skew = np.array(random_unimodular(rng, np.eye(d), 10 ** 5))
+                g = random_group_element(rng, d, scale=0.5).mat @ skew
                 grams += [gram, gram.tolist(), g.T @ g, (g.T @ g).tolist()]
             grams += near_tie_grams(rng, d, 1000)
         for gram in grams:
