@@ -175,12 +175,9 @@ def criterion_4_counting_decay() -> CheckResult:
         for d, r_lo, r_hi, n_pts, slope_max in ((2, 16.0, 2048.0, 33, -0.40),
                                                 (3, 8.0, 128.0, 21, -0.45)):
             radii = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_pts))
-            series = []
-            for radius in radii:
-                t = orbits.t_of_radius(d, float(radius))
-                hc = orbits.horoball_count(QuadForm.identity(d), t)
-                series.append((t, hc.rel_error))
-            fit = orbits.fit_error_exponent(series, envelope=True)
+            ts = [orbits.t_of_radius(d, float(radius)) for radius in radii]
+            rows = orbits.sweep(QuadForm.identity(d), ts, kind="horoball")
+            fit = orbits.fit_error_exponent([(r.T, r.rel_error) for r in rows], envelope=True)
             out[f"d{d}"] = {"slope": fit.slope, "required": slope_max,
                             "theory": orbits.theory_slope(d), "n_envelope": fit.n_points}
             ok &= fit.slope <= slope_max

@@ -457,27 +457,34 @@ def _exact_threshold(radius) -> int:
     return math.floor(rsq)
 
 
-def _n0_bands(fs, radius: float, ks, sizes=None) -> np.ndarray:
-    """N0(radius / k) for the forms fs (one exact form, or float forms of
-    one dimension) and each k of the increasing ks, form i reading only
-    the first sizes[i] of them (default: all), counted to the upper and
-    to the lower edge of the float boundary band; both are the exact
-    count in exact mode.  Returns _count's totals: rows n_hi and n_lo."""
+def _thresholds(f: _Factor, radius: float, ks) -> list:
+    """The thresholds of N0(radius / k) for each k of ks in the mode of f:
+    (radius / k)^2 in float mode, floor(radius^2) // k^2 in exact mode."""
+    if f.mint is None:
+        return [(radius / k) ** 2 for k in ks]
+    top = _exact_threshold(radius)
+    return [top // (k * k) for k in ks]
+
+
+def _n0_bands(fs, xs, sizes=None) -> np.ndarray:
+    """N0 at each threshold of the nonincreasing xs (from _thresholds) for
+    the forms fs (one exact form, or float forms of one dimension), form i
+    reading only the first sizes[i] of them (default: all), counted to the
+    upper and to the lower edge of the float boundary band; both are the
+    exact count in exact mode.  Returns _count's totals: rows n_hi and n_lo."""
     if fs[0].mint is not None:
-        top = _exact_threshold(radius)
-        n = _count(_ExactRule(fs[0], [top // (k * k) for k in ks]))
+        n = _count(_ExactRule(fs[0], xs))
         return np.concatenate([n, n])
-    rsq = [(radius / k) ** 2 for k in ks]
-    tol = [_float_tolerance(x, fs[0].dim) for x in rsq]
-    return _count(_FloatRule(fs, [x + t for x, t in zip(rsq, tol)],
-                             [x - t for x, t in zip(rsq, tol)]), sizes)
+    tol = [_float_tolerance(x, fs[0].dim) for x in xs]
+    return _count(_FloatRule(fs, [x + t for x, t in zip(xs, tol)],
+                             [x - t for x, t in zip(xs, tol)]), sizes)
 
 
 def count_full(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
     """Number of integer points with Q(v) <= R^2, origin included."""
     _check_overflow(spec.form.dim, spec.radius)
     f = _factor(spec.form, mode)
-    n_hi, n_lo = _n0_bands([f], spec.radius, [1])[:, 0].tolist()
+    n_hi, n_lo = _n0_bands([f], _thresholds(f, spec.radius, [1]))[:, 0].tolist()
     return CountResult(n0=n_hi, boundary_ambiguous=n_hi - n_lo, mode=f.mode)
 
 
@@ -531,58 +538,77 @@ def _moebius_limit(f: _Factor, radius: float) -> int:
     return math.floor(radius / math.sqrt(min(f.q))) + 2
 
 
-def count_primitive_many(forms, radius: float, mode: str = "auto") -> list[CountResult]:
-    """Primitive counts of many forms of one dimension at one radius, by
-    the sieve: N1(R) = sum_k mu(k) (N0(R/k) - 1) per form.
+def count_primitive_many(forms, radius, mode: str = "auto"):
+    """Primitive counts of many forms of one dimension at one radius or at
+    each of a list of radii, by the sieve: N1(R) = sum_k mu(k) (N0(R/k) - 1)
+    per form.  One radius gives one CountResult per form; a list of radii
+    gives one such list per radius, in order.
 
     Subtracting the origin from each full count makes the identity exact at
     every radius.  In the reduced coordinates every nonzero v has
     Q(v) >= min_i q_i, the least squared Gram-Schmidt norm, so N0(R/k) = 1
     once R/k < sqrt(min_i q_i): those terms are mu(k) (1 - 1) = 0, and in
-    float mode their boundary band is 0 as well.  Each form's sum runs to
-    its own K = floor(R / sqrt(min_i q_i)) + 2, one past the first such k,
-    so that N0(R/K) = 1 also where a rounded R / sqrt(min_i q_i) falls just
-    below an integer k and the float band at R/k holds a shortest vector.
+    float mode their boundary band is 0 as well.  Each form's sum at R runs
+    to its own K = floor(R / sqrt(min_i q_i)) + 2, one past the first such
+    k, so that N0(R/K) = 1 also where a rounded R / sqrt(min_i q_i) falls
+    just below an integer k and the float band at R/k holds a shortest
+    vector.
 
     Each form is LLL-reduced once, and the reduced grams are factored by
     one stacked Cholesky (_factors).  The float forms share one pass of the
-    leaf: their walks at R, in turn, feed the same blocks, and each node
-    is paired only with the squarefree k <= its own form's K that it can
-    reach, so one deep-cusp form does not widen the pairing of the others.
-    Each exact form takes a pass of its own.
+    leaf: their walks at the largest R, in turn, feed the same blocks, and
+    each node is paired only with the thresholds it can reach among those
+    its own form reads, so one deep-cusp form does not widen the pairing of
+    the others.  Each exact form takes a pass of its own.  The thresholds
+    of a pass are those of every radius R_j and every squarefree k up to
+    R_j's K, merged, de-duplicated and in descending order; a node's key
+    does not depend on the walk's top, so every N0 is the one a count at
+    R_j alone gives.
     """
+    scalar = np.ndim(radius) == 0
+    radii = [radius] if scalar else list(radius)
     forms = list(forms)
-    if not forms:
-        return []
+    if not forms or not radii:
+        return [] if scalar else [[] for _ in radii]
     d = forms[0].dim
     if any(form.dim != d for form in forms):
         raise CountingError("the forms of one count must share a dimension")
-    if not radius > 0.0:
-        raise CountingError(f"radius must be positive, got {radius}")
-    _check_overflow(d, radius)
+    for r in radii:
+        if not r > 0.0:
+            raise CountingError(f"radius must be positive, got {r}")
+    _check_overflow(d, max(radii))
     fs = _factors(forms, mode)
-    kmax = [_moebius_limit(f, radius) for f in fs]
-    mu = sieve(max(kmax))
+    kmax = [[_moebius_limit(f, r) for f in fs] for r in radii]
+    mu = sieve(max(map(max, kmax)))
     ks = np.flatnonzero(mu).tolist()
-    sizes = [bisect.bisect_right(ks, k) for k in kmax]
+    sizes = [[bisect.bisect_right(ks, k) for k in row] for row in kmax]  # per radius, per form
     mu_ks = mu[ks]
     # the float forms share one pass; each exact form takes its own
     floats = [i for i, f in enumerate(fs) if f.mint is None]
     groups = ([floats] if floats else []) + [[i] for i, f in enumerate(fs) if f.mint is not None]
-    out = [None] * len(fs)
+    out = [[None] * len(fs) for _ in radii]
     for group in groups:
-        width = [sizes[i] for i in group]
-        n = _n0_bands([fs[i] for i in group], radius, ks[:max(width)], width)
+        need = np.array([[size[i] for i in group] for size in sizes])  # per radius, per form
+        rows = [_thresholds(fs[group[0]], r, ks[:w.max()]) for r, w in zip(radii, need)]
+        xs = sorted({x for row in rows for x in row}, reverse=True)
+        at = {x: p for p, x in enumerate(xs)}
+        pos = [np.array([at[x] for x in row]) for row in rows]  # the column of each threshold
+        # each form reads the thresholds down to the last one it needs
+        width = (np.max([p[w - 1] for p, w in zip(pos, need)], axis=0) + 1).tolist()
+        n = _n0_bands([fs[i] for i in group], xs, width)
         starts = list(itertools.accumulate(width[:-1], initial=0))
-        kcol = np.arange(n.shape[1]) - np.repeat(starts, width)  # the index into ks of each column
-        # int64 sums are exact: an intermediate could only wrap modulo 2^64,
-        # and every result lies between 0 and the count N0 < COUNT_LIMIT
-        n1 = np.add.reduceat(mu_ks[kcol] * (n[0] - 1), starts).tolist()
-        band = np.add.reduceat(n[0] - n[1], starts).tolist()
-        n0 = n[0, starts].tolist()
-        for j, i in enumerate(group):
-            out[i] = CountResult(n0=n0[j], n1=n1[j], boundary_ambiguous=band[j], mode=fs[i].mode)
-    return out
+        for res, p, w in zip(out, pos, need):
+            seg = np.cumsum(w) - w
+            kcol = np.arange(seg[-1] + w[-1]) - np.repeat(seg, w)  # the index into ks of each entry
+            cols = np.repeat(starts, w) + p[kcol]
+            hi, lo = n[0, cols], n[1, cols]
+            # int64 sums are exact: an intermediate could only wrap modulo 2^64,
+            # and every result lies between 0 and the count N0 < COUNT_LIMIT
+            n1 = np.add.reduceat(mu_ks[kcol] * (hi - 1), seg).tolist()
+            band = np.add.reduceat(hi - lo, seg).tolist()
+            for i, n0, a, b in zip(group, hi[seg].tolist(), n1, band):
+                res[i] = CountResult(n0=n0, n1=a, boundary_ambiguous=b, mode=fs[i].mode)
+    return out[0] if scalar else out
 
 
 def count_primitive_moebius(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
@@ -598,7 +624,7 @@ def n0_series(spec: EllipsoidSpec) -> np.ndarray:
     _check_overflow(spec.form.dim, spec.radius)
     f = _factor(spec.form, "auto")
     plan = max(math.floor(spec.radius), _moebius_limit(f, spec.radius))
-    return _n0_bands([f], spec.radius, range(1, plan + 1))[0]
+    return _n0_bands([f], _thresholds(f, spec.radius, range(1, plan + 1)))[0]
 
 
 def shell_table(form: QuadForm, top: float):

@@ -10,8 +10,11 @@ B(Q, T).  The volume main terms give the predictions
   horoball:            count ~ (omega_d / (2 zeta(d)))        e^{T sqrt((d-1)d)/2}
 
 and the relative errors are fitted against the published decay exponents.
-Every N1 is latcount's count_primitive_moebius in its default mode:
-exact for a form with an integer gram (QuadForm.mint), float otherwise.
+A sweep takes every N1 of its T-grid from one latcount.count_primitive_many
+call on the form at the grid's radii, in its default mode: exact for a
+form with an integer gram (QuadForm.mint), float otherwise.  One walk at
+the largest radius gives them all; chimney_count and horoball_count are
+sweeps of one T.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ import numpy as np
 
 from .latcount import (
     CountingError,
-    EllipsoidSpec,
-    count_primitive_moebius,
+    count_primitive_many,
     enumerate_points,
 )
 from .quadform import QuadForm, constants
@@ -135,41 +137,18 @@ def _sigma_for(q: QuadForm, sigma: int | None) -> int:
     return stabilizer_order(q)
 
 
-def _dictionary_count(q: QuadForm, t: float, weight: int, denom: float, sigma_q: int,
-                      why: str) -> ChimneyCount:
-    """count = N1(Q, R(T)) / weight against the main term
-    omega_d e^{T sqrt((d-1)d)/2} / (denom zeta(d)); rel_error is
-    (N1 / denom) / predicted - 1 = N1 zeta(d) / (omega_d R^d) - 1."""
-    d = q.dim
-    cst = constants(d)
-    radius = radius_of_t(d, t)
-    predicted = (cst.omega / (denom * cst.zeta)) * math.exp(0.5 * t * math.sqrt((d - 1) * d))
-    if radius < 1e-12:
-        return ChimneyCount(T=t, R=radius, count=0, sigma_q=sigma_q,
-                            predicted=predicted, rel_error=-1.0)
-    n1 = count_primitive_moebius(EllipsoidSpec(q, radius)).n1
-    if n1 % weight != 0:
-        raise CountingError(f"primitive count {n1} not divisible by {weight}; {why}")
-    return ChimneyCount(T=t, R=radius, count=n1 // weight, sigma_q=sigma_q,
-                        predicted=predicted, rel_error=(n1 / denom) / predicted - 1.0)
-
-
 def chimney_count(q: QuadForm, t: float, sigma: int | None = None) -> ChimneyCount:
     """Orbit points of Q in the chimney truncated at level T: N1 / (alpha sigma).
 
     rel_error compares sigma(Q) * count (the stabilizer-weighted count the
     volume asymptotic speaks about) with the predicted main term.
     """
-    sig = _sigma_for(q, sigma)
-    alpha = constants(q.dim).alpha
-    return _dictionary_count(q, t, alpha * sig, alpha, sig,
-                             "the form is on the symmetric locus (its automorphisms fix some "
-                             "primitive vectors), or sigma or the boundary band is wrong")
+    return sweep(q, [t], kind="chimney", sigma=sigma)[0]
 
 
 def horoball_count(q: QuadForm, t: float) -> ChimneyCount:
     """Horosphere lifts meeting the ball of radius T around Q: N1 / 2."""
-    return _dictionary_count(q, t, 2, 2, 1, "+-v symmetry violated")
+    return sweep(q, [t], kind="horoball")[0]
 
 
 def theory_slope(d: int) -> float:
@@ -217,12 +196,41 @@ def fit_error_exponent(series, envelope: bool = False) -> DecayFit:
 
 
 def sweep(q: QuadForm, t_values, kind: str = "chimney", sigma: int | None = None) -> list[ChimneyCount]:
-    """Counts over a T-grid, sorted by T; only chimney reads sigma."""
+    """Counts over a T-grid, sorted by T; only chimney reads sigma.
+
+    Each row's count is N1(Q, R(T)) / weight against the main term
+    omega_d e^{T sqrt((d-1)d)/2} / (denom zeta(d)), with weight alpha sigma
+    and denom alpha for chimney, 2 and 2 for horoball; rel_error is
+    (N1 / denom) / predicted - 1 = N1 zeta(d) / (omega_d R^d) - 1.  Every N1
+    comes from one count_primitive_many call over the grid's radii, which
+    walks Q once at the largest R.  A radius below 1e-12 holds no nonzero
+    point and gives an empty row.  A count that the weight does not divide
+    raises CountingError for the first such T of t_values.
+    """
+    d = q.dim
+    cst = constants(d)
     if kind == "chimney":
-        sig = _sigma_for(q, sigma)
-        job = lambda t: chimney_count(q, t, sigma=sig)
+        sigma_q = _sigma_for(q, sigma)
+        weight, denom = cst.alpha * sigma_q, cst.alpha
+        why = ("the form is on the symmetric locus (its automorphisms fix some "
+               "primitive vectors), or sigma or the boundary band is wrong")
     elif kind == "horoball":
-        job = lambda t: horoball_count(q, t)
+        sigma_q, weight, denom, why = 1, 2, 2, "+-v symmetry violated"
     else:
         raise CountingError(f"unknown sweep kind {kind!r}")
-    return sorted((job(t) for t in t_values), key=lambda c: c.T)
+    ts = list(t_values)
+    radii = [radius_of_t(d, t) for t in ts]
+    counts = iter(count_primitive_many([q], [r for r in radii if r >= 1e-12]))
+    rows = []
+    for t, radius in zip(ts, radii):
+        predicted = (cst.omega / (denom * cst.zeta)) * math.exp(0.5 * t * math.sqrt((d - 1) * d))
+        if radius < 1e-12:
+            rows.append(ChimneyCount(T=t, R=radius, count=0, sigma_q=sigma_q,
+                                     predicted=predicted, rel_error=-1.0))
+            continue
+        n1 = next(counts)[0].n1
+        if n1 % weight != 0:
+            raise CountingError(f"primitive count {n1} not divisible by {weight}; {why}")
+        rows.append(ChimneyCount(T=t, R=radius, count=n1 // weight, sigma_q=sigma_q,
+                                 predicted=predicted, rel_error=(n1 / denom) / predicted - 1.0))
+    return sorted(rows, key=lambda c: c.T)

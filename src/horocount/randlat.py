@@ -27,8 +27,9 @@ compares with the volume main term; mean_square_check Monte Carlos its
 second moment against the inequality bound 2 zeta(d)/vol(B) for d >= 3
 (factor 4 for d = 2).  It draws its samples once for all the radii it is
 given, builds their forms with one QuadForm.from_grams call on the stack
-of grams, and counts every sample at a radius in one
-latcount.count_primitive_many call.
+of grams, and counts every sample at every radius in one
+latcount.count_primitive_many call, which reduces and factors each sample
+once.
 """
 
 from __future__ import annotations
@@ -167,9 +168,8 @@ def discrepancy(sample: LatticeSample, radius: float) -> float:
     return _discrepancy(res.n1, sample.basis.dim, radius)
 
 
-def _report(d: int, radius: float, forms: list[QuadForm]) -> MeanSquareReport:
-    dsq = np.array([_discrepancy(res.n1, d, radius) ** 2
-                    for res in count_primitive_many(forms, radius)])
+def _report(d: int, radius: float, counts) -> MeanSquareReport:
+    dsq = np.array([_discrepancy(res.n1, d, radius) ** 2 for res in counts])
     mean = float(np.mean(dsq))
     cst = constants(d)
     vol = cst.omega * radius ** d
@@ -195,8 +195,8 @@ def mean_square_check(d: int, radius: float | Sequence[float], n_samples: int,
     passed means mean - 2 * standard_error <= bound; with a single sample
     the standard error is undefined and the report is flagged degenerate.
     A float radius gives one report.  A sequence of radii gives one report
-    per radius, in order, all from the same samples; each radius counts
-    every sample in one count_primitive_many call.
+    per radius, in order, all from the same samples, which one
+    count_primitive_many call counts at every radius.
     """
     radii = [radius] if np.ndim(radius) == 0 else list(radius)
     if not all(r > 0 for r in radii):
@@ -212,5 +212,6 @@ def mean_square_check(d: int, radius: float | Sequence[float], n_samples: int,
     else:
         raise CountingError(f"unknown sampler {sampler!r}")
     forms = QuadForm.from_grams([s.basis.mat.T @ s.basis.mat for s in samples])
-    reports = [_report(d, r, forms) for r in radii]
+    counts = count_primitive_many(forms, radii)
+    reports = [_report(d, r, res) for r, res in zip(radii, counts)]
     return reports[0] if np.ndim(radius) == 0 else reports

@@ -452,6 +452,73 @@ class TestCountPrimitiveMany:
             count_primitive_many([QuadForm.identity(2)], 3.0, mode="magic")
 
 
+class TestManyRadii:
+    """count_primitive_many at a list of radii against one call per radius."""
+
+    # unsorted, with a repeated radius, a pair whose thresholds coincide
+    # (R/k and 2R/(2k)) and a radius below every shortest vector (K = 2)
+    RADII = {2: [10.0, 20.0, 7.3, 0.6, 10.0, 3.1],
+             3: [5.0, 2.5, 3.4, 0.6, 5.0],
+             4: [3.0, 1.5, 2.6, 0.6, 3.0]}
+
+    @staticmethod
+    def batches(d, rng):
+        mixed = TestCountPrimitiveMany.batch(d, rng)
+        floats = [q for q in mixed if q.mint is None]
+        exact = [q for q in mixed if q.mint is not None] + [QuadForm.identity(d)]
+        return {"mixed": mixed, "float": floats, "exact": exact}
+
+    def test_matches_per_radius_calls(self, monkeypatch):
+        fields = TestCountPrimitiveMany.fields
+        rng = np.random.default_rng(27)
+        for d, radii in self.RADII.items():
+            for name, forms in self.batches(d, rng).items():
+                want = [[fields(r) for r in count_primitive_many(forms, radius)] for radius in radii]
+                if name != "float":
+                    assert {w[3] for w in want[0]} >= {"exact"}
+                assert min(latcount._moebius_limit(latcount._factor(q, "auto"), 0.6) for q in forms) == 2
+                for block in (None, 5, 64):
+                    with monkeypatch.context() as m:
+                        if block:
+                            m.setattr(latcount, "BLOCK", block)
+                        got = count_primitive_many(forms, radii)
+                    assert [[fields(r) for r in row] for row in got] == want, (d, name, block)
+
+    def test_one_radius_list_is_the_scalar_call(self):
+        forms = [QuadForm.identity(2), random_form(np.random.default_rng(28), 2)]
+        one = count_primitive_many(forms, 6.5)
+        assert [[TestCountPrimitiveMany.fields(r) for r in row]
+                for row in count_primitive_many(forms, [6.5])] == [[TestCountPrimitiveMany.fields(r)
+                                                                    for r in one]]
+        assert count_primitive_many(forms, []) == []
+        assert count_primitive_many([], [2.0, 3.0]) == [[], []]
+        for radii in ([3.0, 0.0], [-1.0, 3.0]):
+            with pytest.raises(CountingError, match="positive"):
+                count_primitive_many(forms, radii)
+
+    def test_pairs_no_more_than_per_radius_calls(self, monkeypatch):
+        # the merged pass pairs each node with each distinct threshold it
+        # reaches once; the per-radius calls pair it once per radius
+        seen = []
+        for rule in (latcount._FloatRule, latcount._ExactRule):
+            def spy(self, bounds, key, aux, owner=None, level0=rule.level0):
+                seen.append(np.broadcast(bounds, key).size)
+                return level0(self, bounds, key, aux, owner)
+
+            monkeypatch.setattr(rule, "level0", spy)
+        rng = np.random.default_rng(29)
+        for d, radii in self.RADII.items():
+            for forms in self.batches(d, rng).values():
+                seen[:] = []
+                count_primitive_many(forms, radii)
+                merged = sum(seen)
+                seen[:] = []
+                for radius in radii:
+                    count_primitive_many(forms, radius)
+                # strictly fewer: the radii repeat one radius and share thresholds
+                assert 0 < merged < sum(seen)
+
+
 class TestShells:
     def test_unit_circle_shell(self):
         r0, r1 = shell_counts(EllipsoidSpec(QuadForm.identity(2), 3.0), [1.0, 2.0, 4.0, 5.0])

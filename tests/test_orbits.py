@@ -184,7 +184,55 @@ class TestFit:
         assert theory_slope(8) == pytest.approx(-math.sqrt(7.0 / 8.0), rel=1e-12)
 
 
+def per_t_row(q, t, kind, sigma=1):
+    """One sweep row from its own count_primitive_moebius call (reference)."""
+    d = q.dim
+    cst = constants(d)
+    weight, denom, sigma_q = (cst.alpha * sigma, cst.alpha, sigma) if kind == "chimney" else (2, 2, 1)
+    radius = radius_of_t(d, t)
+    predicted = (cst.omega / (denom * cst.zeta)) * math.exp(0.5 * t * math.sqrt((d - 1) * d))
+    if radius < 1e-12:
+        return (t, radius, 0, sigma_q, predicted, -1.0)
+    n1 = count_primitive_moebius(EllipsoidSpec(q, radius)).n1
+    assert n1 % weight == 0
+    return (t, radius, n1 // weight, sigma_q, predicted, (n1 / denom) / predicted - 1.0)
+
+
+def row(c):
+    return (c.T, c.R, c.count, c.sigma_q, c.predicted, c.rel_error)
+
+
 class TestSweep:
+    def test_rows_equal_per_t_counts(self):
+        g = GroupElement.from_matrix(np.array([[1, 0, 0], [0.31, 1, 0], [0.11, 0.27, 1.0]]))
+        f3 = act(QuadForm.identity(3), g)
+        cases = (
+            (QuadForm.identity(2), [12.0, -1e9, 8.0, 15.5, 9.25, 12.0], "horoball", 1),
+            (QuadForm.identity(2), [9.0, 4.0, -1e9, 13.0], "chimney", 2),
+            (QuadForm.identity(3), [7.0, 5.0, 9.5, 3.0], "horoball", 1),
+            (QuadForm.identity(4), [6.0, 4.8, 7.5], "horoball", 1),
+            (f3, [6.0, 3.5, -1e9, 8.0], "horoball", 1),
+            (f3, [6.0, 3.5, 8.0, 5.0], "chimney", 1),
+        )
+        for q, ts, kind, sigma in cases:
+            got = [row(c) for c in sweep(q, ts, kind=kind, sigma=sigma if kind == "chimney" else None)]
+            one = (lambda t: chimney_count(q, t, sigma=sigma)) if kind == "chimney" else (
+                lambda t: horoball_count(q, t))
+            want = sorted((row(one(t)) for t in ts), key=lambda r: r[0])
+            assert got == want
+            assert got == sorted((per_t_row(q, t, kind, sigma) for t in ts), key=lambda r: r[0])
+            if -1e9 in ts:  # R underflows to 0: an empty row, not a count
+                assert got[0][:3] == (-1e9, 0.0, 0)
+
+    def test_divisibility_error_names_first_t_in_input_order(self):
+        ts = [5.0, 9.0, 2.0, 7.0]  # every T fails; 2.0 sorts first, 5.0 comes first
+        n1 = count_primitive_moebius(EllipsoidSpec(QuadForm.identity(3), radius_of_t(3, 5.0))).n1
+        with pytest.raises(CountingError, match=f"primitive count {n1} not divisible by 24; the form"):
+            sweep(QuadForm.identity(3), ts, kind="chimney")
+        with pytest.raises(CountingError, match="not divisible by 6"):
+            sweep(QuadForm.identity(2), [-1e9, 8.0, 2.0 * math.sqrt(2.0) * math.log(2.0)],
+                  kind="chimney", sigma=3)
+
     def test_sorted(self):
         ts = [4.0, 2.0, 6.0]
         out = sweep(QuadForm.identity(2), ts, kind="horoball")

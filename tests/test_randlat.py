@@ -215,6 +215,15 @@ class TestMeanSquare:
                 assert isinstance(one, MeanSquareReport)
                 assert dataclasses.astuple(rep) == dataclasses.astuple(one)
 
+    def test_radii_list_reduces_each_sample_once(self, monkeypatch):
+        from horocount import latcount
+
+        calls = []
+        lll = latcount.lll_reduce
+        monkeypatch.setattr(latcount, "lll_reduce", lambda g: calls.append(1) or lll(g))
+        reps = mean_square_check(2, [5.0, 10.0, 20.0], 60, sampler="exact", seed=54)
+        assert len(reps) == 3 and len(calls) == 60
+
     def test_matches_per_sample_discrepancy(self):
         rep = mean_square_check(2, 6.0, 200, sampler="exact", seed=53)
         samples = sample_exact_d2(np.random.default_rng(53), 200)
