@@ -47,15 +47,23 @@ max(floor(R), K) from one such walk, and shell_table the full and
 primitive counts per integer level of an exact form, which shell_counts
 reads; moebius checks its identities on them.
 
-count_primitive_many counts many float forms of one dimension at one R
-in one pass of the leaf: their walks feed the same blocks, and every
-level-1 node carries an owner, the index of its form.  The float rule
-gathers q0, q1 and m10 per node by owner (a one-form rule keeps them as
-scalars), so each node's arithmetic is that of a count of its form
-alone.  Each form keeps its own K: a node is paired only with the
-squarefree k <= its owner's K, and its pairs are binned by (owner, k)
-into one ragged row of totals.  Each exact form is a pass of its own
-through the same entry; count_primitive_moebius is its one-form case.
+count_primitive_many counts many forms of one dimension at one radius or
+at a list of radii R_j.  Each form is reduced and factored once, and
+walked once, at the largest R_j, with the thresholds of every R_j and
+every squarefree k up to that radius's own K, merged, de-duplicated and
+in descending order: (R_j/k)^2 with their band edges in float mode,
+floor(R_j^2) // k^2 in exact mode.  A node's key and centre do not
+depend on the walk's top, and a node the walk at R_j would not yield
+counts nothing at R_j's thresholds, so every N0, N1 and band is the one a
+count at R_j alone gives.  The float forms share one pass of the leaf:
+their walks feed the same blocks, and every level-1 node carries an
+owner, the index of its form.  The float rule gathers q0, q1 and m10 per
+node by owner (a one-form rule keeps them as scalars), so each node's
+arithmetic is that of a count of its form alone.  Each form reads the
+merged thresholds only down to the last one it needs, and its pairs are
+binned by (owner, threshold) into one ragged row of totals.  Each exact
+form is a pass of its own through the same entry; count_primitive_moebius
+is the one-form, one-radius case.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -538,7 +547,8 @@ def _moebius_limit(f: _Factor, radius: float) -> int:
     return math.floor(radius / math.sqrt(min(f.q))) + 2
 
 
-def count_primitive_many(forms, radius, mode: str = "auto"):
+def count_primitive_many(forms, radius: float | Sequence[float],
+                         mode: str = "auto") -> list[CountResult] | list[list[CountResult]]:
     """Primitive counts of many forms of one dimension at one radius or at
     each of a list of radii, by the sieve: N1(R) = sum_k mu(k) (N0(R/k) - 1)
     per form.  One radius gives one CountResult per form; a list of radii

@@ -19,7 +19,10 @@ payloads carry no timing key; the count payload's elapsed_ms is dropped.
 
 Left out: walk samples.  sample_walk's output depends on the last bits of
 every expm, matrix product and reduction, so another BLAS or numpy build
-gives other samples from the same seed, and with them other counts.
+gives other samples from the same seed, and with them other counts.  The
+float counts kept here (the fixed d = 3 gram and the exact-sampler d = 2
+lattices) rest on numpy's Cholesky too, but only a point within a float
+boundary band could move with its last bit.
 """
 
 from __future__ import annotations

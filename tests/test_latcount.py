@@ -485,11 +485,10 @@ class TestManyRadii:
                     assert [[fields(r) for r in row] for row in got] == want, (d, name, block)
 
     def test_one_radius_list_is_the_scalar_call(self):
+        fields = TestCountPrimitiveMany.fields
         forms = [QuadForm.identity(2), random_form(np.random.default_rng(28), 2)]
-        one = count_primitive_many(forms, 6.5)
-        assert [[TestCountPrimitiveMany.fields(r) for r in row]
-                for row in count_primitive_many(forms, [6.5])] == [[TestCountPrimitiveMany.fields(r)
-                                                                    for r in one]]
+        one = [fields(r) for r in count_primitive_many(forms, 6.5)]
+        assert [[fields(r) for r in row] for row in count_primitive_many(forms, [6.5])] == [one]
         assert count_primitive_many(forms, []) == []
         assert count_primitive_many([], [2.0, 3.0]) == [[], []]
         for radii in ([3.0, 0.0], [-1.0, 3.0]):

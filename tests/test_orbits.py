@@ -215,12 +215,13 @@ class TestSweep:
             (f3, [6.0, 3.5, 8.0, 5.0], "chimney", 1),
         )
         for q, ts, kind, sigma in cases:
-            got = [row(c) for c in sweep(q, ts, kind=kind, sigma=sigma if kind == "chimney" else None)]
-            one = (lambda t: chimney_count(q, t, sigma=sigma)) if kind == "chimney" else (
-                lambda t: horoball_count(q, t))
-            want = sorted((row(one(t)) for t in ts), key=lambda r: r[0])
-            assert got == want
-            assert got == sorted((per_t_row(q, t, kind, sigma) for t in ts), key=lambda r: r[0])
+            if kind == "chimney":
+                got, one = sweep(q, ts, sigma=sigma), [chimney_count(q, t, sigma=sigma) for t in ts]
+            else:
+                got, one = sweep(q, ts, kind="horoball"), [horoball_count(q, t) for t in ts]
+            got = [row(c) for c in got]
+            assert got == sorted(map(row, one))
+            assert got == sorted(per_t_row(q, t, kind, sigma) for t in ts)
             if -1e9 in ts:  # R underflows to 0: an empty row, not a count
                 assert got[0][:3] == (-1e9, 0.0, 0)
 
