@@ -14,7 +14,11 @@ n0_series, exact shell tables, verify_inversion and error_relation_check
 reports, exact-sampler d = 2 mean_square_check reports (one radius and a
 list), both sweep kinds on I_2, I_3 and one fixed float d = 3 gram
 (including an empty row at T = -1e9 and a chimney sweep that is refused),
-and the payloads of the chimney, horoball and count commands.  The sweep
+the d = 2 horocycle averages (decay series of a bump and an indicator
+profile, one with t < 0 and one from 20 to 26, where one t alone has more
+than latcount.BLOCK w values; criterion 6's Lipschitz estimate and
+criterion 7's integrated-bound rows), and the payloads of the chimney,
+horoball, count and d = 2 equidist commands.  The sweep
 payloads carry no timing key; the count payload's elapsed_ms is dropped.
 
 Left out: walk samples.  sample_walk's output depends on the last bits of
@@ -34,7 +38,9 @@ import json
 import math
 import pathlib
 
-from horocount import latcount, moebius, orbits, randlat
+import numpy as np
+
+from horocount import acceptance, equidist, latcount, moebius, orbits, randlat
 from horocount.cli import main
 from horocount.latcount import EllipsoidSpec
 from horocount.quadform import GroupElement, QuadForm, act
@@ -125,6 +131,25 @@ def _sweeps():
     return out
 
 
+def _decay():
+    """d = 2 averages: decay series, the Lipschitz estimate and the
+    integrated bound, with the inputs of criteria 6 and 7."""
+    bump, ind = equidist.bump_profile(1.0), equidist.indicator_profile(1.0)
+    out = {}
+    for name, h, grid in (("bump/[1,14]x40", bump, np.linspace(1.0, 14.0, 40)),
+                          ("indicator/[-3,14]x35", ind, np.linspace(-3.0, 14.0, 35)),
+                          ("bump/[20,26]x25", bump, np.linspace(20.0, 26.0, 25))):
+        averages, fit, refs = equidist.decay_series(h, grid, d=2)
+        out[f"decay_series/{name}"] = {"averages": [_plain(a) for a in averages],
+                                       "fit": _plain(fit), "refs": refs}
+    out["lipschitz/criterion6"] = equidist.estimate_lipschitz(bump, 2, [1.0, 3.0, 6.0, 10.0, 13.0])
+    f_norm, f_norm_se = equidist.estimate_f_norm(ind, n=6000, seed=acceptance.SEED + 2)
+    out["integrated/criterion7"] = {
+        "f_norm": [f_norm, f_norm_se],
+        "rows": equidist.integrated_error_bound(ind, [4.0, 6.0, 8.0, 10.0], f_norm, f_norm_se)}
+    return out
+
+
 def _cli(argv):
     """Exit code, stderr, CSV text and JSON payload of one command."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -147,6 +172,7 @@ def _commands():
         ["chimney", "--dim", "3", "--tmin", "3", "--tmax", "10", "--steps", "8"],
         ["chimney", "--dim", "3", "--tmin", "3", "--tmax", "10", "--steps", "8", "--sigma", "1"],
         ["count", "--dim", "3", "--radius", "20", "--primitive"],
+        ["equidist", "--dim", "2", "--tmin", "1", "--tmax", "14", "--steps", "40"],
     )
     return {"cli/" + " ".join(argv): _cli(argv) for argv in runs}
 
@@ -154,7 +180,7 @@ def _commands():
 def records() -> dict:
     """Every record, as plain JSON values (tuples read back as lists)."""
     out = {}
-    for part in (_counts, _shells, _moebius, _mean_square, _sweeps, _commands):
+    for part in (_counts, _shells, _moebius, _mean_square, _sweeps, _decay, _commands):
         out.update(part())
     return json.loads(json.dumps(out))
 
