@@ -66,6 +66,7 @@ from .equidist import (
     fiber_integral,
     good_t_locator,
     horosphere_average,
+    horosphere_averages,
     indicator_profile,
     shortest_primitive_value,
     space_average,

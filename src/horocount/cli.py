@@ -168,13 +168,15 @@ def cmd_equidist(args) -> int:
     if len(base_grid) != 2:
         raise CountingError("--base-grid expects nx,ny")
     t_values = [float(t) for t in np.linspace(args.tmin, args.tmax, args.steps)]
-    averages = []
-    for t in t_values:
-        cutoff = None
-        if args.alpha is not None:
+    if args.alpha is None or args.dim == 2:  # one grid; d = 2 reads no base cutoff
+        q = equidist.QuadratureSpec(base_grid=base_grid)
+        averages = equidist.horosphere_averages(t_values, profile, q, d=args.dim)
+    else:
+        averages = []
+        for t in t_values:
             cutoff = equidist.default_cutoff_height(t, args.alpha)
-        q = equidist.QuadratureSpec(base_grid=base_grid, base_cutoff_height=cutoff)
-        averages.append(equidist.horosphere_average(t, profile, q, d=args.dim))
+            q = equidist.QuadratureSpec(base_grid=base_grid, base_cutoff_height=cutoff)
+            averages.append(equidist.horosphere_average(t, profile, q, d=3))
     rows = [f"{_fmt(a.t)},{_fmt(a.value)},{_fmt(a.target)},{_fmt(a.err)},{_fmt(a.quad_error_estimate)}"
             for a in averages]
     config = {"subcommand": "equidist", "dim": args.dim, "profile": args.profile,

@@ -26,7 +26,14 @@ is therefore exactly
     2 h(e^{mu t}) + e^{-mu t/2} sum_{w != 0} (phi(g0)/g0) L(e^{-lambda t} Q_b(w)),
 
 with L(a) the integral of h(a + v^2) over the real line (RadialProfile.
-line).  For d = 2 the base is a point and Q_b(w) = w^2 (the horocycle).
+line).  For d = 2 the base is a point and Q_b(w) = w^2 (the horocycle),
+so g0 = w and a whole t-grid is one array expression: one phi(w)/w table
+up to the largest w serves the grid, every t's w go into one ragged
+array, and one line-integral pass and one per-t bincount give every
+mean.  Consecutive t's share one such pass while their w count stays
+within latcount.BLOCK, which bounds its scratch memory by one t's; a t
+whose w count exceeds latcount.ENUM_BUDGET is refused before any array
+is built.
 The modular base needs no form object: for z = x + iy,
 Q_z(w) = |w1 z + w2|^2 / y = w1^2 y + (w1 x + w2)^2 / y, so the w under
 a bound have closed-form ranges, and the sum over all (base point, w)
@@ -45,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .latcount import enumerate_points, sieve
+from .latcount import BLOCK, ENUM_BUDGET, EnumerationBudgetError, enumerate_points, sieve
 from .orbits import DecayFit, fit_error_exponent
 from .quadform import (
     GeometryError,
@@ -73,6 +80,7 @@ __all__ = [
     "space_average",
     "fiber_integral",
     "horosphere_average",
+    "horosphere_averages",
     "decay_series",
     "good_t_locator",
     "check_thm12_bound",
@@ -275,14 +283,15 @@ def _w_bound(d: int, t: float, h: RadialProfile) -> float:
     return (h.support_end + _support_tol(h.support_end)) * math.exp(rate_lambda(d) * t)
 
 
-def _phi_ratio(g: np.ndarray) -> np.ndarray:
-    """phi(g)/g = sum over m | g of mu(m)/m, per entry of g >= 1."""
-    top = max(int(g.max()), 1) if g.size else 1
+def _phi_table(top: int) -> np.ndarray:
+    """phi(g)/g = sum over m | g of mu(m)/m, for g = 1..top (entry 0 unused).
+    Each entry adds its terms in increasing m, so it does not depend on top."""
+    top = max(top, 1)
     mu = sieve(top)
     ratio = np.zeros(top + 1)
     for m in np.flatnonzero(mu):
         ratio[m::m] += mu[m] / m
-    return ratio[g]
+    return ratio
 
 
 def _fiber_means(t: float, h: RadialProfile, owner: np.ndarray, ws: np.ndarray,
@@ -296,9 +305,55 @@ def _fiber_means(t: float, h: RadialProfile, owner: np.ndarray, ws: np.ndarray,
     d = ws.shape[1] + 1
     lam, mu = rate_lambda(d), rate_mu(d)
     g0 = np.gcd.reduce(np.abs(ws), axis=1)
-    terms = _phi_ratio(g0) * h.line(math.exp(-lam * t) * np.asarray(qbs, dtype=float))
+    phi = _phi_table(int(g0.max()) if g0.size else 1)[g0]
+    terms = phi * h.line(math.exp(-lam * t) * np.asarray(qbs, dtype=float))
     sums = np.bincount(owner, weights=terms, minlength=n_bases)
     return 2.0 * h.value_scalar(math.exp(mu * t)) + 2.0 * math.exp(-0.5 * mu * t) * sums
+
+
+def _d2_count(t: float, h: RadialProfile) -> int:
+    """Number of w >= 1 whose line integral can be nonzero at level t (d = 2),
+    refused when its bound overflows or the count exceeds ENUM_BUDGET."""
+    try:
+        count = math.floor(math.sqrt(_w_bound(2, t, h)))
+    except (OverflowError, ValueError) as exc:
+        raise EquidistError(f"t = {t!r} is out of range of the d = 2 average") from exc
+    if count > ENUM_BUDGET:
+        raise EnumerationBudgetError(
+            f"t = {t!r} needs {count} w values, above the budget {ENUM_BUDGET:.0e}")
+    return count
+
+
+def _d2_means(ts, h: RadialProfile) -> np.ndarray:
+    """Exact fiber means of the horocycle (d = 2) at every t of ts.
+
+    One phi(w)/w table serves the grid.  Each t's w = 1..count go into one
+    ragged array owned by the t's index in its group, so np.bincount adds
+    each t's terms in the same order as a grid of that t alone.  Every count
+    is checked before any array is built.
+    """
+    lam, mu = rate_lambda(2), rate_mu(2)
+    ts = [float(t) for t in ts]
+    counts = [_d2_count(t, h) for t in ts]
+    phi = _phi_table(max(counts, default=1))
+    means = np.empty(len(ts))
+    start = 0
+    while start < len(ts):
+        stop, size = start + 1, counts[start]
+        while stop < len(ts) and size + counts[stop] <= BLOCK:
+            size += counts[stop]
+            stop += 1
+        group = ts[start:stop]
+        owner, ws = _ragged(np.ones(len(group), dtype=np.int64),
+                            np.array(counts[start:stop], dtype=np.int64))
+        scale = np.array([math.exp(-lam * t) for t in group])
+        terms = phi[ws] * h.line(scale[owner] * ws.astype(float) ** 2)
+        sums = np.bincount(owner, weights=terms, minlength=len(group))
+        top = h.value(np.array([math.exp(mu * t) for t in group]))
+        decay = np.array([math.exp(-0.5 * mu * t) for t in group])
+        means[start:stop] = 2.0 * top + 2.0 * decay * sums
+        start = stop
+    return means
 
 
 def fiber_integral(t: float, base, h: RadialProfile) -> float:
@@ -308,11 +363,9 @@ def fiber_integral(t: float, base, h: RadialProfile) -> float:
     """
     base_form = _as_base_form(base)
     if base_form is None:
-        ws = np.arange(1, math.floor(math.sqrt(_w_bound(2, t, h))) + 1, dtype=np.int64)[:, None]
-        qbs = ws[:, 0].astype(float) ** 2
-    else:
-        pts, vals = enumerate_points(base_form, _w_bound(base_form.dim + 1, t, h), mode="float")
-        ws, qbs = _half_lattice(pts, np.asarray(vals, dtype=float))
+        return float(_d2_means([t], h)[0])
+    pts, vals = enumerate_points(base_form, _w_bound(base_form.dim + 1, t, h), mode="float")
+    ws, qbs = _half_lattice(pts, np.asarray(vals, dtype=float))
     return float(_fiber_means(t, h, np.zeros(len(ws), dtype=np.intp), ws, qbs, 1)[0])
 
 
@@ -374,12 +427,7 @@ def _modular_pairs(xs: np.ndarray, ys: np.ndarray, bound: float):
     return owner, np.stack([w1, w2], axis=1), qbs
 
 
-def _average_once(d: int, t: float, h: RadialProfile, base_dims,
-                  y_max: float | None) -> float:
-    if d == 2:
-        return fiber_integral(t, None, h)
-    if d != 3:
-        raise EquidistError("averages are implemented for d in {2, 3}")
+def _d3_average(t: float, h: RadialProfile, base_dims, y_max: float | None) -> float:
     y_top = default_cutoff_height(t) if y_max is None else y_max
     xs, ys, wts = _modular_grid(base_dims[0], base_dims[1], y_top)
     owner, ws, qbs = _modular_pairs(xs, ys, _w_bound(3, t, h))
@@ -387,30 +435,45 @@ def _average_once(d: int, t: float, h: RadialProfile, base_dims,
     return float(wts @ means) / float(wts.sum())
 
 
-def _value_with_estimate(d, t, h, q: QuadratureSpec):
-    """The average on the refined base grid, with 1.5 times the refinement
-    difference (d = 3 only; d = 2 is one exact sum) plus a rounding floor."""
+def _averages_at(d: int, ts: list, h: RadialProfile, base_dims, y_max: float | None) -> list:
+    """The level-t averages at every t of ts: one _d2_means call for d = 2,
+    one base quadrature per t for d = 3."""
+    if d == 2:
+        return [float(v) for v in _d2_means(ts, h)]
+    if d != 3:
+        raise EquidistError("averages are implemented for d in {2, 3}")
+    return [_d3_average(t, h, base_dims, y_max) for t in ts]
+
+
+def horosphere_averages(t_grid, h: RadialProfile, q: QuadratureSpec | None = None,
+                        d: int = 2) -> list[HoroAverage]:
+    """Level-t horospherical averages over a t-grid, with target and
+    quadrature error estimate: the average on the refined base grid, with
+    1.5 times the refinement difference (d = 3 only; d = 2 is one exact
+    sum) plus a rounding floor."""
+    q = q or QuadratureSpec()
+    ts = [float(t) for t in t_grid]
     rf = REFINEMENT_FACTOR
-    value = _average_once(d, t, h, (q.base_grid[0] * rf, q.base_grid[1] * rf),
+    values = _averages_at(d, ts, h, (q.base_grid[0] * rf, q.base_grid[1] * rf),
                           q.base_cutoff_height)
-    if not math.isfinite(value):
-        raise EquidistError("quadrature did not produce a finite value")
-    est = 1e-9 * (1.0 + abs(value))
-    if d == 3:
-        est += 1.5 * abs(value - _average_once(d, t, h, q.base_grid, q.base_cutoff_height))
-    return value, est
+    target = space_average(h, d)
+    out = []
+    for t, value in zip(ts, values):
+        if not math.isfinite(value):
+            raise EquidistError("quadrature did not produce a finite value")
+        est = 1e-9 * (1.0 + abs(value))
+        if d == 3:
+            est += 1.5 * abs(value - _d3_average(t, h, q.base_grid, q.base_cutoff_height))
+        out.append(HoroAverage(t=t, value=value, target=target, err=value - target,
+                               quad_error_estimate=est))
+    return out
 
 
 def horosphere_average(t: float, h: RadialProfile,
                        q: QuadratureSpec | None = None, d: int = 2) -> HoroAverage:
     """Level-t horospherical average of the test function, with target and
     quadrature error estimate."""
-    if d not in (2, 3):
-        raise EquidistError("averages are implemented for d in {2, 3}")
-    value, est = _value_with_estimate(d, t, h, q or QuadratureSpec())
-    target = space_average(h, d)
-    return HoroAverage(t=t, value=value, target=target, err=value - target,
-                       quad_error_estimate=est)
+    return horosphere_averages([t], h, q, d)[0]
 
 
 def decay_series(h: RadialProfile, t_grid, q: QuadratureSpec | None = None,
@@ -419,7 +482,7 @@ def decay_series(h: RadialProfile, t_grid, q: QuadratureSpec | None = None,
 
     Returns (list of HoroAverage, DecayFit, reference slopes dict).
     """
-    averages = [horosphere_average(t, h, q, d) for t in t_grid]
+    averages = horosphere_averages(t_grid, h, q, d)
     series = [(a.t, a.err) for a in averages]
     fit = fit_error_exponent(series, envelope=True)
     cst = constants(d)
@@ -580,10 +643,11 @@ def estimate_lipschitz(h: RadialProfile, d: int, t_probes,
     """Empirical Lipschitz bound of t -> F(t): LIPSCHITZ_INFLATE times the
     largest finite difference, step LIPSCHITZ_STEP, over the probe set."""
     q = q or QuadratureSpec()
+    probes = [float(t) for t in t_probes]
+    values = _averages_at(d, probes + [t + LIPSCHITZ_STEP for t in probes], h,
+                          q.base_grid, q.base_cutoff_height)
     worst = 0.0
-    for t in t_probes:
-        f0 = _average_once(d, t, h, q.base_grid, q.base_cutoff_height)
-        f1 = _average_once(d, t + LIPSCHITZ_STEP, h, q.base_grid, q.base_cutoff_height)
+    for f0, f1 in zip(values[:len(probes)], values[len(probes):]):
         worst = max(worst, abs(f1 - f0) / LIPSCHITZ_STEP)
     return LIPSCHITZ_INFLATE * worst
 
@@ -608,12 +672,9 @@ def integrated_error_bound(h: RadialProfile, big_t_values, f_norm: float,
     # below t_lo the integrand is bounded by (2 + target) e^{alpha t}
     t_lo = math.log(1e-6 / (2.0 + target)) / alpha
     ts = np.arange(t_lo, top + INTEGRATED_STEP / 2.0, INTEGRATED_STEP)
-    errs = np.empty(len(ts))
-    ests = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        value, est = _value_with_estimate(d, float(t), h, QuadratureSpec())
-        errs[i] = value - target
-        ests[i] = est
+    averages = horosphere_averages(ts, h, d=d)
+    errs = np.array([a.err for a in averages])
+    ests = np.array([a.quad_error_estimate for a in averages])
     weight = np.exp(alpha * ts)
     tail_budget = (2.0 + target) * math.exp(alpha * t_lo) / alpha
     out = []

@@ -76,7 +76,10 @@ def t_of_radius(d: int, radius: float) -> float:
 
 def radius_of_t(d: int, t: float) -> float:
     """Inverse map: R = e^{T sqrt((d-1)/d)/2}."""
-    return math.exp(0.5 * t * math.sqrt((d - 1) / d))
+    try:
+        return math.exp(0.5 * t * math.sqrt((d - 1) / d))
+    except OverflowError:
+        raise CountingError(f"T = {t!r} gives a radius beyond the float range") from None
 
 
 def stabilizer_order(q: QuadForm) -> int:

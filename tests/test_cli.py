@@ -114,6 +114,15 @@ class TestOrbitCommands:
         assert out == ""
         assert "sigma" in err
 
+    def test_radius_overflow_is_a_usage_error(self, capsys):
+        # e^{3000 / (2 sqrt 2)} overflows a float; --tmax 200 is refused by the count budget
+        for tmax, reason in (("3000", "float range"), ("200", "2^62")):
+            code, out, err = run_cli(capsys, "horoball", "--dim", "2", "--tmin", "1",
+                                     "--tmax", tmax, "--steps", "2")
+            assert code == 2
+            assert out == ""
+            assert reason in err
+
     def test_sigma_only_for_chimney(self):
         # horoball counts read no stabilizer order
         with pytest.raises(SystemExit) as exc:

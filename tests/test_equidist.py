@@ -13,12 +13,14 @@ from horocount.equidist import (
     bump_profile,
     check_thm12_bound,
     cusp_orbit_check,
+    decay_series,
     default_cutoff_height,
     estimate_f_norm,
     eval_test_function,
     fiber_integral,
     good_t_locator,
     horosphere_average,
+    horosphere_averages,
     indicator_profile,
     integrated_error_bound,
     locator_threshold_t0,
@@ -341,6 +343,79 @@ class TestLocator:
         gaps = np.diff(hits)
         phis = (4.0 * ctilde / kappa) * np.exp(-eps * hits[:-1])
         assert np.all(gaps <= phis + step)
+
+
+def _w_counts(grid, h):
+    """Number of w the d = 2 mean at each t of grid reads."""
+    lam = rate_lambda(2)
+    return [math.floor(math.sqrt((h.support_end + 1e-12 * max(1.0, h.support_end))
+                                 * math.exp(lam * t))) for t in grid]
+
+
+class TestD2Grid:
+    """A d = 2 t-grid is one pass, grouped by latcount.BLOCK, whose values
+    equal those of each t alone."""
+
+    GRIDS = (np.linspace(1.0, 14.0, 40),  # one group
+             np.linspace(-3.0, 14.0, 35),  # t < 0: w = 0 row only, no w at all
+             np.linspace(20.0, 26.0, 25),  # single t's above BLOCK
+             np.linspace(8.0, 22.0, 60))  # several groups of several t's
+
+    @pytest.mark.parametrize("h", [bump_profile(1.0), indicator_profile(1.0),
+                                   bump_profile(1.3, 0.0)], ids=["bump", "indicator", "plateau0"])
+    def test_series_equals_single_t(self, h):
+        for grid in self.GRIDS:
+            averages, _, _ = decay_series(h, grid, d=2)
+            assert [a.t for a in averages] == list(grid)
+            assert [a.value for a in averages] == [fiber_integral(t, None, h) for t in grid]
+
+    def test_grids_cover_the_grouping(self):
+        counts = [_w_counts(grid, bump_profile(1.0)) for grid in self.GRIDS]
+        from horocount.latcount import BLOCK
+        assert sum(counts[0]) <= BLOCK
+        assert counts[1][0] == 0
+        assert max(counts[2]) > BLOCK and min(counts[2]) < BLOCK
+        assert sum(counts[3]) > 2 * BLOCK and max(counts[3]) < BLOCK
+
+    def test_one_phi_table_per_series(self, monkeypatch):
+        # one phi(w)/w table up to the grid's largest w, however many groups
+        from horocount import equidist
+        calls = []
+        table = equidist._phi_table
+        monkeypatch.setattr(equidist, "_phi_table", lambda top: calls.append(top) or table(top))
+        for grid in self.GRIDS:
+            calls.clear()
+            decay_series(bump_profile(1.0), grid, d=2)
+            assert calls == [max(_w_counts(grid, bump_profile(1.0)))]
+
+    def test_groups_stay_within_block(self, monkeypatch):
+        from horocount import equidist
+        sizes = []
+        ragged = equidist._ragged
+        monkeypatch.setattr(equidist, "_ragged",
+                            lambda lo, hi: sizes.append(int(hi.sum())) or ragged(lo, hi))
+        grid = np.linspace(20.0, 26.0, 25)
+        decay_series(bump_profile(1.0), grid, d=2)
+        # the w counts run 1,177, 1,286, ..., 9,822: within BLOCK = 4,096 the
+        # first three t's share a group, then two and two; each later t
+        # (from 2,185 w on) is a group alone
+        counts = _w_counts(grid, bump_profile(1.0))
+        assert sizes == [sum(counts[:3]), sum(counts[3:5]), sum(counts[5:7])] + counts[7:]
+
+    def test_oversize_t_refused_before_any_array(self, monkeypatch):
+        # from t = 120 the w-range would need about 2.6e18 entries; from
+        # t = 1004 its bound overflows a float
+        from horocount import equidist
+        from horocount.latcount import EnumerationBudgetError
+        calls = []
+        monkeypatch.setattr(equidist, "_ragged", lambda *a: calls.append(1))
+        with pytest.raises(EnumerationBudgetError):
+            horosphere_average(120.0, bump_profile(1.0), d=2)
+        with pytest.raises(EquidistError):
+            horosphere_average(1100.0, bump_profile(1.0), d=2)
+        with pytest.raises(EnumerationBudgetError):
+            horosphere_averages([1.0, 2.0, 120.0], indicator_profile(1.0), d=2)
+        assert calls == []
 
 
 class TestThm12Bound:
