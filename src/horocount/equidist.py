@@ -320,7 +320,7 @@ def _d2_count(t: float, h: RadialProfile) -> int:
         raise EquidistError(f"t = {t!r} is out of range of the d = 2 average") from exc
     if count > ENUM_BUDGET:
         raise EnumerationBudgetError(
-            f"t = {t!r} needs {count} w values, above the budget {ENUM_BUDGET:.0e}")
+            f"t = {t!r} needs {count:.3g} w values, above the budget {ENUM_BUDGET:.0e}")
     return count
 
 

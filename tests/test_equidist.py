@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from horocount import equidist
 from horocount.equidist import (
     EquidistError,
     HoroAverage,
@@ -30,6 +31,7 @@ from horocount.equidist import (
     transported_quadrature_ratio,
     truncated_average,
 )
+from horocount.latcount import BLOCK, EnumerationBudgetError
 from horocount.quadform import (
     GroupElement,
     QuadForm,
@@ -371,7 +373,6 @@ class TestD2Grid:
 
     def test_grids_cover_the_grouping(self):
         counts = [_w_counts(grid, bump_profile(1.0)) for grid in self.GRIDS]
-        from horocount.latcount import BLOCK
         assert sum(counts[0]) <= BLOCK
         assert counts[1][0] == 0
         assert max(counts[2]) > BLOCK and min(counts[2]) < BLOCK
@@ -379,7 +380,6 @@ class TestD2Grid:
 
     def test_one_phi_table_per_series(self, monkeypatch):
         # one phi(w)/w table up to the grid's largest w, however many groups
-        from horocount import equidist
         calls = []
         table = equidist._phi_table
         monkeypatch.setattr(equidist, "_phi_table", lambda top: calls.append(top) or table(top))
@@ -389,7 +389,6 @@ class TestD2Grid:
             assert calls == [max(_w_counts(grid, bump_profile(1.0)))]
 
     def test_groups_stay_within_block(self, monkeypatch):
-        from horocount import equidist
         sizes = []
         ragged = equidist._ragged
         monkeypatch.setattr(equidist, "_ragged",
@@ -405,8 +404,6 @@ class TestD2Grid:
     def test_oversize_t_refused_before_any_array(self, monkeypatch):
         # from t = 120 the w-range would need about 2.6e18 entries; from
         # t = 1004 its bound overflows a float
-        from horocount import equidist
-        from horocount.latcount import EnumerationBudgetError
         calls = []
         monkeypatch.setattr(equidist, "_ragged", lambda *a: calls.append(1))
         with pytest.raises(EnumerationBudgetError):
@@ -447,7 +444,6 @@ class TestThm12Bound:
 
 class TestEnumerationBudget:
     def test_oversized_support_rejected(self):
-        from horocount.latcount import EnumerationBudgetError
         with pytest.raises(EnumerationBudgetError):
             eval_test_function(QuadForm.identity(2), indicator_profile(1e18))
 
