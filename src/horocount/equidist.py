@@ -439,7 +439,7 @@ def _averages_at(d: int, ts: list, h: RadialProfile, base_dims, y_max: float | N
     """The level-t averages at every t of ts: one _d2_means call for d = 2,
     one base quadrature per t for d = 3."""
     if d == 2:
-        return [float(v) for v in _d2_means(ts, h)]
+        return _d2_means(ts, h).tolist()
     if d != 3:
         raise EquidistError("averages are implemented for d in {2, 3}")
     return [_d3_average(t, h, base_dims, y_max) for t in ts]
