@@ -8,7 +8,7 @@ Library layout:
                the Moebius table
   moebius   -- the full/primitive inversion identities
   orbits    -- chimney and horosphere counting with decay-exponent fits
-  equidist  -- horospherical averages, decay checks, locator, truncation
+  equidist  -- horospherical averages, decay checks, locator
   randlat   -- random unimodular lattices and the mean-square bound
   cli       -- the ``horocount`` command line front end
 """
@@ -60,7 +60,6 @@ from .equidist import (
     RadialProfile,
     bump_profile,
     check_thm12_bound,
-    cusp_orbit_check,
     decay_series,
     eval_test_function,
     fiber_integral,
@@ -68,9 +67,7 @@ from .equidist import (
     horosphere_average,
     horosphere_averages,
     indicator_profile,
-    shortest_primitive_value,
     space_average,
-    truncated_average,
 )
 from .randlat import (
     LatticeSample,

@@ -212,7 +212,7 @@ def criterion_6_pointwise_rate() -> CheckResult:
         averages, fit, refs = equidist.decay_series(bump, t_grid, d=2)
         slope_req = refs["theory_slope_pointwise"] + 0.03
         f_norm, f_norm_se = equidist.estimate_f_norm(bump, n=4000, seed=SEED)
-        grad_bound = equidist.estimate_lipschitz(bump, 2, t_probes=[1.0, 3.0, 6.0, 10.0, 13.0])
+        grad_bound = equidist.estimate_lipschitz(bump, t_probes=[1.0, 3.0, 6.0, 10.0, 13.0])
         report = equidist.check_thm12_bound(averages, f_norm, grad_bound, d=2)
         ok = fit.slope <= slope_req and report["passed"]
         return ok, {"slope": fit.slope, "required": slope_req,

@@ -37,10 +37,12 @@ is built.
 The modular base needs no form object: for z = x + iy,
 Q_z(w) = |w1 z + w2|^2 / y = w1^2 y + (w1 x + w2)^2 / y, so the w under
 a bound have closed-form ranges, and the sum over all (base point, w)
-pairs of a level is one array expression.
+pairs of a level is one array expression; a level whose pair count, bounded
+from the base grid alone, exceeds latcount.ENUM_BUDGET is refused first.
 
 Supported dimensions for averages: d = 2 (base is a point) and d = 3.
-The norm estimate (estimate_f_norm, over the exact d = 2 sampler) and
+The norm estimate (estimate_f_norm, over the exact d = 2 sampler), the
+Lipschitz estimate (estimate_lipschitz, one pass over its probes) and
 the integrated bound (integrated_error_bound) are d = 2 drivers, where
 each average is one exact sum, and take no dimension.
 """
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .latcount import BLOCK, ENUM_BUDGET, EnumerationBudgetError, enumerate_points, sieve
-from .orbits import DecayFit, fit_error_exponent
+from .orbits import fit_error_exponent
 from .quadform import (
     GeometryError,
     GroupElement,
@@ -84,9 +86,6 @@ __all__ = [
     "decay_series",
     "good_t_locator",
     "check_thm12_bound",
-    "truncated_average",
-    "shortest_primitive_value",
-    "cusp_orbit_check",
     "estimate_f_norm",
     "estimate_lipschitz",
     "integrated_error_bound",
@@ -256,15 +255,6 @@ def space_average(h: RadialProfile, d: int) -> float:
     return h.integral(d) / constants(d).zeta
 
 
-def _torus_points(n: int) -> np.ndarray:
-    """The n x n midpoint grid on the 2-torus [-1/2, 1/2)^2."""
-    if n < 8:
-        raise EquidistError("torus grid must be >= 8")
-    xs = (np.arange(n) + 0.5) / n - 0.5
-    xg, yg = np.meshgrid(xs, xs, indexing="ij")
-    return np.stack([xg.ravel(), yg.ravel()], axis=1)
-
-
 def _half_lattice(pts: np.ndarray, vals: np.ndarray):
     """One representative of each +-w pair, origin dropped."""
     nz = np.any(pts != 0, axis=1)
@@ -311,6 +301,13 @@ def _fiber_means(t: float, h: RadialProfile, owner: np.ndarray, ws: np.ndarray,
     return 2.0 * h.value_scalar(math.exp(mu * t)) + 2.0 * math.exp(-0.5 * mu * t) * sums
 
 
+def _check_budget(t: float, size: float, what: str) -> None:
+    """Refuse level t when it needs more than ENUM_BUDGET of what."""
+    if size > ENUM_BUDGET:
+        raise EnumerationBudgetError(
+            f"t = {t!r} needs {size:.3g} {what}, above the budget {ENUM_BUDGET:.0e}")
+
+
 def _d2_count(t: float, h: RadialProfile) -> int:
     """Number of w >= 1 whose line integral can be nonzero at level t (d = 2),
     refused when its bound overflows or the count exceeds ENUM_BUDGET."""
@@ -318,9 +315,7 @@ def _d2_count(t: float, h: RadialProfile) -> int:
         count = math.floor(math.sqrt(_w_bound(2, t, h)))
     except (OverflowError, ValueError) as exc:
         raise EquidistError(f"t = {t!r} is out of range of the d = 2 average") from exc
-    if count > ENUM_BUDGET:
-        raise EnumerationBudgetError(
-            f"t = {t!r} needs {count:.3g} w values, above the budget {ENUM_BUDGET:.0e}")
+    _check_budget(t, count, "w values")
     return count
 
 
@@ -361,20 +356,13 @@ def fiber_integral(t: float, base, h: RadialProfile) -> float:
 
     base: None (d = 2) or a base QuadForm of dimension d - 1.
     """
-    base_form = _as_base_form(base)
-    if base_form is None:
+    if base is None:
         return float(_d2_means([t], h)[0])
-    pts, vals = enumerate_points(base_form, _w_bound(base_form.dim + 1, t, h), mode="float")
+    if not isinstance(base, QuadForm):
+        raise EquidistError(f"unsupported base point type {type(base)!r}")
+    pts, vals = enumerate_points(base, _w_bound(base.dim + 1, t, h), mode="float")
     ws, qbs = _half_lattice(pts, np.asarray(vals, dtype=float))
     return float(_fiber_means(t, h, np.zeros(len(ws), dtype=np.intp), ws, qbs, 1)[0])
-
-
-def _as_base_form(base) -> QuadForm | None:
-    if base is None:
-        return None
-    if isinstance(base, QuadForm):
-        return base
-    raise EquidistError(f"unsupported base point type {type(base)!r}")
 
 
 def modular_base_gram(x: float, y: float) -> np.ndarray:
@@ -430,19 +418,13 @@ def _modular_pairs(xs: np.ndarray, ys: np.ndarray, bound: float):
 def _d3_average(t: float, h: RadialProfile, base_dims, y_max: float | None) -> float:
     y_top = default_cutoff_height(t) if y_max is None else y_max
     xs, ys, wts = _modular_grid(base_dims[0], base_dims[1], y_top)
-    owner, ws, qbs = _modular_pairs(xs, ys, _w_bound(3, t, h))
+    bound = _w_bound(3, t, h)
+    # per base point: floor(sqrt(bound / y)) + 1 w1's, each with <= 2 sqrt(bound y) + 1 w2's
+    pairs = np.sum((np.floor(np.sqrt(bound / ys)) + 1.0) * (2.0 * np.sqrt(bound * ys) + 1.0))
+    _check_budget(t, float(pairs), "(base point, w) pairs")
+    owner, ws, qbs = _modular_pairs(xs, ys, bound)
     means = _fiber_means(t, h, owner, ws, qbs, len(xs))
     return float(wts @ means) / float(wts.sum())
-
-
-def _averages_at(d: int, ts: list, h: RadialProfile, base_dims, y_max: float | None) -> list:
-    """The level-t averages at every t of ts: one _d2_means call for d = 2,
-    one base quadrature per t for d = 3."""
-    if d == 2:
-        return _d2_means(ts, h).tolist()
-    if d != 3:
-        raise EquidistError("averages are implemented for d in {2, 3}")
-    return [_d3_average(t, h, base_dims, y_max) for t in ts]
 
 
 def horosphere_averages(t_grid, h: RadialProfile, q: QuadratureSpec | None = None,
@@ -453,9 +435,13 @@ def horosphere_averages(t_grid, h: RadialProfile, q: QuadratureSpec | None = Non
     sum) plus a rounding floor."""
     q = q or QuadratureSpec()
     ts = [float(t) for t in t_grid]
-    rf = REFINEMENT_FACTOR
-    values = _averages_at(d, ts, h, (q.base_grid[0] * rf, q.base_grid[1] * rf),
-                          q.base_cutoff_height)
+    if d == 2:
+        values = _d2_means(ts, h).tolist()
+    elif d == 3:
+        fine = (q.base_grid[0] * REFINEMENT_FACTOR, q.base_grid[1] * REFINEMENT_FACTOR)
+        values = [_d3_average(t, h, fine, q.base_cutoff_height) for t in ts]
+    else:
+        raise EquidistError("averages are implemented for d in {2, 3}")
     target = space_average(h, d)
     out = []
     for t, value in zip(ts, values):
@@ -476,13 +462,12 @@ def horosphere_average(t: float, h: RadialProfile,
     return horosphere_averages([t], h, q, d)[0]
 
 
-def decay_series(h: RadialProfile, t_grid, q: QuadratureSpec | None = None,
-                 d: int = 2):
+def decay_series(h: RadialProfile, t_grid, d: int = 2):
     """Averages over a t-grid plus an envelope fit of log|err| against t.
 
     Returns (list of HoroAverage, DecayFit, reference slopes dict).
     """
-    averages = horosphere_averages(t_grid, h, q, d)
+    averages = horosphere_averages(t_grid, h, d=d)
     series = [(a.t, a.err) for a in averages]
     fit = fit_error_exponent(series, envelope=True)
     cst = constants(d)
@@ -564,65 +549,6 @@ def check_thm12_bound(series, f_norm: float, grad_bound: float, d: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# truncation (d = 3)
-
-def truncated_average(t: float, alpha: float, h: RadialProfile,
-                      q: QuadratureSpec | None = None):
-    """Average over the cusp-truncated base (height e^{alpha t / sqrt 2})
-    against a far-cutoff surrogate of the full average.
-
-    Returns (truncated HoroAverage, full HoroAverage, difference).  The
-    surrogate cutoff sits a fixed factor above the truncation height
-    (smaller factor once the height is already large, where the base
-    enumeration cost grows like sqrt(y)).
-    """
-    if alpha < 0.5 * math.sqrt(3.0) - 1e-12:
-        raise EquidistError("alpha must be >= sqrt(3)/2 for the truncated average")
-    base_grid = (q or QuadratureSpec()).base_grid
-    y_alpha = max(1.0 + 1e-9, math.exp(alpha * t / math.sqrt(2.0)))
-    q_trunc = QuadratureSpec(base_grid=base_grid, base_cutoff_height=y_alpha)
-    factor = 32.0 if y_alpha <= 1e4 else 4.0
-    y_full = max(default_cutoff_height(t), factor * y_alpha)
-    q_full = QuadratureSpec(base_grid=base_grid, base_cutoff_height=y_full)
-    truncated = horosphere_average(t, h, q_trunc, d=3)
-    full = horosphere_average(t, h, q_full, d=3)
-    return truncated, full, truncated.value - full.value
-
-
-def shortest_primitive_value(q: QuadForm) -> float:
-    """min Q(v) over primitive integer v, by enumeration with an initial
-    radius from the gram diagonal (e_i is primitive, so never empty)."""
-    bound = float(np.min(np.diagonal(q.gram)))
-    for _ in range(64):
-        pts, vals = enumerate_points(q, bound)
-        if pts.shape[0]:
-            prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
-            if prim.any():
-                return float(np.min(np.asarray(vals, dtype=float)[prim]))
-        bound *= 2.0
-    raise EquidistError("no primitive vector found; form is degenerate")
-
-
-def cusp_orbit_check(base, t: float, a: float, grid: int = 17) -> bool:
-    """Whether the whole expanded torus orbit over the base point projects
-    into the depth-a horoball, i.e. every sampled form has a primitive
-    vector of value at most e^{a sqrt((d-1)/d)} (d = 3)."""
-    base_form = _as_base_form(base)
-    if base_form is None or base_form.dim != 2:
-        raise EquidistError("cusp orbit check needs a 2-dimensional base point")
-    d = 3
-    lam, mu = rate_lambda(d), rate_mu(d)
-    el, em = math.exp(-lam * t), math.exp(mu * t)
-    threshold = math.exp(a * math.sqrt((d - 1) / d))
-    xs = _torus_points(grid)
-    g = np.empty((len(xs), 3, 3))
-    g[:, :2, :2] = el * base_form.gram + em * (xs[:, :, None] * xs[:, None, :])
-    g[:, :2, 2] = g[:, 2, :2] = em * xs
-    g[:, 2, 2] = em
-    return all(shortest_primitive_value(form) <= threshold for form in QuadForm.from_grams(g))
-
-
-# ---------------------------------------------------------------------------
 # norm estimation and integrated bound
 
 def estimate_f_norm(h: RadialProfile, n: int, seed: int):
@@ -638,18 +564,14 @@ def estimate_f_norm(h: RadialProfile, n: int, seed: int):
     return math.sqrt(mean), se
 
 
-def estimate_lipschitz(h: RadialProfile, d: int, t_probes,
-                       q: QuadratureSpec | None = None) -> float:
-    """Empirical Lipschitz bound of t -> F(t): LIPSCHITZ_INFLATE times the
-    largest finite difference, step LIPSCHITZ_STEP, over the probe set."""
-    q = q or QuadratureSpec()
+def estimate_lipschitz(h: RadialProfile, t_probes) -> float:
+    """Empirical Lipschitz bound of the d = 2 average t -> F(t): LIPSCHITZ_INFLATE
+    times the largest finite difference, step LIPSCHITZ_STEP, over the probes."""
     probes = [float(t) for t in t_probes]
-    values = _averages_at(d, probes + [t + LIPSCHITZ_STEP for t in probes], h,
-                          q.base_grid, q.base_cutoff_height)
-    worst = 0.0
-    for f0, f1 in zip(values[:len(probes)], values[len(probes):]):
-        worst = max(worst, abs(f1 - f0) / LIPSCHITZ_STEP)
-    return LIPSCHITZ_INFLATE * worst
+    values = _d2_means(probes + [t + LIPSCHITZ_STEP for t in probes], h).tolist()
+    n = len(probes)
+    return LIPSCHITZ_INFLATE * max((abs(f1 - f0) / LIPSCHITZ_STEP
+                                    for f0, f1 in zip(values[:n], values[n:])), default=0.0)
 
 
 def integrated_error_bound(h: RadialProfile, big_t_values, f_norm: float,

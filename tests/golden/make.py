@@ -142,7 +142,7 @@ def _decay():
         averages, fit, refs = equidist.decay_series(h, grid, d=2)
         out[f"decay_series/{name}"] = {"averages": [_plain(a) for a in averages],
                                        "fit": _plain(fit), "refs": refs}
-    out["lipschitz/criterion6"] = equidist.estimate_lipschitz(bump, 2, [1.0, 3.0, 6.0, 10.0, 13.0])
+    out["lipschitz/criterion6"] = equidist.estimate_lipschitz(bump, [1.0, 3.0, 6.0, 10.0, 13.0])
     f_norm, f_norm_se = equidist.estimate_f_norm(ind, n=6000, seed=acceptance.SEED + 2)
     out["integrated/criterion7"] = {
         "f_norm": [f_norm, f_norm_se],

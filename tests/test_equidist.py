@@ -13,7 +13,6 @@ from horocount.equidist import (
     _modular_grid,
     bump_profile,
     check_thm12_bound,
-    cusp_orbit_check,
     decay_series,
     default_cutoff_height,
     estimate_f_norm,
@@ -26,10 +25,8 @@ from horocount.equidist import (
     integrated_error_bound,
     locator_threshold_t0,
     modular_base_gram,
-    shortest_primitive_value,
     space_average,
     transported_quadrature_ratio,
-    truncated_average,
 )
 from horocount.latcount import BLOCK, EnumerationBudgetError
 from horocount.quadform import (
@@ -37,7 +34,6 @@ from horocount.quadform import (
     QuadForm,
     act,
     constants,
-    geodesic_r,
     phi_t,
     rate_lambda,
     rate_mu,
@@ -412,6 +408,10 @@ class TestD2Grid:
             horosphere_average(1100.0, bump_profile(1.0), d=2)
         with pytest.raises(EnumerationBudgetError):
             horosphere_averages([1.0, 2.0, 120.0], indicator_profile(1.0), d=2)
+        # d = 3 at t = 30: the refined (32, 48) base grid bounds its pairs by
+        # 5.6e9, checked from the grid's (x, y) alone
+        with pytest.raises(EnumerationBudgetError):
+            horosphere_average(30.0, bump_profile(1.0), d=3)
         assert calls == []
 
 
@@ -446,66 +446,6 @@ class TestEnumerationBudget:
     def test_oversized_support_rejected(self):
         with pytest.raises(EnumerationBudgetError):
             eval_test_function(QuadForm.identity(2), indicator_profile(1e18))
-
-
-class TestShortestPrimitive:
-    def test_identity(self):
-        assert shortest_primitive_value(QuadForm.identity(2)) == 1.0
-        assert shortest_primitive_value(QuadForm.identity(4)) == 1.0
-
-    def test_along_ray(self):
-        for d in (2, 3):
-            for t in (1.0, 3.0):
-                q = act(QuadForm.identity(d), geodesic_r(d, t))
-                assert shortest_primitive_value(q) == pytest.approx(
-                    math.exp(-rate_mu(d) * t), rel=1e-9)
-
-    def test_invariance(self):
-        gamma = GroupElement.from_matrix([[1, 3], [1, 4]])
-        q = act(QuadForm.identity(2), gamma)
-        assert shortest_primitive_value(q) == shortest_primitive_value(QuadForm.identity(2))
-
-
-class TestCuspOrbit:
-    def test_deep_cusp_true(self):
-        alpha = math.sqrt(3.0) / 2.0
-        t = 8.0
-        y = 4.0 * math.exp(alpha * t / math.sqrt(2.0))
-        base = QuadForm.from_gram(modular_base_gram(0.1, y))
-        assert cusp_orbit_check(base, t, 0.0, grid=9) is True
-
-    def test_identity_base_false(self):
-        base = QuadForm.identity(2)
-        assert cusp_orbit_check(base, 8.0, -5.0, grid=9) is False
-
-    def test_huge_horoball_true(self):
-        base = QuadForm.identity(2)
-        assert cusp_orbit_check(base, 0.0, 10.0, grid=9) is True
-
-    def test_rejects_small_grid(self):
-        with pytest.raises(EquidistError):
-            cusp_orbit_check(QuadForm.identity(2), 0.0, 10.0, grid=7)
-
-
-class TestTruncation:
-    def test_alpha_large_no_truncation(self):
-        q = QuadratureSpec(base_grid=(10, 12))
-        trunc, full, diff = truncated_average(1.0, 6.0, bump_profile(1.0), q)
-        budget = trunc.quad_error_estimate + full.quad_error_estimate + 1e-6
-        assert abs(diff) <= budget
-
-    def test_rejects_small_alpha(self):
-        with pytest.raises(EquidistError):
-            truncated_average(1.0, 0.5, bump_profile(1.0))
-
-    def test_difference_shrinks_in_t(self):
-        q = QuadratureSpec(base_grid=(10, 14))
-        alpha = math.sqrt(3.0) / 2.0
-        diffs = []
-        for t in (1.0, 3.0, 5.0):
-            _, _, diff = truncated_average(t, alpha, bump_profile(1.0), q)
-            diffs.append(abs(diff))
-        assert diffs[2] < diffs[0]
 
 
 class TestIntegratedBound:

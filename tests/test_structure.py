@@ -103,6 +103,16 @@ def test_counting_mode_is_set_in_latcount_only():
     assert with_mode == []
 
 
+def test_d2_estimates_take_no_dimension():
+    # the norm, Lipschitz and integrated-bound estimates run at d = 2 only
+    with_dim = [fn.name for fn in ast.walk(trees()["equidist"])
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and fn.name in ("estimate_f_norm", "estimate_lipschitz", "integrated_error_bound")
+                for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+                if arg.arg == "d"]
+    assert with_dim == []
+
+
 def test_scipy_imported_only_where_called():
     # expm is the one scipy function in the package; only the walk and the
     # acceptance forms call it, so no other process should load scipy
