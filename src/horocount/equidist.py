@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .latcount import BLOCK, ENUM_BUDGET, EnumerationBudgetError, enumerate_points, sieve
+from .latcount import BLOCK, ENUM_BUDGET, EnumerationBudgetError, enumerate_points, ragged, sieve
 from .orbits import fit_error_exponent
 from .quadform import (
     GeometryError,
@@ -339,8 +339,8 @@ def _d2_means(ts, h: RadialProfile) -> np.ndarray:
             size += counts[stop]
             stop += 1
         group = ts[start:stop]
-        owner, ws = _ragged(np.ones(len(group), dtype=np.int64),
-                            np.array(counts[start:stop], dtype=np.int64))
+        owner, ws = ragged(np.ones(len(group), dtype=np.int64),
+                           np.array(counts[start:stop], dtype=np.int64))
         scale = np.array([math.exp(-lam * t) for t in group])
         terms = phi[ws] * h.line(scale[owner] * ws.astype(float) ** 2)
         sums = np.bincount(owner, weights=terms, minlength=len(group))
@@ -386,15 +386,6 @@ def _modular_grid(nx: int, ny: int, y_max: float):
     return xg[mask], yg[mask], wts[mask]
 
 
-def _ragged(lo: np.ndarray, hi: np.ndarray):
-    """The integers of the intervals [lo_i, hi_i] (empty when hi_i < lo_i),
-    as (interval index, value) arrays."""
-    counts = np.maximum(hi - lo + 1, 0)
-    owner = np.repeat(np.arange(len(lo)), counts)
-    start = np.cumsum(counts) - counts
-    return owner, lo[owner] + (np.arange(int(counts.sum())) - start[owner])
-
-
 def _modular_pairs(xs: np.ndarray, ys: np.ndarray, bound: float):
     """Every (base point, half-lattice w) with Q_z(w) <= bound, from the
     closed form Q_z(w) = w1^2 y + (w1 x + w2)^2 / y.
@@ -403,22 +394,25 @@ def _modular_pairs(xs: np.ndarray, ys: np.ndarray, bound: float):
     w (m, 2) int64 and Q_z(w) per pair; pairs within rounding of the bound
     may be included and are cut by the kernel's support test.
     """
-    owner, w1 = _ragged(np.zeros(len(ys), dtype=np.int64),
-                        np.floor(np.sqrt(bound / ys)).astype(np.int64))
+    owner, w1 = ragged(np.zeros(len(ys), dtype=np.int64),
+                       np.floor(np.sqrt(bound / ys)).astype(np.int64))
     x, y = xs[owner], ys[owner]
     half = np.sqrt(np.maximum(bound - w1 * w1 * y, 0.0) * y)
     lo = np.ceil(-w1 * x - half).astype(np.int64)
     lo = np.where(w1 == 0, np.maximum(lo, 1), lo)
-    pair, w2 = _ragged(lo, np.floor(-w1 * x + half).astype(np.int64))
+    pair, w2 = ragged(lo, np.floor(-w1 * x + half).astype(np.int64))
     owner, w1, x, y = owner[pair], w1[pair], x[pair], y[pair]
     qbs = w1 * w1 * y + (w1 * x + w2) ** 2 / y
     return owner, np.stack([w1, w2], axis=1), qbs
 
 
 def _d3_average(t: float, h: RadialProfile, base_dims, y_max: float | None) -> float:
-    y_top = default_cutoff_height(t) if y_max is None else y_max
+    try:
+        y_top = default_cutoff_height(t) if y_max is None else y_max
+        bound = _w_bound(3, t, h)
+    except OverflowError as exc:
+        raise EquidistError(f"t = {t!r} is out of range of the d = 3 average") from exc
     xs, ys, wts = _modular_grid(base_dims[0], base_dims[1], y_top)
-    bound = _w_bound(3, t, h)
     # per base point: floor(sqrt(bound / y)) + 1 w1's, each with <= 2 sqrt(bound y) + 1 w2's
     pairs = np.sum((np.floor(np.sqrt(bound / ys)) + 1.0) * (2.0 * np.sqrt(bound * ys) + 1.0))
     _check_budget(t, float(pairs), "(base point, w) pairs")

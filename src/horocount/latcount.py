@@ -20,19 +20,20 @@ the form has one, in either mode) and walks (Fincke-Pohst) in the reduced
 coordinates w, v = u w, which keeps the tree small and the float Cholesky
 well conditioned for very eccentric forms.  The Cholesky factor R of the
 reduced gram writes Q(u w) as a sum of q_i (w_i + c_i)^2, where the
-centre c_i depends only on the coordinates above i.  _walk recurses over levels
-d-1 ... 2 and, for each admissible suffix (v_2, ..., v_{d-1}), yields the
-range of v_1, widened by _PAD on both sides, with the level-1 and level-0
-centres and the partial sum.  One leaf finishes the last two levels for a
-nonincreasing list of thresholds at once, walking only at the first: it
-gathers the level-1 nodes of many suffixes into numpy arrays, in blocks
-of at most BLOCK nodes, pairs each node with the thresholds it can meet
-(a ragged expansion, in slices of at most BLOCK pairs), and reads each
-pair's level-0 interval by the mode's rule: floor/ceil of centre +- radius
-in float mode; in exact mode, floor square roots of integers computed in
-int64 from the reduced integer gram, so floats only ever guide the outer
-ranges.  The exact rule checks before each block that every int64
-intermediate stays below INT64_LIMIT = 2^62, else it raises CountingError.
+centre c_i depends only on the coordinates above i.  _walk expands levels
+d-1 ... 2 as numpy arrays, a level's nodes as columns, only as many at a
+time as have BLOCK children between them, and yields the level-1 rows
+(suffix, range of v_1 widened by _PAD, centres, partial sum) in the
+recursion's depth-first order, with the float operations of a scalar walk.
+One leaf finishes the last two levels for a nonincreasing list of
+thresholds at once, walking only at the first: it pairs each level-1
+node of a block with the thresholds it can meet (a ragged expansion, in
+slices of at most BLOCK pairs), and reads each pair's level-0 interval by
+the mode's rule: floor/ceil of centre +- radius in float mode; in exact
+mode, floor square roots of integers computed in int64 from the reduced
+integer gram, so floats only ever guide the outer ranges.  The exact rule
+checks before each block that every int64 intermediate stays below
+INT64_LIMIT = 2^62, else it raises CountingError.
 
 A count sums the interval lengths; an enumeration expands the intervals.
 Each rule decides every point against its own bound, so the widened
@@ -48,22 +49,9 @@ primitive counts per integer level of an exact form, which shell_counts
 reads; moebius checks its identities on them.
 
 count_primitive_many counts many forms of one dimension at one radius or
-at a list of radii R_j.  Each form is reduced and factored once, and
-walked once, at the largest R_j, with the thresholds of every R_j and
-every squarefree k up to that radius's own K, merged, de-duplicated and
-in descending order: (R_j/k)^2 with their band edges in float mode,
-floor(R_j^2) // k^2 in exact mode.  A node's key and centre do not
-depend on the walk's top, and a node the walk at R_j would not yield
-counts nothing at R_j's thresholds, so every N0, N1 and band is the one a
-count at R_j alone gives.  The float forms share one pass of the leaf:
-their walks feed the same blocks, and every level-1 node carries an
-owner, the index of its form.  The float rule gathers q0, q1 and m10 per
-node by owner (a one-form rule keeps them as scalars), so each node's
-arithmetic is that of a count of its form alone.  Each form reads the
-merged thresholds only down to the last one it needs, and its pairs are
-binned by (owner, threshold) into one ragged row of totals.  Each exact
-form is a pass of its own through the same entry; count_primitive_moebius
-is the one-form, one-radius case.
+at a list of radii from one walk per form at the largest radius; its
+float forms share one walk and one pass of the leaf, every node carrying
+its owner, the index of its form.
 """
 
 from __future__ import annotations
@@ -151,8 +139,9 @@ class _Factor:
     """What the walk needs of a form, in LLL-reduced coordinates.
 
     u is the reduction (v = u w for the walk's coordinates w); q[i] =
-    R[i, i]^2 and m[i][k] = R[k, i] / R[k, k] (the shift of the level-k
-    centre per unit of w_i) for the Cholesky factor R of the reduced gram;
+    R[i, i]^2 and m[i][k] = R[k, i] / R[k, k] (for k < i, the shift of
+    the level-k centre per unit of w_i; the row is d long, 1 at k = i and
+    0 after) for the Cholesky factor R of the reduced gram;
     mint is the reduced integer gram in exact mode and None in float mode.
     """
 
@@ -188,8 +177,8 @@ def _factors(forms, mode: str) -> list[_Factor]:
             "reduced gram matrix is not numerically positive definite in float") from exc
     diag = np.diagonal(low, axis1=1, axis2=2)
     shifts = low / diag[:, None, :]  # [f, i, k] = R[k, i] / R[k, k]
-    return [_Factor(d, u, q, [row[:i] for i, row in enumerate(shift.tolist())], mint)
-            for u, q, shift, mint in zip(us, (diag ** 2).tolist(), shifts, mints)]
+    return [_Factor(d, u, q, shift, mint)
+            for u, q, shift, mint in zip(us, (diag ** 2).tolist(), shifts.tolist(), mints)]
 
 
 def _factor(form: QuadForm, mode: str) -> _Factor:
@@ -205,68 +194,76 @@ def _budget_estimate(f: _Factor, bound: float) -> float:
 # ---------------------------------------------------------------------------
 # the walk, its leaf and the leaf's two level-0 rules
 
-def _walk(f: _Factor, top: float):
-    """Admissible suffixes of the walk over Q(v) <= top.
+def ragged(lo: np.ndarray, hi: np.ndarray):
+    """The integers of the intervals [lo_i, hi_i] (empty when hi_i < lo_i),
+    as (interval index, value) arrays."""
+    counts = np.maximum(hi - lo + 1, 0)
+    owner = np.repeat(np.arange(len(lo)), counts)
+    start = np.cumsum(counts) - counts
+    return owner, lo[owner] + (np.arange(int(counts.sum())) - start[owner])
 
-    Yields (suffix, lo, hi, c1, c0, t) per suffix (v_2, ..., v_{d-1}): the
-    range lo..hi of v_1 widened by _PAD, the level-1 and level-0 centres
-    and the partial sum t of the levels above 1.  In d = 2 the one suffix
-    is ().
+
+def _walk(fs, top: float):
+    """The level-1 rows of the walks over Q(v) <= top of the forms fs, all
+    of one dimension d, in the order of a depth-first walk of each form in
+    turn, in blocks of at most BLOCK level-1 nodes (a row with more alone).
+
+    Yields (owner, suffix, lo, hi, c1, c0, t) per block, an entry per row:
+    its form's index in fs, its suffix (v_2, ..., v_{d-1}) as a (rows,
+    d - 2) int64 array, the range lo..hi of v_1 widened by _PAD, the
+    level-1 and level-0 centres and the partial sum of the levels above 1.
+    A level expands the children of only as many of its nodes at a time as
+    have BLOCK children between them (a node with more alone) and walks
+    them to the end first, so it holds about BLOCK rows.
     """
-    q, m = f.q, f.m
+    d = fs[0].dim
+    q, m = np.array([f.q for f in fs]), np.array([f.m for f in fs])
 
-    def rec(i, suffix, cent, t):
-        rem = (top - t) / q[i]
-        if rem < 0.0:
-            return
-        rad = math.sqrt(rem)
-        c = cent[i]
-        lo, hi = math.ceil(-c - rad) - _PAD, math.floor(-c + rad) + _PAD
+    def level(i, owner, suffix, cent, t):
+        # the nodes of level i that the bound admits, with their v_i ranges
+        rem = (top - t) / q[owner, i]
+        keep = rem >= 0.0
+        if not keep.all():
+            owner, suffix, cent, t, rem = owner[keep], suffix[keep], cent[keep], t[keep], rem[keep]
+        rad = np.sqrt(rem)
+        c = cent[:, i]
+        lo = np.ceil(-c - rad).astype(np.int64) - _PAD
+        hi = np.floor(-c + rad).astype(np.int64) + _PAD
+        return [i, owner, suffix, cent, t, lo, hi, np.cumsum(hi - lo + 1), 0]
+
+    n = len(fs)
+    stack = [level(d - 1, np.arange(n), np.empty((n, 0), dtype=np.int64), np.zeros((n, d)), np.zeros(n))]
+    while stack:
+        i, owner, suffix, cent, t, lo, hi, ends, done = frame = stack[-1]
+        if done == len(lo):
+            stack.pop()
+            continue
+        first = ends[done - 1] if done else 0  # children before this node
+        stop = max(done + 1, int(np.searchsorted(ends, first + BLOCK, side="right")))
+        frame[-1], now = stop, slice(done, stop)
         if i == 1:
-            yield suffix, lo, hi, c, cent[0], t
-            return
-        mi = m[i]
-        for v in range(lo, hi + 1):
-            yield from rec(i - 1, (v,) + suffix, [cent[k] + mi[k] * v for k in range(i)],
-                           t + q[i] * (v + c) ** 2)
-
-    return rec(f.dim - 1, (), [0.0] * f.dim, 0.0)
+            yield owner[now], suffix[now], lo[now], hi[now], cent[now, 1], cent[now, 0], t[now]
+            continue
+        par, v = ragged(lo[now], hi[now])
+        par += done
+        own = owner[par]
+        # float_power calls C pow, as ** on a scalar walk's Python floats does
+        stack.append(level(i - 1, own, np.column_stack([v, suffix[par]]),
+                           cent[par, :i] + m[own, i, :i] * v[:, None],
+                           t[par] + q[own, i] * np.float_power(v + cent[par, i], 2)))
 
 
 def _blocks(rule):
-    """The level-1 nodes of the walks of the rule's forms as arrays, in
-    blocks of at most BLOCK nodes (a longer suffix is a block of its own).
-
-    Yields (cols, n, v1, owner, key, aux): the block's walk rows as
-    columns, the node count of each row, v_1 per node (in the dtype of the
-    rule's bounds), the index of each node's form in rule.fs (None for a
-    one-form rule) and the rule's two arrays per node.
-    """
-    rows, marks, size = [], [], 0  # marks: (first row, form) per form in the block
-    dtype = rule.bounds.dtype
-
-    def gather():
-        cols = tuple(zip(*rows))
-        lo, hi = np.array(cols[1]), np.array(cols[2])
-        n = hi - lo + 1
-        v1 = (np.arange(n.sum()) - (np.cumsum(n) - n - lo).repeat(n)).astype(dtype)
-        owner = None
-        if len(rule.fs) > 1:
-            first, form = zip(*marks)
-            owner = np.repeat(form, np.diff(first + (len(rows),))).repeat(n)
-        return (cols, n, v1, owner, *rule.nodes(cols, n, v1, owner))
-
-    for i, f in enumerate(rule.fs):
-        marks.append((len(rows), i))
-        for row in _walk(f, rule.top):
-            width = row[2] - row[1] + 1
-            if rows and size + width > BLOCK:
-                yield gather()
-                rows, marks, size = [], [(0, i)], 0
-            rows.append(row)
-            size += width
-    if rows:
-        yield gather()
+    """Per block of _walk over the rule's forms: (suffix, n, v1, owner,
+    key, aux), the block's suffixes, the node count of each row, v_1 per
+    node (in the dtype of the rule's bounds), the index of each node's form
+    (None for a one-form rule) and the rule's two arrays per node."""
+    for rows in _walk(rule.fs, rule.top):
+        owner, suffix, lo, hi = rows[:4]
+        at, v1 = ragged(lo, hi)
+        owner = None if len(rule.fs) == 1 else owner[at]
+        v1 = v1.astype(rule.bounds.dtype)
+        yield (suffix, hi - lo + 1, v1, owner, *rule.nodes(rows, at, v1, owner))
 
 
 class _FloatRule:
@@ -286,8 +283,8 @@ class _FloatRule:
         self.bounds = np.array(edges, dtype=float)
         self.top = edges[0][0]
 
-    def nodes(self, cols, n, v1, owner):
-        c1, c0, t = (np.array(col).repeat(n) for col in cols[3:])
+    def nodes(self, rows, at, v1, owner):
+        c1, c0, t = (col[at] for col in rows[4:])
         q1, m10 = (self.q1, self.m10) if owner is None else (self.q1[owner], self.m10[owner])
         # float_power calls C pow, as ** on the walk's Python floats does;
         # numpy's ** 2 multiplies, which can round the last bit differently
@@ -325,14 +322,14 @@ class _ExactRule:
         self.b_abs = sum(abs(x) for x in g[0][1:])
         self.c_abs = sum(abs(x) for row in g[1:] for x in row[1:])
 
-    def nodes(self, cols, n, v1, owner):
-        s = np.array(cols[0], dtype=np.int64).reshape(len(n), self.f.dim - 2)
+    def nodes(self, rows, at, v1, owner):
+        s = rows[1]
         v = max(int(np.abs(v1).max()), int(np.abs(s).max(initial=0)))
         if (self.b_abs * v) ** 2 >= INT64_LIMIT or self.a0 * self.c_abs * v * v >= INT64_LIMIT:
             raise CountingError(f"walk coordinates up to {v} are beyond the int64 range of the exact rule")
-        lin0, lin1 = ((s @ self.g[i, 2:]).repeat(n) for i in (0, 1))
+        lin0, lin1 = ((s @ self.g[i, 2:])[at] for i in (0, 1))
         b = lin0 + self.g[0, 1] * v1
-        c = ((s @ self.g[2:, 2:]) * s).sum(axis=1).repeat(n) + (self.g[1, 1] * v1 + 2 * lin1) * v1
+        c = ((s @ self.g[2:, 2:]) * s).sum(axis=1)[at] + (self.g[1, 1] * v1 + 2 * lin1) * v1
         return self.a0 * c - b * b, b
 
     def level0(self, bounds, key, b, owner=None):
@@ -412,14 +409,13 @@ def _enumerate(rule, bound):
     """Points (reduced coordinates, int64) with Q(v) <= bound, the rule's
     one threshold, and their values."""
     pts, vals = [], []
-    for cols, n1, v1, _, key, aux in _blocks(rule):
+    for suffix, n1, v1, _, key, aux in _blocks(rule):
         lo, n = (x[0] for x in rule.level0(rule.bounds, key, aux))
         n = n.astype(np.int64)
         v0 = (lo - (np.cumsum(n) - n)).repeat(n) + np.arange(n.sum())
         value = rule.values(v0, key.repeat(n), aux.repeat(n))
         keep = value <= bound
-        suffixes = np.array(cols[0], dtype=np.int64).reshape(len(n1), rule.fs[0].dim - 2)
-        nodes = np.column_stack([v1, suffixes.repeat(n1, axis=0)]).astype(np.int64)
+        nodes = np.column_stack([v1, suffix.repeat(n1, axis=0)]).astype(np.int64)
         pts.append(np.column_stack([v0.astype(np.int64), nodes.repeat(n, axis=0)])[keep])
         vals.append(value[keep])
     if not pts:
@@ -453,8 +449,8 @@ def _float_tolerance(rsq: float, d: int) -> float:
 
 
 def _check_overflow(d: int, radius: float):
-    approx = constants(d).omega * radius ** d
-    if approx > COUNT_LIMIT:
+    # in logarithms, where omega R^d of a huge R does not overflow a float
+    if math.log(constants(d).omega) + d * math.log(radius) > math.log(COUNT_LIMIT):
         raise CountingError(
             "count would exceed 2^62; reduce the radius or aggregate shellwise"
         )
@@ -565,11 +561,11 @@ def count_primitive_many(forms, radius: float | Sequence[float],
     vector.
 
     Each form is LLL-reduced once, and the reduced grams are factored by
-    one stacked Cholesky (_factors).  The float forms share one pass of the
-    leaf: their walks at the largest R, in turn, feed the same blocks, and
-    each node is paired only with the thresholds it can reach among those
-    its own form reads, so one deep-cusp form does not widen the pairing of
-    the others.  Each exact form takes a pass of its own.  The thresholds
+    one stacked Cholesky (_factors).  The float forms share one walk at
+    the largest R, which yields their rows in turn, and one pass of the
+    leaf; each node is paired only with the thresholds it can reach among
+    those its own form reads, so one deep-cusp form does not widen the
+    pairing of the others.  Each exact form takes a pass of its own.  The thresholds
     of a pass are those of every radius R_j and every squarefree k up to
     R_j's K, merged, de-duplicated and in descending order; a node's key
     does not depend on the walk's top, so every N0 is the one a count at

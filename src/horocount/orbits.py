@@ -207,7 +207,8 @@ def sweep(q: QuadForm, t_values, kind: str = "chimney", sigma: int | None = None
     (N1 / denom) / predicted - 1 = N1 zeta(d) / (omega_d R^d) - 1.  Every N1
     comes from one count_primitive_many call over the grid's radii, which
     walks Q once at the largest R.  A radius below 1e-12 holds no nonzero
-    point and gives an empty row.  A count that the weight does not divide
+    point and gives an empty row; a T that is not finite raises
+    CountingError before any count.  A count that the weight does not divide
     raises CountingError for the first such T of t_values.
     """
     d = q.dim
@@ -222,6 +223,9 @@ def sweep(q: QuadForm, t_values, kind: str = "chimney", sigma: int | None = None
     else:
         raise CountingError(f"unknown sweep kind {kind!r}")
     ts = list(t_values)
+    bad = [t for t in ts if not math.isfinite(t)]
+    if bad:
+        raise CountingError(f"T must be finite, got {bad[0]}")
     radii = [radius_of_t(d, t) for t in ts]
     counts = iter(count_primitive_many([q], [r for r in radii if r >= 1e-12]))
     rows = []

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import horocount
 from horocount import equidist
 from horocount.cli import main
 
@@ -263,3 +268,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["count", "--dim", "2", "--radius", "3", "--threads", "2"])
         assert exc.value.code == 2
+
+
+def test_out_of_range_inputs_exit_2_without_traceback():
+    # a radius whose omega R^d overflows a float, a NaN T and a d = 3 level
+    # whose cusp height overflows: each is a usage error, in a new process
+    path = os.pathsep.join(p for p in (str(Path(horocount.__file__).parents[1]),
+                                       os.environ.get("PYTHONPATH")) if p)
+    for argv in (["count", "--dim", "2", "--radius", "1e300"],
+                 ["chimney", "--dim", "2", "--tmin", "nan", "--tmax", "3", "--steps", "3"],
+                 ["equidist", "--dim", "3", "--tmin", "1200", "--tmax", "1200", "--steps", "1"]):
+        proc = subprocess.run([sys.executable, "-m", "horocount.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

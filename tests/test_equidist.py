@@ -386,8 +386,8 @@ class TestD2Grid:
 
     def test_groups_stay_within_block(self, monkeypatch):
         sizes = []
-        ragged = equidist._ragged
-        monkeypatch.setattr(equidist, "_ragged",
+        ragged = equidist.ragged
+        monkeypatch.setattr(equidist, "ragged",
                             lambda lo, hi: sizes.append(int(hi.sum())) or ragged(lo, hi))
         grid = np.linspace(20.0, 26.0, 25)
         decay_series(bump_profile(1.0), grid, d=2)
@@ -401,7 +401,7 @@ class TestD2Grid:
         # from t = 120 the w-range would need about 2.6e18 entries; from
         # t = 1004 its bound overflows a float
         calls = []
-        monkeypatch.setattr(equidist, "_ragged", lambda *a: calls.append(1))
+        monkeypatch.setattr(equidist, "ragged", lambda *a: calls.append(1))
         with pytest.raises(EnumerationBudgetError):
             horosphere_average(120.0, bump_profile(1.0), d=2)
         with pytest.raises(EquidistError):

@@ -59,6 +59,35 @@ def int_form(d, gamma):
     return act(QuadForm.identity(d), GroupElement.from_matrix(gamma))
 
 
+def reference_walk(f, top):
+    """Reference for latcount._walk: the recursion over levels, one
+    generator call per suffix.  Yields (suffix, lo, hi, c1, c0, t) per
+    admissible suffix (v_2, ..., v_{d-1}) of the walk of one factored form
+    over Q(v) <= top."""
+    q, m, pad = f.q, f.m, latcount._PAD
+
+    def rec(i, suffix, cent, t):
+        rem = (top - t) / q[i]
+        if rem < 0.0:
+            return
+        rad = math.sqrt(rem)
+        c = cent[i]
+        lo, hi = math.ceil(-c - rad) - pad, math.floor(-c + rad) + pad
+        if i == 1:
+            yield suffix, lo, hi, c, cent[0], t
+            return
+        mi = m[i]
+        for v in range(lo, hi + 1):
+            yield from rec(i - 1, (v,) + suffix, [cent[k] + mi[k] * v for k in range(i)],
+                           t + q[i] * (v + c) ** 2)
+
+    return rec(f.dim - 1, (), [0.0] * f.dim, 0.0)
+
+
+def hex_row(owner, suffix, lo, hi, *floats):
+    return (owner, tuple(suffix), lo, hi) + tuple(x.hex() for x in floats)
+
+
 class TestCountFull:
     def test_disc_examples(self):
         q0 = QuadForm.identity(2)
@@ -609,6 +638,69 @@ class TestKnownValues:
         assert n0 == int((vals <= 6.25).sum())
 
 
+class TestArrayWalk:
+    """latcount._walk yields the rows of the recursion over levels, bit for
+    bit and in its order, in blocks of at most BLOCK level-1 nodes."""
+
+    @staticmethod
+    def walk(fs, top):
+        rows = []
+        for block in latcount._walk(fs, top):
+            owner, suffix, lo, hi = block[:4]
+            assert suffix.dtype == np.int64 and suffix.shape == (len(lo), fs[0].dim - 2)
+            assert len(lo) == 1 or int((hi - lo + 1).sum()) <= latcount.BLOCK
+            rows += [hex_row(*row) for row in zip(*(col.tolist() for col in block))]
+        return rows
+
+    @staticmethod
+    def reference(fs, top):
+        return [hex_row(i, *row) for i, f in enumerate(fs) for row in reference_walk(f, top)]
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(61)
+        tops = {2: 400.0, 3: 150.5, 4: 40.0, 5: 16.3, 6: 9.0}
+        for d, top in tops.items():
+            shear = np.eye(d, dtype=int) + np.eye(d, k=1, dtype=int) + 2 * np.eye(d, k=2, dtype=int)
+            for form in (QuadForm.identity(d), int_form(d, shear.tolist())):
+                for mode in ("exact", "float"):
+                    yield latcount._factor(form, mode), top
+            for _ in range(2):
+                yield latcount._factor(random_form(rng, d), "float"), top
+        # several chunks per level at the default BLOCK
+        yield latcount._factor(QuadForm.identity(5), "exact"), 400.0
+
+    @pytest.mark.parametrize("block", [latcount.BLOCK, 5])
+    def test_matches_recursion(self, monkeypatch, block):
+        monkeypatch.setattr(latcount, "BLOCK", block)
+        # each expansion of a level takes at most BLOCK children, or one parent's
+        sizes = []
+        ragged = latcount.ragged
+        monkeypatch.setattr(latcount, "ragged", lambda lo, hi: sizes.append(
+            (len(lo), int((hi - lo + 1).sum()))) or ragged(lo, hi))
+        for f, top in self.cases():
+            rows = self.walk([f], top)
+            assert rows == self.reference([f], top)
+            assert len(rows) > 1 if f.dim > 2 else len(rows) == 1
+        assert sizes and all(parents == 1 or size <= block for parents, size in sizes)
+        if block == 5:  # a parent with more children than BLOCK goes alone
+            assert any(parents == 1 and size > block for parents, size in sizes)
+
+    @pytest.mark.parametrize("block", [latcount.BLOCK, 5])
+    def test_batch_matches_recursion_per_form(self, monkeypatch, block):
+        # forms in turn, with trees from a few rows to thousands
+        monkeypatch.setattr(latcount, "BLOCK", block)
+        rng = np.random.default_rng(62)
+        for d, top in ((3, 400.0), (4, 100.0)):
+            forms = [random_form(rng, d, scale) for scale in (0.25, 1.5, 0.25, 0.05, 2.0)]
+            # a deep cusp: the levels above 0 hold a handful of nodes each
+            forms.insert(2, QuadForm.from_gram(np.diag([1e-6] + [1e6 ** (1 / (d - 1))] * (d - 1))))
+            fs = latcount._factors(forms, "float")
+            sizes = [sum(hi - lo + 1 for _, lo, hi, *_ in reference_walk(f, top)) for f in fs]
+            assert max(sizes) > 20 * min(sizes)
+            assert self.walk(fs, top) == self.reference(fs, top)
+
+
 class TestReferenceExponent:
     def test_rejects_small(self):
         # the published counting exponent is read from quadform.Constants,
@@ -636,8 +728,8 @@ class TestEnumerate:
         for gamma, b in cases:
             form = int_form(len(gamma), gamma)
             if len(gamma) > 2:
-                walk = latcount._walk(latcount._factor(form, "float"), b + 0.5)
-                assert sum(hi - lo + 1 for _, lo, hi, *_ in walk) > 2 * latcount.BLOCK
+                walk = latcount._walk([latcount._factor(form, "float")], b + 0.5)
+                assert sum(int((hi - lo + 1).sum()) for _, _, lo, hi, *_ in walk) > 2 * latcount.BLOCK
             for block in (latcount.BLOCK, 5):
                 with monkeypatch.context() as m:
                     m.setattr(latcount, "BLOCK", block)
