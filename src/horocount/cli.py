@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
 
@@ -19,17 +19,11 @@ import numpy as np
 
 from . import acceptance, equidist, moebius, orbits, randlat
 from .latcount import CountingError, EllipsoidSpec, count_full, error_terms
-from .quadform import GeometryError, QuadForm, constants
+from .quadform import HorocountError, QuadForm, constants
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
-
-
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("HOROCOUNT_SEED")
-    return int(env) if env else 0
+MAX_STEPS = 10_000  # levels of one t-grid; see _t_grid
 
 
 def _load_gram(spec: str, dim: int) -> QuadForm:
@@ -67,6 +61,22 @@ def _emit_csv(header: str, rows: list[str], path: str | None):
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _t_grid(args) -> list[float]:
+    """The --steps evenly spaced levels from --tmin to --tmax.
+
+    Refused before any level is made when an end, or the distance between
+    them, is not a finite float, or --steps is not in [1, MAX_STEPS].  A
+    level costs at least its record and its CSV row, about 1 KB, so
+    MAX_STEPS keeps a grid's own memory near 10 MB.
+    """
+    if not math.isfinite(args.tmax - args.tmin):
+        raise HorocountError(f"--tmin and --tmax must be finite floats with a finite "
+                             f"difference, got {args.tmin!r} and {args.tmax!r}")
+    if not 1 <= args.steps <= MAX_STEPS:
+        raise HorocountError(f"--steps must lie in [1, {MAX_STEPS}], got {args.steps}")
+    return [float(t) for t in np.linspace(args.tmin, args.tmax, args.steps)]
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +155,7 @@ def cmd_sweep(args) -> int:
     kind = args.subcommand
     sigma = {"sigma": args.sigma} if kind == "chimney" else {}
     form = _load_gram(args.gram, args.dim)
-    t_values = np.linspace(args.tmin, args.tmax, args.steps)
-    results = orbits.sweep(form, [float(t) for t in t_values], kind=kind, **sigma)
+    results = orbits.sweep(form, _t_grid(args), kind=kind, **sigma)
     rows = [f"{_fmt(r.T)},{_fmt(r.R)},{r.count},{_fmt(r.predicted)},{_fmt(r.rel_error)}"
             for r in results]
     config = {"subcommand": kind, "dim": args.dim, "gram": args.gram,
@@ -158,31 +167,22 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_equidist(args) -> int:
-    if args.dim not in (2, 3):
-        raise CountingError("equidist supports --dim 2 or 3")
     if args.profile == "indicator":
         profile = equidist.indicator_profile(args.support)
     else:
         profile = equidist.bump_profile(args.support, args.plateau)
-    base_grid = tuple(int(x) for x in args.base_grid.split(","))
-    if len(base_grid) != 2:
-        raise CountingError("--base-grid expects nx,ny")
-    t_values = [float(t) for t in np.linspace(args.tmin, args.tmax, args.steps)]
-    if args.alpha is None or args.dim == 2:  # one grid; d = 2 reads no base cutoff
-        q = equidist.QuadratureSpec(base_grid=base_grid)
-        averages = equidist.horosphere_averages(t_values, profile, q, d=args.dim)
-    else:
-        averages = []
-        for t in t_values:
-            cutoff = equidist.default_cutoff_height(t, args.alpha)
-            q = equidist.QuadratureSpec(base_grid=base_grid, base_cutoff_height=cutoff)
-            averages.append(equidist.horosphere_average(t, profile, q, d=3))
+    try:
+        nx, ny = (int(x) for x in args.base_grid.split(","))
+    except ValueError as exc:
+        raise HorocountError(f"--base-grid expects nx,ny, got {args.base_grid!r}") from exc
+    q = equidist.QuadratureSpec(base_grid=(nx, ny))
+    averages = equidist.horosphere_averages(_t_grid(args), profile, q, d=args.dim)
     rows = [f"{_fmt(a.t)},{_fmt(a.value)},{_fmt(a.target)},{_fmt(a.err)},{_fmt(a.quad_error_estimate)}"
             for a in averages]
     config = {"subcommand": "equidist", "dim": args.dim, "profile": args.profile,
               "support": args.support, "plateau": args.plateau,
               "tmin": args.tmin, "tmax": args.tmax, "steps": args.steps,
-              "base_grid": args.base_grid, "alpha": args.alpha, "output": args.output}
+              "base_grid": args.base_grid, "output": args.output}
     cst = constants(args.dim)
     return _emit_series(config, "t,value,target,err,quad_err", rows,
                         [(a.t, a.err) for a in averages], True,
@@ -215,12 +215,11 @@ def cmd_locate(args) -> int:
 
 def cmd_meansq(args) -> int:
     rep = randlat.mean_square_check(args.dim, args.radius, args.samples,
-                                    sampler=args.sampler, seed=args.seed,
-                                    step_sigma=args.sigma, burn_in=args.burnin)
+                                    sampler=args.sampler, seed=args.seed, burn_in=args.burnin)
     payload = {
         "config": {"subcommand": "meansq", "dim": args.dim, "radius": args.radius,
                    "samples": args.samples, "sampler": args.sampler, "seed": args.seed,
-                   "sigma": args.sigma, "burnin": args.burnin},
+                   "burnin": args.burnin},
         "d": rep.d,
         "R": rep.radius,
         "n_samples": rep.n_samples,
@@ -269,11 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "equidistribution checks.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seeded=False):
+    def common(p):
         p.add_argument("--output", default=None, help="write the primary table/JSON here")
-        if seeded:
-            p.add_argument("--seed", type=int, default=None,
-                           help="RNG seed (falls back to HOROCOUNT_SEED, then 0)")
 
     p = sub.add_parser("constants", help="named constants for a dimension")
     p.add_argument("--dim", type=int, required=True)
@@ -313,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--base-grid", default="16,24")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="cusp cutoff exponent for the d=3 base")
     common(p)
     p.set_defaults(fn=cmd_equidist)
 
@@ -334,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--sampler", choices=("exact", "walk"), default="exact")
-    p.add_argument("--sigma", type=float, default=0.5, help="walk step scale")
     p.add_argument("--burnin", type=int, default=200)
-    common(p, seeded=True)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    common(p)
     p.set_defaults(fn=cmd_meansq)
 
     p = sub.add_parser("verify", help="run the acceptance suite or a targeted check")
@@ -354,11 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "seed"):
-        args.seed = _resolve_seed(args.seed)
     try:
         return args.fn(args)
-    except (CountingError, GeometryError, equidist.EquidistError) as exc:
+    except HorocountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -59,6 +59,7 @@ from .orbits import fit_error_exponent
 from .quadform import (
     GeometryError,
     GroupElement,
+    HorocountError,
     QuadForm,
     chi_d,
     constants,
@@ -90,12 +91,10 @@ __all__ = [
     "estimate_lipschitz",
     "integrated_error_bound",
     "transported_quadrature_ratio",
-    "default_cutoff_height",
     "modular_base_gram",
 ]
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
-CUTOFF_ALPHA = max(1.0, 0.5 * math.sqrt(3.0))
 CUTOFF_FLOOR = 8.0
 LIPSCHITZ_STEP, LIPSCHITZ_INFLATE = 1e-3, 10.0  # estimate_lipschitz's difference step and safety factor
 INTEGRATED_STEP = 0.1  # integrated_error_bound's trapezoid step in t
@@ -103,7 +102,7 @@ _GAUSS8 = np.polynomial.legendre.leggauss(8)  # exact to degree 15
 _GAUSS64 = np.polynomial.legendre.leggauss(64)
 
 
-class EquidistError(ValueError):
+class EquidistError(HorocountError):
     """Invalid equidistribution input (dimension, grids, parameters)."""
 
 
@@ -208,34 +207,31 @@ class HoroAverage:
 
 @dataclass
 class QuadratureSpec:
-    """Grid and cusp cut of the d = 3 base quadrature (the torus fiber is
-    averaged exactly).  The error estimate compares with a base grid
-    REFINEMENT_FACTOR times finer.
+    """Grid of the d = 3 base quadrature (the torus fiber is averaged
+    exactly; the cusp cut follows from t).  The error estimate compares
+    with a base grid REFINEMENT_FACTOR times finer.
     """
 
     torus_grid: int = 101  # unread (the fiber mean is exact); kept so existing callers still work
     base_grid: tuple = (16, 24)
-    base_cutoff_height: float | None = None
 
     def __post_init__(self):
         nx, ny = self.base_grid
         if nx < 8 or ny < 8:
             raise EquidistError("base grids must be >= 8")
-        if self.base_cutoff_height is not None and self.base_cutoff_height < 1.0:
-            raise EquidistError("base cutoff height must be >= 1")
 
 
 REFINEMENT_FACTOR = 2  # base-grid refinement of the quadrature error estimate
 
 
-def default_cutoff_height(t: float, alpha: float = CUTOFF_ALPHA) -> float:
-    """Cusp cutoff height Y(t) = max(CUTOFF_FLOOR, e^{alpha t / sqrt(2)}).
+def _cutoff_height(t: float) -> float:
+    """Cusp cutoff height Y(t) = max(CUTOFF_FLOOR, e^{t / sqrt(2)}).
 
     The exponential growth keeps the discarded cusp mass decaying in t;
     the floor keeps small-t averages from living on a sliver of the
     fundamental domain.
     """
-    return max(CUTOFF_FLOOR, math.exp(alpha * t / math.sqrt(2.0)))
+    return max(CUTOFF_FLOOR, math.exp(t / math.sqrt(2.0)))
 
 
 def eval_test_function(q: QuadForm, h: RadialProfile) -> float:
@@ -374,8 +370,6 @@ def modular_base_gram(x: float, y: float) -> np.ndarray:
 def _modular_grid(nx: int, ny: int, y_max: float):
     """Midpoint grid on the modular fundamental domain in (x, log y)
     coordinates with the hyperbolic weight, cut at height y_max."""
-    if y_max <= Y_MIN:
-        raise EquidistError("cutoff height below the bottom of the domain")
     u_lo, u_hi = math.log(Y_MIN), math.log(y_max)
     us = u_lo + (np.arange(ny) + 0.5) / ny * (u_hi - u_lo)
     xs = (np.arange(nx) + 0.5) / nx - 0.5
@@ -406,9 +400,9 @@ def _modular_pairs(xs: np.ndarray, ys: np.ndarray, bound: float):
     return owner, np.stack([w1, w2], axis=1), qbs
 
 
-def _d3_average(t: float, h: RadialProfile, base_dims, y_max: float | None) -> float:
+def _d3_average(t: float, h: RadialProfile, base_dims) -> float:
     try:
-        y_top = default_cutoff_height(t) if y_max is None else y_max
+        y_top = _cutoff_height(t)
         bound = _w_bound(3, t, h)
     except OverflowError as exc:
         raise EquidistError(f"t = {t!r} is out of range of the d = 3 average") from exc
@@ -433,7 +427,7 @@ def horosphere_averages(t_grid, h: RadialProfile, q: QuadratureSpec | None = Non
         values = _d2_means(ts, h).tolist()
     elif d == 3:
         fine = (q.base_grid[0] * REFINEMENT_FACTOR, q.base_grid[1] * REFINEMENT_FACTOR)
-        values = [_d3_average(t, h, fine, q.base_cutoff_height) for t in ts]
+        values = [_d3_average(t, h, fine) for t in ts]
     else:
         raise EquidistError("averages are implemented for d in {2, 3}")
     target = space_average(h, d)
@@ -443,7 +437,7 @@ def horosphere_averages(t_grid, h: RadialProfile, q: QuadratureSpec | None = Non
             raise EquidistError("quadrature did not produce a finite value")
         est = 1e-9 * (1.0 + abs(value))
         if d == 3:
-            est += 1.5 * abs(value - _d3_average(t, h, q.base_grid, q.base_cutoff_height))
+            est += 1.5 * abs(value - _d3_average(t, h, q.base_grid))
         out.append(HoroAverage(t=t, value=value, target=target, err=value - target,
                                quad_error_estimate=est))
     return out

@@ -66,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadform import QuadForm, constants, lll_reduce
+from .quadform import HorocountError, QuadForm, constants, lll_reduce
 
 __all__ = [
     "CountingError",
@@ -94,7 +94,7 @@ BLOCK = 1 << 12  # level-1 nodes per leaf block and (node, threshold) pairs per 
 INT64_LIMIT = 2 ** 62  # bound on every int64 intermediate of the exact rule
 
 
-class CountingError(ValueError):
+class CountingError(HorocountError):
     """Invalid counting input (radius, mode, gram)."""
 
 

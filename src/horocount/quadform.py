@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "HorocountError",
     "GeometryError",
     "QuadForm",
     "GroupElement",
@@ -66,7 +67,11 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)  # B_2 ... B
 VOL_M2 = 2.0 * math.pi / 3.0
 
 
-class GeometryError(ValueError):
+class HorocountError(ValueError):
+    """Base of every refusal of an input; the CLI reports these as usage errors."""
+
+
+class GeometryError(HorocountError):
     """Invalid geometric input: dimension, symmetry or definiteness."""
 
 
@@ -504,7 +509,11 @@ def constants(d: int) -> Constants:
     _check_dim(d)
     lam, mu = rate_lambda(d), rate_mu(d)
     alpha = 1 if d % 2 == 1 else 2
-    omega = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    try:
+        omega = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    except OverflowError as exc:
+        raise GeometryError(f"dimension {d} is too large: pi^(d/2) / Gamma(d/2 + 1) "
+                            "overflows a float") from exc
     z = zeta(d)
     zeta_factor = 4.0 if d == 2 else 2.0
     c_d = 2.0 * math.sqrt(zeta_factor * z / (d * (d - 1) * omega))

@@ -7,9 +7,9 @@ Two samplers:
     inverse-CDF in y on the enclosing strip plus rejection on |z| >= 1)
     and returns the unimodular basis (1/sqrt(y)) * ((1, x), (0, y)).
   * sample_walk runs a left random walk g <- exp(xi) g with Gaussian
-    trace-zero increments.  Its stationary law on the quotient by the
-    integer group is the invariant probability measure, so only
-    integer-group-invariant observables may be consumed.  Basis matrices
+    trace-zero increments of scale WALK_SIGMA.  Its stationary law on the
+    quotient by the integer group is the invariant probability measure, so
+    only integer-group-invariant observables may be consumed.  Basis matrices
     are coset representatives, not canonical forms: after every step
     g <- g u, with u (det u = +1) from the LLL reduction of the gram g^T g
     (quadform.lll_reduce), which keeps the representative well
@@ -50,12 +50,12 @@ __all__ = [
     "sample_walk",
     "discrepancy",
     "mean_square_check",
-    "fundamental_domain_im_cdf",
 ]
 
 Y_MIN = math.sqrt(3.0) / 2.0
 FUNDAMENTAL_AREA = math.pi / 3.0  # hyperbolic area of {|x|<=1/2, |z|>=1}
 WALK_CHUNK = 64  # walk steps whose increments are drawn and exponentiated in one call
+WALK_SIGMA = 0.5  # scale of the walk's Gaussian trace-zero increments
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,35 +97,11 @@ def sample_exact_d2(rng: np.random.Generator, n: int) -> list[LatticeSample]:
     return out
 
 
-def fundamental_domain_im_cdf(y: float) -> float:
-    """CDF of Im z under the normalized hyperbolic measure on the domain.
-
-    Width at height v is 1 - 2 sqrt(1 - v^2) for v <= 1 and 1 above, and
-    integrating width/v^2 gives the closed form used here.
-    """
-    if y <= Y_MIN:
-        return 0.0
-
-    def low_part(v):
-        # integral of (1 - 2 sqrt(1 - u^2))/u^2 from Y_MIN to v
-        def anti(u):
-            return -1.0 / u + 2.0 * (math.sqrt(1.0 - u * u) / u + math.asin(u))
-        return anti(v) - anti(Y_MIN)
-
-    if y <= 1.0:
-        mass = low_part(y)
-    else:
-        mass = low_part(1.0) + (1.0 - 1.0 / y)
-    return mass / FUNDAMENTAL_AREA
-
-
-def sample_walk(rng: np.random.Generator, d: int, step_sigma: float = 0.5,
-                burn_in: int = 200, thin: int = 10, n: int = 100) -> list[LatticeSample]:
+def sample_walk(rng: np.random.Generator, d: int, burn_in: int = 200, thin: int = 10,
+                n: int = 100) -> list[LatticeSample]:
     """Random-walk samples of unimodular lattices in dimension d."""
     if d < 2:
         raise CountingError("dimension must be >= 2")
-    if not 0.0 < step_sigma <= 2.0:
-        raise CountingError("step_sigma must lie in (0, 2]")
     if burn_in < 100:
         raise CountingError("burn_in must be >= 100")
     if thin < 1 or n < 1:
@@ -139,7 +115,7 @@ def sample_walk(rng: np.random.Generator, d: int, step_sigma: float = 0.5,
     for start in range(0, total, WALK_CHUNK):
         # the last chunk draws only the steps left, so rng ends where a
         # step-by-step walk would leave it
-        xi = step_sigma * rng.standard_normal((min(WALK_CHUNK, total - start), d, d))
+        xi = WALK_SIGMA * rng.standard_normal((min(WALK_CHUNK, total - start), d, d))
         xi -= (np.trace(xi, axis1=1, axis2=2) / d)[:, None, None] * eye
         for step, e in enumerate(expm(xi), start):
             g = e @ g
@@ -187,8 +163,7 @@ def _report(d: int, radius: float, counts) -> MeanSquareReport:
 
 
 def mean_square_check(d: int, radius: float | Sequence[float], n_samples: int,
-                      sampler: str = "exact", seed: int = 0,
-                      step_sigma: float = 0.5, burn_in: int = 200,
+                      sampler: str = "exact", seed: int = 0, burn_in: int = 200,
                       thin: int = 10) -> MeanSquareReport | list[MeanSquareReport]:
     """Monte Carlo of the mean squared discrepancy against the bound.
 
@@ -207,8 +182,7 @@ def mean_square_check(d: int, radius: float | Sequence[float], n_samples: int,
             raise CountingError("the exact sampler is only available for d = 2")
         samples = sample_exact_d2(rng, n_samples)
     elif sampler == "walk":
-        samples = sample_walk(rng, d, step_sigma=step_sigma, burn_in=burn_in,
-                              thin=thin, n=n_samples)
+        samples = sample_walk(rng, d, burn_in=burn_in, thin=thin, n=n_samples)
     else:
         raise CountingError(f"unknown sampler {sampler!r}")
     forms = QuadForm.from_grams([s.basis.mat.T @ s.basis.mat for s in samples])

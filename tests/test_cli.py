@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import horocount
-from horocount import equidist
+from horocount import cli, equidist
 from horocount.cli import main
 
 
@@ -158,21 +158,16 @@ class TestEquidistCommand:
         payload = json.loads(out)
         assert payload["theory_slope_thm12"] == pytest.approx(-math.sqrt(2.0) / 8.0)
 
-    @pytest.mark.parametrize("alpha", [1.0, 2.0])
-    def test_alpha_sets_cutoff(self, capsys, tmp_path, alpha):
+    def test_d3_rows_match_library(self, capsys, tmp_path):
         out_file = tmp_path / "eq3.csv"
-        code, _, _ = run_cli(capsys, "equidist", "--dim", "3", "--alpha", str(alpha),
-                             "--tmin", "3", "--tmax", "5", "--steps", "3",
+        code, _, _ = run_cli(capsys, "equidist", "--dim", "3", "--profile", "bump",
+                             "--tmin", "3", "--tmax", "5", "--steps", "3", "--base-grid", "8,10",
                              "--output", str(out_file))
         assert code == 0
-        profile = equidist.indicator_profile(1.0)
-        want = []
-        for t in (3.0, 4.0, 5.0):
-            spec = equidist.QuadratureSpec(
-                base_cutoff_height=equidist.default_cutoff_height(t, alpha))
-            a = equidist.horosphere_average(t, profile, spec, d=3)
-            want.append(",".join(repr(float(x)) for x in
-                                 (a.t, a.value, a.target, a.err, a.quad_error_estimate)))
+        averages = equidist.horosphere_averages([3.0, 4.0, 5.0], equidist.bump_profile(1.0),
+                                                equidist.QuadratureSpec(base_grid=(8, 10)), d=3)
+        want = [",".join(repr(float(x)) for x in (a.t, a.value, a.target, a.err, a.quad_error_estimate))
+                for a in averages]
         assert out_file.read_text().strip().split("\n")[1:] == want
 
     def test_failed_fit_keys_match_sweeps(self, capsys):
@@ -218,12 +213,13 @@ class TestMeansq:
         assert payload["bound_E1sq"] == pytest.approx(
             4.0 * math.pi * 25.0 / (math.pi ** 2 / 6.0), rel=1e-9)
 
-    def test_seed_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("HOROCOUNT_SEED", "11")
+    def test_seed_defaults_to_zero(self, capsys):
         code, out, _ = run_cli(capsys, "meansq", "--dim", "2", "--radius", "5",
                                "--samples", "50")
         payload = json.loads(out)
-        assert payload["config"]["seed"] == 11
+        assert payload["config"]["seed"] == 0
+        assert payload == json.loads(run_cli(capsys, "meansq", "--dim", "2", "--radius", "5",
+                                             "--samples", "50", "--seed", "0")[1])
 
 
 class TestVerify:
@@ -270,16 +266,42 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
-def test_out_of_range_inputs_exit_2_without_traceback():
-    # a radius whose omega R^d overflows a float, a NaN T and a d = 3 level
-    # whose cusp height overflows: each is a usage error, in a new process
+def run_fresh_cli(*argv):
+    """Exit code, stdout and stderr of the CLI run in a new process."""
     path = os.pathsep.join(p for p in (str(Path(horocount.__file__).parents[1]),
                                        os.environ.get("PYTHONPATH")) if p)
-    for argv in (["count", "--dim", "2", "--radius", "1e300"],
-                 ["chimney", "--dim", "2", "--tmin", "nan", "--tmax", "3", "--steps", "3"],
-                 ["equidist", "--dim", "3", "--tmin", "1200", "--tmax", "1200", "--steps", "1"]):
-        proc = subprocess.run([sys.executable, "-m", "horocount.cli", *argv], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
-        assert proc.returncode == 2, (argv, proc.stderr)
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "horocount.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_out_of_range_inputs_exit_2_without_traceback():
+    # each is a usage error, run in a new process: exit 2 and nothing on
+    # stderr but one error line naming the reason (no numpy warning, no
+    # traceback)
+    for argv, reason in (
+            (["count", "--dim", "2", "--radius", "1e300"], "2^62"),
+            (["chimney", "--dim", "2", "--tmin", "nan", "--tmax", "3", "--steps", "3"], "finite"),
+            (["equidist", "--dim", "3", "--tmin", "1200", "--tmax", "1200", "--steps", "1"],
+             "out of range"),
+            (["horoball", "--dim", "2", "--tmin", "1", "--tmax", "inf", "--steps", "3"], "finite"),
+            (["horoball", "--dim", "2", "--tmin=-1e308", "--tmax", "1e308", "--steps", "3"], "finite"),
+            (["equidist", "--dim", "2", "--tmin", "1", "--tmax", "3", "--steps", "-1"], "--steps"),
+            (["chimney", "--dim", "2", "--tmin", "1", "--tmax", "3", "--steps", "0"], "--steps"),
+            (["equidist", "--dim", "2", "--tmin", "1", "--tmax", "3", "--steps", "100000000"], "--steps"),
+            (["constants", "--dim", "400"], "too large"),
+            (["equidist", "--dim", "3", "--tmin", "1", "--tmax", "1", "--steps", "1",
+              "--base-grid", "a,b"], "--base-grid")):
+        code, out, err = run_fresh_cli(*argv)
+        assert code == 2, (argv, err)
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and reason in err, (argv, err)
+
+
+def test_t_grid_admits_max_steps():
+    # the largest grid of the tests and CI steps has 300 levels
+    assert cli.MAX_STEPS >= 300
+    code, out, _ = run_fresh_cli("equidist", "--dim", "2", "--tmin", "1", "--tmax", "2",
+                                 "--steps", str(cli.MAX_STEPS))
+    assert code == 0
+    assert out.count("\n") > cli.MAX_STEPS

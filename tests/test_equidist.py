@@ -10,11 +10,11 @@ from horocount.equidist import (
     HoroAverage,
     REFINEMENT_FACTOR,
     QuadratureSpec,
+    _cutoff_height,
     _modular_grid,
     bump_profile,
     check_thm12_bound,
     decay_series,
-    default_cutoff_height,
     estimate_f_norm,
     eval_test_function,
     fiber_integral,
@@ -231,9 +231,10 @@ class TestFiber:
 class TestAverages:
     def test_d3_matches_per_base_loop(self):
         # the array program over all (base point, w) pairs equals
-        # fiber_integral (a QuadForm and an enumeration) at every base node
+        # fiber_integral (a QuadForm and an enumeration) at every base node,
+        # with the cusp cut at max(8, e^(t/sqrt 2))
         def once(t, h, nx, ny):
-            xs, ys, wts = _modular_grid(nx, ny, default_cutoff_height(t))
+            xs, ys, wts = _modular_grid(nx, ny, max(8.0, math.exp(t / math.sqrt(2.0))))
             means = [fiber_integral(t, QuadForm.from_gram(modular_base_gram(x, y)), h)
                      for x, y in zip(xs.tolist(), ys.tolist())]
             return float(wts @ np.asarray(means)) / float(wts.sum())
@@ -285,12 +286,10 @@ class TestAverages:
     def test_quadspec_validation(self):
         with pytest.raises(EquidistError):
             QuadratureSpec(base_grid=(4, 24))
-        with pytest.raises(EquidistError):
-            QuadratureSpec(base_cutoff_height=0.5)
 
     def test_default_cutoff(self):
-        assert default_cutoff_height(0.0) == 8.0
-        assert default_cutoff_height(10.0) == pytest.approx(math.exp(10.0 / math.sqrt(2.0)))
+        assert _cutoff_height(0.0) == 8.0
+        assert _cutoff_height(10.0) == pytest.approx(math.exp(10.0 / math.sqrt(2.0)))
 
 
 class TestLocator:

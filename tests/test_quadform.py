@@ -571,3 +571,10 @@ class TestConstants:
     def test_rejects_small_dim(self):
         with pytest.raises(GeometryError):
             constants(1)
+
+    def test_rejects_dim_out_of_float_range(self):
+        # Gamma(d/2 + 1) first overflows a float at d = 342
+        assert constants(341).omega > 0.0
+        for d in (342, 400, 10 ** 6):
+            with pytest.raises(GeometryError, match="too large"):
+                constants(d)

@@ -11,10 +11,11 @@ from horocount.quadform import QuadForm, constants
 from horocount.randlat import (
     FUNDAMENTAL_AREA,
     WALK_CHUNK,
+    WALK_SIGMA,
     LatticeSample,
     MeanSquareReport,
+    Y_MIN,
     discrepancy,
-    fundamental_domain_im_cdf,
     mean_square_check,
     sample_exact_d2,
     sample_walk,
@@ -23,13 +24,13 @@ from horocount.quadform import GroupElement
 from test_quadform import reference_lll_reduce
 
 
-def step_by_step_walk(rng, d, step_sigma=0.5, burn_in=200, thin=10, n=100):
+def step_by_step_walk(rng, d, burn_in=200, thin=10, n=100):
     """Reference for sample_walk: one draw, one expm and the plain reference
     LLL per step, so a walk sample that drifts in its last bits shows."""
     g = np.eye(d)
     out = []
     for step in range(burn_in + thin * n):
-        xi = step_sigma * rng.standard_normal((d, d))
+        xi = WALK_SIGMA * rng.standard_normal((d, d))
         xi -= np.trace(xi) / d * np.eye(d)
         g = expm(xi) @ g
         u, _ = reference_lll_reduce(g.T @ g)
@@ -39,6 +40,28 @@ def step_by_step_walk(rng, d, step_sigma=0.5, burn_in=200, thin=10, n=100):
         if step >= burn_in and (step - burn_in) % thin == thin - 1:
             out.append(g.copy())
     return out
+
+
+def fundamental_domain_im_cdf(y: float) -> float:
+    """CDF of Im z under the normalized hyperbolic measure on the domain.
+
+    Width at height v is 1 - 2 sqrt(1 - v^2) for v <= 1 and 1 above, and
+    integrating width/v^2 gives the closed form used here.
+    """
+    if y <= Y_MIN:
+        return 0.0
+
+    def low_part(v):
+        # integral of (1 - 2 sqrt(1 - u^2))/u^2 from Y_MIN to v
+        def anti(u):
+            return -1.0 / u + 2.0 * (math.sqrt(1.0 - u * u) / u + math.asin(u))
+        return anti(v) - anti(Y_MIN)
+
+    if y <= 1.0:
+        mass = low_part(y)
+    else:
+        mass = low_part(1.0) + (1.0 - 1.0 / y)
+    return mass / FUNDAMENTAL_AREA
 
 
 def batch_discrepancies(samples, radius):
@@ -96,8 +119,6 @@ class TestExactSampler:
 class TestWalkSampler:
     def test_parameter_validation(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(CountingError):
-            sample_walk(rng, 2, step_sigma=0.0)
         with pytest.raises(CountingError):
             sample_walk(rng, 2, burn_in=10)
         with pytest.raises(CountingError):

@@ -13,6 +13,9 @@ import horocount
 import horocount.latcount
 import horocount.moebius
 from horocount.acceptance import random_form
+from horocount.equidist import EquidistError
+from horocount.latcount import CountingError, EnumerationBudgetError
+from horocount.quadform import GeometryError, HorocountError
 from horocount.randlat import sample_walk
 
 PACKAGE = Path(horocount.__file__).parent
@@ -165,3 +168,10 @@ def test_call_time_expm_gives_the_same_numbers():
     walk = sample_walk(np.random.default_rng(3), 3, n=5, burn_in=100, thin=1)
     gram = random_form(np.random.default_rng(3), 3).gram
     assert child == [False, True, [s.basis.mat.tobytes().hex() for s in walk], gram.tobytes().hex()]
+
+
+def test_every_refusal_is_a_horocount_error():
+    # the CLI turns exactly these into usage errors (exit 2)
+    for cls in (GeometryError, CountingError, EnumerationBudgetError, EquidistError):
+        assert issubclass(cls, HorocountError)
+    assert issubclass(HorocountError, ValueError)
