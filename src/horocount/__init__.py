@@ -40,16 +40,13 @@ from .latcount import (
     count_primitive_many,
     count_primitive_moebius,
     error_terms,
-    shell_counts,
     sieve,
 )
 from .moebius import error_relation_check, verify_inversion
 from .orbits import (
     ChimneyCount,
     DecayFit,
-    chimney_count,
     fit_error_exponent,
-    horoball_count,
     radius_of_t,
     stabilizer_order,
     t_of_radius,

@@ -36,9 +36,12 @@ whose w count exceeds latcount.ENUM_BUDGET is refused before any array
 is built.
 The modular base needs no form object: for z = x + iy,
 Q_z(w) = |w1 z + w2|^2 / y = w1^2 y + (w1 x + w2)^2 / y, so the w under
-a bound have closed-form ranges, and the sum over all (base point, w)
-pairs of a level is one array expression; a level whose pair count, bounded
-from the base grid alone, exceeds latcount.ENUM_BUDGET is refused first.
+a bound have closed-form ranges, and the sum over the (base point, w)
+pairs of a run of base points is one array expression.  A level whose pair
+count, bounded from the base grid alone, exceeds latcount.ENUM_BUDGET is
+refused first; its base points then go in runs of at most PASS_PAIRS
+bounded pairs, grouped like the d = 2 t's and all reading one phi table.
+One kernel, _fiber_means, evaluates the unfolded sum for either dimension.
 
 Supported dimensions for averages: d = 2 (base is a point) and d = 3.
 The norm estimate (estimate_f_norm, over the exact d = 2 sampler), the
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .latcount import BLOCK, ENUM_BUDGET, EnumerationBudgetError, enumerate_points, ragged, sieve
+from .latcount import BLOCK, ENUM_BUDGET, EnumerationBudgetError, enumerate_points, ragged, runs, sieve
 from .orbits import fit_error_exponent
 from .quadform import (
     GeometryError,
@@ -100,6 +103,8 @@ LIPSCHITZ_STEP, LIPSCHITZ_INFLATE = 1e-3, 10.0  # estimate_lipschitz's differenc
 INTEGRATED_STEP = 0.1  # integrated_error_bound's trapezoid step in t
 _GAUSS8 = np.polynomial.legendre.leggauss(8)  # exact to degree 15
 _GAUSS64 = np.polynomial.legendre.leggauss(64)
+PASS_PAIRS = 16 * BLOCK  # bounded (base point, w) pairs per pass of a d = 3 level: a pass
+# peaks at 128 bytes of scratch per pair, so at most 8 MiB
 
 
 class EquidistError(HorocountError):
@@ -135,9 +140,6 @@ class RadialProfile:
         p, q = self.plateau, s - self.plateau
         w = np.clip((u - p) / q, 0.0, 1.0)
         return 1.0 - w * w * (3.0 - 2.0 * w)
-
-    def value_scalar(self, u: float) -> float:
-        return float(self.value(np.float64(u)))
 
     def integral(self, d: int) -> float:
         """I_h(d) = integral of h(|x|^2) over R^d (closed form / exact
@@ -280,21 +282,24 @@ def _phi_table(top: int) -> np.ndarray:
     return ratio
 
 
-def _fiber_means(t: float, h: RadialProfile, owner: np.ndarray, ws: np.ndarray,
-                 qbs: np.ndarray, n_bases: int) -> np.ndarray:
-    """Exact torus-fiber means of the test function, one per base point.
+def _fiber_means(d: int, ts, level: np.ndarray, h: RadialProfile, owner: np.ndarray,
+                 g0: np.ndarray, qbs: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Exact torus-fiber means of the test function, one per owner.
 
-    Each pair is given by its base index in owner, its half-lattice w
-    (rows of ws, d - 1 columns) and Q_b(w) in qbs; the mean is the
-    unfolded sum of the module docstring.
+    Owner o lies at level ts[level[o]]; each pair is given by its owner, the
+    gcd g0 of its half-lattice w and Q_b(w) in qbs, and phi is a _phi_table
+    reaching every g0.  A level that owns no pair gets exactly 2 h(e^{mu t}),
+    without its e^{-lambda t} and e^{-mu t/2}, which overflow at large -t.
     """
-    d = ws.shape[1] + 1
     lam, mu = rate_lambda(d), rate_mu(d)
-    g0 = np.gcd.reduce(np.abs(ws), axis=1)
-    phi = _phi_table(int(g0.max()) if g0.size else 1)[g0]
-    terms = phi * h.line(math.exp(-lam * t) * np.asarray(qbs, dtype=float))
-    sums = np.bincount(owner, weights=terms, minlength=n_bases)
-    return 2.0 * h.value_scalar(math.exp(mu * t)) + 2.0 * math.exp(-0.5 * mu * t) * sums
+    at = level[owner]
+    live = (np.bincount(at, minlength=len(ts)) > 0).tolist()
+    scale, decay = (np.array([math.exp(c * t) if b else 0.0 for t, b in zip(ts, live)])
+                    for c in (-lam, -0.5 * mu))
+    top = h.value(np.array([math.exp(mu * t) for t in ts]))
+    terms = phi[g0] * h.line(scale[at] * qbs)
+    sums = np.bincount(owner, weights=terms, minlength=len(level))
+    return 2.0 * top[level] + 2.0 * decay[level] * sums
 
 
 def _check_budget(t: float, size: float, what: str) -> None:
@@ -318,32 +323,20 @@ def _d2_count(t: float, h: RadialProfile) -> int:
 def _d2_means(ts, h: RadialProfile) -> np.ndarray:
     """Exact fiber means of the horocycle (d = 2) at every t of ts.
 
-    One phi(w)/w table serves the grid.  Each t's w = 1..count go into one
-    ragged array owned by the t's index in its group, so np.bincount adds
+    One phi(w)/w table serves the grid.  Each group's w = 1..count go into
+    one ragged array owned by the t's index in its group, so np.bincount adds
     each t's terms in the same order as a grid of that t alone.  Every count
     is checked before any array is built.
     """
-    lam, mu = rate_lambda(2), rate_mu(2)
     ts = [float(t) for t in ts]
     counts = [_d2_count(t, h) for t in ts]
     phi = _phi_table(max(counts, default=1))
     means = np.empty(len(ts))
-    start = 0
-    while start < len(ts):
-        stop, size = start + 1, counts[start]
-        while stop < len(ts) and size + counts[stop] <= BLOCK:
-            size += counts[stop]
-            stop += 1
-        group = ts[start:stop]
-        owner, ws = ragged(np.ones(len(group), dtype=np.int64),
-                           np.array(counts[start:stop], dtype=np.int64))
-        scale = np.array([math.exp(-lam * t) for t in group])
-        terms = phi[ws] * h.line(scale[owner] * ws.astype(float) ** 2)
-        sums = np.bincount(owner, weights=terms, minlength=len(group))
-        top = h.value(np.array([math.exp(mu * t) for t in group]))
-        decay = np.array([math.exp(-0.5 * mu * t) for t in group])
-        means[start:stop] = 2.0 * top + 2.0 * decay * sums
-        start = stop
+    for run in runs(counts, BLOCK):
+        group = ts[run]
+        owner, ws = ragged(np.ones(len(group), dtype=np.int64), np.array(counts[run], dtype=np.int64))
+        means[run] = _fiber_means(2, group, np.arange(len(group)), h, owner, ws,
+                                  ws.astype(float) ** 2, phi)
     return means
 
 
@@ -356,9 +349,13 @@ def fiber_integral(t: float, base, h: RadialProfile) -> float:
         return float(_d2_means([t], h)[0])
     if not isinstance(base, QuadForm):
         raise EquidistError(f"unsupported base point type {type(base)!r}")
-    pts, vals = enumerate_points(base, _w_bound(base.dim + 1, t, h), mode="float")
+    d = base.dim + 1
+    pts, vals = enumerate_points(base, _w_bound(d, t, h), mode="float")
     ws, qbs = _half_lattice(pts, np.asarray(vals, dtype=float))
-    return float(_fiber_means(t, h, np.zeros(len(ws), dtype=np.intp), ws, qbs, 1)[0])
+    g0 = np.gcd.reduce(np.abs(ws), axis=1)
+    phi = _phi_table(int(g0.max()) if g0.size else 1)
+    zero = np.zeros(1, dtype=np.intp)
+    return float(_fiber_means(d, [t], zero, h, zero.repeat(len(ws)), g0, qbs, phi)[0])
 
 
 def modular_base_gram(x: float, y: float) -> np.ndarray:
@@ -385,8 +382,8 @@ def _modular_pairs(xs: np.ndarray, ys: np.ndarray, bound: float):
     closed form Q_z(w) = w1^2 y + (w1 x + w2)^2 / y.
 
     Half lattice: w1 > 0, or w1 = 0 and w2 > 0.  Returns the base index,
-    w (m, 2) int64 and Q_z(w) per pair; pairs within rounding of the bound
-    may be included and are cut by the kernel's support test.
+    gcd(w1, w2) and Q_z(w) per pair; pairs within rounding of the bound may
+    be included and are cut by the kernel's support test.
     """
     owner, w1 = ragged(np.zeros(len(ys), dtype=np.int64),
                        np.floor(np.sqrt(bound / ys)).astype(np.int64))
@@ -397,21 +394,29 @@ def _modular_pairs(xs: np.ndarray, ys: np.ndarray, bound: float):
     pair, w2 = ragged(lo, np.floor(-w1 * x + half).astype(np.int64))
     owner, w1, x, y = owner[pair], w1[pair], x[pair], y[pair]
     qbs = w1 * w1 * y + (w1 * x + w2) ** 2 / y
-    return owner, np.stack([w1, w2], axis=1), qbs
+    return owner, np.gcd(w1, w2), qbs
 
 
 def _d3_average(t: float, h: RadialProfile, base_dims) -> float:
+    """Level-t average over the cut modular domain, its base points taken in
+    runs of at most PASS_PAIRS bounded pairs (a base point with more alone)."""
     try:
         y_top = _cutoff_height(t)
         bound = _w_bound(3, t, h)
     except OverflowError as exc:
         raise EquidistError(f"t = {t!r} is out of range of the d = 3 average") from exc
     xs, ys, wts = _modular_grid(base_dims[0], base_dims[1], y_top)
-    # per base point: floor(sqrt(bound / y)) + 1 w1's, each with <= 2 sqrt(bound y) + 1 w2's
-    pairs = np.sum((np.floor(np.sqrt(bound / ys)) + 1.0) * (2.0 * np.sqrt(bound * ys) + 1.0))
-    _check_budget(t, float(pairs), "(base point, w) pairs")
-    owner, ws, qbs = _modular_pairs(xs, ys, bound)
-    means = _fiber_means(t, h, owner, ws, qbs, len(xs))
+    # per base point: w1 <= floor(sqrt(bound / y)), each with at most
+    # 2 sqrt(bound y) + 1 w2's; gcd(w1, w2) <= w1, or w2 <= sqrt(bound y) at w1 = 0
+    w1_top, root = np.floor(np.sqrt(bound / ys)), np.sqrt(bound * ys)
+    pairs = (w1_top + 1.0) * (2.0 * root + 1.0)
+    _check_budget(t, float(np.sum(pairs)), "(base point, w) pairs")
+    phi = _phi_table(int(max(w1_top.max(), np.floor(root).max())))
+    means = np.empty(len(ys))
+    for run in runs(pairs, PASS_PAIRS):
+        owner, g0, qbs = _modular_pairs(xs[run], ys[run], bound)
+        level = np.zeros(run.stop - run.start, dtype=np.intp)
+        means[run] = _fiber_means(3, [t], level, h, owner, g0, qbs, phi)
     return float(wts @ means) / float(wts.sum())
 
 

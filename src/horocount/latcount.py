@@ -45,8 +45,9 @@ v has Q(v) >= min_i q_i, so its terms vanish before
 K = floor(R / sqrt(min_i q_i)) + 2, and one walk at R counts N0(R/k) for
 every squarefree k <= K.  n0_series gives N0(R/n) for every n up to
 max(floor(R), K) from one such walk, and shell_table the full and
-primitive counts per integer level of an exact form, which shell_counts
-reads; moebius checks its identities on them.
+primitive counts per integer level of an exact form; moebius checks its
+identities on them.  Every count and enumeration refuses a walk, or a
+Moebius table, whose predicted size exceeds ENUM_BUDGET before building it.
 
 count_primitive_many counts many forms of one dimension at one radius or
 at a list of radii from one walk per form at the largest radius; its
@@ -80,7 +81,6 @@ __all__ = [
     "sieve",
     "n0_series",
     "shell_table",
-    "shell_counts",
     "error_terms",
     "enumerate_points",
 ]
@@ -185,10 +185,18 @@ def _factor(form: QuadForm, mode: str) -> _Factor:
     return _factors([form], mode)[0]
 
 
-def _budget_estimate(f: _Factor, bound: float) -> float:
-    """Upper-bound-flavored estimate of the traversal size."""
+def _check_budget(fs, bound: float, table: bool = False) -> None:
+    """Refuse a walk of the forms fs over Q(v) <= bound, before any table or
+    walk, when a form's predicted tree (upper-bound flavored) or, with
+    table, its Moebius table of K entries exceeds ENUM_BUDGET."""
+    q = np.array([f.q for f in fs])
     width = 2.0 * math.sqrt(max(bound, 0.0))
-    return math.prod(width / math.sqrt(f.q[i]) + 1.0 for i in range(1, f.dim))
+    sizes = np.prod(width / np.sqrt(q[:, 1:]) + 1.0, axis=1)
+    if table:
+        sizes = np.maximum(sizes, 0.5 * width / np.sqrt(q.min(axis=1)) + 2.0)
+    if sizes.max() > ENUM_BUDGET:
+        raise EnumerationBudgetError(f"the walk needs {sizes.max():.3g} nodes or table "
+                                     f"entries, above the budget {ENUM_BUDGET:.0e}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +209,18 @@ def ragged(lo: np.ndarray, hi: np.ndarray):
     owner = np.repeat(np.arange(len(lo)), counts)
     start = np.cumsum(counts) - counts
     return owner, lo[owner] + (np.arange(int(counts.sum())) - start[owner])
+
+
+def runs(sizes, limit):
+    """Slices of consecutive items, in order and covering them all, each
+    with sizes adding up to at most limit (an item above limit alone)."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(ends):
+        first = ends[start - 1] if start else 0  # sizes before this run
+        stop = max(start + 1, int(np.searchsorted(ends, first + limit, side="right")))
+        yield slice(start, stop)
+        start = stop
 
 
 def _walk(fs, top: float):
@@ -229,23 +249,21 @@ def _walk(fs, top: float):
         c = cent[:, i]
         lo = np.ceil(-c - rad).astype(np.int64) - _PAD
         hi = np.floor(-c + rad).astype(np.int64) + _PAD
-        return [i, owner, suffix, cent, t, lo, hi, np.cumsum(hi - lo + 1), 0]
+        return i, owner, suffix, cent, t, lo, hi, runs(hi - lo + 1, BLOCK)
 
     n = len(fs)
     stack = [level(d - 1, np.arange(n), np.empty((n, 0), dtype=np.int64), np.zeros((n, d)), np.zeros(n))]
     while stack:
-        i, owner, suffix, cent, t, lo, hi, ends, done = frame = stack[-1]
-        if done == len(lo):
+        i, owner, suffix, cent, t, lo, hi, slices = stack[-1]
+        now = next(slices, None)
+        if now is None:
             stack.pop()
             continue
-        first = ends[done - 1] if done else 0  # children before this node
-        stop = max(done + 1, int(np.searchsorted(ends, first + BLOCK, side="right")))
-        frame[-1], now = stop, slice(done, stop)
         if i == 1:
             yield owner[now], suffix[now], lo[now], hi[now], cent[now, 1], cent[now, 0], t[now]
             continue
         par, v = ragged(lo[now], hi[now])
-        par += done
+        par += now.start
         own = owner[par]
         # float_power calls C pow, as ** on a scalar walk's Python floats does
         stack.append(level(i - 1, own, np.column_stack([v, suffix[par]]),
@@ -433,8 +451,7 @@ def enumerate_points(form: QuadForm, bound: float, mode: str = "auto"):
         d = form.dim
         return np.empty((0, d), dtype=np.int64), np.empty(0)
     f = _factor(form, mode)
-    if _budget_estimate(f, float(bound)) > ENUM_BUDGET:
-        raise EnumerationBudgetError("enumeration tree exceeds the node budget")
+    _check_budget([f], float(bound))
     bound = float(bound) if f.mint is None else math.floor(bound)
     rule = _FloatRule([f], [bound]) if f.mint is None else _ExactRule(f, [bound])
     pts, vals = _enumerate(rule, bound)
@@ -489,6 +506,7 @@ def count_full(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
     """Number of integer points with Q(v) <= R^2, origin included."""
     _check_overflow(spec.form.dim, spec.radius)
     f = _factor(spec.form, mode)
+    _check_budget([f], spec.radius ** 2)
     n_hi, n_lo = _n0_bands([f], _thresholds(f, spec.radius, [1]))[:, 0].tolist()
     return CountResult(n0=n_hi, boundary_ambiguous=n_hi - n_lo, mode=f.mode)
 
@@ -584,6 +602,7 @@ def count_primitive_many(forms, radius: float | Sequence[float],
             raise CountingError(f"radius must be positive, got {r}")
     _check_overflow(d, max(radii))
     fs = _factors(forms, mode)
+    _check_budget(fs, max(radii) ** 2, table=True)
     kmax = [[_moebius_limit(f, r) for f in fs] for r in radii]
     mu = sieve(max(map(max, kmax)))
     ks = np.flatnonzero(mu).tolist()
@@ -629,6 +648,7 @@ def n0_series(spec: EllipsoidSpec) -> np.ndarray:
     last entry N0(R/n) = 1, and the list is nonincreasing."""
     _check_overflow(spec.form.dim, spec.radius)
     f = _factor(spec.form, "auto")
+    _check_budget([f], spec.radius ** 2, table=True)
     plan = max(math.floor(spec.radius), _moebius_limit(f, spec.radius))
     return _n0_bands([f], _thresholds(f, spec.radius, range(1, plan + 1)))[0]
 
@@ -640,25 +660,6 @@ def shell_table(form: QuadForm, top: float):
     prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
     n = math.floor(top) + 1
     return np.bincount(vals, minlength=n), np.bincount(vals[prim], minlength=n)
-
-
-def shell_counts(spec: EllipsoidSpec, xs):
-    """Counts on the level sets Q(v) = x for each x of the nondecreasing
-    xs, read off shell_table: negative, non-integer and non-represented
-    levels give 0.  The form needs its integer gram (QuadForm.mint).
-    Returns (r0, r1): full and primitive shell counts.
-    """
-    if spec.form.mint is None:
-        raise CountingError("shell counts require an integer gram matrix of determinant one")
-    xs = list(xs)
-    if any(b < a for a, b in zip(xs, xs[1:])):
-        raise CountingError("shell levels must be nondecreasing")
-    if not xs:
-        return [], []
-    x = np.array(xs, dtype=float)
-    hit = (x >= 0) & (x == np.floor(x))
-    idx = np.where(hit, x, 0).astype(np.int64)
-    return tuple(np.where(hit, t[idx], 0).tolist() for t in shell_table(spec.form, max(max(xs), 0)))
 
 
 def error_terms(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:

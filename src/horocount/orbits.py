@@ -13,8 +13,7 @@ and the relative errors are fitted against the published decay exponents.
 A sweep takes every N1 of its T-grid from one latcount.count_primitive_many
 call on the form at the grid's radii, in its default mode: exact for a
 form with an integer gram (QuadForm.mint), float otherwise.  One walk at
-the largest radius gives them all; chimney_count and horoball_count are
-sweeps of one T.
+the largest radius gives them all; a single T is a sweep of one.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ __all__ = [
     "t_of_radius",
     "radius_of_t",
     "stabilizer_order",
-    "chimney_count",
-    "horoball_count",
     "fit_error_exponent",
     "theory_slope",
     "sweep",
@@ -138,20 +135,6 @@ def _sigma_for(q: QuadForm, sigma: int | None) -> int:
             raise CountingError("stabilizer order must be >= 1")
         return sigma
     return stabilizer_order(q)
-
-
-def chimney_count(q: QuadForm, t: float, sigma: int | None = None) -> ChimneyCount:
-    """Orbit points of Q in the chimney truncated at level T: N1 / (alpha sigma).
-
-    rel_error compares sigma(Q) * count (the stabilizer-weighted count the
-    volume asymptotic speaks about) with the predicted main term.
-    """
-    return sweep(q, [t], kind="chimney", sigma=sigma)[0]
-
-
-def horoball_count(q: QuadForm, t: float) -> ChimneyCount:
-    """Horosphere lifts meeting the ball of radius T around Q: N1 / 2."""
-    return sweep(q, [t], kind="horoball")[0]
 
 
 def theory_slope(d: int) -> float:

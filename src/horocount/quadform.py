@@ -322,16 +322,6 @@ class GroupElement:
             raise GeometryError(f"matrix determinant {det} is not 1 within {DET_TOL}")
         return GroupElement(d, m)
 
-    @staticmethod
-    def identity(d: int) -> "GroupElement":
-        _check_dim(d)
-        return GroupElement(d, np.eye(d))
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        if self.dim != other.dim:
-            raise GeometryError("dimension mismatch in group multiplication")
-        return GroupElement(self.dim, self.mat @ other.mat)
-
 
 @dataclass(frozen=True, eq=False)
 class IwasawaCoord:
@@ -392,18 +382,15 @@ def busemann_rho(q: QuadForm) -> float:
     return math.sqrt(d / (d - 1)) * math.log(det)
 
 
-def iwasawa_decompose(g) -> IwasawaCoord:
-    """Solvable coordinates of SO(d).g (also accepts a QuadForm).
+def iwasawa_decompose(g: GroupElement) -> IwasawaCoord:
+    """Solvable coordinates of SO(d).g.
 
     The unique lower triangular representative L with L^T L = gram
     factors as a_{-t} * diag(e^{a'}, 1) * n with n unit lower triangular.
     """
-    if isinstance(g, QuadForm):
-        q = g
-    elif isinstance(g, GroupElement):
-        q = act(QuadForm.identity(g.dim), g)
-    else:
+    if not isinstance(g, GroupElement):
         raise GeometryError(f"cannot decompose object of type {type(g)!r}")
+    q = act(QuadForm.identity(g.dim), g)
     d = q.dim
     lam, mu = rate_lambda(d), rate_mu(d)
     lower = q.solvable_rep()

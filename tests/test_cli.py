@@ -298,6 +298,29 @@ def test_out_of_range_inputs_exit_2_without_traceback():
         assert err.startswith("error:") and err.count("\n") == 1 and reason in err, (argv, err)
 
 
+def test_oversize_counts_exit_2_before_any_table_or_walk():
+    # each count's predicted walk or Moebius table exceeds latcount.ENUM_BUDGET
+    for argv in (["count", "--dim", "12", "--radius", "9"],
+                 ["count", "--dim", "2", "--radius", "1e9"],
+                 ["count", "--dim", "2", "--radius", "1e9", "--primitive"],
+                 ["meansq", "--dim", "2", "--radius", "1e9", "--samples", "2"],
+                 ["meansq", "--dim", "3", "--radius", "1e6", "--samples", "2", "--sampler", "walk"]):
+        code, out, err = run_fresh_cli(*argv)
+        assert code == 2, (argv, err)
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "budget" in err, (argv, err)
+
+
+def test_large_negative_levels_run_cleanly():
+    # every w-sum there is empty: each level is the w = 0 row, 2 h(e^{mu t}) = 2
+    for argv in (["equidist", "--dim", "2", "--tmin=-1e300", "--tmax", "0", "--steps", "2"],
+                 ["equidist", "--dim", "3", "--tmin=-1e300", "--tmax", "0", "--steps", "2"],
+                 ["equidist", "--dim", "2", "--tmin=-1500", "--tmax=-1500", "--steps", "1"]):
+        code, out, err = run_fresh_cli(*argv)
+        assert (code, err) == (0, ""), (argv, err)
+        assert out.split("\n")[1].split(",")[1] == "2.0"
+
+
 def test_t_grid_admits_max_steps():
     # the largest grid of the tests and CI steps has 300 levels
     assert cli.MAX_STEPS >= 300

@@ -53,7 +53,7 @@ class TestProfiles:
                 h = bump_profile(s, p)
                 dim_sphere = d * constants(d).omega
                 oracle, err = scipy.integrate.quad(
-                    lambda r: h.value_scalar(r * r) * dim_sphere * r ** (d - 1),
+                    lambda r: float(h.value(r * r)) * dim_sphere * r ** (d - 1),
                     0.0, math.sqrt(s), points=[math.sqrt(p)],
                     epsabs=1e-12, limit=200)
                 assert h.integral(d) == pytest.approx(oracle, abs=1e-9)
@@ -67,7 +67,7 @@ class TestProfiles:
             for a in (-0.7, 0.0, 0.2, 0.5, 0.8, 1.0, 1.4):
                 top = math.sqrt(max(h.support_end - a, 0.0))
                 breaks = sorted({0.0, math.sqrt(max(h.plateau - a, 0.0)), top})
-                oracle = 2.0 * sum(scipy.integrate.quad(lambda v: h.value_scalar(a + v * v),
+                oracle = 2.0 * sum(scipy.integrate.quad(lambda v: float(h.value(a + v * v)),
                                                         lo, hi, epsabs=1e-13)[0]
                                    for lo, hi in zip(breaks, breaks[1:]))
                 assert float(h.line(a)) == pytest.approx(oracle, abs=1e-12)
@@ -75,11 +75,11 @@ class TestProfiles:
 
     def test_values(self):
         h = bump_profile(1.0, 0.5)
-        assert h.value_scalar(0.2) == 1.0
-        assert h.value_scalar(1.1) == 0.0
-        assert h.value_scalar(0.75) == pytest.approx(0.5, rel=1e-12)
+        assert float(h.value(0.2)) == 1.0
+        assert float(h.value(1.1)) == 0.0
+        assert float(h.value(0.75)) == pytest.approx(0.5, rel=1e-12)
         ind = indicator_profile(1.0)
-        assert ind.value_scalar(1.0) == 1.0 and ind.value_scalar(1.0000001) == 0.0
+        assert float(ind.value(1.0)) == 1.0 and float(ind.value(1.0000001)) == 0.0
 
     def test_validation(self):
         with pytest.raises(EquidistError):
@@ -412,6 +412,53 @@ class TestD2Grid:
         with pytest.raises(EnumerationBudgetError):
             horosphere_average(30.0, bump_profile(1.0), d=3)
         assert calls == []
+
+
+class TestD3Passes:
+    """A d = 3 level goes through in runs of base points of at most
+    PASS_PAIRS bounded pairs, with the values of the one-pass program."""
+
+    # horosphere_average(9.5, h, d=3) of the one-pass program, as float.hex
+    # of (value, quad_error_estimate); its refined (32, 48) grid bounds the
+    # level's pairs by 2.46e5, its (16, 24) grid by 6.1e4
+    ONE_PASS = {"bump": ("0x1.22b16c301f9e6p+1", "0x1.093afe1d7f89fp-9"),
+                "indicator": ("0x1.bc532f4b4c181p+1", "0x1.97183af93eb54p-7")}
+
+    @pytest.mark.parametrize("limit", [None, BLOCK], ids=["default", "block"])
+    def test_split_level_equals_one_pass(self, monkeypatch, limit):
+        if limit is not None:
+            monkeypatch.setattr(equidist, "PASS_PAIRS", limit)
+        passes = []
+        pairs = equidist._modular_pairs
+
+        def spy(xs, ys, bound):
+            sizes = (np.floor(np.sqrt(bound / ys)) + 1.0) * (2.0 * np.sqrt(bound * ys) + 1.0)
+            passes.append((len(ys), float(sizes.sum())))
+            return pairs(xs, ys, bound)
+
+        monkeypatch.setattr(equidist, "_modular_pairs", spy)
+        bases = sum(len(_modular_grid(nx, ny, _cutoff_height(9.5))[0])
+                    for nx, ny in ((32, 48), (16, 24)))
+        for name, h in (("bump", bump_profile(1.0)), ("indicator", indicator_profile(1.0))):
+            passes.clear()
+            a = horosphere_average(9.5, h, d=3)
+            assert (a.value.hex(), a.quad_error_estimate.hex()) == self.ONE_PASS[name]
+            assert len(passes) >= (5 if limit is None else 60)
+            assert sum(n for n, _ in passes) == bases
+            assert all(n == 1 or size <= equidist.PASS_PAIRS for n, size in passes)
+
+
+class TestLargeNegativeT:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_empty_w_sum_is_the_w0_row(self, d):
+        # no w meets the support, so the mean is 2 h(e^{mu t}) exactly, with
+        # e^{-lambda t} and e^{-mu t/2} (overflowing below about t = -1000)
+        # never formed; at d = 3, t = -5 still has w = (0, 1) at y near 8
+        for h in (bump_profile(1.0), indicator_profile(1.0)):
+            averages = horosphere_averages([-1e300, -1500.0, -50.0], h, d=d)
+            assert [a.value for a in averages] == [
+                2.0 * float(h.value(math.exp(rate_mu(d) * t))) for t in (-1e300, -1500.0, -50.0)]
+            assert fiber_integral(-1e300, None if d == 2 else QuadForm.identity(2), h) == 2.0
 
 
 class TestThm12Bound:

@@ -7,13 +7,14 @@ from horocount import latcount
 from horocount.latcount import (
     CountingError,
     EllipsoidSpec,
+    EnumerationBudgetError,
     count_full,
     count_primitive_direct,
     count_primitive_many,
     count_primitive_moebius,
     enumerate_points,
     error_terms,
-    shell_counts,
+    shell_table,
 )
 from horocount.quadform import GeometryError, GroupElement, QuadForm, act, constants
 
@@ -214,7 +215,8 @@ class TestCountFull:
             assert got.mode == "exact"
             assert (got.n0, got.n1, got.boundary_ambiguous) == (want.n0, want.n1, 0)
         assert count_full(spec).n0 == 317
-        assert shell_counts(spec, [25.0, 50.0]) == shell_counts(ident, [25.0, 50.0])
+        got, want = shell_table(form, 100), shell_table(ident.form, 100)
+        assert [t.tolist() for t in got] == [t.tolist() for t in want]
 
     def test_overflow_guard(self):
         with pytest.raises(CountingError):
@@ -547,41 +549,57 @@ class TestManyRadii:
                 assert 0 < merged < sum(seen)
 
 
+class TestCountBudget:
+    """Counts refuse a predicted walk or Moebius table above ENUM_BUDGET
+    before they build either."""
+
+    DEEP = [[1e-8, 0.0], [0.0, 1e8]]  # at R = 1e4: a walk of 3 nodes, a table of 1e8 + 2
+
+    def test_refused_before_sieve_and_walk(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(latcount, "sieve", lambda *a: calls.append("sieve"))
+        monkeypatch.setattr(latcount, "_walk", lambda *a: calls.append("walk"))
+        deep, ident = QuadForm.from_gram(self.DEEP), QuadForm.identity(2)
+        for run in (lambda: count_full(EllipsoidSpec(QuadForm.identity(12), 9.0)),
+                    lambda: count_full(EllipsoidSpec(ident, 1e9)),
+                    lambda: latcount.n0_series(EllipsoidSpec(ident, 1e9)),
+                    lambda: count_primitive_many([ident] * 3, [5.0, 1e9]),
+                    lambda: count_primitive_many([ident, deep, ident], 1e4),
+                    lambda: error_terms(EllipsoidSpec(deep, 1e4))):
+            with pytest.raises(EnumerationBudgetError, match="budget"):
+                run()
+        assert calls == []
+
+    def test_deep_form_counts_without_a_table(self):
+        # one v_1 = 0 row holds the 2e8 + 1 points of |v_0| <= 1e8
+        res = count_full(EllipsoidSpec(QuadForm.from_gram(self.DEEP), 1e4))
+        assert res.n0 - res.boundary_ambiguous <= 2 * 10 ** 8 + 3 <= res.n0
+
+
 class TestShells:
     def test_unit_circle_shell(self):
-        r0, r1 = shell_counts(EllipsoidSpec(QuadForm.identity(2), 3.0), [1.0, 2.0, 4.0, 5.0])
-        assert r0 == [4, 4, 4, 8]
-        assert r1 == [4, 4, 0, 8]
+        r0, r1 = shell_table(QuadForm.identity(2), 9)
+        assert r0[[0, 1, 2, 4, 5]].tolist() == [1, 4, 4, 4, 8]
+        assert r1[[0, 1, 2, 4, 5]].tolist() == [0, 4, 4, 0, 8]
 
     def test_non_represented_level(self):
-        r0, r1 = shell_counts(EllipsoidSpec(QuadForm.identity(2), 3.0), [2.5, 3.0])
-        # 2.5 is not an integer value and 3 is not a sum of two squares
-        assert r0[0] == 0 and r0[1] == 0
+        r0, r1 = shell_table(QuadForm.identity(2), 9)
+        # 3 is not a sum of two squares
+        assert r0[3] == 0 and r1[3] == 0
 
     def test_shell_inversion_identity(self):
-        spec = EllipsoidSpec(QuadForm.identity(2), 6.0)
-        levels = list(range(1, 37))
-        r0, r1 = shell_counts(spec, [float(x) for x in levels])
-        for x in levels:
-            rhs = sum(r1[x // (k * k) - 1] for k in range(1, int(math.isqrt(x)) + 1)
+        r0, r1 = shell_table(QuadForm.identity(2), 36)
+        for x in range(1, 37):
+            rhs = sum(r1[x // (k * k)] for k in range(1, int(math.isqrt(x)) + 1)
                       if x % (k * k) == 0)
-            assert r0[x - 1] == rhs
-
-    def test_rejects_non_monotone(self):
-        with pytest.raises(CountingError):
-            shell_counts(EllipsoidSpec(QuadForm.identity(2), 2.0), [2.0, 1.0])
-
-    def test_negative_zero_and_fractional_levels(self):
-        r0, r1 = shell_counts(EllipsoidSpec(QuadForm.identity(2), 3.0), [-1, 0, 2.5])
-        assert r0 == [0, 1, 0] and r1 == [0, 0, 0]
-        assert shell_counts(EllipsoidSpec(QuadForm.identity(2), 3.0), [-2, -1]) == ([0, 0], [0, 0])
+            assert r0[x] == rhs
 
     def test_rejects_float_form(self):
         # a float form has no integer levels to read
-        spec = EllipsoidSpec(QuadForm.from_gram([[2.0, 0.3], [0.3, 1.0]]), 2.0)
-        assert spec.form.mint is None
+        form = QuadForm.from_gram([[2.0, 0.3], [0.3, 1.0]])
+        assert form.mint is None
         with pytest.raises(CountingError, match="integer gram"):
-            shell_counts(spec, [0.0, 1.0, 2.0])
+            shell_table(form, 2.0)
 
     @pytest.mark.parametrize("d, top", [(2, 400), (3, 300)])
     def test_matches_per_level_scan(self, d, top):
@@ -589,9 +607,9 @@ class TestShells:
         pts, vals = enumerate_points(q, top, mode="exact")
         prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
         levels = list(range(top + 1))
-        r0, r1 = shell_counts(EllipsoidSpec(q, math.sqrt(top)), levels)
-        assert r0 == [int((vals == x).sum()) for x in levels]
-        assert r1 == [int(((vals == x) & prim).sum()) for x in levels]
+        r0, r1 = shell_table(q, top)
+        assert r0.tolist() == [int((vals == x).sum()) for x in levels]
+        assert r1.tolist() == [int(((vals == x) & prim).sum()) for x in levels]
 
 
 class TestErrorTerms:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from horocount import latcount, moebius
-from horocount.latcount import CountingError, EllipsoidSpec
+from horocount.latcount import CountingError, EllipsoidSpec, shell_table
 from horocount.moebius import (
     error_relation_check,
     mu_tail,
@@ -96,10 +96,8 @@ class TestInversion:
 
     def test_single_term_level(self):
         # at the lowest level the identity is a single term r1 = r0
-        q = QuadForm.identity(2)
-        from horocount.latcount import shell_counts
-        r0, r1 = shell_counts(EllipsoidSpec(q, 1.0), [1.0])
-        assert r1[0] == r0[0] == 4
+        r0, r1 = shell_table(QuadForm.identity(2), 1)
+        assert r1[1] == r0[1] == 4
 
     def test_reports_first_violation(self, monkeypatch):
         # drop (-1, 0) from the enumeration: level 1 stays consistent

@@ -5,9 +5,7 @@ import pytest
 
 from horocount.latcount import CountingError, EllipsoidSpec, count_primitive_moebius
 from horocount.orbits import (
-    chimney_count,
     fit_error_exponent,
-    horoball_count,
     radius_of_t,
     stabilizer_order,
     sweep,
@@ -65,7 +63,7 @@ class TestStabilizer:
 class TestDictionary:
     def test_chimney_example(self):
         t = 2.0 * math.sqrt(2.0) * math.log(2.0)
-        res = chimney_count(QuadForm.identity(2), t)
+        res = sweep(QuadForm.identity(2), [t])[0]
         assert res.count == 2
         assert res.sigma_q == 2
         assert res.predicted == pytest.approx((3.0 / math.pi) * 4.0, rel=1e-12)
@@ -73,47 +71,47 @@ class TestDictionary:
 
     def test_horoball_example(self):
         t = 2.0 * math.sqrt(2.0) * math.log(2.0)
-        res = horoball_count(QuadForm.identity(2), t)
+        res = sweep(QuadForm.identity(2), [t], kind="horoball")[0]
         assert res.count == 4
         assert res.predicted == pytest.approx(12.0 / math.pi, rel=1e-12)
 
     def test_chimney_equals_horoball_prediction_d2(self):
         for t in (1.0, 4.0, 9.0):
-            a = chimney_count(QuadForm.identity(2), t)
-            b = horoball_count(QuadForm.identity(2), t)
+            a = sweep(QuadForm.identity(2), [t])[0]
+            b = sweep(QuadForm.identity(2), [t], kind="horoball")[0]
             assert a.predicted == pytest.approx(b.predicted, rel=1e-14)
             assert a.rel_error == pytest.approx(b.rel_error, rel=1e-12)
 
     def test_strip_asymptotic_form(self):
         # the d=2 prediction equals 3/(pi y) with y = e^{-T/sqrt 2}
         for t in (2.0, 5.0):
-            res = horoball_count(QuadForm.identity(2), t)
+            res = sweep(QuadForm.identity(2), [t], kind="horoball")[0]
             y = math.exp(-t / math.sqrt(2.0))
             assert res.predicted == pytest.approx(3.0 / (math.pi * y), rel=1e-12)
 
     def test_dictionary_exactness(self):
         cst2 = constants(2)
         for t in (2.0, 4.5, 7.0):
-            res = chimney_count(QuadForm.identity(2), t)
+            res = sweep(QuadForm.identity(2), [t])[0]
             n1 = count_primitive_moebius(
                 EllipsoidSpec(QuadForm.identity(2), radius_of_t(2, t))).n1
             assert cst2.alpha * res.sigma_q * res.count == n1
-            assert 2 * horoball_count(QuadForm.identity(2), t).count == n1
+            assert 2 * sweep(QuadForm.identity(2), [t], kind="horoball")[0].count == n1
 
     def test_empty_chimney(self):
-        res = chimney_count(QuadForm.identity(2), -1e9, sigma=2)
+        res = sweep(QuadForm.identity(2), [-1e9], sigma=2)[0]
         assert res.count == 0
 
     def test_divisibility_error(self):
         with pytest.raises(CountingError):
-            chimney_count(QuadForm.identity(2), 2.0 * math.sqrt(2.0) * math.log(2.0), sigma=3)
+            sweep(QuadForm.identity(2), [2.0 * math.sqrt(2.0) * math.log(2.0)], sigma=3)
 
     def test_unimodular_invariance(self):
         gamma = GroupElement.from_matrix([[1, 1], [1, 2]])
         moved = act(QuadForm.identity(2), gamma)
         for t in (2.0, 5.0):
-            a = chimney_count(QuadForm.identity(2), t, sigma=2)
-            b = chimney_count(moved, t, sigma=2)
+            a = sweep(QuadForm.identity(2), [t], sigma=2)[0]
+            b = sweep(moved, [t], sigma=2)[0]
             assert a.count == b.count
 
     def test_symmetric_d3_form_flags_boundary(self):
@@ -123,17 +121,17 @@ class TestDictionary:
         # horosphere dictionary stays exact for every form
         t = t_of_radius(3, 2.0)
         with pytest.raises(CountingError, match="symmetric locus"):
-            chimney_count(QuadForm.identity(3), t)
+            sweep(QuadForm.identity(3), [t])
         n1 = count_primitive_moebius(EllipsoidSpec(QuadForm.identity(3), 2.0)).n1
         assert n1 == 26
-        assert 2 * horoball_count(QuadForm.identity(3), t).count == n1
+        assert 2 * sweep(QuadForm.identity(3), [t], kind="horoball")[0].count == n1
 
     def test_dictionary_exactness_d3_generic(self):
         import numpy as np
         g = GroupElement.from_matrix(np.array([[1, 0, 0], [0.31, 1, 0], [0.11, 0.27, 1.0]]))
         q = act(QuadForm.identity(3), g)
         for t in (3.0, 6.0):
-            res = chimney_count(q, t)
+            res = sweep(q, [t])[0]
             n1 = count_primitive_moebius(EllipsoidSpec(q, radius_of_t(3, t))).n1
             assert res.sigma_q == 1
             assert res.count == n1
@@ -141,14 +139,12 @@ class TestDictionary:
     def test_d5_needs_sigma(self):
         # I_5 has stabilizer order 1920, so a default sigma = 1 would
         # overstate its chimney count by that factor: refuse instead
-        for run in (lambda: chimney_count(QuadForm.identity(5), 2.5),
-                    lambda: sweep(QuadForm.identity(5), [2.5])):
-            with pytest.raises(CountingError, match="sigma"):
-                run()
+        with pytest.raises(CountingError, match="sigma"):
+            sweep(QuadForm.identity(5), [2.5])
         rng = np.random.default_rng(5)
         a = rng.standard_normal((5, 5))
         q = QuadForm.from_gram(a.T @ a + np.eye(5))
-        res = chimney_count(q, 2.5, sigma=1)
+        res = sweep(q, [2.5], sigma=1)[0]
         n1 = count_primitive_moebius(EllipsoidSpec(q, radius_of_t(5, 2.5))).n1
         assert res.sigma_q == 1
         assert res.count == n1 > 0
@@ -216,9 +212,9 @@ class TestSweep:
         )
         for q, ts, kind, sigma in cases:
             if kind == "chimney":
-                got, one = sweep(q, ts, sigma=sigma), [chimney_count(q, t, sigma=sigma) for t in ts]
+                got, one = sweep(q, ts, sigma=sigma), [sweep(q, [t], sigma=sigma)[0] for t in ts]
             else:
-                got, one = sweep(q, ts, kind="horoball"), [horoball_count(q, t) for t in ts]
+                got, one = sweep(q, ts, kind="horoball"), [sweep(q, [t], kind="horoball")[0] for t in ts]
             got = [row(c) for c in got]
             assert got == sorted(map(row, one))
             assert got == sorted(per_t_row(q, t, kind, sigma) for t in ts)
@@ -244,6 +240,6 @@ class TestSweep:
         series = []
         for r in radii:
             t = t_of_radius(2, float(r))
-            series.append((t, horoball_count(QuadForm.identity(2), t).rel_error))
+            series.append((t, sweep(QuadForm.identity(2), [t], kind="horoball")[0].rel_error))
         fit = fit_error_exponent(series, envelope=True)
         assert fit.slope < 0.0

@@ -180,14 +180,14 @@ class TestWalkSampler:
 
 class TestDiscrepancy:
     def test_square_lattice_example(self):
-        sample = LatticeSample(basis=GroupElement.identity(2))
+        sample = LatticeSample(basis=GroupElement.from_matrix(np.eye(2)))
         d = discrepancy(sample, 2.0)
         expected = abs(constants(2).zeta * 8.0 / (4.0 * math.pi) - 1.0)
         assert d == pytest.approx(expected, rel=1e-12)
         assert d == pytest.approx(0.04719755, abs=1e-7)
 
     def test_tiny_radius_gives_one(self):
-        sample = LatticeSample(basis=GroupElement.identity(3))
+        sample = LatticeSample(basis=GroupElement.from_matrix(np.eye(3)))
         assert discrepancy(sample, 1e-6) == pytest.approx(1.0)
 
     def test_invariance_under_unimodular(self):
