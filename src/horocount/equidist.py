@@ -26,22 +26,15 @@ is therefore exactly
     2 h(e^{mu t}) + e^{-mu t/2} sum_{w != 0} (phi(g0)/g0) L(e^{-lambda t} Q_b(w)),
 
 with L(a) the integral of h(a + v^2) over the real line (RadialProfile.
-line).  For d = 2 the base is a point and Q_b(w) = w^2 (the horocycle),
-so g0 = w and a whole t-grid is one array expression: one phi(w)/w table
-up to the largest w serves the grid, every t's w go into one ragged
-array, and one line-integral pass and one per-t bincount give every
-mean.  Consecutive t's share one such pass while their w count stays
-within latcount.BLOCK, which bounds its scratch memory by one t's; a t
-whose w count exceeds latcount.ENUM_BUDGET is refused before any array
-is built.
-The modular base needs no form object: for z = x + iy,
+line).  For d = 2 the base is a point and Q_b(w) = w^2 (the horocycle).
+The modular base (d = 3) needs no form object: for z = x + iy,
 Q_z(w) = |w1 z + w2|^2 / y = w1^2 y + (w1 x + w2)^2 / y, so the w under
-a bound have closed-form ranges, and the sum over the (base point, w)
-pairs of a run of base points is one array expression.  A level whose pair
-count, bounded from the base grid alone, exceeds latcount.ENUM_BUDGET is
-refused first; its base points then go in runs of at most PASS_PAIRS
-bounded pairs, grouped like the d = 2 t's and all reading one phi table.
-One kernel, _fiber_means, evaluates the unfolded sum for either dimension.
+a bound have closed-form ranges.  One driver, _level_means, takes a list
+of levels (t, base grid), refuses a level whose w-bound is not finite or
+whose bounded (base point, w) pairs exceed latcount.ENUM_BUDGET before
+any pair is built, and sends the base points of all its levels through
+one kernel, _fiber_means, in passes of at most PASS_PAIRS bounded pairs,
+all reading one phi table.
 
 Supported dimensions for averages: d = 2 (base is a point) and d = 3.
 The norm estimate (estimate_f_norm, over the exact d = 2 sampler), the
@@ -103,8 +96,8 @@ LIPSCHITZ_STEP, LIPSCHITZ_INFLATE = 1e-3, 10.0  # estimate_lipschitz's differenc
 INTEGRATED_STEP = 0.1  # integrated_error_bound's trapezoid step in t
 _GAUSS8 = np.polynomial.legendre.leggauss(8)  # exact to degree 15
 _GAUSS64 = np.polynomial.legendre.leggauss(64)
-PASS_PAIRS = 16 * BLOCK  # bounded (base point, w) pairs per pass of a d = 3 level: a pass
-# peaks at 128 bytes of scratch per pair, so at most 8 MiB
+PASS_PAIRS = 4 * BLOCK  # bounded (base point, w) pairs per pass of any level: its float64
+# temporaries take 128 KiB each, and it peaks at about 128 bytes of scratch per pair, 2 MiB
 
 
 class EquidistError(HorocountError):
@@ -302,51 +295,13 @@ def _fiber_means(d: int, ts, level: np.ndarray, h: RadialProfile, owner: np.ndar
     return 2.0 * top[level] + 2.0 * decay[level] * sums
 
 
-def _check_budget(t: float, size: float, what: str) -> None:
-    """Refuse level t when it needs more than ENUM_BUDGET of what."""
-    if size > ENUM_BUDGET:
-        raise EnumerationBudgetError(
-            f"t = {t!r} needs {size:.3g} {what}, above the budget {ENUM_BUDGET:.0e}")
-
-
-def _d2_count(t: float, h: RadialProfile) -> int:
-    """Number of w >= 1 whose line integral can be nonzero at level t (d = 2),
-    refused when its bound overflows or the count exceeds ENUM_BUDGET."""
-    try:
-        count = math.floor(math.sqrt(_w_bound(2, t, h)))
-    except (OverflowError, ValueError) as exc:
-        raise EquidistError(f"t = {t!r} is out of range of the d = 2 average") from exc
-    _check_budget(t, count, "w values")
-    return count
-
-
-def _d2_means(ts, h: RadialProfile) -> np.ndarray:
-    """Exact fiber means of the horocycle (d = 2) at every t of ts.
-
-    One phi(w)/w table serves the grid.  Each group's w = 1..count go into
-    one ragged array owned by the t's index in its group, so np.bincount adds
-    each t's terms in the same order as a grid of that t alone.  Every count
-    is checked before any array is built.
-    """
-    ts = [float(t) for t in ts]
-    counts = [_d2_count(t, h) for t in ts]
-    phi = _phi_table(max(counts, default=1))
-    means = np.empty(len(ts))
-    for run in runs(counts, BLOCK):
-        group = ts[run]
-        owner, ws = ragged(np.ones(len(group), dtype=np.int64), np.array(counts[run], dtype=np.int64))
-        means[run] = _fiber_means(2, group, np.arange(len(group)), h, owner, ws,
-                                  ws.astype(float) ** 2, phi)
-    return means
-
-
 def fiber_integral(t: float, base, h: RadialProfile) -> float:
     """Exact average of the test function over the torus fiber.
 
     base: None (d = 2) or a base QuadForm of dimension d - 1.
     """
     if base is None:
-        return float(_d2_means([t], h)[0])
+        return _level_means(2, [(t, None)], h)[0]
     if not isinstance(base, QuadForm):
         raise EquidistError(f"unsupported base point type {type(base)!r}")
     d = base.dim + 1
@@ -377,17 +332,18 @@ def _modular_grid(nx: int, ny: int, y_max: float):
     return xg[mask], yg[mask], wts[mask]
 
 
-def _modular_pairs(xs: np.ndarray, ys: np.ndarray, bound: float):
-    """Every (base point, half-lattice w) with Q_z(w) <= bound, from the
-    closed form Q_z(w) = w1^2 y + (w1 x + w2)^2 / y.
-
-    Half lattice: w1 > 0, or w1 = 0 and w2 > 0.  Returns the base index,
-    gcd(w1, w2) and Q_z(w) per pair; pairs within rounding of the bound may
-    be included and are cut by the kernel's support test.
-    """
+def _pairs(bounds: np.ndarray, xs=None, ys=None):
+    """Every (base point, half-lattice w) with Q_b(w) <= bounds[base point]:
+    w >= 1 with Q = w^2 on the d = 2 base (no xs, ys), and on modular base
+    points z = x + iy the closed form, half lattice w1 > 0 or w1 = 0 < w2.
+    Returns the base index, gcd(w) and Q_b(w) per pair; pairs within rounding
+    of the bound may be included and are cut by the kernel's support test."""
+    if ys is None:
+        owner, w = ragged(np.ones(len(bounds), dtype=np.int64), np.floor(np.sqrt(bounds)).astype(np.int64))
+        return owner, w, w.astype(float) ** 2
     owner, w1 = ragged(np.zeros(len(ys), dtype=np.int64),
-                       np.floor(np.sqrt(bound / ys)).astype(np.int64))
-    x, y = xs[owner], ys[owner]
+                       np.floor(np.sqrt(bounds / ys)).astype(np.int64))
+    x, y, bound = xs[owner], ys[owner], bounds[owner]
     half = np.sqrt(np.maximum(bound - w1 * w1 * y, 0.0) * y)
     lo = np.ceil(-w1 * x - half).astype(np.int64)
     lo = np.where(w1 == 0, np.maximum(lo, 1), lo)
@@ -397,27 +353,51 @@ def _modular_pairs(xs: np.ndarray, ys: np.ndarray, bound: float):
     return owner, np.gcd(w1, w2), qbs
 
 
-def _d3_average(t: float, h: RadialProfile, base_dims) -> float:
-    """Level-t average over the cut modular domain, its base points taken in
-    runs of at most PASS_PAIRS bounded pairs (a base point with more alone)."""
-    try:
-        y_top = _cutoff_height(t)
-        bound = _w_bound(3, t, h)
-    except OverflowError as exc:
-        raise EquidistError(f"t = {t!r} is out of range of the d = 3 average") from exc
-    xs, ys, wts = _modular_grid(base_dims[0], base_dims[1], y_top)
-    # per base point: w1 <= floor(sqrt(bound / y)), each with at most
-    # 2 sqrt(bound y) + 1 w2's; gcd(w1, w2) <= w1, or w2 <= sqrt(bound y) at w1 = 0
-    w1_top, root = np.floor(np.sqrt(bound / ys)), np.sqrt(bound * ys)
-    pairs = (w1_top + 1.0) * (2.0 * root + 1.0)
-    _check_budget(t, float(np.sum(pairs)), "(base point, w) pairs")
-    phi = _phi_table(int(max(w1_top.max(), np.floor(root).max())))
-    means = np.empty(len(ys))
-    for run in runs(pairs, PASS_PAIRS):
-        owner, g0, qbs = _modular_pairs(xs[run], ys[run], bound)
-        level = np.zeros(run.stop - run.start, dtype=np.intp)
-        means[run] = _fiber_means(3, [t], level, h, owner, g0, qbs, phi)
-    return float(wts @ means) / float(wts.sum())
+def _level_means(d: int, levels, h: RadialProfile) -> list[float]:
+    """Each level's weighted mean of the exact fiber means over its base
+    points.  levels: (t, base grid) pairs, the grid None at d = 2 (one base
+    point of weight 1) and (nx, ny) at d = 3 (_modular_grid cut at
+    _cutoff_height(t)).  A base point with more than PASS_PAIRS pairs is a
+    pass alone."""
+    ts, bounds, cuts = [float(t) for t, _ in levels], [], []
+    for t, grid in levels:
+        try:  # at d = 3 the cusp cut overflows first, from t = 1004
+            bound, cut = _w_bound(d, t, h), grid and _cutoff_height(t)
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise EquidistError(f"t = {t!r} is out of range of the d = {d} average")
+        bounds.append(bound)
+        cuts.append(cut)
+    bounds = np.array(bounds)
+    if d == 2:
+        xs = ys = None
+        counts, wts = [1] * len(ts), np.ones(len(ts))
+        top = sizes = np.floor(np.sqrt(bounds))  # w <= floor(sqrt(bound))
+    else:
+        grids = [_modular_grid(nx, ny, y_top) for (_, (nx, ny)), y_top in zip(levels, cuts)]
+        xs, ys, wts = (np.concatenate(a) for a in zip(*grids))
+        counts = [len(y) for _, y, _ in grids]
+        bounds = np.repeat(bounds, counts)
+        # per base point: w1 <= floor(sqrt(bound / y)), each with at most
+        # 2 sqrt(bound y) + 1 w2's; gcd(w1, w2) <= w1, or w2 <= sqrt(bound y) at w1 = 0
+        w1_top, root = np.floor(np.sqrt(bounds / ys)), np.sqrt(bounds * ys)
+        sizes = (w1_top + 1.0) * (2.0 * root + 1.0)
+        top = np.maximum(w1_top, np.floor(root))
+    at = np.repeat(np.arange(len(ts)), counts)
+    for t, size in zip(ts, np.bincount(at, weights=sizes, minlength=len(ts)).tolist()):
+        if size > ENUM_BUDGET:
+            raise EnumerationBudgetError(f"t = {t!r} needs {size:.3g} (base point, w) pairs, "
+                                         f"above the budget {ENUM_BUDGET:.0e}")
+    phi = _phi_table(int(top.max(initial=0)))
+    means = np.empty(len(at))
+    for run in runs(sizes, PASS_PAIRS):
+        first, last = at[run.start], at[run.stop - 1]
+        base = () if ys is None else (xs[run], ys[run])
+        owner, g0, qbs = _pairs(bounds[run], *base)
+        means[run] = _fiber_means(d, ts[first:last + 1], at[run] - first, h, owner, g0, qbs, phi)
+    ends = np.cumsum(counts).tolist()
+    return [float(wts[a:b] @ means[a:b]) / float(wts[a:b].sum()) for a, b in zip([0] + ends, ends)]
 
 
 def horosphere_averages(t_grid, h: RadialProfile, q: QuadratureSpec | None = None,
@@ -425,24 +405,29 @@ def horosphere_averages(t_grid, h: RadialProfile, q: QuadratureSpec | None = Non
     """Level-t horospherical averages over a t-grid, with target and
     quadrature error estimate: the average on the refined base grid, with
     1.5 times the refinement difference (d = 3 only; d = 2 is one exact
-    sum) plus a rounding floor."""
+    sum) plus a rounding floor.  Each t is a level on every base grid, and
+    the levels go to _level_means in runs of at most PASS_PAIRS base points
+    (a level with more alone): every base point has a bounded pair, so a
+    call holds no more base points than one pass holds pairs."""
     q = q or QuadratureSpec()
-    ts = [float(t) for t in t_grid]
     if d == 2:
-        values = _d2_means(ts, h).tolist()
+        grids = [None]
     elif d == 3:
-        fine = (q.base_grid[0] * REFINEMENT_FACTOR, q.base_grid[1] * REFINEMENT_FACTOR)
-        values = [_d3_average(t, h, fine) for t in ts]
+        grids = [tuple(n * REFINEMENT_FACTOR for n in q.base_grid), q.base_grid]
     else:
         raise EquidistError("averages are implemented for d in {2, 3}")
+    ts = [float(t) for t in t_grid]
+    levels = [(t, grid) for t in ts for grid in grids]
+    values = []
+    for run in runs([1 if grid is None else grid[0] * grid[1] for _, grid in levels], PASS_PAIRS):
+        values += _level_means(d, levels[run], h)
     target = space_average(h, d)
     out = []
-    for t, value in zip(ts, values):
+    for i, t in enumerate(ts):
+        value, *coarse = values[i * len(grids):(i + 1) * len(grids)]
         if not math.isfinite(value):
             raise EquidistError("quadrature did not produce a finite value")
-        est = 1e-9 * (1.0 + abs(value))
-        if d == 3:
-            est += 1.5 * abs(value - _d3_average(t, h, q.base_grid))
+        est = 1e-9 * (1.0 + abs(value)) + sum(1.5 * abs(value - c) for c in coarse)
         out.append(HoroAverage(t=t, value=value, target=target, err=value - target,
                                quad_error_estimate=est))
     return out
@@ -561,7 +546,7 @@ def estimate_lipschitz(h: RadialProfile, t_probes) -> float:
     """Empirical Lipschitz bound of the d = 2 average t -> F(t): LIPSCHITZ_INFLATE
     times the largest finite difference, step LIPSCHITZ_STEP, over the probes."""
     probes = [float(t) for t in t_probes]
-    values = _d2_means(probes + [t + LIPSCHITZ_STEP for t in probes], h).tolist()
+    values = _level_means(2, [(t, None) for t in probes + [t + LIPSCHITZ_STEP for t in probes]], h)
     n = len(probes)
     return LIPSCHITZ_INFLATE * max((abs(f1 - f0) / LIPSCHITZ_STEP
                                     for f0, f1 in zip(values[:n], values[n:])), default=0.0)

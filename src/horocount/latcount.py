@@ -47,7 +47,8 @@ every squarefree k <= K.  n0_series gives N0(R/n) for every n up to
 max(floor(R), K) from one such walk, and shell_table the full and
 primitive counts per integer level of an exact form; moebius checks its
 identities on them.  Every count and enumeration refuses a walk, or a
-Moebius table, whose predicted size exceeds ENUM_BUDGET before building it.
+Moebius table, whose predicted size exceeds ENUM_BUDGET, and an enumeration
+also a predicted point count above POINT_CAP, before building it.
 
 count_primitive_many counts many forms of one dimension at one radius or
 at a list of radii from one walk per form at the largest radius; its
@@ -78,6 +79,7 @@ __all__ = [
     "count_primitive_direct",
     "count_primitive_moebius",
     "count_primitive_many",
+    "check_radius_budget",
     "sieve",
     "n0_series",
     "shell_table",
@@ -87,6 +89,8 @@ __all__ = [
 
 COUNT_LIMIT = 2 ** 62  # refuse counts that could overflow 64-bit consumers
 ENUM_BUDGET = 1e8  # refuse enumerations whose predicted tree is larger
+POINT_CAP = 1e7  # refuse enumerations predicted to hold more points: at about 100 bytes per
+# point (shell_table holds 65-69), an admitted enumeration stays under 1 GB
 _PAD = 1  # integer widening of float-guided ranges; exactness is restored
 # at the innermost level, so the padding only costs a few empty probes.
 BLOCK = 1 << 12  # level-1 nodes per leaf block and (node, threshold) pairs per slice
@@ -99,7 +103,7 @@ class CountingError(HorocountError):
 
 
 class EnumerationBudgetError(CountingError):
-    """Predicted traversal size exceeds ENUM_BUDGET."""
+    """Predicted traversal, table, pair or point count exceeds its budget."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,10 +189,11 @@ def _factor(form: QuadForm, mode: str) -> _Factor:
     return _factors([form], mode)[0]
 
 
-def _check_budget(fs, bound: float, table: bool = False) -> None:
+def _check_budget(fs, bound: float, table: bool = False, points: bool = False) -> None:
     """Refuse a walk of the forms fs over Q(v) <= bound, before any table or
     walk, when a form's predicted tree (upper-bound flavored) or, with
-    table, its Moebius table of K entries exceeds ENUM_BUDGET."""
+    table, its Moebius table of K entries exceeds ENUM_BUDGET, or, with
+    points, its predicted point count omega_d bound^(d/2) exceeds POINT_CAP."""
     q = np.array([f.q for f in fs])
     width = 2.0 * math.sqrt(max(bound, 0.0))
     sizes = np.prod(width / np.sqrt(q[:, 1:]) + 1.0, axis=1)
@@ -197,6 +202,11 @@ def _check_budget(fs, bound: float, table: bool = False) -> None:
     if sizes.max() > ENUM_BUDGET:
         raise EnumerationBudgetError(f"the walk needs {sizes.max():.3g} nodes or table "
                                      f"entries, above the budget {ENUM_BUDGET:.0e}")
+    if points and bound > 0:  # in logarithms: bound^(d/2) of a huge bound overflows a float
+        log10 = math.log10(constants(fs[0].dim).omega) + 0.5 * fs[0].dim * math.log10(bound)
+        if log10 > math.log10(POINT_CAP):
+            raise EnumerationBudgetError(f"the enumeration needs about 10^{log10:.1f} points, "
+                                         f"above the point budget {POINT_CAP:.0e}")
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +461,7 @@ def enumerate_points(form: QuadForm, bound: float, mode: str = "auto"):
         d = form.dim
         return np.empty((0, d), dtype=np.int64), np.empty(0)
     f = _factor(form, mode)
-    _check_budget([f], float(bound))
+    _check_budget([f], float(bound), points=True)
     bound = float(bound) if f.mint is None else math.floor(bound)
     rule = _FloatRule([f], [bound]) if f.mint is None else _ExactRule(f, [bound])
     pts, vals = _enumerate(rule, bound)
@@ -532,12 +542,14 @@ def count_primitive_direct(spec: EllipsoidSpec, mode: str = "auto") -> CountResu
 def sieve(limit: int) -> np.ndarray:
     """Moebius function on 0..limit (mu[0] = 0) by a vectorized factor
     sieve, as a read-only int8 array: the cache hands one array to every
-    caller, so a write into it would change later counts."""
-    if limit < 1:
-        raise CountingError("sieve limit must be >= 1")
-    mu = np.ones(limit + 1, dtype=np.int64)
+    caller, so a write into it would change later counts.  It is built in
+    int8, with each entry's product of tracked primes, a divisor of the
+    entry, in int32: about 10 bytes per entry at the peak."""
+    if not 1 <= limit < 2 ** 31:
+        raise CountingError(f"sieve limit must lie in [1, 2^31), got {limit}")
+    mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    tracked = np.ones(limit + 1, dtype=np.int64)
+    tracked = np.ones(limit + 1, dtype=np.int32)
     root = math.isqrt(limit)
     is_prime = np.ones(root + 1, dtype=bool)
     for p in range(2, root + 1):
@@ -549,9 +561,8 @@ def sieve(limit: int) -> np.ndarray:
         mu[p * p :: p * p] = 0
     # entries whose tracked product falls short have exactly one prime
     # factor above sqrt(limit): flip the sign once more
-    leftover = tracked < np.arange(limit + 1)
+    leftover = tracked < np.arange(limit + 1, dtype=np.int32)
     mu[leftover] *= -1
-    mu = mu.astype(np.int8)
     mu.flags.writeable = False
     return mu
 
@@ -559,6 +570,19 @@ def sieve(limit: int) -> np.ndarray:
 def _moebius_limit(f: _Factor, radius: float) -> int:
     """K = floor(R / sqrt(min_i q_i)) + 2: N0(R/k) = 1 for every k >= K."""
     return math.floor(radius / math.sqrt(min(f.q))) + 2
+
+
+def check_radius_budget(d: int, radius: float) -> None:
+    """Refuse, before any form exists, a primitive count at radius R that
+    count_primitive_many refuses for every det-1 form of dimension d: its walk
+    estimate is at least (2R)^(d-1) sqrt(q_0) and its table R / sqrt(q_0), as
+    the q_i multiply to 1, so the larger is at least sqrt(2^(d-1) R^d).  The
+    test allows 1e-6 of det rounding."""
+    log_need = 0.5 * ((d - 1) * math.log(2.0) + d * math.log(radius))
+    if log_need > math.log(ENUM_BUDGET) + 1e-6:
+        raise EnumerationBudgetError(
+            f"a count at radius {radius!r} needs at least 10^{log_need / math.log(10.0):.1f} walk "
+            f"nodes or table entries, above the budget {ENUM_BUDGET:.0e}")
 
 
 def count_primitive_many(forms, radius: float | Sequence[float],

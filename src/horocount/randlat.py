@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .latcount import CountingError, EllipsoidSpec, count_primitive_many, count_primitive_moebius
+from .latcount import (CountingError, EllipsoidSpec, check_radius_budget, count_primitive_many,
+                       count_primitive_moebius)
 from .quadform import GroupElement, QuadForm, constants, lll_reduce
 
 __all__ = [
@@ -176,6 +177,7 @@ def mean_square_check(d: int, radius: float | Sequence[float], n_samples: int,
     radii = [radius] if np.ndim(radius) == 0 else list(radius)
     if not all(r > 0 for r in radii):
         raise CountingError("radius must be positive")
+    check_radius_budget(d, max(radii))
     rng = np.random.default_rng(seed)
     if sampler == "exact":
         if d != 2:

@@ -311,6 +311,16 @@ def test_oversize_counts_exit_2_before_any_table_or_walk():
         assert err.startswith("error:") and err.count("\n") == 1 and "budget" in err, (argv, err)
 
 
+def test_oversize_enumerations_exit_2_before_any_point():
+    # each enumeration's predicted point count omega_d R^d exceeds latcount.POINT_CAP
+    for argv in (["verify", "moebius", "--dim", "2", "--radius", "1e5"],
+                 ["verify", "moebius", "--dim", "3", "--radius", "3000"]):
+        code, out, err = run_fresh_cli(*argv)
+        assert code == 2, (argv, err)
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "points" in err, (argv, err)
+
+
 def test_large_negative_levels_run_cleanly():
     # every w-sum there is empty: each level is the w = 0 row, 2 h(e^{mu t}) = 2
     for argv in (["equidist", "--dim", "2", "--tmin=-1e300", "--tmax", "0", "--steps", "2"],

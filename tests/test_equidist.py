@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -350,8 +351,8 @@ def _w_counts(grid, h):
 
 
 class TestD2Grid:
-    """A d = 2 t-grid is one pass, grouped by latcount.BLOCK, whose values
-    equal those of each t alone."""
+    """A d = 2 t-grid is one call, its w's in passes of at most PASS_PAIRS,
+    whose values equal those of each t alone."""
 
     GRIDS = (np.linspace(1.0, 14.0, 40),  # one group
              np.linspace(-3.0, 14.0, 35),  # t < 0: w = 0 row only, no w at all
@@ -384,6 +385,7 @@ class TestD2Grid:
             assert calls == [max(_w_counts(grid, bump_profile(1.0)))]
 
     def test_groups_stay_within_block(self, monkeypatch):
+        monkeypatch.setattr(equidist, "PASS_PAIRS", BLOCK)
         sizes = []
         ragged = equidist.ragged
         monkeypatch.setattr(equidist, "ragged",
@@ -429,14 +431,14 @@ class TestD3Passes:
         if limit is not None:
             monkeypatch.setattr(equidist, "PASS_PAIRS", limit)
         passes = []
-        pairs = equidist._modular_pairs
+        pairs = equidist._pairs
 
-        def spy(xs, ys, bound):
-            sizes = (np.floor(np.sqrt(bound / ys)) + 1.0) * (2.0 * np.sqrt(bound * ys) + 1.0)
+        def spy(bounds, xs, ys):
+            sizes = (np.floor(np.sqrt(bounds / ys)) + 1.0) * (2.0 * np.sqrt(bounds * ys) + 1.0)
             passes.append((len(ys), float(sizes.sum())))
-            return pairs(xs, ys, bound)
+            return pairs(bounds, xs, ys)
 
-        monkeypatch.setattr(equidist, "_modular_pairs", spy)
+        monkeypatch.setattr(equidist, "_pairs", spy)
         bases = sum(len(_modular_grid(nx, ny, _cutoff_height(9.5))[0])
                     for nx, ny in ((32, 48), (16, 24)))
         for name, h in (("bump", bump_profile(1.0)), ("indicator", indicator_profile(1.0))):
@@ -446,6 +448,30 @@ class TestD3Passes:
             assert len(passes) >= (5 if limit is None else 60)
             assert sum(n for n, _ in passes) == bases
             assert all(n == 1 or size <= equidist.PASS_PAIRS for n, size in passes)
+
+
+class TestLevelDriver:
+    """Every level of a call shares one phi table, and a level is refused
+    before its grid when its bounds are not finite."""
+
+    def test_one_phi_table_per_d3_call(self, monkeypatch):
+        # the refined and the coarse grid of each of three t's in one call
+        calls = []
+        table = equidist._phi_table
+        monkeypatch.setattr(equidist, "_phi_table", lambda top: calls.append(top) or table(top))
+        horosphere_averages([0.5, 1.7, 2.9], bump_profile(1.0), d=3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_t_refused_without_warning(self, monkeypatch, t):
+        grids = []
+        monkeypatch.setattr(equidist, "_modular_grid", lambda *a: grids.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (2, 3):
+                with pytest.raises(EquidistError, match="out of range"):
+                    horosphere_average(t, bump_profile(1.0), d=d)
+        assert grids == []
 
 
 class TestLargeNegativeT:
@@ -492,6 +518,11 @@ class TestEnumerationBudget:
     def test_oversized_support_rejected(self):
         with pytest.raises(EnumerationBudgetError):
             eval_test_function(QuadForm.identity(2), indicator_profile(1e18))
+
+    def test_single_base_level_refused_by_its_points(self):
+        # at t = 40 the base enumeration would hold about 3.8e7 points
+        with pytest.raises(EnumerationBudgetError, match="points"):
+            fiber_integral(40.0, QuadForm.identity(2), bump_profile(1.0))
 
 
 class TestIntegratedBound:

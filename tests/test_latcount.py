@@ -576,6 +576,63 @@ class TestCountBudget:
         assert res.n0 - res.boundary_ambiguous <= 2 * 10 ** 8 + 3 <= res.n0
 
 
+class TestPointCap:
+    """Enumerations refuse a predicted point count omega_d bound^(d/2)
+    above POINT_CAP before they walk."""
+
+    def test_refused_before_the_walk(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(latcount, "_walk", lambda *a: calls.append("walk"))
+        # each walk is within ENUM_BUDGET (at most 3.6e7 nodes)
+        for form, bound in ((QuadForm.identity(2), 1e10), (QuadForm.identity(3), 9e6),
+                            (QuadForm.identity(4), 3000.0)):
+            with pytest.raises(EnumerationBudgetError, match="points"):
+                enumerate_points(form, bound)
+        assert calls == []
+
+    def test_admits_the_ci_enumerations(self):
+        # verify moebius at d = 2, R = 1000 (3.1e6 points) and d = 3, R = 60 (9.0e5)
+        for d, bound in ((2, 1e6), (3, 3600.0)):
+            latcount._check_budget([latcount._factor(QuadForm.identity(d), "auto")], bound, points=True)
+
+
+class TestRadiusBudget:
+    """check_radius_budget refuses only radii that count_primitive_many
+    refuses for every det-1 form."""
+
+    @staticmethod
+    def threshold(d):
+        # just above the smallest radius the lower bound refuses
+        log_budget = math.log(latcount.ENUM_BUDGET) + 1e-6
+        return math.exp((2.0 * log_budget - (d - 1) * math.log(2.0)) / d) * (1.0 + 1e-9)
+
+    def test_never_refuses_an_admitted_radius(self, monkeypatch):
+        from horocount.acceptance import random_form
+        from horocount.randlat import sample_exact_d2
+
+        calls = []
+        monkeypatch.setattr(latcount, "sieve", lambda *a: calls.append("sieve"))
+        monkeypatch.setattr(latcount, "_walk", lambda *a: calls.append("walk"))
+        rng = np.random.default_rng(61)
+        for d in (2, 3, 4, 5):
+            radius = self.threshold(d)
+            latcount.check_radius_budget(d, radius * (1.0 - 1e-6))
+            with pytest.raises(EnumerationBudgetError, match="budget"):
+                latcount.check_radius_budget(d, radius)
+            forms = [random_form(rng, d) for _ in range(20)]
+            if d == 2:
+                forms += QuadForm.from_grams([s.basis.mat.T @ s.basis.mat
+                                              for s in sample_exact_d2(rng, 20)])
+            for e in (1e-7, 1e-3, 1.0, 1e4):  # deep cusps
+                diag = np.ones(d)
+                diag[0], diag[-1] = e, 1.0 / e
+                forms.append(QuadForm.from_gram(np.diag(diag)))
+            for form in forms:
+                with pytest.raises(EnumerationBudgetError):
+                    count_primitive_many([form], radius)
+        assert calls == []
+
+
 class TestShells:
     def test_unit_circle_shell(self):
         r0, r1 = shell_table(QuadForm.identity(2), 9)

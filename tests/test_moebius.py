@@ -39,9 +39,11 @@ class TestSieve:
         assert sieve(10)[4] == 0
 
     def test_against_factorization(self):
-        mu = sieve(1000)
-        for k in range(1, 1001):
-            assert int(mu[k]) == mu_by_factorization(k), k
+        # limits on both sides of squares and of a prime just above a square root
+        for limit in (1, 2, 10, 48, 49, 50, 97, 1000, 4099):
+            ref = np.array([0] + [mu_by_factorization(k) for k in range(1, limit + 1)], dtype=np.int8)
+            mu = sieve(limit)
+            assert mu.dtype == np.int8 and np.array_equal(mu, ref), limit
 
     def test_mertens(self):
         mertens = int(sieve(100)[1:].sum())
@@ -59,6 +61,20 @@ class TestSieve:
     def test_rejects_zero(self):
         with pytest.raises(CountingError):
             sieve(0)
+
+    def test_small_dtypes_bound_the_peak(self):
+        # int8 mu, int32 tracked products and an int32 range: about 10 bytes
+        # per entry at the peak (24 with int64 scratch); beyond int32 it refuses
+        import tracemalloc
+
+        limit = 200_000
+        tracemalloc.start()
+        sieve.__wrapped__(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 12 * limit
+        with pytest.raises(CountingError, match="2\\^31"):
+            sieve(2 ** 31)
 
     def test_dirichlet_inverse(self):
         # tau = indicator of squares, nu(k^2) = mu(k): tau * nu = delta_1

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 from scipy.linalg import expm
 
-from horocount.latcount import CountingError, count_primitive_many
+from horocount.latcount import CountingError, EnumerationBudgetError, count_primitive_many
 from horocount.quadform import QuadForm, constants
 from horocount.randlat import (
     FUNDAMENTAL_AREA,
@@ -259,3 +259,15 @@ class TestMeanSquare:
                 mean_square_check(d, [3.0, 5.0], 0, sampler=sampler)
         with pytest.raises(CountingError):
             mean_square_check(2, [3.0, 5.0], 10, sampler="magic")
+
+    def test_oversize_radius_refused_before_sampling(self, monkeypatch):
+        # every det-1 form would refuse these radii, so no sample is drawn
+        from horocount import randlat
+
+        calls = []
+        monkeypatch.setattr(randlat, "sample_walk", lambda *a, **k: calls.append("walk"))
+        monkeypatch.setattr(randlat, "sample_exact_d2", lambda *a, **k: calls.append("exact"))
+        for d, radius, sampler in ((3, 1e6, "walk"), (2, 1e9, "exact"), (2, [5.0, 1e9], "exact")):
+            with pytest.raises(EnumerationBudgetError, match="budget"):
+                mean_square_check(d, radius, 2, sampler=sampler)
+        assert calls == []
