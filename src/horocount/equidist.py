@@ -50,7 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .latcount import BLOCK, ENUM_BUDGET, EnumerationBudgetError, enumerate_points, ragged, runs, sieve
+from .latcount import (BLOCK, ENUM_BUDGET, POINT_CAP, EnumerationBudgetError, enumerate_points, ragged,
+                       runs, sieve)
 from .orbits import fit_error_exponent
 from .quadform import (
     GeometryError,
@@ -125,6 +126,12 @@ class RadialProfile:
     support_end: float
     plateau: float = 0.0
 
+    def __post_init__(self):
+        if not 0.0 < self.support_end < math.inf:
+            raise EquidistError(f"support_end must be positive and finite, got {self.support_end}")
+        if not 0.0 <= self.plateau < self.support_end:
+            raise EquidistError("plateau must satisfy 0 <= p < support_end")
+
     def value(self, u):
         u = np.asarray(u, dtype=float)
         s = self.support_end
@@ -173,19 +180,12 @@ class RadialProfile:
 
 
 def indicator_profile(support_end: float) -> RadialProfile:
-    if support_end <= 0:
-        raise EquidistError("support_end must be positive")
     return RadialProfile(kind="indicator", support_end=support_end)
 
 
 def bump_profile(support_end: float, plateau: float | None = None) -> RadialProfile:
-    if support_end <= 0:
-        raise EquidistError("support_end must be positive")
-    if plateau is None:
-        plateau = 0.5 * support_end
-    if not 0.0 <= plateau < support_end:
-        raise EquidistError("plateau must satisfy 0 <= p < support_end")
-    return RadialProfile(kind="bump", support_end=support_end, plateau=plateau)
+    return RadialProfile(kind="bump", support_end=support_end,
+                         plateau=0.5 * support_end if plateau is None else plateau)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +200,15 @@ class HoroAverage:
     quad_error_estimate: float
 
 
+REFINEMENT_FACTOR = 2  # base-grid refinement of the quadrature error estimate
+
+
 @dataclass
 class QuadratureSpec:
     """Grid of the d = 3 base quadrature (the torus fiber is averaged
     exactly; the cusp cut follows from t).  The error estimate compares
-    with a base grid REFINEMENT_FACTOR times finer.
+    with a base grid REFINEMENT_FACTOR times finer.  Grids whose two sizes
+    hold over POINT_CAP base points (about 100 bytes each) are refused.
     """
 
     torus_grid: int = 101  # unread (the fiber mean is exact); kept so existing callers still work
@@ -214,9 +218,9 @@ class QuadratureSpec:
         nx, ny = self.base_grid
         if nx < 8 or ny < 8:
             raise EquidistError("base grids must be >= 8")
-
-
-REFINEMENT_FACTOR = 2  # base-grid refinement of the quadrature error estimate
+        if (REFINEMENT_FACTOR ** 2 + 1) * nx * ny > POINT_CAP:
+            raise EnumerationBudgetError(f"base grid {nx},{ny} and its refinement exceed "
+                                         f"{POINT_CAP:.0e} base points")
 
 
 def _cutoff_height(t: float) -> float:
@@ -233,11 +237,7 @@ def eval_test_function(q: QuadForm, h: RadialProfile) -> float:
     """Sum of h(Q(v)) over primitive integer v (exact for integer grams)."""
     bound = h.support_end + 2.0 * _support_tol(h.support_end)
     pts, vals = enumerate_points(q, bound)
-    if pts.shape[0] == 0:
-        return 0.0
     prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
-    if not prim.any():
-        return 0.0
     return float(np.sum(h.value(np.asarray(vals, dtype=float)[prim])))
 
 
@@ -408,7 +408,9 @@ def horosphere_averages(t_grid, h: RadialProfile, q: QuadratureSpec | None = Non
     sum) plus a rounding floor.  Each t is a level on every base grid, and
     the levels go to _level_means in runs of at most PASS_PAIRS base points
     (a level with more alone): every base point has a bounded pair, so a
-    call holds no more base points than one pass holds pairs."""
+    call holds no more base points than one pass holds pairs.  The runs go
+    from the largest t down, as a level's pairs grow with t, so a grid with
+    a level over budget is refused before any level is computed."""
     q = q or QuadratureSpec()
     if d == 2:
         grids = [None]
@@ -417,19 +419,20 @@ def horosphere_averages(t_grid, h: RadialProfile, q: QuadratureSpec | None = Non
     else:
         raise EquidistError("averages are implemented for d in {2, 3}")
     ts = [float(t) for t in t_grid]
-    levels = [(t, grid) for t in ts for grid in grids]
+    order = sorted(range(len(ts)), key=ts.__getitem__, reverse=True)
+    levels = [(ts[i], grid) for i in order for grid in grids]
     values = []
     for run in runs([1 if grid is None else grid[0] * grid[1] for _, grid in levels], PASS_PAIRS):
         values += _level_means(d, levels[run], h)
     target = space_average(h, d)
-    out = []
-    for i, t in enumerate(ts):
-        value, *coarse = values[i * len(grids):(i + 1) * len(grids)]
+    out = [None] * len(ts)
+    for j, i in enumerate(order):
+        value, *coarse = values[j * len(grids):(j + 1) * len(grids)]
         if not math.isfinite(value):
             raise EquidistError("quadrature did not produce a finite value")
         est = 1e-9 * (1.0 + abs(value)) + sum(1.5 * abs(value - c) for c in coarse)
-        out.append(HoroAverage(t=t, value=value, target=target, err=value - target,
-                               quad_error_estimate=est))
+        out[i] = HoroAverage(t=ts[i], value=value, target=target, err=value - target,
+                             quad_error_estimate=est)
     return out
 
 
@@ -465,14 +468,17 @@ def good_t_locator(t_samples, g_samples, alpha: float, beta: float,
                    eps: float, kappa: float, ctilde: float):
     """Sampled t with |g(t)| <= kappa e^{-(alpha-beta) t + eps t}.
 
-    Preconditions: 0 < beta < alpha, positive eps/kappa/ctilde, and the
-    sampling step at most phi(S)/4 where phi(t) = (4 ctilde / kappa)
-    e^{-eps t} and S is the right end of the sample window.
+    Preconditions: finite parameters, 0 < beta < alpha, positive
+    eps/kappa/ctilde, and the sampling step at most phi(S)/4 where
+    phi(t) = (4 ctilde / kappa) e^{-eps t} and S is the right end of the
+    sample window.
     """
     ts = np.asarray(t_samples, dtype=float)
     gs = np.asarray(g_samples, dtype=float)
     if ts.ndim != 1 or ts.shape != gs.shape or len(ts) < 2:
         raise EquidistError("need matching 1-d sample arrays with >= 2 points")
+    if not all(math.isfinite(x) for x in (alpha, beta, eps, kappa, ctilde)):
+        raise EquidistError("alpha, beta, eps, kappa, ctilde must be finite")
     if not 0.0 < beta < alpha:
         raise EquidistError("need 0 < beta < alpha")
     if min(eps, kappa, ctilde) <= 0.0:

@@ -46,9 +46,12 @@ K = floor(R / sqrt(min_i q_i)) + 2, and one walk at R counts N0(R/k) for
 every squarefree k <= K.  n0_series gives N0(R/n) for every n up to
 max(floor(R), K) from one such walk, and shell_table the full and
 primitive counts per integer level of an exact form; moebius checks its
-identities on them.  Every count and enumeration refuses a walk, or a
-Moebius table, whose predicted size exceeds ENUM_BUDGET, and an enumeration
-also a predicted point count above POINT_CAP, before building it.
+identities on them.  Every count and enumeration first sizes its work:
+at radius R level i of a form's walk takes at most w_i = 2R / sqrt(q_i) + 1
+values, so the walk needs at most prod_{i >= 1} w_i nodes and the ellipsoid
+holds at most prod_i w_i points, its box.  A box above COUNT_LIMIT (a
+count) or POINT_CAP (an enumeration), then a walk or a Moebius table of K
+entries above ENUM_BUDGET, is refused before any table or walk.
 
 count_primitive_many counts many forms of one dimension at one radius or
 at a list of radii from one walk per form at the largest radius; its
@@ -114,8 +117,8 @@ class EllipsoidSpec:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise CountingError(f"radius must be positive, got {self.radius}")
+        if not (self.radius > 0.0 and self.radius * self.radius < math.inf):  # ** 2 would raise
+            raise CountingError(f"radius must be positive with a finite square, got {self.radius!r}")
 
 
 @dataclass
@@ -189,24 +192,24 @@ def _factor(form: QuadForm, mode: str) -> _Factor:
     return _factors([form], mode)[0]
 
 
-def _check_budget(fs, bound: float, table: bool = False, points: bool = False) -> None:
-    """Refuse a walk of the forms fs over Q(v) <= bound, before any table or
-    walk, when a form's predicted tree (upper-bound flavored) or, with
-    table, its Moebius table of K entries exceeds ENUM_BUDGET, or, with
-    points, its predicted point count omega_d bound^(d/2) exceeds POINT_CAP."""
+def _check_budget(fs, radius: float, cap: float = COUNT_LIMIT, table: bool = False) -> None:
+    """Refuse, before any table or walk, forms fs whose box of prod_i w_i
+    points (w_i = 2 radius / sqrt(q_i) + 1; infinite for a huge radius)
+    exceeds cap, or whose walk of prod_{i >= 1} w_i nodes or, with table,
+    Moebius table of K entries exceeds ENUM_BUDGET."""
     q = np.array([f.q for f in fs])
-    width = 2.0 * math.sqrt(max(bound, 0.0))
-    sizes = np.prod(width / np.sqrt(q[:, 1:]) + 1.0, axis=1)
+    with np.errstate(over="ignore"):
+        widths = 2.0 * radius / np.sqrt(q) + 1.0
+        sizes = np.prod(widths[:, 1:], axis=1)
+        box = (sizes * widths[:, 0]).max()
+    if not box <= cap:
+        limit = "2^62" if cap == COUNT_LIMIT else f"{cap:.0e}"
+        raise EnumerationBudgetError(f"the ellipsoid holds up to {box:.3g} points, above the cap {limit}")
     if table:
-        sizes = np.maximum(sizes, 0.5 * width / np.sqrt(q.min(axis=1)) + 2.0)
+        sizes = np.maximum(sizes, radius / np.sqrt(q.min(axis=1)) + 2.0)
     if sizes.max() > ENUM_BUDGET:
         raise EnumerationBudgetError(f"the walk needs {sizes.max():.3g} nodes or table "
                                      f"entries, above the budget {ENUM_BUDGET:.0e}")
-    if points and bound > 0:  # in logarithms: bound^(d/2) of a huge bound overflows a float
-        log10 = math.log10(constants(fs[0].dim).omega) + 0.5 * fs[0].dim * math.log10(bound)
-        if log10 > math.log10(POINT_CAP):
-            raise EnumerationBudgetError(f"the enumeration needs about 10^{log10:.1f} points, "
-                                         f"above the point budget {POINT_CAP:.0e}")
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +449,6 @@ def _enumerate(rule, bound):
         nodes = np.column_stack([v1, suffix.repeat(n1, axis=0)]).astype(np.int64)
         pts.append(np.column_stack([v0.astype(np.int64), nodes.repeat(n, axis=0)])[keep])
         vals.append(value[keep])
-    if not pts:
-        return np.empty((0, rule.fs[0].dim), dtype=np.int64), np.empty(0, dtype=rule.bounds.dtype)
     return np.concatenate(pts), np.concatenate(vals)
 
 
@@ -458,10 +459,9 @@ def enumerate_points(form: QuadForm, bound: float, mode: str = "auto"):
     in exact mode, floats otherwise.
     """
     if bound < 0:
-        d = form.dim
-        return np.empty((0, d), dtype=np.int64), np.empty(0)
+        return np.empty((0, form.dim), dtype=np.int64), np.empty(0)
     f = _factor(form, mode)
-    _check_budget([f], float(bound), points=True)
+    _check_budget([f], math.sqrt(bound), POINT_CAP)
     bound = float(bound) if f.mint is None else math.floor(bound)
     rule = _FloatRule([f], [bound]) if f.mint is None else _ExactRule(f, [bound])
     pts, vals = _enumerate(rule, bound)
@@ -473,14 +473,6 @@ def enumerate_points(form: QuadForm, bound: float, mode: str = "auto"):
 
 def _float_tolerance(rsq: float, d: int) -> float:
     return 8.0 * math.ulp(rsq) * d
-
-
-def _check_overflow(d: int, radius: float):
-    # in logarithms, where omega R^d of a huge R does not overflow a float
-    if math.log(constants(d).omega) + d * math.log(radius) > math.log(COUNT_LIMIT):
-        raise CountingError(
-            "count would exceed 2^62; reduce the radius or aggregate shellwise"
-        )
 
 
 def _exact_threshold(radius) -> int:
@@ -514,9 +506,8 @@ def _n0_bands(fs, xs, sizes=None) -> np.ndarray:
 
 def count_full(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
     """Number of integer points with Q(v) <= R^2, origin included."""
-    _check_overflow(spec.form.dim, spec.radius)
     f = _factor(spec.form, mode)
-    _check_budget([f], spec.radius ** 2)
+    _check_budget([f], spec.radius)
     n_hi, n_lo = _n0_bands([f], _thresholds(f, spec.radius, [1]))[:, 0].tolist()
     return CountResult(n0=n_hi, boundary_ambiguous=n_hi - n_lo, mode=f.mode)
 
@@ -524,8 +515,8 @@ def count_full(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
 def count_primitive_direct(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
     """Primitive points by full enumeration plus a gcd filter (oracle role),
     flagging those between the band edges lo and hi (both floor(R^2) in
-    exact mode, so none is flagged)."""
-    _check_overflow(spec.form.dim, spec.radius)
+    exact mode, so none is flagged).  enumerate_points refuses its box at
+    POINT_CAP, below COUNT_LIMIT."""
     used = _resolve_mode(spec.form, mode)
     if used == "exact":
         hi = lo = _exact_threshold(spec.radius)
@@ -624,9 +615,8 @@ def count_primitive_many(forms, radius: float | Sequence[float],
     for r in radii:
         if not r > 0.0:
             raise CountingError(f"radius must be positive, got {r}")
-    _check_overflow(d, max(radii))
     fs = _factors(forms, mode)
-    _check_budget(fs, max(radii) ** 2, table=True)
+    _check_budget(fs, max(radii), table=True)
     kmax = [[_moebius_limit(f, r) for f in fs] for r in radii]
     mu = sieve(max(map(max, kmax)))
     ks = np.flatnonzero(mu).tolist()
@@ -670,9 +660,8 @@ def n0_series(spec: EllipsoidSpec) -> np.ndarray:
     one walk at R with the thresholds (R/n)^2 (floor(R^2) // n^2 in exact
     mode), counted to the upper edge of the float boundary band.  Past the
     last entry N0(R/n) = 1, and the list is nonincreasing."""
-    _check_overflow(spec.form.dim, spec.radius)
     f = _factor(spec.form, "auto")
-    _check_budget([f], spec.radius ** 2, table=True)
+    _check_budget([f], spec.radius, table=True)
     plan = max(math.floor(spec.radius), _moebius_limit(f, spec.radius))
     return _n0_bands([f], _thresholds(f, spec.radius, range(1, plan + 1)))[0]
 

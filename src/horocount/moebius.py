@@ -129,9 +129,8 @@ def error_relation_check(spec: EllipsoidSpec) -> ErrorRelationReport:
     d = spec.form.dim
     r = spec.radius
     cst = constants(d)
-    main = cst.omega * r ** d
-
     n0 = n0_series(spec)  # N0(R/n), n = 1 .. plan; N0(R/n) = 1 past plan
+    main = cst.omega * r ** d  # after the count, which refuses a radius where this overflows
     plan = len(n0)
     kmax = max(math.floor(r), int(np.count_nonzero(n0 > 1)))  # N0(R/n) is nonincreasing in n
     mu = sieve(plan)

@@ -57,6 +57,8 @@ Y_MIN = math.sqrt(3.0) / 2.0
 FUNDAMENTAL_AREA = math.pi / 3.0  # hyperbolic area of {|x|<=1/2, |z|>=1}
 WALK_CHUNK = 64  # walk steps whose increments are drawn and exponentiated in one call
 WALK_SIGMA = 0.5  # scale of the walk's Gaussian trace-zero increments
+MAX_SAMPLES = 400_000  # mean_square_check holds about 2.1 KB per d = 2 sample and 2.5 KB
+# per d = 3 walk sample (tracemalloc), so an admitted check stays near 1 GB
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +139,6 @@ def _discrepancy(n1: int, d: int, radius: float) -> float:
 
 def discrepancy(sample: LatticeSample, radius: float) -> float:
     """|zeta(d) * #(primitive lattice points in B_R) / vol(B_R) - 1|."""
-    if radius <= 0:
-        raise CountingError("radius must be positive")
     g = sample.basis.mat
     form = QuadForm.from_gram(g.T @ g)
     res = count_primitive_moebius(EllipsoidSpec(form, radius))
@@ -170,6 +170,8 @@ def mean_square_check(d: int, radius: float | Sequence[float], n_samples: int,
 
     passed means mean - 2 * standard_error <= bound; with a single sample
     the standard error is undefined and the report is flagged degenerate.
+    A radius every form would refuse, over MAX_SAMPLES samples or a
+    negative seed is refused before any sample is drawn.
     A float radius gives one report.  A sequence of radii gives one report
     per radius, in order, all from the same samples, which one
     count_primitive_many call counts at every radius.
@@ -178,6 +180,9 @@ def mean_square_check(d: int, radius: float | Sequence[float], n_samples: int,
     if not all(r > 0 for r in radii):
         raise CountingError("radius must be positive")
     check_radius_budget(d, max(radii))
+    if not (n_samples <= MAX_SAMPLES and seed >= 0):
+        raise CountingError(f"need at most {MAX_SAMPLES} samples and a seed >= 0, "
+                            f"got {n_samples} and {seed}")
     rng = np.random.default_rng(seed)
     if sampler == "exact":
         if d != 2:

@@ -280,7 +280,7 @@ def test_out_of_range_inputs_exit_2_without_traceback():
     # stderr but one error line naming the reason (no numpy warning, no
     # traceback)
     for argv, reason in (
-            (["count", "--dim", "2", "--radius", "1e300"], "2^62"),
+            (["count", "--dim", "2", "--radius", "1e300"], "finite square"),
             (["chimney", "--dim", "2", "--tmin", "nan", "--tmax", "3", "--steps", "3"], "finite"),
             (["equidist", "--dim", "3", "--tmin", "1200", "--tmax", "1200", "--steps", "1"],
              "out of range"),
@@ -312,7 +312,7 @@ def test_oversize_counts_exit_2_before_any_table_or_walk():
 
 
 def test_oversize_enumerations_exit_2_before_any_point():
-    # each enumeration's predicted point count omega_d R^d exceeds latcount.POINT_CAP
+    # each enumeration's box of prod_i (2 R / sqrt(q_i) + 1) points exceeds latcount.POINT_CAP
     for argv in (["verify", "moebius", "--dim", "2", "--radius", "1e5"],
                  ["verify", "moebius", "--dim", "3", "--radius", "3000"]):
         code, out, err = run_fresh_cli(*argv)

@@ -42,6 +42,12 @@ from horocount.quadform import (
 
 
 class TestProfiles:
+    def test_rejects_non_finite_support(self):
+        for s in (math.nan, math.inf, 0.0, -1.0):
+            for make in (indicator_profile, bump_profile):
+                with pytest.raises(EquidistError, match="support_end"):
+                    make(s)
+
     def test_indicator_integral(self):
         for d in (2, 3, 4):
             for s in (0.5, 1.0, 2.0):
@@ -310,6 +316,15 @@ class TestLocator:
         hits = good_t_locator(ts, gs, 1.0, 0.5, 0.1, 1e6, 1e9)
         assert len(hits) == len(ts)
 
+    def test_rejects_non_finite_parameters(self):
+        ts = np.linspace(0.0, 5.0, 200)
+        for at in range(5):
+            for bad in (math.nan, math.inf):
+                params = [1.0, 0.5, 0.1, 1e6, 1e9]
+                params[at] = bad
+                with pytest.raises(EquidistError, match="finite"):
+                    good_t_locator(ts, np.zeros_like(ts), *params)
+
     def test_step_validation(self):
         ts = np.linspace(0.0, 30.0, 10)
         with pytest.raises(EquidistError):
@@ -392,11 +407,11 @@ class TestD2Grid:
                             lambda lo, hi: sizes.append(int(hi.sum())) or ragged(lo, hi))
         grid = np.linspace(20.0, 26.0, 25)
         decay_series(bump_profile(1.0), grid, d=2)
-        # the w counts run 1,177, 1,286, ..., 9,822: within BLOCK = 4,096 the
-        # first three t's share a group, then two and two; each later t
-        # (from 2,185 w on) is a group alone
+        # the w counts run 1,177, 1,286, ..., 9,822, and the passes go from
+        # the largest t down: each t from 2,185 w on is a group alone, then
+        # within BLOCK = 4,096 two and two t's share a group, then the first three
         counts = _w_counts(grid, bump_profile(1.0))
-        assert sizes == [sum(counts[:3]), sum(counts[3:5]), sum(counts[5:7])] + counts[7:]
+        assert sizes == counts[:6:-1] + [sum(counts[5:7]), sum(counts[3:5]), sum(counts[:3])]
 
     def test_oversize_t_refused_before_any_array(self, monkeypatch):
         # from t = 120 the w-range would need about 2.6e18 entries; from
@@ -471,6 +486,33 @@ class TestLevelDriver:
             for d in (2, 3):
                 with pytest.raises(EquidistError, match="out of range"):
                     horosphere_average(t, bump_profile(1.0), d=d)
+        assert grids == []
+
+
+    def test_oversize_grid_refused_before_any_level(self, monkeypatch):
+        # t = 30 needs 5.6e9 pairs; its level goes first, before the 39 below it
+        calls = []
+        monkeypatch.setattr(equidist, "_pairs", lambda *a: calls.append(1))
+        with pytest.raises(EnumerationBudgetError, match="t = 30.0"):
+            horosphere_averages(np.linspace(0.0, 30.0, 40), bump_profile(1.0), d=3)
+        assert calls == []
+
+    def test_values_keep_the_grid_order(self):
+        # the levels go from the largest t down; each value returns to its t
+        ts = [2.9, 0.5, 1.7, 0.5]
+        got = horosphere_averages(ts, bump_profile(1.0), d=3)
+        assert [a.t for a in got] == ts
+        assert got == [horosphere_average(t, bump_profile(1.0), d=3) for t in ts]
+
+    def test_oversize_base_grid_refused_before_any_grid(self, monkeypatch):
+        # the two grids of a level at 6000 x 6000 hold 1.8e8 base points; at
+        # 1414 x 1414 they hold 9.997e6, within latcount.POINT_CAP
+        grids = []
+        monkeypatch.setattr(equidist, "_modular_grid", lambda *a: grids.append(a))
+        for grid in ((6000, 6000), (1415, 1414)):
+            with pytest.raises(EnumerationBudgetError, match="base points"):
+                QuadratureSpec(base_grid=grid)
+        QuadratureSpec(base_grid=(1414, 1414))
         assert grids == []
 
 

@@ -577,23 +577,32 @@ class TestCountBudget:
 
 
 class TestPointCap:
-    """Enumerations refuse a predicted point count omega_d bound^(d/2)
+    """Enumerations refuse a box of prod_i (2 R / sqrt(q_i) + 1) points
     above POINT_CAP before they walk."""
+
+    DEEP = TestCountBudget.DEEP
 
     def test_refused_before_the_walk(self, monkeypatch):
         calls = []
         monkeypatch.setattr(latcount, "_walk", lambda *a: calls.append("walk"))
-        # each walk is within ENUM_BUDGET (at most 3.6e7 nodes)
+        # each walk is within ENUM_BUDGET (at most 3.6e7 nodes); the deep
+        # cusp's box is 2.4e7 points, about 2e7 of them in the ellipsoid
         for form, bound in ((QuadForm.identity(2), 1e10), (QuadForm.identity(3), 9e6),
-                            (QuadForm.identity(4), 3000.0)):
+                            (QuadForm.identity(4), 3000.0), (QuadForm.from_gram(self.DEEP), 1e6)):
             with pytest.raises(EnumerationBudgetError, match="points"):
                 enumerate_points(form, bound)
         assert calls == []
 
+    def test_deep_cusp_below_the_cap(self):
+        # a box of 2.04e6 points holds the 2e6 + 1 of |v_0| <= 1e6
+        pts, vals = enumerate_points(QuadForm.from_gram(self.DEEP), 1e4)
+        assert len(pts) == 2 * 10 ** 6 + 1 and not pts[:, 1].any()
+
     def test_admits_the_ci_enumerations(self):
-        # verify moebius at d = 2, R = 1000 (3.1e6 points) and d = 3, R = 60 (9.0e5)
-        for d, bound in ((2, 1e6), (3, 3600.0)):
-            latcount._check_budget([latcount._factor(QuadForm.identity(d), "auto")], bound, points=True)
+        # verify moebius at d = 2, R = 1000 (a box of 4.0e6 points) and d = 3, R = 60 (1.8e6)
+        for d, radius in ((2, 1000.0), (3, 60.0)):
+            latcount._check_budget([latcount._factor(QuadForm.identity(d), "auto")], radius,
+                                   latcount.POINT_CAP)
 
 
 class TestRadiusBudget:

@@ -10,6 +10,7 @@ from horocount.latcount import CountingError, EnumerationBudgetError, count_prim
 from horocount.quadform import QuadForm, constants
 from horocount.randlat import (
     FUNDAMENTAL_AREA,
+    MAX_SAMPLES,
     WALK_CHUNK,
     WALK_SIGMA,
     LatticeSample,
@@ -270,4 +271,18 @@ class TestMeanSquare:
         for d, radius, sampler in ((3, 1e6, "walk"), (2, 1e9, "exact"), (2, [5.0, 1e9], "exact")):
             with pytest.raises(EnumerationBudgetError, match="budget"):
                 mean_square_check(d, radius, 2, sampler=sampler)
+        assert calls == []
+
+    def test_oversize_samples_and_negative_seed_refused_before_sampling(self, monkeypatch):
+        from horocount import randlat
+
+        calls = []
+        monkeypatch.setattr(randlat, "sample_walk", lambda *a, **k: calls.append("walk"))
+        monkeypatch.setattr(randlat, "sample_exact_d2", lambda *a, **k: calls.append("exact"))
+        assert MAX_SAMPLES >= 10_000  # criterion 8 and CI draw 10,000 samples
+        for d, sampler in ((2, "exact"), (3, "walk")):
+            with pytest.raises(CountingError, match="samples"):
+                mean_square_check(d, 5.0, MAX_SAMPLES + 1, sampler=sampler)
+            with pytest.raises(CountingError, match="seed"):
+                mean_square_check(d, 5.0, 2, sampler=sampler, seed=-1)
         assert calls == []
