@@ -11,68 +11,16 @@ Library layout:
   equidist  -- horospherical averages, decay checks, locator
   randlat   -- random unimodular lattices and the mean-square bound
   cli       -- the ``horocount`` command line front end
+
+The package re-exports the ``__all__`` of each library module above, so
+each module alone decides its public names.
 """
 
-from .quadform import (
-    Constants,
-    GeometryError,
-    GroupElement,
-    IwasawaCoord,
-    QuadForm,
-    act,
-    busemann_r,
-    busemann_rho,
-    chi_d,
-    constants,
-    geodesic_r,
-    geodesic_rho,
-    iwasawa_compose,
-    iwasawa_decompose,
-    phi_t,
-    zeta,
-)
-from .latcount import (
-    CountResult,
-    CountingError,
-    EllipsoidSpec,
-    count_full,
-    count_primitive_direct,
-    count_primitive_many,
-    count_primitive_moebius,
-    error_terms,
-    sieve,
-)
-from .moebius import error_relation_check, verify_inversion
-from .orbits import (
-    ChimneyCount,
-    DecayFit,
-    fit_error_exponent,
-    radius_of_t,
-    stabilizer_order,
-    t_of_radius,
-)
-from .equidist import (
-    HoroAverage,
-    QuadratureSpec,
-    RadialProfile,
-    bump_profile,
-    check_thm12_bound,
-    decay_series,
-    eval_test_function,
-    fiber_integral,
-    good_t_locator,
-    horosphere_average,
-    horosphere_averages,
-    indicator_profile,
-    space_average,
-)
-from .randlat import (
-    LatticeSample,
-    MeanSquareReport,
-    discrepancy,
-    mean_square_check,
-    sample_exact_d2,
-    sample_walk,
-)
+from .quadform import *
+from .latcount import *
+from .moebius import *
+from .orbits import *
+from .equidist import *
+from .randlat import *
 
 __version__ = "0.1.0"

@@ -1,15 +1,16 @@
 """Command line front end.
 
 Subcommands: constants, count, chimney, horoball, equidist, locate,
-meansq, verify.  Every run echoes its fully resolved configuration in the
-JSON output; CSV tables carry a single header row and use '.' decimals
-and '\\n' line endings.  Exit codes: 0 success, 1 check failure, 2 usage
-error.
+meansq, verify.  Every JSON payload echoes the parsed options, defaults
+and --output included, under "config" (see _emit_json); CSV tables carry a
+single header row and use '.' decimals and '\\n' line endings.  Exit codes:
+0 success, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -41,8 +42,11 @@ def _load_gram(spec: str, dim: int) -> QuadForm:
     return QuadForm.from_gram(mat)
 
 
-def _emit_json(payload: dict, path: str | None):
-    text = json.dumps(payload, indent=2)
+def _emit_json(args, payload: dict, path: str | None):
+    """Write the payload, after a "config" that echoes the parsed options
+    (all but fn), to path, or print it."""
+    config = {k: v for k, v in vars(args).items() if k != "fn"}
+    text = json.dumps({"config": config, **payload}, indent=2)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -83,8 +87,7 @@ def _t_grid(args) -> list[float]:
 
 def cmd_constants(args) -> int:
     c = constants(args.dim)
-    payload = {
-        "config": {"subcommand": "constants", "dim": args.dim},
+    _emit_json(args, {
         "d": c.d,
         "lambda": c.lam,
         "mu": c.mu,
@@ -101,8 +104,7 @@ def cmd_constants(args) -> int:
             "edwards": c.exponent_edwards,
             "rh": c.exponent_rh,
         },
-    }
-    _emit_json(payload, args.output)
+    }, args.output)
     return 0
 
 
@@ -118,27 +120,15 @@ def cmd_count(args) -> int:
         cst = constants(args.dim)
         res.e0 = res.n0 - cst.omega * args.radius ** args.dim
     elapsed_ms = 1000.0 * (time.perf_counter() - start)
-    payload = {
-        "config": {"subcommand": "count", "dim": args.dim, "gram": args.gram,
-                   "radius": args.radius, "primitive": args.primitive,
-                   "exact": args.exact},
-        "n0": res.n0,
-        "n1": res.n1,
-        "e0": res.e0,
-        "e1": res.e1,
-        "boundary_ambiguous": res.boundary_ambiguous,
-        "mode": res.mode,
-        "elapsed_ms": elapsed_ms,
-    }
-    _emit_json(payload, args.output)
+    _emit_json(args, {**dataclasses.asdict(res), "elapsed_ms": elapsed_ms}, args.output)
     return 0
 
 
-def _emit_series(config: dict, header: str, rows: list[str], series, envelope: bool,
+def _emit_series(args, header: str, rows: list[str], series, envelope: bool,
                  **refs) -> int:
-    """Write the table to config["output"], then print the config, the decay
-    fit of the (t, rel_error) series (or its error, with null fields) and refs."""
-    _emit_csv(header, rows, config["output"])
+    """Write the table to --output, then print the config, the decay fit of
+    the (t, rel_error) series (or its error, with null fields) and refs."""
+    _emit_csv(header, rows, args.output)
     try:
         fit = orbits.fit_error_exponent(series, envelope=envelope)
         fit_payload = {"slope": fit.slope, "intercept": fit.intercept,
@@ -146,22 +136,18 @@ def _emit_series(config: dict, header: str, rows: list[str], series, envelope: b
     except CountingError as exc:
         fit_payload = {"slope": None, "intercept": None, "r2": None,
                        "error": str(exc)}
-    print(json.dumps({"config": config, **fit_payload, **refs}, indent=2))
+    _emit_json(args, {**fit_payload, **refs}, None)
     return 0
 
 
 def cmd_sweep(args) -> int:
     """chimney or horoball, by args.subcommand; only chimney takes --sigma."""
-    kind = args.subcommand
-    sigma = {"sigma": args.sigma} if kind == "chimney" else {}
     form = _load_gram(args.gram, args.dim)
-    results = orbits.sweep(form, _t_grid(args), kind=kind, **sigma)
+    results = orbits.sweep(form, _t_grid(args), kind=args.subcommand,
+                           sigma=getattr(args, "sigma", None))
     rows = [f"{_fmt(r.T)},{_fmt(r.R)},{r.count},{_fmt(r.predicted)},{_fmt(r.rel_error)}"
             for r in results]
-    config = {"subcommand": kind, "dim": args.dim, "gram": args.gram,
-              "tmin": args.tmin, "tmax": args.tmax, "steps": args.steps,
-              "envelope": args.envelope, **sigma, "output": args.output}
-    return _emit_series(config, "T,R,count,predicted,rel_error", rows,
+    return _emit_series(args, "T,R,count,predicted,rel_error", rows,
                         [(r.T, r.rel_error) for r in results], args.envelope,
                         theory_slope=orbits.theory_slope(args.dim))
 
@@ -179,12 +165,8 @@ def cmd_equidist(args) -> int:
     averages = equidist.horosphere_averages(_t_grid(args), profile, q, d=args.dim)
     rows = [f"{_fmt(a.t)},{_fmt(a.value)},{_fmt(a.target)},{_fmt(a.err)},{_fmt(a.quad_error_estimate)}"
             for a in averages]
-    config = {"subcommand": "equidist", "dim": args.dim, "profile": args.profile,
-              "support": args.support, "plateau": args.plateau,
-              "tmin": args.tmin, "tmax": args.tmax, "steps": args.steps,
-              "base_grid": args.base_grid, "output": args.output}
     cst = constants(args.dim)
-    return _emit_series(config, "t,value,target,err,quad_err", rows,
+    return _emit_series(args, "t,value,target,err,quad_err", rows,
                         [(a.t, a.err) for a in averages], True,
                         theory_slope_thm12=-cst.exponent_pointwise,
                         theory_slope_thm11=-cst.exponent_interval,
@@ -200,26 +182,19 @@ def cmd_locate(args) -> int:
         raise CountingError("series file needs two columns: t, g(t)")
     hits = equidist.good_t_locator(data[:, 0], data[:, 1], args.alpha, args.beta,
                                    args.eps, args.kappa, args.ctilde)
-    payload = {
-        "config": {"subcommand": "locate", "series": args.series, "alpha": args.alpha,
-                   "beta": args.beta, "eps": args.eps, "kappa": args.kappa,
-                   "ctilde": args.ctilde},
+    _emit_json(args, {
         "t0": equidist.locator_threshold_t0(args.alpha, args.beta, args.eps,
                                             args.kappa, args.ctilde),
         "n_hits": len(hits),
         "hits": hits,
-    }
-    _emit_json(payload, args.output)
+    }, args.output)
     return 0
 
 
 def cmd_meansq(args) -> int:
     rep = randlat.mean_square_check(args.dim, args.radius, args.samples,
-                                    sampler=args.sampler, seed=args.seed, burn_in=args.burnin)
-    payload = {
-        "config": {"subcommand": "meansq", "dim": args.dim, "radius": args.radius,
-                   "samples": args.samples, "sampler": args.sampler, "seed": args.seed,
-                   "burnin": args.burnin},
+                                    sampler=args.sampler, seed=args.seed)
+    _emit_json(args, {
         "d": rep.d,
         "R": rep.radius,
         "n_samples": rep.n_samples,
@@ -230,8 +205,7 @@ def cmd_meansq(args) -> int:
         "bound_E1sq": rep.bound_e1sq,
         "passed": rep.passed,
         "degenerate": rep.degenerate,
-    }
-    _emit_json(payload, args.output)
+    }, args.output)
     return 0 if rep.passed or rep.degenerate else CHECK_FAILURE
 
 
@@ -241,19 +215,16 @@ def cmd_verify(args) -> int:
         spec = EllipsoidSpec(form, args.radius)
         inv = moebius.verify_inversion(spec)
         rel = moebius.error_relation_check(spec)
-        payload = {
-            "config": {"subcommand": "verify", "target": "moebius", "dim": args.dim,
-                       "gram": args.gram, "radius": args.radius},
-            "shell_identities": {"ok": inv.ok, "levels_checked": inv.levels_checked,
-                                 "first_violation": inv.first_violation},
+        passed = inv.ok and rel.ok
+        _emit_json(args, {
+            "shell_identities": dataclasses.asdict(inv),
             "error_relations": {"ok": rel.ok,
                                 "residual_full_from_primitive": rel.residual_full_from_primitive,
                                 "residual_primitive_from_full": rel.residual_primitive_from_full,
                                 "budget": rel.budget},
-            "passed": inv.ok and rel.ok,
-        }
-        _emit_json(payload, args.output)
-        return 0 if payload["passed"] else CHECK_FAILURE
+            "passed": passed,
+        }, args.output)
+        return 0 if passed else CHECK_FAILURE
     results = acceptance.run(args.suite)
     ok = all(r.passed for r in results)
     return 0 if ok else CHECK_FAILURE
@@ -328,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--sampler", choices=("exact", "walk"), default="exact")
-    p.add_argument("--burnin", type=int, default=200)
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     common(p)
     p.set_defaults(fn=cmd_meansq)

@@ -468,17 +468,18 @@ def good_t_locator(t_samples, g_samples, alpha: float, beta: float,
                    eps: float, kappa: float, ctilde: float):
     """Sampled t with |g(t)| <= kappa e^{-(alpha-beta) t + eps t}.
 
-    Preconditions: finite parameters, 0 < beta < alpha, positive
-    eps/kappa/ctilde, and the sampling step at most phi(S)/4 where
-    phi(t) = (4 ctilde / kappa) e^{-eps t} and S is the right end of the
-    sample window.
+    Preconditions: finite samples and parameters, 0 < beta < alpha,
+    positive eps/kappa/ctilde, finite phi(S) and thresholds, and the
+    sampling step at most phi(S)/4 where phi(t) = (4 ctilde / kappa)
+    e^{-eps t} and S is the right end of the sample window.
     """
     ts = np.asarray(t_samples, dtype=float)
     gs = np.asarray(g_samples, dtype=float)
     if ts.ndim != 1 or ts.shape != gs.shape or len(ts) < 2:
         raise EquidistError("need matching 1-d sample arrays with >= 2 points")
-    if not all(math.isfinite(x) for x in (alpha, beta, eps, kappa, ctilde)):
-        raise EquidistError("alpha, beta, eps, kappa, ctilde must be finite")
+    if not (np.isfinite(ts).all() and np.isfinite(gs).all()
+            and all(math.isfinite(x) for x in (alpha, beta, eps, kappa, ctilde))):
+        raise EquidistError("t and g samples and alpha, beta, eps, kappa, ctilde must be finite")
     if not 0.0 < beta < alpha:
         raise EquidistError("need 0 < beta < alpha")
     if min(eps, kappa, ctilde) <= 0.0:
@@ -486,10 +487,14 @@ def good_t_locator(t_samples, g_samples, alpha: float, beta: float,
     steps = np.diff(ts)
     if np.any(steps <= 0):
         raise EquidistError("sample times must be strictly increasing")
-    phi_end = (4.0 * ctilde / kappa) * math.exp(-eps * float(ts[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_end = float((4.0 * ctilde / kappa) * np.exp(-eps * ts[-1]))
+        threshold = kappa * np.exp((-(alpha - beta) + eps) * ts)
+    if not (math.isfinite(phi_end) and np.isfinite(threshold).all()):
+        raise EquidistError("phi(S) or a threshold kappa e^{-(alpha-beta) t + eps t} "
+                            "is not a finite float")
     if float(np.max(steps)) > phi_end / 4.0 + 1e-12:
         raise EquidistError("sampling step exceeds phi(S)/4; refine the grid")
-    threshold = kappa * np.exp((-(alpha - beta) + eps) * ts)
     return [float(t) for t in ts[np.abs(gs) <= threshold]]
 
 
@@ -499,16 +504,16 @@ def locator_threshold_t0(alpha: float, beta: float, eps: float,
     return math.log(2.0 * ctilde * (beta + eps) / kappa) / eps
 
 
-def check_thm12_bound(series, f_norm: float, grad_bound: float, d: int) -> dict:
-    """Pointwise decay check for t above the dimensional threshold.
+def check_thm12_bound(series, f_norm: float, grad_bound: float) -> dict:
+    """Pointwise decay check of a d = 2 series for t above the threshold T_2.
 
-    For every sample with t >= T_d the inequality
-    |err| <= (C_d f_norm + 4 grad_bound) e^{-sqrt((d-1)d) t / 8}
+    For every sample with t >= T_2 the inequality
+    |err| <= (C_2 f_norm + 4 grad_bound) e^{-sqrt(2) t / 8}
     must hold.
     """
     if f_norm is None or grad_bound is None:
         raise EquidistError("norm estimates are required")
-    cst = constants(d)
+    cst = constants(2)
     amp = cst.c_d * f_norm + 4.0 * grad_bound
     rate = cst.exponent_pointwise
     checked, violations = 0, []

@@ -109,6 +109,17 @@ class EnumerationBudgetError(CountingError):
     """Predicted traversal, table, pair or point count exceeds its budget."""
 
 
+def _check_radius(radius) -> None:
+    """Refuse a radius that is not positive or whose square, as a float, is
+    not finite (a huge int radius included, which float() cannot hold)."""
+    try:
+        ok = radius > 0.0 and float(radius) ** 2 < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise CountingError(f"radius must be positive with a finite square, got {radius!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class EllipsoidSpec:
     """Ellipsoid Q(x) <= radius^2 for a determinant-one form Q."""
@@ -117,8 +128,7 @@ class EllipsoidSpec:
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and self.radius * self.radius < math.inf):  # ** 2 would raise
-            raise CountingError(f"radius must be positive with a finite square, got {self.radius!r}")
+        _check_radius(self.radius)
 
 
 @dataclass
@@ -613,8 +623,7 @@ def count_primitive_many(forms, radius: float | Sequence[float],
     if any(form.dim != d for form in forms):
         raise CountingError("the forms of one count must share a dimension")
     for r in radii:
-        if not r > 0.0:
-            raise CountingError(f"radius must be positive, got {r}")
+        _check_radius(r)
     fs = _factors(forms, mode)
     _check_budget(fs, max(radii), table=True)
     kmax = [[_moebius_limit(f, r) for f in fs] for r in radii]

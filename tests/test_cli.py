@@ -248,6 +248,31 @@ class TestVerify:
         assert json.loads(out)["error_relations"]["ok"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["constants", "--dim", "3"],
+    ["count", "--dim", "2", "--radius", "5", "--primitive"],
+    ["chimney", "--dim", "2", "--tmin", "4", "--tmax", "6", "--steps", "3", "--sigma", "2"],
+    ["horoball", "--dim", "2", "--tmin", "4", "--tmax", "6", "--steps", "3", "--output", "{tmp}"],
+    ["equidist", "--dim", "2", "--tmin", "1", "--tmax", "2", "--steps", "2", "--profile", "bump"],
+    ["locate", "--series", "{series}", "--skip-rows", "1", "--alpha", "1", "--beta", "0.5",
+     "--eps", "0.1", "--kappa", "1", "--ctilde", "1"],
+    ["meansq", "--dim", "2", "--radius", "5", "--samples", "20", "--output", "{tmp}"],
+    ["verify", "moebius", "--dim", "2", "--radius", "5"],
+])
+def test_config_echoes_the_parsed_options(capsys, tmp_path, argv):
+    # every option, its default and --output included, in the parser's order
+    series = tmp_path / "series.csv"
+    series.write_text("t,g\n0.0,1.0\n0.1,0.5\n")
+    argv = [a.format(tmp=tmp_path / "out", series=series) for a in argv]
+    parsed = vars(cli.build_parser().parse_args(argv))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if "--output" in argv and argv[0] not in ("chimney", "horoball", "equidist"):
+        out = (tmp_path / "out").read_text()
+    config = json.loads(out[out.index("{"):])["config"]
+    assert list(config.items()) == [(k, v) for k, v in parsed.items() if k != "fn"]
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:

@@ -325,6 +325,23 @@ class TestLocator:
                 with pytest.raises(EquidistError, match="finite"):
                     good_t_locator(ts, np.zeros_like(ts), *params)
 
+    def test_rejects_non_finite_samples(self):
+        ts = np.linspace(0.0, 5.0, 200)
+        for bad in (math.nan, math.inf, -math.inf):
+            for at in (0, -1):
+                for which in ("t", "g"):
+                    t, g = ts.copy(), np.zeros_like(ts)
+                    (t if which == "t" else g)[at] = bad
+                    with pytest.raises(EquidistError, match="finite"):
+                        good_t_locator(t, g, 1.0, 0.5, 0.1, 1.0, 1.0)
+
+    def test_rejects_overflowing_phi_and_threshold(self):
+        # phi(S) = 4 e^{-0.1 S} at S = -9999.9, and with eps = 1 the threshold
+        # e^{0.5 t} at t = 1500, each overflow a float
+        for ts, eps in (([-10000.0, -9999.9], 0.1), ([1499.9, 1500.0], 1.0)):
+            with pytest.raises(EquidistError, match="finite"):
+                good_t_locator(ts, [1.0, 1.0], 1.0, 0.5, eps, 1.0, 1.0)
+
     def test_step_validation(self):
         ts = np.linspace(0.0, 30.0, 10)
         with pytest.raises(EquidistError):
@@ -536,7 +553,7 @@ class TestThm12Bound:
 
     def test_zero_function_passes(self):
         series = self._series([(t, 0.0) for t in np.linspace(0.5, 10.0, 12)])
-        rep = check_thm12_bound(series, f_norm=1.0, grad_bound=1.0, d=2)
+        rep = check_thm12_bound(series, f_norm=1.0, grad_bound=1.0)
         assert rep["passed"]
 
     def test_corrupted_series_fails(self):
@@ -546,14 +563,14 @@ class TestThm12Bound:
         averages = [horosphere_average(t, bump_profile(1.0)) for t in t_grid]
         f_norm, _ = estimate_f_norm(bump_profile(1.0), n=1500, seed=3)
         corrupted = self._series([(a.t, 1e5 * a.err) for a in averages])
-        rep_ok = check_thm12_bound(averages, f_norm, 1.0, d=2)
-        rep_bad = check_thm12_bound(corrupted, f_norm, 1.0, d=2)
+        rep_ok = check_thm12_bound(averages, f_norm, 1.0)
+        rep_bad = check_thm12_bound(corrupted, f_norm, 1.0)
         assert rep_ok["passed"]
         assert not rep_bad["passed"]
 
     def test_requires_norms(self):
         with pytest.raises(EquidistError):
-            check_thm12_bound([], None, 1.0, 2)
+            check_thm12_bound([], None, 1.0)
 
 
 class TestEnumerationBudget:

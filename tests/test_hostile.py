@@ -51,6 +51,14 @@ print(json.dumps(report))
 
 HOSTILE = ("nan", "inf", "-inf", "-1", "1e300")
 
+# the series files of locate: an admitted one, one whose phi(S) = 4 e^{-0.1 S}
+# overflows a float at S = -9999.9, and two with a value that is not finite
+SERIES = {"series": "0.0,1.0\n0.1,0.5\n0.2,0.25\n",
+          "overflow": "-10000,1\n-9999.9,1\n",
+          "inf": "0.0,1.0\ninf,1.0\n",
+          "nan": "0.0,nan\n0.1,1.0\n"}
+LOCATE = ["--alpha", "1", "--beta", "0.5", "--eps", "0.1", "--kappa", "1", "--ctilde", "1"]
+
 # a small admitted command per subcommand, and the numeric flags it takes
 BASES = (
     (["constants", "--dim", "3"], ["--dim"]),
@@ -65,14 +73,13 @@ BASES = (
      ["--dim", "--support", "--plateau", "--tmin", "--tmax", "--steps"]),
     (["equidist", "--dim", "3", "--tmin", "0", "--tmax", "1", "--steps", "2", "--base-grid", "8,8"],
      ["--support", "--tmin", "--tmax", "--steps"]),
-    (["locate", "--series", "{series}", "--alpha", "1", "--beta", "0.5", "--eps", "0.1",
-      "--kappa", "1", "--ctilde", "1"],
+    (["locate", "--series", "{series}", *LOCATE],
      ["--skip-rows", "--alpha", "--beta", "--eps", "--kappa", "--ctilde"]),
     (["meansq", "--dim", "2", "--radius", "5", "--samples", "20", "--seed", "1"],
-     ["--dim", "--radius", "--samples", "--seed", "--burnin"]),
+     ["--dim", "--radius", "--samples", "--seed"]),
     (["meansq", "--dim", "3", "--radius", "3", "--samples", "5", "--sampler", "walk",
-      "--burnin", "100", "--seed", "1"],
-     ["--dim", "--radius", "--samples", "--seed", "--burnin"]),
+      "--seed", "1"],
+     ["--dim", "--radius", "--samples", "--seed"]),
     (["verify", "moebius", "--dim", "2", "--radius", "5"], ["--dim", "--radius"]),
 )
 
@@ -105,18 +112,25 @@ CASES = (
     ["verify", "moebius", "--dim", "2", "--radius", "1e9"],
     ["verify", "moebius", "--dim", "2", "--radius", "1e5"],
     ["verify", "moebius", "--dim", "3", "--radius", "3000"],
+    ["meansq", "--dim", "3", "--radius", "5", "--samples", "2", "--sampler", "walk",
+     "--burnin", "1000000000"],
+    ["locate", "--series", "{overflow}", *LOCATE],
+    ["locate", "--series", "{inf}", *LOCATE],
+    ["locate", "--series", "{nan}", *LOCATE],
 )
 
 
-def cases(series):
-    out = [list(argv) for argv in CASES]
+def cases(files):
+    """(argv, refused) pairs: each of CASES, which must exit 2, then each
+    base with one numeric flag set to each hostile value; {name} in an argv
+    is replaced by files[name]."""
+    out = [(argv, True) for argv in CASES]
     for base, flags in BASES:
-        base = [series if a == "{series}" else a for a in base]
         for flag in flags:
             for value in HOSTILE:
                 argv = [a for i, a in enumerate(base) if a != flag and base[i - 1] != flag]
-                out.append(argv + [f"{flag}={value}"])
-    return out
+                out.append((argv + [f"{flag}={value}"], False))
+    return [([a.format(**files) for a in argv], refused) for argv, refused in out]
 
 
 def run_child(argvs):
@@ -131,16 +145,19 @@ def run_child(argvs):
 
 
 def test_hostile_inputs_exit_0_or_2_without_traceback(tmp_path):
-    series = tmp_path / "series.csv"
-    series.write_text("0.0,1.0\n0.1,0.5\n0.2,0.25\n")
+    files = {}
+    for name, text in SERIES.items():
+        files[name] = str(tmp_path / f"{name}.csv")
+        Path(files[name]).write_text(text)
+    runs = cases(files)
     bad = []
-    for argv, code, usage, err in run_child(cases(str(series))):
+    for (argv, code, usage, err), (_, refused) in zip(run_child([argv for argv, _ in runs]), runs):
         if usage:
             ok = code == 2
         elif code == 2:
             ok = err.startswith("error:") and err.count("\n") == 1
         else:
-            ok = code == 0 and err == ""
+            ok = code == 0 and err == "" and not refused
         if not ok:
             bad.append((" ".join(argv), code, err))
     assert not bad, "\n".join(map(repr, bad))

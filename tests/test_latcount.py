@@ -226,6 +226,15 @@ class TestCountFull:
         with pytest.raises(CountingError):
             EllipsoidSpec(QuadForm.identity(2), 0.0)
 
+    def test_rejects_int_radius_beyond_the_float_range(self):
+        # float(10**400) overflows; each call refuses before any float arithmetic
+        ident = QuadForm.identity(2)
+        for call in (lambda: count_full(EllipsoidSpec(ident, 10 ** 400)),
+                     lambda: count_primitive_many([ident], [10 ** 400]),
+                     lambda: count_primitive_many([ident], 10 ** 400)):
+            with pytest.raises(CountingError, match="finite square"):
+                call()
+
 
 def random_unimodular(rng, m, top):
     """A random U in GL_d(Z), as Python ints, built from column additions

@@ -107,10 +107,11 @@ def test_counting_mode_is_set_in_latcount_only():
 
 
 def test_d2_estimates_take_no_dimension():
-    # the norm, Lipschitz and integrated-bound estimates run at d = 2 only
+    # the norm, Lipschitz, integrated-bound and pointwise-bound estimates run at d = 2 only
     with_dim = [fn.name for fn in ast.walk(trees()["equidist"])
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and fn.name in ("estimate_f_norm", "estimate_lipschitz", "integrated_error_bound")
+                and fn.name in ("estimate_f_norm", "estimate_lipschitz", "integrated_error_bound",
+                                "check_thm12_bound")
                 for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
                 if arg.arg == "d"]
     assert with_dim == []
@@ -145,8 +146,8 @@ def test_invalid_walk_loads_no_scipy():
         "    raised = False\n"
         "except CountingError:\n"
         "    raised = True\n"
-        "code = main(['meansq', '--dim', '3', '--radius', '5', '--samples', '150',\n"
-        "             '--sampler', 'walk', '--burnin', '50'])\n"
+        "code = main(['meansq', '--dim', '3', '--radius', '5', '--samples', '0',\n"
+        "             '--sampler', 'walk'])\n"
         "print(json.dumps([raised, code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n")
     assert out == [True, 2, []]
 
