@@ -1,10 +1,13 @@
 """Command line front end.
 
 Subcommands: constants, count, chimney, horoball, equidist, locate,
-meansq, verify.  Every JSON payload echoes the parsed options, defaults
-and --output included, under "config" (see _emit_json); CSV tables carry a
-single header row and use '.' decimals and '\\n' line endings.  Exit codes:
-0 success, 1 check failure, 2 usage error.
+meansq, verify.  Every output is the library's record, field for field:
+a JSON payload body is dataclasses.asdict of it (constants, count,
+meansq, verify moebius), after a "config" that echoes the parsed options,
+defaults and --output included (see _emit_json); a CSV table (chimney,
+horoball, equidist) has the record's field names for its header and one
+row of field reprs per record (see _emit_csv), with '.' decimals and
+'\\n' line endings.  Exit codes: 0 success, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .quadform import HorocountError, QuadForm, constants
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
-MAX_STEPS = 10_000  # levels of one t-grid; see _t_grid
+MAX_STEPS = equidist.MAX_LEVELS  # levels of one t-grid
 
 
 def _load_gram(spec: str, dim: int) -> QuadForm:
@@ -42,20 +45,7 @@ def _load_gram(spec: str, dim: int) -> QuadForm:
     return QuadForm.from_gram(mat)
 
 
-def _emit_json(args, payload: dict, path: str | None):
-    """Write the payload, after a "config" that echoes the parsed options
-    (all but fn), to path, or print it."""
-    config = {k: v for k, v in vars(args).items() if k != "fn"}
-    text = json.dumps({"config": config, **payload}, indent=2)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _emit_csv(header: str, rows: list[str], path: str | None):
-    text = header + "\n" + "\n".join(rows) + ("\n" if rows else "")
+def _write(text: str, path: str | None):
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -63,17 +53,27 @@ def _emit_csv(header: str, rows: list[str], path: str | None):
         sys.stdout.write(text)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _emit_json(args, payload: dict, path: str | None):
+    """Write the payload, after a "config" that echoes the parsed options
+    (all but fn), to path, or print it."""
+    config = {k: v for k, v in vars(args).items() if k != "fn"}
+    _write(json.dumps({"config": config, **payload}, indent=2) + "\n", path)
+
+
+def _emit_csv(records: list, path: str | None):
+    """Write a header of the field names of the records (a nonempty list of
+    one dataclass), then one row of field reprs per record, to path, or
+    print them."""
+    names = [f.name for f in dataclasses.fields(records[0])]
+    rows = [names] + [[repr(getattr(r, n)) for n in names] for r in records]
+    _write("".join(",".join(row) + "\n" for row in rows), path)
 
 
 def _t_grid(args) -> list[float]:
     """The --steps evenly spaced levels from --tmin to --tmax.
 
     Refused before any level is made when an end, or the distance between
-    them, is not a finite float, or --steps is not in [1, MAX_STEPS].  A
-    level costs at least its record and its CSV row, about 1 KB, so
-    MAX_STEPS keeps a grid's own memory near 10 MB.
+    them, is not a finite float, or --steps is not in [1, MAX_STEPS].
     """
     if not math.isfinite(args.tmax - args.tmin):
         raise HorocountError(f"--tmin and --tmax must be finite floats with a finite "
@@ -86,25 +86,7 @@ def _t_grid(args) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def cmd_constants(args) -> int:
-    c = constants(args.dim)
-    _emit_json(args, {
-        "d": c.d,
-        "lambda": c.lam,
-        "mu": c.mu,
-        "alpha": c.alpha,
-        "omega": c.omega,
-        "zeta": c.zeta,
-        "C_d": c.c_d,
-        "kappa_d": c.kappa_d,
-        "kappa_per_volume": c.kappa_per_volume,
-        "T_d": c.t_d,
-        "exponents": {
-            "thm11": c.exponent_interval,
-            "thm12": c.exponent_pointwise,
-            "edwards": c.exponent_edwards,
-            "rh": c.exponent_rh,
-        },
-    }, args.output)
+    _emit_json(args, dataclasses.asdict(constants(args.dim)), args.output)
     return 0
 
 
@@ -124,11 +106,11 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _emit_series(args, header: str, rows: list[str], series, envelope: bool,
-                 **refs) -> int:
-    """Write the table to --output, then print the config, the decay fit of
-    the (t, rel_error) series (or its error, with null fields) and refs."""
-    _emit_csv(header, rows, args.output)
+def _emit_series(args, records: list, series, envelope: bool, **refs) -> int:
+    """Write the records' table to --output, then print the config, the
+    decay fit of the (t, relative error) series (or its error, with null
+    fields) and refs."""
+    _emit_csv(records, args.output)
     try:
         fit = orbits.fit_error_exponent(series, envelope=envelope)
         fit_payload = {"slope": fit.slope, "intercept": fit.intercept,
@@ -145,10 +127,7 @@ def cmd_sweep(args) -> int:
     form = _load_gram(args.gram, args.dim)
     results = orbits.sweep(form, _t_grid(args), kind=args.subcommand,
                            sigma=getattr(args, "sigma", None))
-    rows = [f"{_fmt(r.T)},{_fmt(r.R)},{r.count},{_fmt(r.predicted)},{_fmt(r.rel_error)}"
-            for r in results]
-    return _emit_series(args, "T,R,count,predicted,rel_error", rows,
-                        [(r.T, r.rel_error) for r in results], args.envelope,
+    return _emit_series(args, results, [(r.T, r.rel_error) for r in results], args.envelope,
                         theory_slope=orbits.theory_slope(args.dim))
 
 
@@ -163,14 +142,8 @@ def cmd_equidist(args) -> int:
         raise HorocountError(f"--base-grid expects nx,ny, got {args.base_grid!r}") from exc
     q = equidist.QuadratureSpec(base_grid=(nx, ny))
     averages = equidist.horosphere_averages(_t_grid(args), profile, q, d=args.dim)
-    rows = [f"{_fmt(a.t)},{_fmt(a.value)},{_fmt(a.target)},{_fmt(a.err)},{_fmt(a.quad_error_estimate)}"
-            for a in averages]
-    cst = constants(args.dim)
-    return _emit_series(args, "t,value,target,err,quad_err", rows,
-                        [(a.t, a.err) for a in averages], True,
-                        theory_slope_thm12=-cst.exponent_pointwise,
-                        theory_slope_thm11=-cst.exponent_interval,
-                        edwards_slope=-cst.exponent_edwards)
+    return _emit_series(args, averages, [(a.t, a.err) for a in averages], True,
+                        **equidist.reference_slopes(args.dim))
 
 
 def cmd_locate(args) -> int:
@@ -194,18 +167,7 @@ def cmd_locate(args) -> int:
 def cmd_meansq(args) -> int:
     rep = randlat.mean_square_check(args.dim, args.radius, args.samples,
                                     sampler=args.sampler, seed=args.seed)
-    _emit_json(args, {
-        "d": rep.d,
-        "R": rep.radius,
-        "n_samples": rep.n_samples,
-        "mean_D2": rep.mean_d2,
-        "std_error": rep.std_error,
-        "bound": rep.bound,
-        "mean_E1sq": rep.mean_e1sq,
-        "bound_E1sq": rep.bound_e1sq,
-        "passed": rep.passed,
-        "degenerate": rep.degenerate,
-    }, args.output)
+    _emit_json(args, dataclasses.asdict(rep), args.output)
     return 0 if rep.passed or rep.degenerate else CHECK_FAILURE
 
 
@@ -216,18 +178,11 @@ def cmd_verify(args) -> int:
         inv = moebius.verify_inversion(spec)
         rel = moebius.error_relation_check(spec)
         passed = inv.ok and rel.ok
-        _emit_json(args, {
-            "shell_identities": dataclasses.asdict(inv),
-            "error_relations": {"ok": rel.ok,
-                                "residual_full_from_primitive": rel.residual_full_from_primitive,
-                                "residual_primitive_from_full": rel.residual_primitive_from_full,
-                                "budget": rel.budget},
-            "passed": passed,
-        }, args.output)
+        _emit_json(args, {"shell_identities": dataclasses.asdict(inv),
+                          "error_relations": dataclasses.asdict(rel), "passed": passed},
+                   args.output)
         return 0 if passed else CHECK_FAILURE
-    results = acceptance.run(args.suite)
-    ok = all(r.passed for r in results)
-    return 0 if ok else CHECK_FAILURE
+    return 0 if all(r.passed for r in acceptance.run(args.suite)) else CHECK_FAILURE
 
 
 # ---------------------------------------------------------------------------

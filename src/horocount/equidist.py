@@ -82,6 +82,7 @@ __all__ = [
     "horosphere_average",
     "horosphere_averages",
     "decay_series",
+    "reference_slopes",
     "good_t_locator",
     "check_thm12_bound",
     "estimate_f_norm",
@@ -95,6 +96,10 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 CUTOFF_FLOOR = 8.0
 LIPSCHITZ_STEP, LIPSCHITZ_INFLATE = 1e-3, 10.0  # estimate_lipschitz's difference step and safety factor
 INTEGRATED_STEP = 0.1  # integrated_error_bound's trapezoid step in t
+MAX_LEVELS = 10_000  # levels of one t-grid: a level costs at least its record and its CSV
+# row, about 1 KB, so a grid's own memory stays near 10 MB
+MAX_NODES = 10_000  # transported_quadrature_ratio's nodes: each takes about 1 ms of Python
+# Iwasawa composing and decomposing over the two levels, so a call ends within about 10 s
 _GAUSS8 = np.polynomial.legendre.leggauss(8)  # exact to degree 15
 _GAUSS64 = np.polynomial.legendre.leggauss(64)
 PASS_PAIRS = 4 * BLOCK  # bounded (base point, w) pairs per pass of any level: its float64
@@ -119,7 +124,7 @@ class RadialProfile:
     """Compactly supported radial profile h(u) on u = |x|^2 >= 0.
 
     kind "indicator": h = 1 on [0, s].  kind "bump": h = 1 on [0, p],
-    C^1 cubic taper on [p, s], 0 beyond.
+    C^1 cubic taper on [p, s], 0 beyond.  Any other kind is refused.
     """
 
     kind: str
@@ -127,6 +132,8 @@ class RadialProfile:
     plateau: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in ("indicator", "bump"):
+            raise EquidistError(f"profile kind must be 'indicator' or 'bump', got {self.kind!r}")
         if not 0.0 < self.support_end < math.inf:
             raise EquidistError(f"support_end must be positive and finite, got {self.support_end}")
         if not 0.0 <= self.plateau < self.support_end:
@@ -443,22 +450,29 @@ def horosphere_average(t: float, h: RadialProfile,
     return horosphere_averages([t], h, q, d)[0]
 
 
-def decay_series(h: RadialProfile, t_grid, d: int = 2):
-    """Averages over a t-grid plus an envelope fit of log|err| against t.
-
-    Returns (list of HoroAverage, DecayFit, reference slopes dict).
-    """
-    averages = horosphere_averages(t_grid, h, d=d)
-    series = [(a.t, a.err) for a in averages]
-    fit = fit_error_exponent(series, envelope=True)
+def reference_slopes(d: int) -> dict:
+    """The decay slopes, per unit t, that a fit of log|err| against t is
+    read against, each the negated exponent of constants(d):
+    theory_slope_pointwise (all t), theory_slope_interval (on shrinking
+    intervals), and the reference-only edwards_slope and rh_slope (None
+    but at d = 2).  decay_series and the equidist command both return it."""
     cst = constants(d)
-    refs = {
+    return {
         "theory_slope_pointwise": -cst.exponent_pointwise,
         "theory_slope_interval": -cst.exponent_interval,
         "edwards_slope": -cst.exponent_edwards,
         "rh_slope": -cst.exponent_rh if cst.exponent_rh is not None else None,
     }
-    return averages, fit, refs
+
+
+def decay_series(h: RadialProfile, t_grid, d: int = 2):
+    """Averages over a t-grid plus an envelope fit of log|err| against t.
+
+    Returns (list of HoroAverage, DecayFit, reference_slopes(d)).
+    """
+    averages = horosphere_averages(t_grid, h, d=d)
+    fit = fit_error_exponent([(a.t, a.err) for a in averages], envelope=True)
+    return averages, fit, reference_slopes(d)
 
 
 # ---------------------------------------------------------------------------
@@ -572,16 +586,22 @@ def integrated_error_bound(h: RadialProfile, big_t_values, f_norm: float,
 
     The budget collects: per-point quadrature estimates, the trapezoid
     refinement difference, the truncated lower tail, and the Monte Carlo
-    uncertainty f_norm_se of ||f||.
+    uncertainty f_norm_se of ||f||.  No T, a T that is not finite, or a
+    grid from t_lo to the largest T of over MAX_LEVELS levels is refused
+    before the grid is made.
     """
     d = 2
     cst = constants(d)
     alpha = 0.5 * math.sqrt((d - 1) * d)
     beta = 0.5 * alpha
     target = space_average(h, d)
+    if len(big_t_values) == 0 or not all(math.isfinite(t) for t in big_t_values):
+        raise EquidistError(f"need one or more finite T, got {list(big_t_values)}")
     top = max(big_t_values)
     # below t_lo the integrand is bounded by (2 + target) e^{alpha t}
     t_lo = math.log(1e-6 / (2.0 + target)) / alpha
+    if (top - t_lo) / INTEGRATED_STEP >= MAX_LEVELS:
+        raise EquidistError(f"T = {top!r} needs over {MAX_LEVELS} levels from t = {t_lo:.3g}")
     ts = np.arange(t_lo, top + INTEGRATED_STEP / 2.0, INTEGRATED_STEP)
     averages = horosphere_averages(ts, h, d=d)
     errs = np.array([a.err for a in averages])
@@ -618,17 +638,20 @@ def transported_quadrature_ratio(d: int, t: float, grid: int = 9) -> float:
     A-part recovered by an Iwasawa decomposition of the shifted solvable
     representative, so the expected ratio e^{t sqrt((d-1)d)/2} is
     reproduced through the compose/decompose/shift code path rather than
-    by the closed form.
+    by the closed form.  A grid of over MAX_NODES nodes is refused
+    before any is made.
     """
     if d < 2:
         raise GeometryError("dimension must be >= 2")
+    n_dim = d * (d - 1) // 2
+    a_dim = d - 2  # free coordinates of the traceless diagonal block
+    if grid < 1 or grid ** (a_dim + n_dim) > MAX_NODES:
+        raise EquidistError(f"grid {grid} at d = {d} must be >= 1 with at most {MAX_NODES} nodes")
 
     def integrand(form: QuadForm) -> float:
         diff = form.gram - np.eye(d)
         return math.exp(-float(np.sum(diff * diff)))
 
-    n_dim = d * (d - 1) // 2
-    a_dim = d - 2  # free coordinates of the traceless diagonal block
     axes = [np.linspace(-0.25, 0.25, grid)] * a_dim + [np.linspace(0.05, 0.3, grid)] * n_dim
     mesh = np.meshgrid(*axes, indexing="ij") if axes else []
     coords = np.stack([m.ravel() for m in mesh], axis=1) if axes else np.zeros((1, 0))

@@ -479,6 +479,7 @@ class Constants:
     alpha: int
     omega: float
     zeta: float
+    second_moment_factor: float  # 4 at d = 2, else 2: E D_R^2 <= this zeta(d) / vol(B_R)
     c_d: float
     kappa_d: float | None
     kappa_per_volume: float
@@ -515,6 +516,7 @@ def constants(d: int) -> Constants:
         alpha=alpha,
         omega=omega,
         zeta=z,
+        second_moment_factor=zeta_factor,
         c_d=c_d,
         kappa_d=kappa_d,
         kappa_per_volume=kappa_per_volume,

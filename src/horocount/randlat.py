@@ -24,12 +24,12 @@ Two samplers:
 
 The discrepancy observable counts primitive lattice points in a ball and
 compares with the volume main term; mean_square_check Monte Carlos its
-second moment against the inequality bound 2 zeta(d)/vol(B) for d >= 3
-(factor 4 for d = 2).  It draws its samples once for all the radii it is
-given, builds their forms with one QuadForm.from_grams call on the stack
-of grams, and counts every sample at every radius in one
-latcount.count_primitive_many call, which reduces and factors each sample
-once.
+second moment against the inequality bound factor zeta(d)/vol(B), the
+factor Constants.second_moment_factor (4 for d = 2, 2 for d >= 3).  It
+draws its samples once for all the radii it is given, builds their forms
+with one QuadForm.from_grams call on the stack of grams, and counts every
+sample at every radius in one latcount.count_primitive_many call, which
+reduces and factors each sample once.
 """
 
 from __future__ import annotations
@@ -150,8 +150,7 @@ def _report(d: int, radius: float, counts) -> MeanSquareReport:
     mean = float(np.mean(dsq))
     cst = constants(d)
     vol = cst.omega * radius ** d
-    factor = 4.0 if d == 2 else 2.0
-    bound = factor * cst.zeta / vol
+    bound = cst.second_moment_factor * cst.zeta / vol
     degenerate = len(dsq) < 2
     se = 0.0 if degenerate else float(np.std(dsq, ddof=1) / math.sqrt(len(dsq)))
     passed = bool(mean - 2.0 * se <= bound) and not degenerate

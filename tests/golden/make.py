@@ -18,8 +18,9 @@ the d = 2 horocycle averages (decay series of a bump and an indicator
 profile, one with t < 0 and one from 20 to 26, where one t alone has more
 than latcount.BLOCK w values; criterion 6's Lipschitz estimate and
 criterion 7's integrated-bound rows), and the payloads of the chimney,
-horoball, count and d = 2 equidist commands.  The sweep
-payloads carry no timing key; the count payload's elapsed_ms is dropped.
+horoball, count, d = 2 equidist, constants, exact-sampler d = 2 meansq
+and d = 2 verify moebius commands.  The sweep payloads carry no timing
+key; the count payload's elapsed_ms is dropped.
 
 Left out: walk samples.  sample_walk's output depends on the last bits of
 every expm, matrix product and reduction, so another BLAS or numpy build
@@ -173,6 +174,10 @@ def _commands():
         ["chimney", "--dim", "3", "--tmin", "3", "--tmax", "10", "--steps", "8", "--sigma", "1"],
         ["count", "--dim", "3", "--radius", "20", "--primitive"],
         ["equidist", "--dim", "2", "--tmin", "1", "--tmax", "14", "--steps", "40"],
+        ["constants", "--dim", "2"],
+        ["constants", "--dim", "3"],
+        ["meansq", "--dim", "2", "--radius", "5", "--samples", "300", "--seed", "11"],
+        ["verify", "moebius", "--dim", "2", "--radius", "10"],
     )
     return {"cli/" + " ".join(argv): _cli(argv) for argv in runs}
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import horocount
-from horocount import cli, equidist
+from horocount import cli, equidist, moebius, orbits, randlat
 from horocount.cli import main
+from horocount.latcount import EllipsoidSpec
+from horocount.quadform import QuadForm, constants
 
 
 def run_cli(capsys, *argv):
@@ -25,15 +28,15 @@ class TestConstants:
         assert code == 0
         payload = json.loads(out)
         assert payload["kappa_d"] == pytest.approx(2.0, abs=1e-12)
-        assert payload["lambda"] == pytest.approx(1.0 / math.sqrt(2.0))
-        assert payload["exponents"]["thm12"] == pytest.approx(math.sqrt(2.0) / 8.0)
+        assert payload["lam"] == pytest.approx(1.0 / math.sqrt(2.0))
+        assert payload["exponent_pointwise"] == pytest.approx(math.sqrt(2.0) / 8.0)
         assert payload["config"]["dim"] == 2
 
     def test_d3_kappa_null(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--dim", "3")
         payload = json.loads(out)
         assert payload["kappa_d"] is None
-        assert payload["exponents"]["rh"] is None
+        assert payload["exponent_rh"] is None
 
 
 class TestCount:
@@ -97,7 +100,7 @@ class TestOrbitCommands:
                                "--output", str(out_file))
         assert code == 0
         lines = out_file.read_text().strip().split("\n")
-        assert lines[0] == "T,R,count,predicted,rel_error"
+        assert lines[0] == "T,R,count,sigma_q,predicted,rel_error"
         assert len(lines) == 8
         payload = json.loads(out)
         assert payload["theory_slope"] == pytest.approx(-0.4844361, abs=1e-6)
@@ -151,12 +154,12 @@ class TestEquidistCommand:
                                "--steps", "5", "--output", str(out_file))
         assert code == 0
         lines = out_file.read_text().strip().split("\n")
-        assert lines[0] == "t,value,target,err,quad_err"
+        assert lines[0] == "t,value,target,err,quad_error_estimate"
         assert len(lines) == 6
         first = lines[1].split(",")
         assert float(first[2]) == pytest.approx(6.0 / math.pi, rel=1e-9)
         payload = json.loads(out)
-        assert payload["theory_slope_thm12"] == pytest.approx(-math.sqrt(2.0) / 8.0)
+        assert payload["theory_slope_pointwise"] == pytest.approx(-math.sqrt(2.0) / 8.0)
 
     def test_d3_rows_match_library(self, capsys, tmp_path):
         out_file = tmp_path / "eq3.csv"
@@ -210,7 +213,7 @@ class TestMeansq:
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True
-        assert payload["bound_E1sq"] == pytest.approx(
+        assert payload["bound_e1sq"] == pytest.approx(
             4.0 * math.pi * 25.0 / (math.pi ** 2 / 6.0), rel=1e-9)
 
     def test_seed_defaults_to_zero(self, capsys):
@@ -246,6 +249,67 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "moebius", "--dim", "3", "--radius", "4")
         assert code == 0
         assert json.loads(out)["error_relations"]["ok"] is True
+
+
+def body(out):
+    """The JSON payload printed last, without its config."""
+    payload = json.loads(out[out.index("{"):])
+    del payload["config"]
+    return payload
+
+
+class TestOutputsAreRecords:
+    # each payload body and CSV table is the library record, field for field
+
+    def test_constants(self, capsys):
+        for d in (2, 3, 5):
+            assert body(run_cli(capsys, "constants", "--dim", str(d))[1]) == \
+                dataclasses.asdict(constants(d))
+
+    def test_meansq(self, capsys):
+        out = run_cli(capsys, "meansq", "--dim", "2", "--radius", "5", "--samples", "50",
+                      "--seed", "4")[1]
+        assert body(out) == dataclasses.asdict(randlat.mean_square_check(2, 5.0, 50, seed=4))
+
+    def test_verify_moebius(self, capsys):
+        spec = EllipsoidSpec(QuadForm.identity(3), 6.0)
+        out = run_cli(capsys, "verify", "moebius", "--dim", "3", "--radius", "6")[1]
+        assert body(out) == {
+            "shell_identities": dataclasses.asdict(moebius.verify_inversion(spec)),
+            "error_relations": dataclasses.asdict(moebius.error_relation_check(spec)),
+            "passed": True}
+
+    @pytest.mark.parametrize("argv, record", [
+        (["chimney", "--dim", "2", "--tmin", "4", "--tmax", "6", "--steps", "3"], orbits.ChimneyCount),
+        (["chimney", "--dim", "3", "--tmin", "4", "--tmax", "6", "--steps", "3", "--sigma", "1"],
+         orbits.ChimneyCount),
+        (["horoball", "--dim", "3", "--tmin", "4", "--tmax", "6", "--steps", "3"], orbits.ChimneyCount),
+        (["equidist", "--dim", "2", "--tmin", "1", "--tmax", "2", "--steps", "2"], equidist.HoroAverage),
+        (["equidist", "--dim", "3", "--tmin", "1", "--tmax", "2", "--steps", "2", "--base-grid", "8,8"],
+         equidist.HoroAverage),
+    ])
+    def test_csv_header_is_the_field_names(self, capsys, argv, record):
+        out = run_cli(capsys, *argv)[1]
+        assert out.split("\n")[0] == ",".join(f.name for f in dataclasses.fields(record))
+
+    def test_chimney_sigma_q_is_the_stabilizer_order(self, capsys, tmp_path):
+        path = tmp_path / "gram.txt"
+        path.write_text("2 1\n1 1\n")
+        for gram, form in (("identity", QuadForm.identity(2)),
+                           (str(path), QuadForm.from_gram(np.array([[2.0, 1.0], [1.0, 1.0]])))):
+            out = run_cli(capsys, "chimney", "--dim", "2", "--gram", gram, "--tmin", "4",
+                          "--tmax", "6", "--steps", "3")[1]
+            lines = out[:out.index("{")].strip().split("\n")
+            column = lines[0].split(",").index("sigma_q")
+            assert [int(line.split(",")[column]) for line in lines[1:]] == \
+                [orbits.stabilizer_order(form)] * 3
+
+    def test_equidist_slopes_are_the_reference_slopes(self, capsys):
+        for d, grid in (("2", []), ("3", ["--base-grid", "8,8"])):
+            payload = body(run_cli(capsys, "equidist", "--dim", d, "--tmin", "1", "--tmax", "2",
+                                   "--steps", "2", *grid)[1])
+            refs = equidist.reference_slopes(int(d))
+            assert {k: payload[k] for k in refs} == refs
 
 
 @pytest.mark.parametrize("argv", [

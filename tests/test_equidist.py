@@ -88,6 +88,12 @@ class TestProfiles:
         ind = indicator_profile(1.0)
         assert float(ind.value(1.0)) == 1.0 and float(ind.value(1.0000001)) == 0.0
 
+    def test_rejects_unknown_kind(self):
+        # an unknown kind once gave a bump with plateau 0
+        for kind in ("gaussian", "Indicator", ""):
+            with pytest.raises(EquidistError, match="kind"):
+                equidist.RadialProfile(kind, 1.0)
+
     def test_validation(self):
         with pytest.raises(EquidistError):
             indicator_profile(0.0)
@@ -592,8 +598,21 @@ class TestIntegratedBound:
         assert all(r["passed"] for r in rows)
         assert rows[0]["lhs"] < rows[0]["rhs"]
 
+    def test_grid_cap_admits_criterion_7(self):
+        # criterion 7's largest T = 10 needs about 316 levels from t_lo
+        t_lo = math.log(1e-6 / (2.0 + space_average(indicator_profile(1.0), 2))) / (0.5 * math.sqrt(2.0))
+        assert (10.0 - t_lo) / equidist.INTEGRATED_STEP < equidist.MAX_LEVELS
+
 
 class TestVolumeScaling:
+    def test_node_cap_admits_criterion_10(self):
+        # criterion 10 runs grid 9 at d = 2 (9 nodes) and grid 5 at d = 3 (625); an
+        # empty grid and 11^4 or 4^8 nodes are refused
+        assert 5 ** 4 <= equidist.MAX_NODES
+        for d, grid in ((2, 0), (3, -3), (3, 11), (4, 4)):
+            with pytest.raises(EquidistError, match="nodes"):
+                transported_quadrature_ratio(d, 1.0, grid=grid)
+
     def test_d2(self):
         for t in (1.0, 3.0):
             ratio = transported_quadrature_ratio(2, t, grid=7)

@@ -133,15 +133,44 @@ def cases(files):
     return [([a.format(**files) for a in argv], refused) for argv, refused in out]
 
 
-def run_child(argvs):
+def run_child(argvs, child=CHILD):
     path = os.pathsep.join(p for p in (str(Path(horocount.__file__).parents[1]),
                                        os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(LIMIT), str(SECONDS)],
+    proc = subprocess.run([sys.executable, "-c", child, str(LIMIT), str(SECONDS)],
                           input=json.dumps(argvs), capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+# library calls of equidist with no CLI flag in front of them, run under the
+# same limit: each names the exception it ended in, or None
+LIBRARY_CHILD = """
+import json, resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from horocount import equidist
+report = []
+for name, args in json.load(sys.stdin):
+    if name == "integrated_error_bound":
+        args = [equidist.indicator_profile(1.0), [float(t) for t in args], 1.0, 0.0]
+    try:
+        getattr(equidist, name)(*args)
+        report.append(None)
+    except BaseException as exc:
+        report.append(type(exc).__name__)
+print(json.dumps(report))
+"""
+
+
+def test_unbounded_library_inputs_refused_before_any_array():
+    # no T, or a T of inf or nan, once ended in a bare ValueError; T = 1e9 asked for
+    # a 74.5 GiB t-grid and grid 1000 at d = 3 for 10^12 nodes, both MemoryError
+    calls = [("integrated_error_bound", []), ("integrated_error_bound", ["inf"]),
+             ("integrated_error_bound", ["nan"]),
+             ("integrated_error_bound", [4.0, "1e9"]), ("transported_quadrature_ratio", [3, 1.0, 1000])]
+    assert run_child(calls, LIBRARY_CHILD) == ["EquidistError"] * len(calls)
 
 
 def test_hostile_inputs_exit_0_or_2_without_traceback(tmp_path):
