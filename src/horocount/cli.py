@@ -133,6 +133,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_equidist(args) -> int:
     if args.profile == "indicator":
+        if args.plateau is not None:
+            raise HorocountError("--plateau belongs to --profile bump; the indicator has none")
         profile = equidist.indicator_profile(args.support)
     else:
         profile = equidist.bump_profile(args.support, args.plateau)

@@ -638,8 +638,9 @@ def transported_quadrature_ratio(d: int, t: float, grid: int = 9) -> float:
     A-part recovered by an Iwasawa decomposition of the shifted solvable
     representative, so the expected ratio e^{t sqrt((d-1)d)/2} is
     reproduced through the compose/decompose/shift code path rather than
-    by the closed form.  A grid of over MAX_NODES nodes is refused
-    before any is made.
+    by the closed form.  A grid of over MAX_NODES nodes, and a t that is
+    not finite or whose level shift leaves the float range, are refused
+    before any node is made.
     """
     if d < 2:
         raise GeometryError("dimension must be >= 2")
@@ -647,6 +648,12 @@ def transported_quadrature_ratio(d: int, t: float, grid: int = 9) -> float:
     a_dim = d - 2  # free coordinates of the traceless diagonal block
     if grid < 1 or grid ** (a_dim + n_dim) > MAX_NODES:
         raise EquidistError(f"grid {grid} at d = {d} must be >= 1 with at most {MAX_NODES} nodes")
+    try:
+        shift = geodesic_r(d, -t).mat if math.isfinite(t) else None
+    except OverflowError:
+        shift = None
+    if shift is None:
+        raise EquidistError(f"t = {t!r} must be finite with a level shift in the float range")
 
     def integrand(form: QuadForm) -> float:
         diff = form.gram - np.eye(d)
@@ -656,11 +663,10 @@ def transported_quadrature_ratio(d: int, t: float, grid: int = 9) -> float:
     mesh = np.meshgrid(*axes, indexing="ij") if axes else []
     coords = np.stack([m.ravel() for m in mesh], axis=1) if axes else np.zeros((1, 0))
 
-    def one_level(level: float) -> float:
+    def one_level(shift: np.ndarray) -> float:
         # integrate the FIXED coordinate integrand (the value at the level-0
         # point) against the level-dependent density; the density at each
         # node is recovered by decomposing the shifted representative.
-        shift = geodesic_r(d, -level).mat
         total = 0.0
         for row in coords:
             afree = row[:a_dim]
@@ -678,4 +684,4 @@ def transported_quadrature_ratio(d: int, t: float, grid: int = 9) -> float:
             total += integrand(base_form) * dens
         return total
 
-    return one_level(t) / one_level(0.0)
+    return one_level(shift) / one_level(np.eye(d))

@@ -43,6 +43,7 @@ __all__ = [
 
 STABILIZER_CANDIDATE_CAP = 4096
 STABILIZER_TOL = 1e-7  # relative to the largest gram entry
+STABILIZER_LEVEL_CAP = STABILIZER_CANDIDATE_CAP ** 2  # a search mask's entries, as a pair table's
 
 
 @dataclass
@@ -83,11 +84,14 @@ def stabilizer_order(q: QuadForm) -> int:
     """Order of the stabilizer of Q in the projectivized integer group.
 
     Counts integer matrices g of determinant one with g^T M g = M.  Column
-    j of g is a lattice vector v with Q(v) = M_jj; one table per column
-    pair i < j says which candidates for the two columns have inner
-    product M_ij, so the candidates left for column j are the AND of the
-    table rows picked for the columns before it.  The count is divided by
-    the center (+-identity for even d).
+    j of g is a lattice vector v with Q(v) = M_jj, picked from one
+    enumeration up to max_j M_jj; one table per column pair i < j marks the
+    candidate pairs with inner product M_ij.  The search extends every
+    partial g by one column at a time, keeping the candidates in the AND of
+    the table rows picked for the columns before it; a level of more than
+    STABILIZER_LEVEL_CAP (partial g, candidate) pairs raises CountingError
+    before its mask is built.  The count of complete g of det 1 is divided
+    by the center (+-identity for even d).
     """
     d = q.dim
     if d not in (2, 3, 4):
@@ -95,30 +99,24 @@ def stabilizer_order(q: QuadForm) -> int:
                             f"pass the stabilizer order sigma for d = {d}")
     m = q.gram
     tol = STABILIZER_TOL * float(np.max(np.abs(m)))
-    cols = []
-    for j in range(d):
-        target = float(m[j, j])
-        pts, vals = enumerate_points(q, target + tol, mode="float")
-        sel = np.abs(vals - target) <= tol
-        if np.count_nonzero(sel) > STABILIZER_CANDIDATE_CAP:
-            raise CountingError("stabilizer candidate set too large for this form")
-        cols.append(pts[sel].astype(float))
+    pts, vals = enumerate_points(q, float(np.max(np.diag(m))) + tol, mode="float")
+    cols = [pts[np.abs(vals - float(m[j, j])) <= tol].astype(float) for j in range(d)]
+    if max(map(len, cols)) > STABILIZER_CANDIDATE_CAP:
+        raise CountingError("stabilizer candidate set too large for this form")
     table = {(i, j): np.abs(cols[i] @ m @ cols[j].T - m[i, j]) <= tol
              for j in range(d) for i in range(j)}
-
-    def extend(chosen, allowed):
-        """Completions of the columns chosen so far; allowed[n] masks the
-        candidates for column len(chosen) + n that fit them."""
-        j = len(chosen)
-        if j == d - 1:
-            last = cols[j][allowed[0]]
-            g = np.stack([np.broadcast_to(c, last.shape) for c in chosen] + [last], axis=-1)
-            return int(np.count_nonzero(np.round(np.linalg.det(g)) == 1))
-        return sum(extend(chosen + [cols[j][a]],
-                          [mask & table[j, k][a] for k, mask in enumerate(allowed[1:], j + 1)])
-                   for a in np.flatnonzero(allowed[0]))
-
-    count = extend([], [np.ones(len(c), dtype=bool) for c in cols])
+    idx = np.zeros((1, 0), dtype=np.intp)  # row r: candidate index of each column of g_r
+    for j in range(d):
+        if len(idx) * len(cols[j]) > STABILIZER_LEVEL_CAP:
+            raise CountingError(f"stabilizer search for column {j + 1} would pair {len(idx)} partial "
+                                f"matrices with {len(cols[j])} candidates, above {STABILIZER_LEVEL_CAP}")
+        mask = np.ones((len(idx), len(cols[j])), dtype=bool)
+        for i in range(j):
+            mask &= table[i, j][idx[:, i]]
+        rows, new = np.nonzero(mask)
+        idx = np.column_stack([idx[rows], new])
+    g = np.stack([cols[j][idx[:, j]] for j in range(d)], axis=-1)
+    count = int(np.count_nonzero(np.round(np.linalg.det(g)) == 1))
     alpha = constants(d).alpha
     if count % alpha != 0:
         raise CountingError("stabilizer enumeration inconsistent with the center")

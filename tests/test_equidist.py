@@ -613,6 +613,15 @@ class TestVolumeScaling:
             with pytest.raises(EquidistError, match="nodes"):
                 transported_quadrature_ratio(d, 1.0, grid=grid)
 
+    def test_t_out_of_range_refused_before_any_node(self):
+        # t = 1e6 once ended in a bare OverflowError, and nan or inf raised
+        # only after numpy warnings; t = 2010 at d = 2 shifts by e^{710.6}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, t in ((2, 1e6), (2, 2010.0), (3, -1e6), (2, math.nan), (3, math.inf), (2, -math.inf)):
+                with pytest.raises(EquidistError, match="level shift in the float range"):
+                    transported_quadrature_ratio(d, t, grid=3)
+
     def test_d2(self):
         for t in (1.0, 3.0):
             ratio = transported_quadrature_ratio(2, t, grid=7)

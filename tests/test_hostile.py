@@ -95,6 +95,8 @@ CASES = (
     ["horoball", "--dim", "2", "--tmin", "1", "--tmax", "200", "--steps", "2"],
     ["horoball", "--dim", "2", "--tmin", "1", "--tmax", "3000", "--steps", "2"],
     ["horoball", "--dim", "2", "--tmin=-1e308", "--tmax", "1e308", "--steps", "3"],
+    ["equidist", "--dim", "2", "--profile", "indicator", "--plateau", "0.9",
+     "--tmin", "1", "--tmax", "2", "--steps", "2"],
     ["equidist", "--dim", "3", "--tmin", "1200", "--tmax", "1200", "--steps", "1"],
     ["equidist", "--dim", "3", "--tmin", "30", "--tmax", "30", "--steps", "1"],
     ["equidist", "--dim", "3", "--tmin", "22", "--tmax", "23", "--steps", "10000"],
@@ -166,10 +168,12 @@ print(json.dumps(report))
 
 def test_unbounded_library_inputs_refused_before_any_array():
     # no T, or a T of inf or nan, once ended in a bare ValueError; T = 1e9 asked for
-    # a 74.5 GiB t-grid and grid 1000 at d = 3 for 10^12 nodes, both MemoryError
+    # a 74.5 GiB t-grid and grid 1000 at d = 3 for 10^12 nodes, both MemoryError;
+    # a level t = 1e6 ended in a bare OverflowError
     calls = [("integrated_error_bound", []), ("integrated_error_bound", ["inf"]),
              ("integrated_error_bound", ["nan"]),
-             ("integrated_error_bound", [4.0, "1e9"]), ("transported_quadrature_ratio", [3, 1.0, 1000])]
+             ("integrated_error_bound", [4.0, "1e9"]), ("transported_quadrature_ratio", [3, 1.0, 1000]),
+             ("transported_quadrature_ratio", [2, 1e6, 3]), ("transported_quadrature_ratio", [2, float("nan"), 3])]
     assert run_child(calls, LIBRARY_CHILD) == ["EquidistError"] * len(calls)
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from horocount.latcount import CountingError, EllipsoidSpec, count_primitive_moebius
+from horocount import orbits
+from horocount.latcount import CountingError, EllipsoidSpec, count_primitive_moebius, enumerate_points
 from horocount.orbits import (
     fit_error_exponent,
     radius_of_t,
@@ -13,6 +14,7 @@ from horocount.orbits import (
     theory_slope,
 )
 from horocount.quadform import GroupElement, QuadForm, act, constants
+from test_latcount import random_form, random_unimodular
 
 
 class TestRadiusMaps:
@@ -31,6 +33,54 @@ class TestRadiusMaps:
             t_of_radius(2, 0.0)
 
 
+def reference_stabilizer_order(q):
+    """stabilizer_order as a depth-first search, one enumeration per column,
+    as the reference it must equal: the same candidates, tolerance, cap,
+    pair tables and det = 1 test, without the level bound."""
+    d = q.dim
+    m = q.gram
+    tol = orbits.STABILIZER_TOL * float(np.max(np.abs(m)))
+    cols = []
+    for j in range(d):
+        target = float(m[j, j])
+        pts, vals = enumerate_points(q, target + tol, mode="float")
+        sel = np.abs(vals - target) <= tol
+        if np.count_nonzero(sel) > orbits.STABILIZER_CANDIDATE_CAP:
+            raise CountingError("stabilizer candidate set too large for this form")
+        cols.append(pts[sel].astype(float))
+    table = {(i, j): np.abs(cols[i] @ m @ cols[j].T - m[i, j]) <= tol
+             for j in range(d) for i in range(j)}
+
+    def extend(chosen, allowed):
+        """Completions of the columns chosen so far; allowed[n] masks the
+        candidates for column len(chosen) + n that fit them."""
+        j = len(chosen)
+        if j == d - 1:
+            last = cols[j][allowed[0]]
+            g = np.stack([np.broadcast_to(c, last.shape) for c in chosen] + [last], axis=-1)
+            return int(np.count_nonzero(np.round(np.linalg.det(g)) == 1))
+        return sum(extend(chosen + [cols[j][a]],
+                          [mask & table[j, k][a] for k, mask in enumerate(allowed[1:], j + 1)])
+                   for a in np.flatnonzero(allowed[0]))
+
+    count = extend([], [np.ones(len(c), dtype=bool) for c in cols])
+    alpha = constants(d).alpha
+    assert count % alpha == 0 and count >= alpha
+    return count // alpha
+
+
+A_2 = [[2, -1], [-1, 2]]
+A_3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+A_4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+D_4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+
+def superdiagonal_shear(gram, c):
+    """u^T M u for u = I + c (E_12 + E_23 + ...)."""
+    u = np.eye(len(gram), dtype=np.int64) + np.diag([c] * (len(gram) - 1), 1)
+    return (u.T @ np.asarray(gram, dtype=np.int64) @ u).tolist()
+
+
 class TestStabilizer:
     def test_identity_forms(self):
         assert stabilizer_order(QuadForm.identity(2)) == 2
@@ -42,10 +92,10 @@ class TestStabilizer:
         assert stabilizer_order(act(QuadForm.identity(2), g)) == 1
 
     @pytest.mark.parametrize("gram, order", [
-        ([[2, -1], [-1, 2]], 3),  # A_2, hexagonal
-        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 24),  # A_3, face-centred cubic
-        ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 60),  # A_4
-        ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 288),  # D_4
+        (A_2, 3),  # hexagonal
+        (A_3, 24),  # face-centred cubic
+        (A_4, 60),
+        (D_4, 288),
     ])
     def test_root_lattices(self, gram, order):
         # rotation subgroup of the automorphism group, modulo the center
@@ -58,6 +108,49 @@ class TestStabilizer:
     def test_rejects_large_dim(self):
         with pytest.raises(CountingError):
             stabilizer_order(QuadForm.identity(5))
+
+    def test_matches_reference(self):
+        # root lattices, identities, seeded random forms, GL_d(Z) images of
+        # the root lattices and superdiagonal shears of I_4 and D_4
+        grams = [A_2, A_3, A_4, D_4] + [np.eye(d).tolist() for d in (2, 3, 4)]
+        forms = [QuadForm.from_gram(g) for g in grams]
+        rng = np.random.default_rng(28)
+        for d in (2, 3, 4):
+            forms += [random_form(rng, d) for _ in range(50)]
+        for gram in (A_2, A_3, A_4, D_4, np.eye(4, dtype=int).tolist()):
+            for _ in range(3):
+                u = np.array(random_unimodular(rng, gram, 12))
+                forms.append(QuadForm.from_gram((u.T @ np.array(gram) @ u).tolist()))
+        expected = {}
+        for c, identity_order, d4_order in ((1, 96, 288), (4, 96, 288), (10, 96, 288)):
+            expected[len(forms)] = identity_order
+            forms.append(QuadForm.from_gram(superdiagonal_shear(np.eye(4, dtype=int), c)))
+            expected[len(forms)] = d4_order
+            forms.append(QuadForm.from_gram(superdiagonal_shear(D_4, c)))
+        for n, q in enumerate(forms):
+            order = stabilizer_order(q)
+            assert order == reference_stabilizer_order(q), q.gram
+            assert order == expected.get(n, order)
+
+    def test_level_bound_refuses_before_the_mask(self, monkeypatch):
+        # an image of I_4 whose first two basis vectors are orthogonal of norm 257:
+        # 2,064 candidates per column and 24,672 partial matrices on the first
+        # two, so the third column's mask would hold 24,672 x 2,064 entries,
+        # above STABILIZER_LEVEL_CAP; the reference still finds the order 96
+        basis = np.array([[1, 0, 0, 16], [0, 1, -16, 0], [16, 0, 1, 0], [0, 0, 0, 1]]).T
+        q = QuadForm.from_gram((basis.T @ basis).tolist())
+        assert 24_672 * 2_064 > orbits.STABILIZER_LEVEL_CAP
+        ones = np.ones
+
+        def guarded(shape, *args, **kwargs):
+            assert np.prod(shape) <= orbits.STABILIZER_LEVEL_CAP, f"array of shape {shape} built"
+            return ones(shape, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "ones", guarded)
+            with pytest.raises(CountingError, match="column 3 would pair 24672 partial matrices with 2064"):
+                stabilizer_order(q)
+        assert reference_stabilizer_order(q) == 96
 
 
 class TestDictionary:
