@@ -43,7 +43,7 @@ __all__ = [
 
 STABILIZER_CANDIDATE_CAP = 4096
 STABILIZER_TOL = 1e-7  # relative to the largest gram entry
-STABILIZER_LEVEL_CAP = STABILIZER_CANDIDATE_CAP ** 2  # a search mask's entries, as a pair table's
+STABILIZER_LEVEL_CAP = STABILIZER_CANDIDATE_CAP ** 2  # a search level's mask: one pair table at the cap
 
 
 @dataclass
