@@ -57,6 +57,7 @@ from .quadform import (
     GeometryError,
     GroupElement,
     HorocountError,
+    PIVOT_TOL,
     QuadForm,
     chi_d,
     constants,
@@ -640,7 +641,13 @@ def transported_quadrature_ratio(d: int, t: float, grid: int = 9) -> float:
     reproduced through the compose/decompose/shift code path rather than
     by the closed form.  A grid of over MAX_NODES nodes, and a t that is
     not finite or whose level shift leaves the float range, are refused
-    before any node is made.
+    before any node is made, and so is a t beyond the float limit of the
+    grid's shifted representatives M = a_{-t} B, B = diag(e^{a'}, 1)(I + N).
+    The pivots of M^T M are e^{2 a'_k - lambda t} (k < d - 1) and e^{mu t},
+    and quadform's Cholesky refuses one at or below PIVOT_TOL.  For t > 0
+    the decomposition also recovers each pivot k < d - 1 by cancellation
+    against entries up to n_max^2 e^{mu t}, so it keeps at most one correct
+    bit once 4 d u n_max^2 e^{(lambda + mu) t - 2 a_min} >= 1 (u = 2^-53).
     """
     if d < 2:
         raise GeometryError("dimension must be >= 2")
@@ -662,6 +669,18 @@ def transported_quadrature_ratio(d: int, t: float, grid: int = 9) -> float:
     axes = [np.linspace(-0.25, 0.25, grid)] * a_dim + [np.linspace(0.05, 0.3, grid)] * n_dim
     mesh = np.meshgrid(*axes, indexing="ij") if axes else []
     coords = np.stack([m.ravel() for m in mesh], axis=1) if axes else np.zeros((1, 0))
+    free, n_max = coords[:, :a_dim], float(coords[:, a_dim:].max())
+    a_min = float(np.minimum(free.min(axis=1, initial=np.inf), -free.sum(axis=1)).min())
+    lam, mu = rate_lambda(d), rate_mu(d)
+    pivot = math.log(PIVOT_TOL)  # the least log pivot quadform admits
+    if t > 0:
+        limit = min((2 * a_min - pivot) / lam,
+                    (-math.log(4 * d * 2.0 ** -53) - 2 * math.log(n_max) + 2 * a_min) / (lam + mu))
+    else:
+        limit = -pivot / mu
+    if abs(t) >= limit:
+        raise EquidistError(f"t = {t!r} at d = {d} is beyond |t| = {limit:.4g}, where grid {grid}'s "
+                            "shifted representatives lose their float precision")
 
     def one_level(shift: np.ndarray) -> float:
         # integrate the FIXED coordinate integrand (the value at the level-0
@@ -677,8 +696,8 @@ def transported_quadrature_ratio(d: int, t: float, grid: int = 9) -> float:
             moved = shift @ base.mat
             coord = iwasawa_decompose(GroupElement(d, moved))
             diag = np.empty(d)
-            diag[:-1] = np.exp(coord.aprime - 0.5 * rate_lambda(d) * coord.t)
-            diag[-1] = math.exp(0.5 * rate_mu(d) * coord.t)
+            diag[:-1] = np.exp(coord.aprime - 0.5 * lam * coord.t)
+            diag[-1] = math.exp(0.5 * mu * coord.t)
             dens = chi_d(GroupElement(d, np.diag(diag / diag.prod() ** (1.0 / d))))
             base_form = QuadForm.from_gram(base.mat.T @ base.mat)
             total += integrand(base_form) * dens

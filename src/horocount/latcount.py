@@ -39,6 +39,19 @@ A count sums the interval lengths; an enumeration expands the intervals.
 Each rule decides every point against its own bound, so the widened
 entries add nothing.
 
+Counts walk half the ellipsoid.  Q(-v) = Q(v), so _count walks only
+v_{d-1} >= 0 (the top level's centre is 0, and its range starts at 0)
+and weights each level-1 node 2 when its v_{d-1} is > 0 and 1 when it is
+0 (for d = 2, v_1 is the top coordinate, so per node), in the one-
+threshold pass and in the pair slices alike: N = 2 #{v_{d-1} > 0} +
+#{v_{d-1} = 0}.  The totals are bit for bit those of the full walk, in
+float mode too: IEEE round-to-nearest is symmetric under negation, so
+the centres, partial sums, float_power squares, ranges and level-0
+floor/ceil intervals of the node -v are exact negations or copies of
+those of v, and the exact rule is symmetric in b.  shell_table bins the
+half as well.  enumerate_points keeps the full walk and its depth-first
+order, on which fiber_integral's float sums depend.
+
 The primitive count is the Moebius sum N1(R) = sum_k mu(k) (N0(R/k) - 1),
 with mu the read-only int8 array of this module's sieve.  Every nonzero
 v has Q(v) >= min_i q_i, so its terms vanish before
@@ -246,10 +259,12 @@ def runs(sizes, limit):
         start = stop
 
 
-def _walk(fs, top: float):
+def _walk(fs, top: float, low=None):
     """The level-1 rows of the walks over Q(v) <= top of the forms fs, all
     of one dimension d, in the order of a depth-first walk of each form in
     turn, in blocks of at most BLOCK level-1 nodes (a row with more alone).
+    The top level's v_{d-1} starts at low (low=0: the half v_{d-1} >= 0),
+    or covers its whole range for None.
 
     Yields (owner, suffix, lo, hi, c1, c0, t) per block, an entry per row:
     its form's index in fs, its suffix (v_2, ..., v_{d-1}) as a (rows,
@@ -262,7 +277,7 @@ def _walk(fs, top: float):
     d = fs[0].dim
     q, m = np.array([f.q for f in fs]), np.array([f.m for f in fs])
 
-    def level(i, owner, suffix, cent, t):
+    def level(i, owner, suffix, cent, t, low=None):
         # the nodes of level i that the bound admits, with their v_i ranges
         rem = (top - t) / q[owner, i]
         keep = rem >= 0.0
@@ -272,10 +287,12 @@ def _walk(fs, top: float):
         c = cent[:, i]
         lo = np.ceil(-c - rad).astype(np.int64) - _PAD
         hi = np.floor(-c + rad).astype(np.int64) + _PAD
+        if low is not None:
+            lo = np.maximum(lo, low)
         return i, owner, suffix, cent, t, lo, hi, runs(hi - lo + 1, BLOCK)
 
     n = len(fs)
-    stack = [level(d - 1, np.arange(n), np.empty((n, 0), dtype=np.int64), np.zeros((n, d)), np.zeros(n))]
+    stack = [level(d - 1, np.arange(n), np.empty((n, 0), dtype=np.int64), np.zeros((n, d)), np.zeros(n), low)]
     while stack:
         i, owner, suffix, cent, t, lo, hi, slices = stack[-1]
         now = next(slices, None)
@@ -294,12 +311,13 @@ def _walk(fs, top: float):
                            t[par] + q[own, i] * np.float_power(v + cent[par, i], 2)))
 
 
-def _blocks(rule):
-    """Per block of _walk over the rule's forms: (suffix, n, v1, owner,
-    key, aux), the block's suffixes, the node count of each row, v_1 per
-    node (in the dtype of the rule's bounds), the index of each node's form
-    (None for a one-form rule) and the rule's two arrays per node."""
-    for rows in _walk(rule.fs, rule.top):
+def _blocks(rule, low=None):
+    """Per block of _walk over the rule's forms, from v_{d-1} = low on:
+    (suffix, n, v1, owner, key, aux), the block's suffixes, the node count
+    of each row, v_1 per node (in the dtype of the rule's bounds), the
+    index of each node's form (None for a one-form rule) and the rule's two
+    arrays per node."""
+    for rows in _walk(rule.fs, rule.top, low):
         owner, suffix, lo, hi = rows[:4]
         at, v1 = ragged(lo, hi)
         owner = None if len(rule.fs) == 1 else owner[at]
@@ -408,8 +426,11 @@ def _count(rule, sizes=None) -> np.ndarray:
         sizes = np.array(sizes)
         starts = np.cumsum(sizes) - sizes
     totals = np.zeros((len(bounds), m if len(rule.fs) == 1 else int(sizes.sum())), dtype=np.int64)
-    for _, _, _, owner, key, aux in _blocks(rule):
-        n = rule.level0(bounds[:, :1], key, aux, owner)[1]
+    for suffix, n1, v1, owner, key, aux in _blocks(rule, 0):
+        # the walk covers v_{d-1} >= 0, and -v counts as v: weight 2 where v_{d-1} > 0
+        top = v1 if suffix.shape[1] == 0 else suffix[:, -1].repeat(n1)
+        weight = np.where(top > 0, 2, 1).astype(bounds.dtype)
+        n = rule.level0(bounds[:, :1], key, aux, owner)[1] * weight
         if owner is None:
             totals[:, 0] += n.sum(axis=1).astype(np.int64)
         else:  # the owners of a block are consecutive
@@ -433,7 +454,8 @@ def _count(rule, sizes=None) -> np.ndarray:
             own = None if owner is None else owner[nodes].repeat(r)
             # take returns a C-ordered array, bounds[:, k] does not; the
             # leaf's ufuncs run markedly faster on the former
-            n = rule.level0(bounds.take(k, axis=1), key[nodes].repeat(r), aux[nodes].repeat(r), own)[1]
+            n = rule.level0(bounds.take(k, axis=1), key[nodes].repeat(r), aux[nodes].repeat(r),
+                            own)[1] * weight[nodes].repeat(r)
             if own is None:
                 for row in range(len(n)):
                     totals[row] += np.bincount(k, weights=n[row], minlength=m).astype(np.int64)
@@ -446,11 +468,11 @@ def _count(rule, sizes=None) -> np.ndarray:
     return totals
 
 
-def _enumerate(rule, bound):
+def _enumerate(rule, bound, low=None):
     """Points (reduced coordinates, int64) with Q(v) <= bound, the rule's
-    one threshold, and their values."""
+    one threshold, and v_{d-1} >= low (all for None), and their values."""
     pts, vals = [], []
-    for suffix, n1, v1, _, key, aux in _blocks(rule):
+    for suffix, n1, v1, _, key, aux in _blocks(rule, low):
         lo, n = (x[0] for x in rule.level0(rule.bounds, key, aux))
         n = n.astype(np.int64)
         v0 = (lo - (np.cumsum(n) - n)).repeat(n) + np.arange(n.sum())
@@ -470,12 +492,19 @@ def enumerate_points(form: QuadForm, bound: float, mode: str = "auto"):
     """
     if bound < 0:
         return np.empty((0, form.dim), dtype=np.int64), np.empty(0)
+    u, pts, vals = _reduced_points(form, bound, mode)
+    return pts @ np.array(u, dtype=np.int64).T, vals
+
+
+def _reduced_points(form: QuadForm, bound: float, mode: str, low=None):
+    """(u, points, values): _enumerate of the form at bound >= 0 from
+    v_{d-1} = low on, in the reduced coordinates w (v = u w), refused
+    before the walk when its box exceeds POINT_CAP."""
     f = _factor(form, mode)
     _check_budget([f], math.sqrt(bound), POINT_CAP)
     bound = float(bound) if f.mint is None else math.floor(bound)
     rule = _FloatRule([f], [bound]) if f.mint is None else _ExactRule(f, [bound])
-    pts, vals = _enumerate(rule, bound)
-    return pts @ np.array(f.u, dtype=np.int64).T, vals
+    return f.u, *_enumerate(rule, bound, low)
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +706,16 @@ def n0_series(spec: EllipsoidSpec) -> np.ndarray:
 
 def shell_table(form: QuadForm, top: float):
     """(r0, r1): full and primitive counts at the integer levels 0 .. top
-    (top >= 0) as int64 arrays, binned from one exact enumeration."""
-    pts, vals = enumerate_points(form, top, mode="exact")
+    (top >= 0) as int64 arrays, binned from one exact enumeration of the
+    half v_{d-1} >= 0 in reduced coordinates, where a point with
+    v_{d-1} > 0 also stands for -v.  The gcd of a point's coordinates
+    does not change under the reduction, so no point is mapped back."""
+    _, pts, vals = _reduced_points(form, top, "exact", low=0)
     prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
+    pair = pts[:, -1] > 0
     n = math.floor(top) + 1
-    return np.bincount(vals, minlength=n), np.bincount(vals[prim], minlength=n)
+    return (np.bincount(vals, minlength=n) + np.bincount(vals[pair], minlength=n),
+            np.bincount(vals[prim], minlength=n) + np.bincount(vals[prim & pair], minlength=n))
 
 
 def error_terms(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:

@@ -44,6 +44,8 @@ __all__ = [
 STABILIZER_CANDIDATE_CAP = 4096
 STABILIZER_TOL = 1e-7  # relative to the largest gram entry
 STABILIZER_LEVEL_CAP = STABILIZER_CANDIDATE_CAP ** 2  # a search level's mask: one pair table at the cap
+TABLE_ROWS = 256  # rows per block of a pair table: a block's float64 products take 8 * 256 bytes per
+# column, no more than the table's own bools once it has 2,048 rows
 
 
 @dataclass
@@ -85,10 +87,11 @@ def stabilizer_order(q: QuadForm) -> int:
 
     Counts integer matrices g of determinant one with g^T M g = M.  Column
     j of g is a lattice vector v with Q(v) = M_jj, picked from one
-    enumeration up to max_j M_jj; one table per column pair i < j marks the
-    candidate pairs with inner product M_ij.  The search extends every
-    partial g by one column at a time, keeping the candidates in the AND of
-    the table rows picked for the columns before it; a level of more than
+    enumeration up to max_j M_jj; one table per column pair i < j, built
+    TABLE_ROWS rows at a time, marks the candidate pairs with inner product
+    M_ij.  The search extends every partial g by one column at a time,
+    keeping the candidates in the AND of the table rows picked for the
+    columns before it; a level of more than
     STABILIZER_LEVEL_CAP (partial g, candidate) pairs raises CountingError
     before its mask is built.  The count of complete g of det 1 is divided
     by the center (+-identity for even d).
@@ -103,8 +106,14 @@ def stabilizer_order(q: QuadForm) -> int:
     cols = [pts[np.abs(vals - float(m[j, j])) <= tol].astype(float) for j in range(d)]
     if max(map(len, cols)) > STABILIZER_CANDIDATE_CAP:
         raise CountingError("stabilizer candidate set too large for this form")
-    table = {(i, j): np.abs(cols[i] @ m @ cols[j].T - m[i, j]) <= tol
-             for j in range(d) for i in range(j)}
+    table = {}
+    for j in range(d):
+        for i in range(j):
+            left, table[i, j] = cols[i] @ m, np.empty((len(cols[i]), len(cols[j])), dtype=bool)
+            for r in range(0, len(left), TABLE_ROWS):
+                block = left[r:r + TABLE_ROWS] @ cols[j].T
+                block -= m[i, j]
+                np.less_equal(np.abs(block, out=block), tol, out=table[i, j][r:r + TABLE_ROWS])
     idx = np.zeros((1, 0), dtype=np.intp)  # row r: candidate index of each column of g_r
     for j in range(d):
         if len(idx) * len(cols[j]) > STABILIZER_LEVEL_CAP:

@@ -622,6 +622,29 @@ class TestVolumeScaling:
                 with pytest.raises(EquidistError, match="level shift in the float range"):
                     transported_quadrature_ratio(d, t, grid=3)
 
+    def test_t_beyond_float_limit_refused_before_any_node(self, monkeypatch):
+        # past t of about 27 (d = 2) or 30 (d = 3) a node's shifted gram lost its
+        # positive definiteness in floats (GeometryError); below t of about -39
+        # (d = 2) its last Cholesky pivot fell under quadform.PIVOT_TOL
+        calls = []
+        monkeypatch.setattr(equidist, "iwasawa_compose", lambda *a: calls.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, t in ((2, 29.0), (2, 50.0), (2, 500.0), (3, 31.0), (3, 50.0), (3, 500.0),
+                         (2, -40.0), (2, -500.0), (3, -35.0)):
+                with pytest.raises(EquidistError, match="lose their float precision"):
+                    transported_quadrature_ratio(d, t, grid=3)
+        assert calls == []
+
+    def test_t_below_float_limit_admitted(self):
+        # near the limit at t > 0 the pivots keep few bits (the ratio is 0.55% off at
+        # t = 26, d = 2), but every admitted t ends without a warning or an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, t, rel in ((2, 26.0, 1e-2), (2, -39.0, 1e-12), (3, 29.0, 1e-2), (3, -33.0, 1e-12)):
+                ratio = transported_quadrature_ratio(d, t, grid=3)
+                assert ratio == pytest.approx(math.exp(0.5 * t * math.sqrt((d - 1) * d)), rel=rel)
+
     def test_d2(self):
         for t in (1.0, 3.0):
             ratio = transported_quadrature_ratio(2, t, grid=7)

@@ -686,6 +686,20 @@ class TestShells:
         assert r0.tolist() == [int((vals == x).sum()) for x in levels]
         assert r1.tolist() == [int(((vals == x) & prim).sum()) for x in levels]
 
+    @pytest.mark.parametrize("d, top", [(2, 5000), (3, 300), (4, 60)])
+    def test_matches_full_enumeration_bincount(self, d, top):
+        # shell_table bins the half v_{d-1} >= 0 of the reduced walk; its tables
+        # equal the bincounts of the full enumeration in original coordinates
+        eye = np.eye(d, dtype=int)
+        gamma = (eye + 2 * np.eye(d, k=1, dtype=int)) @ (eye - np.eye(d, k=-1, dtype=int))
+        for form in (QuadForm.identity(d), int_form(d, gamma.tolist())):
+            pts, vals = enumerate_points(form, top, mode="exact")
+            prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
+            r0, r1 = shell_table(form, top)
+            assert r0.dtype == r1.dtype == np.int64
+            assert np.array_equal(r0, np.bincount(vals, minlength=top + 1))
+            assert np.array_equal(r1, np.bincount(vals[prim], minlength=top + 1))
+
 
 class TestErrorTerms:
     def test_example_values(self):
@@ -794,6 +808,101 @@ class TestArrayWalk:
             assert self.walk(fs, top) == self.reference(fs, top)
 
 
+def reference_count(rule):
+    """Reference for latcount._count on a one-form rule: the rule's level-0
+    counts summed over every node of the full walk (reference_walk, both
+    signs of v_{d-1}) at every bound, as int64 totals per band edge and
+    threshold."""
+    f = rule.fs[0]
+    rows = list(reference_walk(f, rule.top))
+    suffix, lo, hi, c1, c0, t = (np.array(col) for col in zip(*rows))
+    cols = (None, suffix.astype(np.int64).reshape(len(rows), f.dim - 2), lo, hi, c1, c0, t)
+    at, v1 = latcount.ragged(lo, hi)
+    key, aux = rule.nodes(cols, at, v1.astype(rule.bounds.dtype), None)
+    totals = np.zeros(rule.bounds.shape, dtype=np.int64)
+    for j, k in np.ndindex(rule.bounds.shape):
+        totals[j, k] = int(rule.level0(rule.bounds[j, k], key, aux)[1].sum())
+    return totals
+
+
+def float_rule(fs, xs):
+    """The float rule of latcount._n0_bands at the thresholds xs."""
+    tol = [latcount._float_tolerance(x, fs[0].dim) for x in xs]
+    return latcount._FloatRule(fs, [x + e for x, e in zip(xs, tol)], [x - e for x, e in zip(xs, tol)])
+
+
+class TestHalfWalk:
+    """_count walks only v_{d-1} >= 0 and weights each node by the +-v
+    symmetry; its totals equal the full walk's sum bit for bit, in float
+    mode too, since round-to-nearest is symmetric under negation."""
+
+    @staticmethod
+    def forms(d):
+        gamma = (np.eye(d, dtype=int) + 3 * np.eye(d, k=1, dtype=int) + np.eye(d, k=2, dtype=int)).tolist()
+        return (QuadForm.identity(d), int_form(d, gamma),
+                QuadForm.from_gram(np.diag([1e-8] + [1e8 ** (1 / (d - 1))] * (d - 1))))
+
+    @pytest.mark.parametrize("d, radius", [(2, 23.0), (3, 9.0), (4, 5.0), (5, 3.0)])
+    def test_totals_match_full_walk(self, d, radius):
+        ks = range(1, math.floor(radius) + 3)
+        ambiguous = 0
+        for form in self.forms(d):
+            for mode in ("exact", "float") if form.mint is not None else ("float",):
+                f = latcount._factor(form, mode)
+                # float thresholds (R/k)^2 at integer R^2, where the identity has
+                # boundary points; exact thresholds floor(R^2) // k^2
+                xs = latcount._thresholds(f, radius, ks)
+                rule = float_rule([f], xs) if mode == "float" else latcount._ExactRule(f, xs)
+                got = latcount._count(rule)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, reference_count(rule))
+                ambiguous += int((got[0] - got[-1]).sum())
+        assert ambiguous > 0
+
+    def test_float_batch_matches_full_walk_per_form(self):
+        rng = np.random.default_rng(71)
+        for d, radii in ((2, (6.0, 9.5, 13.0)), (3, (3.0, 4.5, 6.0)), (4, (2.0, 3.0, 3.5))):
+            forms = [random_form(rng, d, 0.5) for _ in range(22)]
+            forms.insert(5, QuadForm.from_gram(np.diag([1e-8] + [1e8 ** (1 / (d - 1))] * (d - 1))))
+            fs = latcount._factors(forms, "float")
+            for radius in radii:
+                xs = [(radius / k) ** 2 for k in range(1, 9)]
+                sizes = rng.integers(1, len(xs) + 1, size=len(fs))
+                got = latcount._count(float_rule(fs, xs), sizes)
+                starts = np.cumsum(sizes) - sizes
+                for f, start, size in zip(fs, starts, sizes):
+                    want = reference_count(float_rule([f], xs[:size]))
+                    assert np.array_equal(got[:, start:start + size], want)
+
+    def test_sheared_images_count_as_their_source(self):
+        # GL_d(Z) images: the exact counts equal the identity's, each from its half walk
+        rng = np.random.default_rng(72)
+        for d, radius in ((2, 31.0), (3, 8.5), (4, 4.5), (5, 3.2)):
+            want = count_full(EllipsoidSpec(QuadForm.identity(d), radius), "exact").n0
+            eye = np.eye(d, dtype=int).tolist()
+            for _ in range(3):
+                image = QuadForm.from_gram(transformed(random_unimodular(rng, eye, 10 ** 6), eye))
+                f = latcount._factor(image, "exact")
+                rule = latcount._ExactRule(f, latcount._thresholds(f, radius, [1]))
+                assert latcount._count(rule)[0, 0] == reference_count(rule)[0, 0] == want
+
+    def test_count_walks_only_the_half(self, monkeypatch):
+        tops = []
+        walk = latcount._walk
+
+        def recorded(fs, top, low=None):
+            for rows in walk(fs, top, low):
+                suffix, lo = rows[1], rows[2]
+                tops.append((suffix[:, -1] if suffix.shape[1] else lo).min())
+                yield rows
+
+        monkeypatch.setattr(latcount, "_walk", recorded)
+        for d in (2, 3, 4):
+            count_full(EllipsoidSpec(QuadForm.identity(d), 4.0), "float")
+            count_primitive_moebius(EllipsoidSpec(QuadForm.identity(d), 4.0), "exact")
+        assert tops and min(tops) == 0
+
+
 class TestReferenceExponent:
     def test_rejects_small(self):
         # the published counting exponent is read from quadform.Constants,
@@ -861,6 +970,28 @@ class TestEnumerate:
             _, width = rule.level0(rule.bounds, key, np.full(len(discs), b, dtype=np.int64))
             want = [(math.isqrt(x) - b) + (math.isqrt(x) + b) + 1 for x in discs]
             assert width[0].tolist() == want
+
+    @pytest.mark.parametrize("d, radius", [(2, 30), (3, 9), (4, 5)])
+    def test_points_in_full_depth_first_order(self, d, radius):
+        # enumerate_points keeps the full walk: both signs of v_{d-1}, each point
+        # once, in the depth-first order of the reduced coordinates w (v = u w),
+        # lexicographic in (w_{d-1}, ..., w_0); fiber_integral's float sums
+        # depend on that order
+        gamma = (np.eye(d, dtype=int) + 3 * np.eye(d, k=1, dtype=int) + np.eye(d, k=2, dtype=int)).tolist()
+        for form in (QuadForm.identity(d), int_form(d, gamma)):
+            gram = np.array(form.mint, dtype=np.int64)
+            for mode in ("exact", "float"):
+                pts, vals = enumerate_points(form, radius ** 2, mode=mode)
+                u = np.array(latcount._factor(form, mode).u, dtype=float)
+                w = np.rint(pts @ np.linalg.inv(u).T).astype(np.int64)
+                assert np.array_equal(np.lexsort(w.T), np.arange(len(w)))
+                assert len(pts) == count_full(EllipsoidSpec(form, radius), "exact").n0
+                assert np.array_equal(pts[np.lexsort(pts.T)], -pts[np.lexsort(-pts.T)])
+                exact = ((pts @ gram) * pts).sum(axis=1)
+                if mode == "exact":
+                    assert np.array_equal(vals, exact)
+                else:
+                    assert np.allclose(vals, exact, rtol=0, atol=1e-9 * radius ** 2)
 
     def test_exact_values_are_integers(self):
         pts, vals = enumerate_points(QuadForm.identity(2), 25, mode="exact")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from horocount import latcount, moebius
+from horocount import latcount
 from horocount.latcount import CountingError, EllipsoidSpec, shell_table
 from horocount.moebius import (
     error_relation_check,
@@ -116,17 +116,17 @@ class TestInversion:
         assert r1[1] == r0[1] == 4
 
     def test_reports_first_violation(self, monkeypatch):
-        # drop (-1, 0) from the enumeration: level 1 stays consistent
-        # (r0 = r1 = 3), level 4 gets r0 = 4 against r1(4) + r1(1) = 3
-        real = latcount.enumerate_points
+        # drop (-1, 0) from the half enumeration that shell_table bins (I_2 is
+        # reduced, so u = I): level 1 stays consistent (r0 = r1 = 3), level 4
+        # gets r0 = 4 against r1(4) + r1(1) = 3
+        real = latcount._reduced_points
 
-        def dropped(form, bound, mode="auto"):
-            pts, vals = real(form, bound, mode)
+        def dropped(form, bound, mode, low=None):
+            u, pts, vals = real(form, bound, mode, low)
             keep = ~((pts[:, 0] == -1) & (pts[:, 1] == 0))
-            return pts[keep], vals[keep]
+            return u, pts[keep], vals[keep]
 
-        monkeypatch.setattr(latcount, "enumerate_points", dropped)
-        monkeypatch.setattr(moebius, "enumerate_points", dropped, raising=False)
+        monkeypatch.setattr(latcount, "_reduced_points", dropped)
         rep = verify_inversion(EllipsoidSpec(QuadForm.identity(2), 5.0))
         assert not rep.ok and rep.levels_checked == 4
         assert rep.first_violation == {"level": 4, "identity": "r0_from_r1", "lhs": 4, "rhs": 3}

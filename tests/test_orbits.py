@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,28 @@ class TestStabilizer:
             with pytest.raises(CountingError, match="column 3 would pair 24672 partial matrices with 2064"):
                 stabilizer_order(q)
         assert reference_stabilizer_order(q) == 96
+
+
+    def test_pair_tables_built_by_row_blocks(self):
+        # the same refused image of I_4: three 2,064 x 2,064 pair tables.  Built
+        # TABLE_ROWS rows at a time, the float64 products never outgrow two row
+        # blocks, so the peak stays near the enumeration's points plus the kept
+        # tables (whole-table float64 products peaked near 86 MB traced)
+        basis = np.array([[1, 0, 0, 16], [0, 1, -16, 0], [16, 0, 1, 0], [0, 0, 0, 1]]).T
+        q = QuadForm.from_gram((basis.T @ basis).tolist())
+        tracemalloc.start()
+        try:
+            pts, vals = enumerate_points(q, 257.0 * (1 + orbits.STABILIZER_TOL), mode="float")
+            enum_peak, kept = tracemalloc.get_traced_memory()[1], pts.nbytes + vals.nbytes
+            del pts, vals
+            tracemalloc.reset_peak()
+            with pytest.raises(CountingError, match="column 3"):
+                stabilizer_order(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables, block = 3 * 2_064 ** 2, 8 * orbits.TABLE_ROWS * 2_064
+        assert peak <= max(enum_peak, kept + tables + 2 * block) + 2 ** 21
 
 
 class TestDictionary:
