@@ -558,10 +558,13 @@ def check_thm12_bound(series, f_norm: float, grad_bound: float) -> dict:
 def estimate_f_norm(h: RadialProfile, n: int, seed: int):
     """Monte Carlo estimate of sqrt of the space average of f^2 over n
     samples of the exact d = 2 sampler.  Returns (norm, standard error of
-    the squared mean)."""
-    rng = np.random.default_rng(seed)
-    samples = sample_exact_d2(rng, n)
-    forms = QuadForm.from_grams([s.basis.mat.T @ s.basis.mat for s in samples])
+    the squared mean).  An n that is not an integer >= 2, or a negative
+    seed, is refused before any sample is drawn."""
+    if not (isinstance(n, (int, np.integer)) and n >= 2 and seed >= 0):
+        raise EquidistError(f"need an integer n >= 2 and a seed >= 0, got {n!r} and {seed!r}")
+    b = np.array([s.basis.mat for s in sample_exact_d2(np.random.default_rng(seed), n)])
+    # the stacked product equals each basis's own b.T @ b bit for bit
+    forms = QuadForm.from_grams(b.transpose(0, 2, 1) @ b)
     sq = np.array([eval_test_function(form, h) ** 2 for form in forms])
     mean = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / math.sqrt(n))

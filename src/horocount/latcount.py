@@ -16,11 +16,12 @@ Two modes:
 
 Counts do not change under GL_d(Z), so every count and enumeration first
 LLL-reduces the gram (quadform.lll_reduce, in Python ints from mint when
-the form has one, in either mode) and walks (Fincke-Pohst) in the reduced
-coordinates w, v = u w, which keeps the tree small and the float Cholesky
-well conditioned for very eccentric forms.  The Cholesky factor R of the
-reduced gram writes Q(u w) as a sum of q_i (w_i + c_i)^2, where the
-centre c_i depends only on the coordinates above i.  _walk expands levels
+the form has one, in either mode; a batch skips the call for each float
+gram that quadform.lll_unchanged proves reduced) and walks (Fincke-Pohst)
+in the reduced coordinates w, v = u w, which keeps the tree small and the
+float Cholesky well conditioned for very eccentric forms.  The Cholesky
+factor R of the reduced gram writes Q(u w) as a sum of q_i (w_i + c_i)^2,
+where the centre c_i depends only on the coordinates above i.  _walk expands levels
 d-1 ... 2 as numpy arrays, a level's nodes as columns, only as many at a
 time as have BLOCK children between them, and yields the level-1 rows
 (suffix, range of v_1 widened by _PAD, centres, partial sum) in the
@@ -84,7 +85,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadform import HorocountError, QuadForm, constants, lll_reduce
+from .quadform import HorocountError, QuadForm, constants, lll_reduce, lll_unchanged
 
 __all__ = [
     "CountingError",
@@ -190,16 +191,29 @@ def _factors(forms, mode: str) -> list[_Factor]:
     """The _Factor of each of the forms, all of one dimension: each is
     LLL-reduced in turn, and their reduced grams are factored by one
     stacked Cholesky.  Each reduced gram goes into the float stack at
-    once, so a batch keeps no Python lists of its float reduced grams."""
+    once, so a batch keeps no Python lists of its float reduced grams.
+
+    In a batch of two or more forms, the float grams (no mint) go through
+    quadform.lll_unchanged in one call first: a gram it marks is one that
+    lll_reduce returns as it is, so it takes u = I and its own gram without
+    the call.  A one-form call costs less through lll_reduce alone."""
     d = forms[0].dim
+    exact = [_resolve_mode(form, mode) == "exact" for form in forms]
     grams = np.empty((len(forms), d, d))
-    us, mints = [], []
+    us, mints = [None] * len(forms), [None] * len(forms)
+    floats = [i for i, form in enumerate(forms) if form.mint is None]
+    if len(forms) > 1 and floats:
+        grams[floats] = [forms[i].gram for i in floats]
+        eye = [[int(a == b) for b in range(d)] for a in range(d)]
+        for i, same in zip(floats, lll_unchanged(grams[floats]).tolist()):
+            if same:
+                us[i] = [row[:] for row in eye]
     for i, form in enumerate(forms):
-        used = _resolve_mode(form, mode)
-        u, reduced = lll_reduce(form.gram if form.mint is None else form.mint)
-        grams[i] = reduced
-        us.append(u)
-        mints.append(reduced if used == "exact" else None)
+        if us[i] is None:
+            us[i], reduced = lll_reduce(form.gram if form.mint is None else form.mint)
+            grams[i] = reduced
+            if exact[i]:
+                mints[i] = reduced
     try:
         low = np.linalg.cholesky(grams)
     except np.linalg.LinAlgError as exc:

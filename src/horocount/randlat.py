@@ -5,7 +5,9 @@ Two samplers:
   * sample_exact_d2 draws z = x + iy from the standard fundamental domain
     {|x| <= 1/2, |z| >= 1} with density proportional to 1/y^2 (exact, via
     inverse-CDF in y on the enclosing strip plus rejection on |z| >= 1)
-    and returns the unimodular basis (1/sqrt(y)) * ((1, x), (0, y)).
+    and returns the unimodular basis (1/sqrt(y)) * ((1, x), (0, y)).  The
+    bases are made as one (n, 2, 2) array, batch of draws by batch, and
+    sample_exact_d2 wraps each in a LatticeSample.
   * sample_walk runs a left random walk g <- exp(xi) g with Gaussian
     trace-zero increments of scale WALK_SIGMA.  Its stationary law on the
     quotient by the integer group is the invariant probability measure, so
@@ -26,10 +28,15 @@ The discrepancy observable counts primitive lattice points in a ball and
 compares with the volume main term; mean_square_check Monte Carlos its
 second moment against the inequality bound factor zeta(d)/vol(B), the
 factor Constants.second_moment_factor (4 for d = 2, 2 for d >= 3).  It
-draws its samples once for all the radii it is given, builds their forms
-with one QuadForm.from_grams call on the stack of grams, and counts every
-sample at every radius in one latcount.count_primitive_many call, which
-reduces and factors each sample once.
+works on stacks: it draws its samples once for all the radii it is
+given, as one array of bases, forms every gram with one stacked product
+b^T b, builds the forms with one QuadForm.from_grams call, counts every
+sample at every radius in one latcount.count_primitive_many call, and
+takes the squared discrepancies of each radius as one array.  The count
+reduces and factors each sample once, and skips the LLL call for every
+gram that quadform.lll_unchanged proves reduced: every exact d = 2
+sample, which is Gauss-reduced, and in every run measured every walk
+sample too, as the walk reduces its basis at each step.
 """
 
 from __future__ import annotations
@@ -57,8 +64,9 @@ Y_MIN = math.sqrt(3.0) / 2.0
 FUNDAMENTAL_AREA = math.pi / 3.0  # hyperbolic area of {|x|<=1/2, |z|>=1}
 WALK_CHUNK = 64  # walk steps whose increments are drawn and exponentiated in one call
 WALK_SIGMA = 0.5  # scale of the walk's Gaussian trace-zero increments
-MAX_SAMPLES = 400_000  # mean_square_check holds about 2.1 KB per d = 2 sample and 2.5 KB
-# per d = 3 walk sample (tracemalloc), so an admitted check stays near 1 GB
+MAX_SAMPLES = 400_000  # mean_square_check at R = 5 holds about 1.8 KB per d = 2 sample and
+# 2.1 KB per d = 3 walk sample, 2.7 KB per d = 2 sample at R = 20 (tracemalloc), so an
+# admitted check stays near 1 GB
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,24 +88,30 @@ class MeanSquareReport:
     bound_e1sq: float = 0.0
 
 
-def sample_exact_d2(rng: np.random.Generator, n: int) -> list[LatticeSample]:
-    """n exact samples from the normalized hyperbolic measure on the
-    modular fundamental domain, returned as unimodular bases."""
-    if n < 1:
-        raise CountingError("need at least one sample")
-    out = []
-    while len(out) < n:
-        m = max(n - len(out), 16)
+def _exact_bases(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The bases of n exact d = 2 samples as one (n, 2, 2) array: each
+    batch of draws is made, kept and turned into bases as arrays."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise CountingError(f"need an integer number of samples >= 1, got {n!r}")
+    out = np.zeros((n, 2, 2))
+    have = 0
+    while have < n:
+        m = max(n - have, 16)
         x = rng.uniform(-0.5, 0.5, size=m)
         y = Y_MIN / (1.0 - rng.random(size=m))
         keep = x * x + y * y >= 1.0
-        for xi, yi in zip(x[keep], y[keep]):
-            if len(out) >= n:
-                break
-            s = 1.0 / math.sqrt(yi)
-            basis = GroupElement(2, np.array([[s, s * xi], [0.0, s * yi]]))
-            out.append(LatticeSample(basis=basis))
+        x, y = x[keep][:n - have], y[keep][:n - have]
+        s = 1.0 / np.sqrt(y)
+        batch = out[have:have + len(s)]
+        batch[:, 0, 0], batch[:, 0, 1], batch[:, 1, 1] = s, s * x, s * y
+        have += len(s)
     return out
+
+
+def sample_exact_d2(rng: np.random.Generator, n: int) -> list[LatticeSample]:
+    """n exact samples from the normalized hyperbolic measure on the
+    modular fundamental domain, returned as unimodular bases."""
+    return [LatticeSample(basis=GroupElement(2, b)) for b in _exact_bases(rng, n)]
 
 
 def sample_walk(rng: np.random.Generator, d: int, burn_in: int = 200, thin: int = 10,
@@ -131,10 +145,11 @@ def sample_walk(rng: np.random.Generator, d: int, burn_in: int = 200, thin: int 
     return out
 
 
-def _discrepancy(n1: int, d: int, radius: float) -> float:
+def _discrepancy(n1, d: int, radius: float):
+    """|zeta(d) n1 / vol(B_R) - 1| of one count or of an array of counts."""
     cst = constants(d)
     vol = cst.omega * radius ** d
-    return abs(cst.zeta * n1 / vol - 1.0)
+    return np.abs(cst.zeta * n1 / vol - 1.0)
 
 
 def discrepancy(sample: LatticeSample, radius: float) -> float:
@@ -142,11 +157,13 @@ def discrepancy(sample: LatticeSample, radius: float) -> float:
     g = sample.basis.mat
     form = QuadForm.from_gram(g.T @ g)
     res = count_primitive_moebius(EllipsoidSpec(form, radius))
-    return _discrepancy(res.n1, sample.basis.dim, radius)
+    return float(_discrepancy(res.n1, sample.basis.dim, radius))
 
 
 def _report(d: int, radius: float, counts) -> MeanSquareReport:
-    dsq = np.array([_discrepancy(res.n1, d, radius) ** 2 for res in counts])
+    n1 = np.array([res.n1 for res in counts], dtype=float)
+    # float_power is C pow, as Python's ** 2 on each discrepancy
+    dsq = np.float_power(_discrepancy(n1, d, radius), 2)
     mean = float(np.mean(dsq))
     cst = constants(d)
     vol = cst.omega * radius ** d
@@ -186,12 +203,14 @@ def mean_square_check(d: int, radius: float | Sequence[float], n_samples: int,
     if sampler == "exact":
         if d != 2:
             raise CountingError("the exact sampler is only available for d = 2")
-        samples = sample_exact_d2(rng, n_samples)
+        bases = _exact_bases(rng, n_samples)
     elif sampler == "walk":
-        samples = sample_walk(rng, d, burn_in=burn_in, thin=thin, n=n_samples)
+        bases = np.array([s.basis.mat for s in sample_walk(rng, d, burn_in=burn_in, thin=thin,
+                                                           n=n_samples)])
     else:
         raise CountingError(f"unknown sampler {sampler!r}")
-    forms = QuadForm.from_grams([s.basis.mat.T @ s.basis.mat for s in samples])
+    # the stacked product equals each basis's own b.T @ b bit for bit
+    forms = QuadForm.from_grams(bases.transpose(0, 2, 1) @ bases)
     counts = count_primitive_many(forms, radii)
     reports = [_report(d, r, res) for r, res in zip(radii, counts)]
     return reports[0] if np.ndim(radius) == 0 else reports

@@ -578,6 +578,18 @@ class TestThm12Bound:
         with pytest.raises(EquidistError):
             check_thm12_bound([], None, 1.0)
 
+    def test_norm_estimate_refuses_bad_samples_and_seeds(self, monkeypatch):
+        # one sample has no standard error, 2.5 samples are not a count and
+        # a negative seed has no generator: each is refused before any draw
+        calls = []
+        monkeypatch.setattr(equidist, "sample_exact_d2", lambda *a, **k: calls.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, seed in ((1, 0), (0, 0), (2.5, 0), (2.0, 0), (10, -1)):
+                with pytest.raises(EquidistError, match="integer n >= 2 and a seed >= 0"):
+                    estimate_f_norm(bump_profile(1.0), n, seed)
+        assert calls == []
+
 
 class TestEnumerationBudget:
     def test_oversized_support_rejected(self):

@@ -43,6 +43,23 @@ def step_by_step_walk(rng, d, burn_in=200, thin=10, n=100):
     return out
 
 
+def per_sample_exact_d2(rng, n):
+    """Reference for the exact sampler's bases: one sample at a time from
+    each batch of draws, each basis built from Python floats."""
+    out = []
+    while len(out) < n:
+        m = max(n - len(out), 16)
+        x = rng.uniform(-0.5, 0.5, size=m)
+        y = Y_MIN / (1.0 - rng.random(size=m))
+        keep = x * x + y * y >= 1.0
+        for xi, yi in zip(x[keep], y[keep]):
+            if len(out) >= n:
+                break
+            s = 1.0 / math.sqrt(yi)
+            out.append(np.array([[s, s * xi], [0.0, s * yi]]))
+    return out
+
+
 def fundamental_domain_im_cdf(y: float) -> float:
     """CDF of Im z under the normalized hyperbolic measure on the domain.
 
@@ -81,6 +98,36 @@ class TestExactSampler:
         rng = np.random.default_rng(41)
         for s in sample_exact_d2(rng, 50):
             assert abs(np.linalg.det(s.basis.mat) - 1.0) < 1e-12
+
+    def test_matches_per_sample_loop(self):
+        # n = 15, 16 and 17 sit on the max(n - have, 16) batch edges
+        from horocount import randlat
+
+        for n in (1, 15, 16, 17, 600):
+            for seed in (0, 1, 2):
+                ref_rng = np.random.default_rng(seed)
+                want = [b.tobytes() for b in per_sample_exact_d2(ref_rng, n)]
+                after = ref_rng.random()
+                rng = np.random.default_rng(seed)
+                bases = randlat._exact_bases(rng, n)
+                assert bases.shape == (n, 2, 2) and [b.tobytes() for b in bases] == want
+                assert rng.random() == after
+                rng = np.random.default_rng(seed)
+                samples = sample_exact_d2(rng, n)
+                assert all(type(s) is LatticeSample and type(s.basis) is GroupElement for s in samples)
+                assert [s.basis.mat.tobytes() for s in samples] == want
+                assert rng.random() == after
+
+    def test_rejects_bad_sample_counts(self):
+        from horocount import randlat
+
+        for n in (0, -1, 2.5, 2.0, "3"):
+            for draw in (randlat._exact_bases, sample_exact_d2):
+                rng = np.random.default_rng(0)
+                state = rng.bit_generator.state
+                with pytest.raises(CountingError, match="integer number of samples"):
+                    draw(rng, n)
+                assert rng.bit_generator.state == state
 
     def test_im_z_tail_probability(self):
         rng = np.random.default_rng(42)
@@ -238,13 +285,22 @@ class TestMeanSquare:
                 assert dataclasses.astuple(rep) == dataclasses.astuple(one)
 
     def test_radii_list_reduces_each_sample_once(self, monkeypatch):
+        # each sample is reduced once, not once per radius: by an lll_reduce
+        # call, or by lll_unchanged marking it as a gram that lll_reduce
+        # leaves as it is; the exact samples are Gauss-reduced, so all are marked
         from horocount import latcount
 
-        calls = []
-        lll = latcount.lll_reduce
+        calls, marked = [], []
+        lll, unchanged = latcount.lll_reduce, latcount.lll_unchanged
         monkeypatch.setattr(latcount, "lll_reduce", lambda g: calls.append(1) or lll(g))
+        monkeypatch.setattr(latcount, "lll_unchanged",
+                            lambda stack: marked.append(unchanged(stack)) or marked[-1])
         reps = mean_square_check(2, [5.0, 10.0, 20.0], 60, sampler="exact", seed=54)
-        assert len(reps) == 3 and len(calls) == 60
+        assert len(reps) == 3 and len(calls) + sum(int(m.sum()) for m in marked) == 60
+        assert len(marked) == 1 and marked[0].all()
+        calls.clear(), marked.clear()
+        reps = mean_square_check(3, [2.0, 3.5], 20, sampler="walk", seed=55, burn_in=100, thin=2)
+        assert len(reps) == 2 and len(calls) + sum(int(m.sum()) for m in marked) == 20
 
     def test_matches_per_sample_discrepancy(self):
         rep = mean_square_check(2, 6.0, 200, sampler="exact", seed=53)
@@ -268,6 +324,7 @@ class TestMeanSquare:
         calls = []
         monkeypatch.setattr(randlat, "sample_walk", lambda *a, **k: calls.append("walk"))
         monkeypatch.setattr(randlat, "sample_exact_d2", lambda *a, **k: calls.append("exact"))
+        monkeypatch.setattr(randlat, "_exact_bases", lambda *a, **k: calls.append("exact"))
         for d, radius, sampler in ((3, 1e6, "walk"), (2, 1e9, "exact"), (2, [5.0, 1e9], "exact")):
             with pytest.raises(EnumerationBudgetError, match="budget"):
                 mean_square_check(d, radius, 2, sampler=sampler)
@@ -279,6 +336,7 @@ class TestMeanSquare:
         calls = []
         monkeypatch.setattr(randlat, "sample_walk", lambda *a, **k: calls.append("walk"))
         monkeypatch.setattr(randlat, "sample_exact_d2", lambda *a, **k: calls.append("exact"))
+        monkeypatch.setattr(randlat, "_exact_bases", lambda *a, **k: calls.append("exact"))
         assert MAX_SAMPLES >= 10_000  # criterion 8 and CI draw 10,000 samples
         for d, sampler in ((2, "exact"), (3, "walk")):
             with pytest.raises(CountingError, match="samples"):
