@@ -9,6 +9,7 @@ acceptance module.  All tolerances are fixed here, not configurable.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from .latcount import (
 )
 from .quadform import (
     GroupElement,
+    IwasawaCoord,
     QuadForm,
     act,
     busemann_r,
@@ -32,6 +34,8 @@ from .quadform import (
     constants,
     geodesic_r,
     geodesic_rho,
+    iwasawa_compose,
+    iwasawa_decompose,
 )
 
 __all__ = ["CheckResult", "run", "FAST_TIER", "CRITERIA"]
@@ -274,6 +278,15 @@ def criterion_9_locator():
     }
 
 
+def _a_part_chi(mat: np.ndarray) -> float:
+    """chi_d of the A-part of mat's Iwasawa decomposition, renormalised to
+    determinant one."""
+    d = mat.shape[0]
+    coord = iwasawa_decompose(GroupElement(d, mat))
+    a_part = iwasawa_compose(IwasawaCoord(coord.t, coord.aprime, np.zeros((d, d)))).mat
+    return chi_d(GroupElement(d, a_part / a_part.diagonal().prod() ** (1.0 / d)))
+
+
 @_criterion(10, "geodesic, Busemann, character, and volume-scaling identities")
 def criterion_10_geometry_identities():
     bad = []
@@ -289,14 +302,24 @@ def criterion_10_geometry_identities():
             chi = chi_d(geodesic_r(d, -float(t)))
             if abs(chi / math.exp(0.5 * t * sq) - 1.0) > 1e-12:
                 bad.append(("chi", d, float(t)))
-    ratios = {}
+    scaling = {}
     for d, t, grid in ((2, 3.0, 9), (3, 2.0, 5)):
-        ratio = equidist.transported_quadrature_ratio(d, t, grid=grid)
+        # a_{-t} is diagonal, so it scales the A-part of every node B = (a', n) by
+        # one factor, and chi_d of it by the horosphere's volume growth
         expected = math.exp(0.5 * t * math.sqrt((d - 1) * d))
-        ratios[f"d{d}"] = {"ratio": ratio, "expected": expected}
-        if abs(ratio / expected - 1.0) > 1e-9:
-            bad.append(("volume_scaling", d, t))
-    return not bad, {"failures": bad, "volume_scaling": ratios}
+        shift = geodesic_r(d, -t).mat
+        axes = [np.linspace(-0.25, 0.25, grid)] * (d - 2) + [np.linspace(0.05, 0.3, grid)] * (d * (d - 1) // 2)
+        worst = 0.0
+        for index, row in enumerate(itertools.product(*axes)):
+            n = np.zeros((d, d))
+            n[np.tril_indices(d, -1)] = row[d - 2:]
+            base = iwasawa_compose(IwasawaCoord(0.0, np.append(row[:d - 2], -sum(row[:d - 2])), n)).mat
+            deviation = abs(_a_part_chi(shift @ base) / (expected * _a_part_chi(base)) - 1.0)
+            worst = max(worst, deviation)
+            if deviation > 1e-9:
+                bad.append(("volume_scaling", d, index))
+        scaling[f"d{d}"] = {"nodes": index + 1, "worst_rel_deviation": worst}
+    return not bad, {"failures": bad, "volume_scaling": scaling}
 
 
 def run(tier: str = "full") -> list[CheckResult]:

@@ -53,21 +53,7 @@ import numpy as np
 from .latcount import (BLOCK, ENUM_BUDGET, POINT_CAP, EnumerationBudgetError, enumerate_points, ragged,
                        runs, sieve)
 from .orbits import fit_error_exponent
-from .quadform import (
-    GeometryError,
-    GroupElement,
-    HorocountError,
-    PIVOT_TOL,
-    QuadForm,
-    chi_d,
-    constants,
-    geodesic_r,
-    iwasawa_compose,
-    iwasawa_decompose,
-    IwasawaCoord,
-    rate_lambda,
-    rate_mu,
-)
+from .quadform import HorocountError, QuadForm, constants, rate_lambda, rate_mu
 from .randlat import Y_MIN, sample_exact_d2
 
 __all__ = [
@@ -89,7 +75,6 @@ __all__ = [
     "estimate_f_norm",
     "estimate_lipschitz",
     "integrated_error_bound",
-    "transported_quadrature_ratio",
     "modular_base_gram",
 ]
 
@@ -99,8 +84,6 @@ LIPSCHITZ_STEP, LIPSCHITZ_INFLATE = 1e-3, 10.0  # estimate_lipschitz's differenc
 INTEGRATED_STEP = 0.1  # integrated_error_bound's trapezoid step in t
 MAX_LEVELS = 10_000  # levels of one t-grid: a level costs at least its record and its CSV
 # row, about 1 KB, so a grid's own memory stays near 10 MB
-MAX_NODES = 10_000  # transported_quadrature_ratio's nodes: each takes about 1 ms of Python
-# Iwasawa composing and decomposing over the two levels, so a call ends within about 10 s
 _GAUSS8 = np.polynomial.legendre.leggauss(8)  # exact to degree 15
 _GAUSS64 = np.polynomial.legendre.leggauss(64)
 PASS_PAIRS = 4 * BLOCK  # bounded (base point, w) pairs per pass of any level: its float64
@@ -629,81 +612,3 @@ def integrated_error_bound(h: RadialProfile, big_t_values, f_norm: float,
             "passed": abs(lhs_fine) <= rhs + budget,
         })
     return out
-
-
-# ---------------------------------------------------------------------------
-# unnormalized volume-scaling cross-check
-
-def transported_quadrature_ratio(d: int, t: float, grid: int = 9) -> float:
-    """Ratio of the unnormalized level-t quadrature of a transported smooth
-    integrand to its level-0 value.
-
-    The density at each node is the diagonal character chi_d of the
-    A-part recovered by an Iwasawa decomposition of the shifted solvable
-    representative, so the expected ratio e^{t sqrt((d-1)d)/2} is
-    reproduced through the compose/decompose/shift code path rather than
-    by the closed form.  A grid of over MAX_NODES nodes, and a t that is
-    not finite or whose level shift leaves the float range, are refused
-    before any node is made, and so is a t beyond the float limit of the
-    grid's shifted representatives M = a_{-t} B, B = diag(e^{a'}, 1)(I + N).
-    The pivots of M^T M are e^{2 a'_k - lambda t} (k < d - 1) and e^{mu t},
-    and quadform's Cholesky refuses one at or below PIVOT_TOL.  For t > 0
-    the decomposition also recovers each pivot k < d - 1 by cancellation
-    against entries up to n_max^2 e^{mu t}, so it keeps at most one correct
-    bit once 4 d u n_max^2 e^{(lambda + mu) t - 2 a_min} >= 1 (u = 2^-53).
-    """
-    if d < 2:
-        raise GeometryError("dimension must be >= 2")
-    n_dim = d * (d - 1) // 2
-    a_dim = d - 2  # free coordinates of the traceless diagonal block
-    if grid < 1 or grid ** (a_dim + n_dim) > MAX_NODES:
-        raise EquidistError(f"grid {grid} at d = {d} must be >= 1 with at most {MAX_NODES} nodes")
-    try:
-        shift = geodesic_r(d, -t).mat if math.isfinite(t) else None
-    except OverflowError:
-        shift = None
-    if shift is None:
-        raise EquidistError(f"t = {t!r} must be finite with a level shift in the float range")
-
-    def integrand(form: QuadForm) -> float:
-        diff = form.gram - np.eye(d)
-        return math.exp(-float(np.sum(diff * diff)))
-
-    axes = [np.linspace(-0.25, 0.25, grid)] * a_dim + [np.linspace(0.05, 0.3, grid)] * n_dim
-    mesh = np.meshgrid(*axes, indexing="ij") if axes else []
-    coords = np.stack([m.ravel() for m in mesh], axis=1) if axes else np.zeros((1, 0))
-    free, n_max = coords[:, :a_dim], float(coords[:, a_dim:].max())
-    a_min = float(np.minimum(free.min(axis=1, initial=np.inf), -free.sum(axis=1)).min())
-    lam, mu = rate_lambda(d), rate_mu(d)
-    pivot = math.log(PIVOT_TOL)  # the least log pivot quadform admits
-    if t > 0:
-        limit = min((2 * a_min - pivot) / lam,
-                    (-math.log(4 * d * 2.0 ** -53) - 2 * math.log(n_max) + 2 * a_min) / (lam + mu))
-    else:
-        limit = -pivot / mu
-    if abs(t) >= limit:
-        raise EquidistError(f"t = {t!r} at d = {d} is beyond |t| = {limit:.4g}, where grid {grid}'s "
-                            "shifted representatives lose their float precision")
-
-    def one_level(shift: np.ndarray) -> float:
-        # integrate the FIXED coordinate integrand (the value at the level-0
-        # point) against the level-dependent density; the density at each
-        # node is recovered by decomposing the shifted representative.
-        total = 0.0
-        for row in coords:
-            afree = row[:a_dim]
-            aprime = np.concatenate([afree, [-float(np.sum(afree))]])
-            nmat = np.zeros((d, d))
-            nmat[np.tril_indices(d, -1)] = row[a_dim:]
-            base = iwasawa_compose(IwasawaCoord(t=0.0, aprime=aprime, n=nmat))
-            moved = shift @ base.mat
-            coord = iwasawa_decompose(GroupElement(d, moved))
-            diag = np.empty(d)
-            diag[:-1] = np.exp(coord.aprime - 0.5 * lam * coord.t)
-            diag[-1] = math.exp(0.5 * mu * coord.t)
-            dens = chi_d(GroupElement(d, np.diag(diag / diag.prod() ** (1.0 / d))))
-            base_form = QuadForm.from_gram(base.mat.T @ base.mat)
-            total += integrand(base_form) * dens
-        return total
-
-    return one_level(shift) / one_level(np.eye(d))

@@ -42,7 +42,6 @@ __all__ = [
     "busemann_rho",
     "iwasawa_decompose",
     "iwasawa_compose",
-    "phi_t",
     "chi_d",
     "constants",
     "zeta",
@@ -454,15 +453,6 @@ def iwasawa_compose(coord: IwasawaCoord) -> GroupElement:
     diag[-1] = math.exp(0.5 * mu * coord.t)
     mat = diag[:, None] * (np.eye(d) + np.tril(coord.n, k=-1))
     return GroupElement(d, mat)
-
-
-def phi_t(q: QuadForm, t: float) -> QuadForm:
-    """Level shift along the first ray: pushes the level-a horosphere to
-    level a + t (left multiplication by a_{-t} on the solvable rep)."""
-    d = q.dim
-    lower = q.solvable_rep()
-    shifted = geodesic_r(d, -t).mat @ lower
-    return QuadForm.from_gram(shifted.T @ shifted)
 
 
 def chi_d(a: GroupElement) -> float:

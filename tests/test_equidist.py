@@ -27,7 +27,6 @@ from horocount.equidist import (
     locator_threshold_t0,
     modular_base_gram,
     space_average,
-    transported_quadrature_ratio,
 )
 from horocount.latcount import BLOCK, EnumerationBudgetError
 from horocount.quadform import (
@@ -35,10 +34,10 @@ from horocount.quadform import (
     QuadForm,
     act,
     constants,
-    phi_t,
     rate_lambda,
     rate_mu,
 )
+from test_quadform import phi_t
 
 
 class TestProfiles:
@@ -614,54 +613,3 @@ class TestIntegratedBound:
         # criterion 7's largest T = 10 needs about 316 levels from t_lo
         t_lo = math.log(1e-6 / (2.0 + space_average(indicator_profile(1.0), 2))) / (0.5 * math.sqrt(2.0))
         assert (10.0 - t_lo) / equidist.INTEGRATED_STEP < equidist.MAX_LEVELS
-
-
-class TestVolumeScaling:
-    def test_node_cap_admits_criterion_10(self):
-        # criterion 10 runs grid 9 at d = 2 (9 nodes) and grid 5 at d = 3 (625); an
-        # empty grid and 11^4 or 4^8 nodes are refused
-        assert 5 ** 4 <= equidist.MAX_NODES
-        for d, grid in ((2, 0), (3, -3), (3, 11), (4, 4)):
-            with pytest.raises(EquidistError, match="nodes"):
-                transported_quadrature_ratio(d, 1.0, grid=grid)
-
-    def test_t_out_of_range_refused_before_any_node(self):
-        # t = 1e6 once ended in a bare OverflowError, and nan or inf raised
-        # only after numpy warnings; t = 2010 at d = 2 shifts by e^{710.6}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for d, t in ((2, 1e6), (2, 2010.0), (3, -1e6), (2, math.nan), (3, math.inf), (2, -math.inf)):
-                with pytest.raises(EquidistError, match="level shift in the float range"):
-                    transported_quadrature_ratio(d, t, grid=3)
-
-    def test_t_beyond_float_limit_refused_before_any_node(self, monkeypatch):
-        # past t of about 27 (d = 2) or 30 (d = 3) a node's shifted gram lost its
-        # positive definiteness in floats (GeometryError); below t of about -39
-        # (d = 2) its last Cholesky pivot fell under quadform.PIVOT_TOL
-        calls = []
-        monkeypatch.setattr(equidist, "iwasawa_compose", lambda *a: calls.append(a))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for d, t in ((2, 29.0), (2, 50.0), (2, 500.0), (3, 31.0), (3, 50.0), (3, 500.0),
-                         (2, -40.0), (2, -500.0), (3, -35.0)):
-                with pytest.raises(EquidistError, match="lose their float precision"):
-                    transported_quadrature_ratio(d, t, grid=3)
-        assert calls == []
-
-    def test_t_below_float_limit_admitted(self):
-        # near the limit at t > 0 the pivots keep few bits (the ratio is 0.55% off at
-        # t = 26, d = 2), but every admitted t ends without a warning or an error
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for d, t, rel in ((2, 26.0, 1e-2), (2, -39.0, 1e-12), (3, 29.0, 1e-2), (3, -33.0, 1e-12)):
-                ratio = transported_quadrature_ratio(d, t, grid=3)
-                assert ratio == pytest.approx(math.exp(0.5 * t * math.sqrt((d - 1) * d)), rel=rel)
-
-    def test_d2(self):
-        for t in (1.0, 3.0):
-            ratio = transported_quadrature_ratio(2, t, grid=7)
-            assert ratio == pytest.approx(math.exp(0.5 * t * math.sqrt(2.0)), rel=1e-9)
-
-    def test_d3(self):
-        ratio = transported_quadrature_ratio(3, 2.0, grid=4)
-        assert ratio == pytest.approx(math.exp(math.sqrt(6.0)), rel=1e-9)

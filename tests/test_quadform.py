@@ -25,7 +25,6 @@ from horocount.quadform import (
     iwasawa_decompose,
     lll_reduce,
     lll_unchanged,
-    phi_t,
     rate_lambda,
     rate_mu,
     zeta,
@@ -42,6 +41,13 @@ def random_group_element(rng, d, scale=0.4):
         m[:, 0] = -m[:, 0]
         det = -det
     return GroupElement.from_matrix(m / det ** (1.0 / d))
+
+
+def phi_t(q, t):
+    """Level shift along the first ray: pushes the level-a horosphere to
+    level a + t (left multiplication by a_{-t} on the solvable rep)."""
+    shifted = geodesic_r(q.dim, -t).mat @ q.solvable_rep()
+    return QuadForm.from_gram(shifted.T @ shifted)
 
 
 def reference_from_gram(mat):
