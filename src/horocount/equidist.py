@@ -84,7 +84,6 @@ LIPSCHITZ_STEP, LIPSCHITZ_INFLATE = 1e-3, 10.0  # estimate_lipschitz's differenc
 INTEGRATED_STEP = 0.1  # integrated_error_bound's trapezoid step in t
 MAX_LEVELS = 10_000  # levels of one t-grid: a level costs at least its record and its CSV
 # row, about 1 KB, so a grid's own memory stays near 10 MB
-_GAUSS8 = np.polynomial.legendre.leggauss(8)  # exact to degree 15
 _GAUSS64 = np.polynomial.legendre.leggauss(64)
 PASS_PAIRS = 4 * BLOCK  # bounded (base point, w) pairs per pass of any level: its float64
 # temporaries take 128 KiB each, and it peaks at about 128 bytes of scratch per pair, 2 MiB
@@ -155,19 +154,26 @@ class RadialProfile:
     def line(self, a):
         """L(a) = integral of h(a + v^2) over v in R, per entry of a.
 
-        The indicator gives the chord 2 sqrt(s - a)_+.  The bump gives its
-        plateau chord plus the taper segment, where h(a + v^2) is a degree-6
-        polynomial in v, so the 8-node Gauss-Legendre rule is exact.
+        The indicator gives the chord 2 sqrt(s - a)_+.  The bump gives its plateau
+        chord plus its taper in closed form.  With top = sqrt(s - a)_+, flat =
+        sqrt(p - a)_+, q = s - p and D = top - flat, h = z^2 (3 - 2z) for z = (top^2 - v^2)/q
+        on flat < v < top, where (put u = top - v) int z^2 dv = D^3 (4 top^2/3 - top D +
+        D^2/5)/q^2 and int z^3 dv = D^4 (2 top^3 - 12 top^2 D/5 + top D^2 - D^3/7)/q^3, so
+        L = 2 (flat + 3 int z^2 - 2 int z^3).
         """
         a = np.asarray(a, dtype=float)
         top = np.sqrt(np.maximum(self.support_end - a, 0.0))
         if self.kind == "indicator":
             return 2.0 * top
-        flat = np.sqrt(np.maximum(self.plateau - a, 0.0))
-        nodes, weights = _GAUSS8
-        mid, half = 0.5 * (top + flat), 0.5 * (top - flat)
-        taper = sum(wt * self.value(a + (mid + half * x) ** 2) for x, wt in zip(nodes, weights))
-        return 2.0 * (flat + half * taper)
+        s, p, q = self.support_end, self.plateau, self.support_end - self.plateau
+        flat = np.sqrt(np.maximum(p - a, 0.0))
+        # D = (top^2 - flat^2)/(top + flat); top + flat = 0 only where D = 0, else it is above 1e-162
+        dd = np.maximum(s - np.maximum(a, p), 0.0) / np.maximum(top + flat, np.finfo(float).tiny)
+        d2 = dd * dd
+        taper = 3.0 * (top * ((4.0 / 3.0) * top - dd) + 0.2 * d2)  # 3 q^2/D^3 int z^2
+        taper -= (2.0 / q) * dd * (top * (top * (2.0 * top - 2.4 * dd) + d2) - d2 * dd / 7.0)
+        taper *= d2 * dd / (q * q)
+        return 2.0 * (flat + taper)
 
 
 def indicator_profile(support_end: float) -> RadialProfile:
@@ -257,12 +263,15 @@ def _w_bound(d: int, t: float, h: RadialProfile) -> float:
 
 def _phi_table(top: int) -> np.ndarray:
     """phi(g)/g = sum over m | g of mu(m)/m, for g = 1..top (entry 0 unused).
-    Each entry adds its terms in increasing m, so it does not depend on top."""
+    Each entry adds its terms in increasing m, so it does not depend on top:
+    one unbuffered add per run of squarefree m with at most PASS_PAIRS multiples."""
     top = max(top, 1)
     mu = sieve(top)
-    ratio = np.zeros(top + 1)
-    for m in np.flatnonzero(mu):
-        ratio[m::m] += mu[m] / m
+    ratio, ms = np.zeros(top + 1), np.flatnonzero(mu)
+    for run in runs(top // ms, PASS_PAIRS):
+        m, k = ms[run], top // ms[run]
+        j = np.arange(1, int(k.sum()) + 1) - np.repeat(np.cumsum(k) - k, k)  # 1..k per m
+        np.add.at(ratio, np.repeat(m, k) * j, np.repeat(mu[m] / m, k))
     return ratio
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from horocount.equidist import (
     modular_base_gram,
     space_average,
 )
-from horocount.latcount import BLOCK, EnumerationBudgetError
+from horocount.latcount import BLOCK, EnumerationBudgetError, sieve
 from horocount.quadform import (
     GroupElement,
     QuadForm,
@@ -38,6 +39,36 @@ from horocount.quadform import (
     rate_mu,
 )
 from test_quadform import phi_t
+
+GAUSS8 = np.polynomial.legendre.leggauss(8)  # exact to degree 15
+
+
+def gauss_chord(h, a):
+    """The bump's L(a) by the 8-node Gauss-Legendre rule over each taper
+    segment flat < |v| < top, exact for its degree-6 integrand h = z^2 (3 - 2z),
+    z = (top - v)(top + v)/q.  Written in z, not as h.value(a + v^2): for
+    s = 100 the sum a + v^2 rounds to 1.4e-14, and that form then misses
+    mpmath by up to 1.1e-14 on a dense grid of a."""
+    a = np.asarray(a, dtype=float)
+    q = h.support_end - h.plateau
+    top = np.sqrt(np.maximum(h.support_end - a, 0.0))
+    flat = np.sqrt(np.maximum(h.plateau - a, 0.0))
+    mid, half = 0.5 * (top + flat), 0.5 * (top - flat)
+    taper = 0.0
+    for x, wt in zip(*GAUSS8):
+        z = (top - mid - half * x) * (top + mid + half * x) / q
+        taper = taper + wt * z * z * (3.0 - 2.0 * z)
+    return 2.0 * (flat + half * taper)
+
+
+def phi_loop(top):
+    """phi(g)/g by one slice add per squarefree m, in increasing m."""
+    top = max(top, 1)
+    mu = sieve(top)
+    ratio = np.zeros(top + 1)
+    for m in np.flatnonzero(mu):
+        ratio[m::m] += mu[m] / m
+    return ratio
 
 
 class TestProfiles:
@@ -78,6 +109,30 @@ class TestProfiles:
                                    for lo, hi in zip(breaks, breaks[1:]))
                 assert float(h.line(a)) == pytest.approx(oracle, abs=1e-12)
         assert bump_profile(1.0).line(np.array([[0.0, 2.0]])).shape == (1, 2)
+
+    PROFILES = ((1.0, 0.5), (1.3, 0.0), (2.0, 0.25), (100.0, 99.0))
+
+    @pytest.mark.parametrize("s, p", PROFILES)
+    def test_line_closed_form_matches_gauss_chord(self, s, p):
+        # the closed-form taper against the exact 8-node rule, below, on and
+        # above the plateau and past the support end, 1e5 values of a each
+        h = bump_profile(s, p)
+        a = np.concatenate([np.linspace(-3.0, s + 1.0, 60_001), np.linspace(p, s, 40_001)])
+        assert np.max(np.abs(h.line(a) - gauss_chord(h, a))) <= 1e-14
+        assert not np.any(h.line(np.array([s, np.nextafter(s, np.inf), 2.0 * s, 1e300])))
+
+    @pytest.mark.parametrize("s, p", PROFILES)
+    def test_line_near_support_end(self, s, p):
+        # at a = s - 10^-k the taper is all of L, a sliver of length top that
+        # the difference top - flat would lose; quad of z^2 (3 - 2z) is exact
+        h = bump_profile(s, p)
+        for k in range(1, 9):
+            a = s - 10.0 ** -k
+            top, q = math.sqrt(s - a), s - p
+            z = lambda v: (top - v) * (top + v) / q
+            oracle = 2.0 * scipy.integrate.quad(lambda v: z(v) ** 2 * (3.0 - 2.0 * z(v)), 0.0, top,
+                                                epsabs=0.0, epsrel=1e-13)[0]
+            assert float(h.line(a)) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_values(self):
         h = bump_profile(1.0, 0.5)
@@ -460,7 +515,7 @@ class TestD3Passes:
     # horosphere_average(9.5, h, d=3) of the one-pass program, as float.hex
     # of (value, quad_error_estimate); its refined (32, 48) grid bounds the
     # level's pairs by 2.46e5, its (16, 24) grid by 6.1e4
-    ONE_PASS = {"bump": ("0x1.22b16c301f9e6p+1", "0x1.093afe1d7f89fp-9"),
+    ONE_PASS = {"bump": ("0x1.22b16c301f9e6p+1", "0x1.093afe1d7f29fp-9"),
                 "indicator": ("0x1.bc532f4b4c181p+1", "0x1.97183af93eb54p-7")}
 
     @pytest.mark.parametrize("limit", [None, BLOCK], ids=["default", "block"])
@@ -536,6 +591,33 @@ class TestLevelDriver:
                 QuadratureSpec(base_grid=grid)
         QuadratureSpec(base_grid=(1414, 1414))
         assert grids == []
+
+
+class TestPhiTable:
+    """The phi(g)/g table equals the per-m loop bit for bit, in memory linear
+    in its top."""
+
+    @pytest.mark.parametrize("top", [0, 1, 2, 3, 30, 1_000, 20_000, 196_247])
+    def test_equals_per_m_loop(self, top):
+        assert equidist._phi_table(top).tobytes() == phi_loop(top).tobytes()
+
+    def test_peak_bytes_per_entry(self):
+        # per entry g <= top: 8 bytes of table; 8 each for the squarefree m,
+        # their multiple counts and the cumulative sums runs() keeps, for
+        # 6/pi^2 of the entries, 15 in all; and for the largest run, m = 1
+        # alone with top multiples, about 32 bytes per multiple at once (its
+        # offsets, indices and values, and one int64 scratch): 55 bytes per
+        # entry.  One add over all 8.2 top multiples would hold 24 bytes of
+        # each, near 200 bytes per entry.
+        top = 196_247
+        sieve(top)  # the cached Moebius table is not the phi table's memory
+        tracemalloc.start()
+        try:
+            equidist._phi_table(top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 55 * top
 
 
 class TestLargeNegativeT:
