@@ -264,10 +264,12 @@ def _w_bound(d: int, t: float, h: RadialProfile) -> float:
 def _phi_table(top: int) -> np.ndarray:
     """phi(g)/g = sum over m | g of mu(m)/m, for g = 1..top (entry 0 unused).
     Each entry adds its terms in increasing m, so it does not depend on top:
-    one unbuffered add per run of squarefree m with at most PASS_PAIRS multiples."""
+    the m = 1 term starts every entry at 1.0 (0.0 + 1.0), then one unbuffered
+    add per run of squarefree m >= 2 with at most PASS_PAIRS multiples."""
     top = max(top, 1)
     mu = sieve(top)
-    ratio, ms = np.zeros(top + 1), np.flatnonzero(mu)
+    ratio, ms = np.ones(top + 1), np.flatnonzero(mu)[1:]
+    ratio[0] = 0.0
     for run in runs(top // ms, PASS_PAIRS):
         m, k = ms[run], top // ms[run]
         j = np.arange(1, int(k.sum()) + 1) - np.repeat(np.cumsum(k) - k, k)  # 1..k per m

@@ -25,16 +25,18 @@ where the centre c_i depends only on the coordinates above i.  _walk expands lev
 d-1 ... 2 as numpy arrays, a level's nodes as columns, only as many at a
 time as have BLOCK children between them, and yields the level-1 rows
 (suffix, range of v_1 widened by _PAD, centres, partial sum) in the
-recursion's depth-first order, with the float operations of a scalar walk.
+recursion's depth-first order; each square (w_i + c_i)^2 is one correctly
+rounded product, with no call of C pow.
 One leaf finishes the last two levels for a nonincreasing list of
 thresholds at once, walking only at the first: it pairs each level-1
 node of a block with the thresholds it can meet (a ragged expansion, in
 slices of at most BLOCK pairs), and reads each pair's level-0 interval by
 the mode's rule: floor/ceil of centre +- radius in float mode; in exact
 mode, floor square roots of integers computed in int64 from the reduced
-integer gram, so floats only ever guide the outer ranges.  The exact rule
-checks before each block that every int64 intermediate stays below
-INT64_LIMIT = 2^62, else it raises CountingError.
+integer gram, so floats only ever guide the outer ranges.  Below 2^52 the
+truncated float root is already the floor root; above, two integer passes
+correct it.  The exact rule checks before each block that every int64
+intermediate stays below INT64_LIMIT = 2^62, else it raises CountingError.
 
 A count sums the interval lengths; an enumeration expands the intervals.
 Each rule decides every point against its own bound, so the widened
@@ -47,7 +49,7 @@ and weights each level-1 node 2 when its v_{d-1} is > 0 and 1 when it is
 threshold pass and in the pair slices alike: N = 2 #{v_{d-1} > 0} +
 #{v_{d-1} = 0}.  The totals are bit for bit those of the full walk, in
 float mode too: IEEE round-to-nearest is symmetric under negation, so
-the centres, partial sums, float_power squares, ranges and level-0
+the centres, partial sums, squares x * x, ranges and level-0
 floor/ceil intervals of the node -v are exact negations or copies of
 those of v, and the exact rule is symmetric in b.  shell_table bins the
 half as well.  enumerate_points keeps the full walk and its depth-first
@@ -319,10 +321,9 @@ def _walk(fs, top: float, low=None):
         par, v = ragged(lo[now], hi[now])
         par += now.start
         own = owner[par]
-        # float_power calls C pow, as ** on a scalar walk's Python floats does
+        x = v + cent[par, i]  # x * x is correctly rounded, and (-x) * (-x) == x * x
         stack.append(level(i - 1, own, np.column_stack([v, suffix[par]]),
-                           cent[par, :i] + m[own, i, :i] * v[:, None],
-                           t[par] + q[own, i] * np.float_power(v + cent[par, i], 2)))
+                           cent[par, :i] + m[own, i, :i] * v[:, None], t[par] + q[own, i] * (x * x)))
 
 
 def _blocks(rule, low=None):
@@ -359,9 +360,8 @@ class _FloatRule:
     def nodes(self, rows, at, v1, owner):
         c1, c0, t = (col[at] for col in rows[4:])
         q1, m10 = (self.q1, self.m10) if owner is None else (self.q1[owner], self.m10[owner])
-        # float_power calls C pow, as ** on the walk's Python floats does;
-        # numpy's ** 2 multiplies, which can round the last bit differently
-        return t + q1 * np.float_power(v1 + c1, 2), c0 + m10 * v1
+        x = v1 + c1  # squared by one correctly rounded product, as in _walk
+        return t + q1 * (x * x), c0 + m10 * v1
 
     def level0(self, bounds, t1, c0, owner=None):
         rem = (bounds - t1) / (self.q0 if owner is None else self.q0[owner])
@@ -407,10 +407,14 @@ class _ExactRule:
 
     def level0(self, bounds, key, b, owner=None):
         disc = bounds - key
-        # below 2^62 the float root is within one of floor(sqrt(disc))
         s = np.sqrt(np.maximum(disc, 0)).astype(np.int64)
-        s -= s * s > disc
-        s += (s + 1) * (s + 1) <= disc
+        # below 2^52 disc converts to float exactly, and s = isqrt(disc) < 2^26:
+        # sqrt(disc) <= sqrt((s + 1)^2 - 1) lies at least 1 / (2 (s + 1)) below
+        # s + 1, more than half an ulp there, so the rounded root stays below
+        # s + 1 and truncates to s.  Up to 2^62 it is within one of s.
+        if disc.max(initial=0) >= 2 ** 52:
+            s -= s * s > disc
+            s += (s + 1) * (s + 1) <= disc
         lo = -((s + b) // self.a0)
         return lo, np.where(disc >= 0, (s - b) // self.a0 - lo + 1, 0)
 

@@ -604,11 +604,12 @@ class TestPhiTable:
     def test_peak_bytes_per_entry(self):
         # per entry g <= top: 8 bytes of table; 8 each for the squarefree m,
         # their multiple counts and the cumulative sums runs() keeps, for
-        # 6/pi^2 of the entries, 15 in all; and for the largest run, m = 1
-        # alone with top multiples, about 32 bytes per multiple at once (its
-        # offsets, indices and values, and one int64 scratch): 55 bytes per
-        # entry.  One add over all 8.2 top multiples would hold 24 bytes of
-        # each, near 200 bytes per entry.
+        # 6/pi^2 of the entries, 15 in all; and for the largest run, m = 2
+        # alone with top / 2 multiples (m = 1 is the table's initial 1.0),
+        # about 32 bytes per multiple at once (its offsets, indices and
+        # values, and one int64 scratch), 16 per entry: 39 bytes per entry.
+        # A run of m = 1 with top multiples would add 16 more, and one add
+        # over all 8.2 top multiples 24 bytes of each, near 200 per entry.
         top = 196_247
         sieve(top)  # the cached Moebius table is not the phi table's memory
         tracemalloc.start()
@@ -617,7 +618,7 @@ class TestPhiTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 55 * top
+        assert peak <= 39 * top
 
 
 class TestLargeNegativeT:

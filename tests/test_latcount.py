@@ -60,11 +60,11 @@ def int_form(d, gamma):
     return act(QuadForm.identity(d), GroupElement.from_matrix(gamma))
 
 
-def reference_walk(f, top):
+def reference_walk(f, top, square=lambda x: x * x):
     """Reference for latcount._walk: the recursion over levels, one
     generator call per suffix.  Yields (suffix, lo, hi, c1, c0, t) per
     admissible suffix (v_2, ..., v_{d-1}) of the walk of one factored form
-    over Q(v) <= top."""
+    over Q(v) <= top, each (v + c)^2 taken by square."""
     q, m, pad = f.q, f.m, latcount._PAD
 
     def rec(i, suffix, cent, t):
@@ -80,7 +80,7 @@ def reference_walk(f, top):
         mi = m[i]
         for v in range(lo, hi + 1):
             yield from rec(i - 1, (v,) + suffix, [cent[k] + mi[k] * v for k in range(i)],
-                           t + q[i] * (v + c) ** 2)
+                           t + q[i] * square(v + c))
 
     return rec(f.dim - 1, (), [0.0] * f.dim, 0.0)
 
@@ -807,6 +807,44 @@ class TestArrayWalk:
             assert max(sizes) > 20 * min(sizes)
             assert self.walk(fs, top) == self.reference(fs, top)
 
+    def test_squares_by_product(self):
+        # C pow (Python's ** 2) and the product x * x differ in the last bit
+        # on about one square in a thousand; the partial sums of these
+        # 22,000 level-2 nodes, with non-integer centres from d = 4 on, take
+        # the product's bits where they differ
+        rng = np.random.default_rng(5)
+        fs = latcount._factors([random_form(rng, 4) for _ in range(200)], "float")
+        want = self.reference(fs, 40.0)
+        by_pow = [hex_row(i, *row) for i, f in enumerate(fs) for row in reference_walk(f, 40.0, lambda x: x ** 2)]
+        assert len(want) > 20_000 and want != by_pow
+        assert self.walk(fs, 40.0) == want
+
+
+class TestFloatNodes:
+    """_FloatRule.nodes keys each level-1 node by t + q1 (v1 + c1)^2 with
+    the square one product, bit for bit; reference_count reuses nodes and
+    cannot see its arithmetic."""
+
+    def test_keys_square_by_product(self):
+        rng = np.random.default_rng(73)
+        fs = latcount._factors([random_form(rng, 3) for _ in range(100)], "float")
+        for rule_fs in (fs, fs[:1]):
+            rule = latcount._FloatRule(rule_fs, [60.0])
+            got, want, by_pow = [], [], []
+            for rows in latcount._walk(rule_fs, 60.0):
+                at, v1 = latcount.ragged(rows[2], rows[3])
+                owner = None if len(rule_fs) == 1 else rows[0][at]
+                key, c0 = rule.nodes(rows, at, v1.astype(float), owner)
+                got += zip(key.tolist(), c0.tolist())
+                for i, v, c1, c, t in zip(rows[0][at].tolist(), v1.tolist(),
+                                          *(col[at].tolist() for col in rows[4:])):
+                    q1, m10 = rule_fs[i].q[1], rule_fs[i].m[1][0]
+                    want.append((t + q1 * ((v + c1) * (v + c1)), c + m10 * v))
+                    by_pow.append(t + q1 * (v + c1) ** 2)
+            assert got == want
+            if rule_fs is fs:
+                assert len(want) > 15_000 and [k for k, _ in want] != by_pow
+
 
 def reference_count(rule):
     """Reference for latcount._count on a one-form rule: the rule's level-0
@@ -957,19 +995,27 @@ class TestEnumerate:
                     enumerate_points(spec.form, 1600, mode="exact")
                 assert count_full(spec, mode="float").n0 == want
 
-    def test_exact_roots_near_int64_limit(self):
-        # near 2^62 a float root can be one off; the exact rule's widths
-        # still match math.isqrt
+    def test_exact_roots_match_isqrt(self):
+        # the exact rule's intervals match math.isqrt on both sides of 2^52,
+        # one block each: below, the truncated float root alone; at or above,
+        # where a float root can be one off, with its integer corrections
         f = latcount._factor(QuadForm.identity(2), "exact")
         rule = latcount._ExactRule(f, [latcount.INT64_LIMIT - 1])
-        bound = rule.bounds[0, 0]
-        discs = [r * r + e for r in (2 ** 31 - 1, 2 ** 31 - 2, 1_518_500_250, 2 ** 30 + 7)
-                 for e in (-1, 0, 1, 2 * r)]
-        for b in (0, 1, -5):
-            key = np.array([int(bound) - x for x in discs], dtype=np.int64)
-            _, width = rule.level0(rule.bounds, key, np.full(len(discs), b, dtype=np.int64))
-            want = [(math.isqrt(x) - b) + (math.isqrt(x) + b) + 1 for x in discs]
-            assert width[0].tolist() == want
+        bound = int(rule.bounds[0, 0])
+        near = lambda rs, es: [r * r + e for r in rs for e in es]
+        below = near((1, 2, 3, 10, 1000, 2 ** 20 + 3, 46_341, 2 ** 26 - 1), (-1, 0, 1)) + [
+            0, 2, 2 ** 52 - 2, 2 ** 52 - 1]
+        above = near((2 ** 26 + 1, 2 ** 26 + 5, 3 * 2 ** 26 + 1), (-1, 0, 1)) + [2 ** 52, 2 ** 52 + 1]
+        top = [r * r + e for r in (2 ** 31 - 1, 2 ** 31 - 2, 1_518_500_250, 2 ** 30 + 7)
+               for e in (-1, 0, 1, 2 * r)]
+        assert max(below) < 2 ** 52 <= min(above) and max(top) < 2 ** 62
+        for discs in (below, above, top):
+            for b in (0, 1, -5):
+                key = np.array([bound - x for x in discs], dtype=np.int64)
+                lo, width = rule.level0(rule.bounds, key, np.full(len(discs), b, dtype=np.int64))
+                roots = [math.isqrt(x) for x in discs]
+                assert lo[0].tolist() == [-(s + b) for s in roots]
+                assert width[0].tolist() == [2 * s + 1 for s in roots]
 
     @pytest.mark.parametrize("d, radius", [(2, 30), (3, 9), (4, 5)])
     def test_points_in_full_depth_first_order(self, d, radius):
