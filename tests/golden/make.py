@@ -5,12 +5,16 @@ records() computes every record; tests/test_golden.py recomputes them and
 compares them with outputs.json, value for value.  A change that means to
 change an output rewrites the file with
 
-    PYTHONPATH=src python tests/golden/make.py
+    PYTHONPATH=src:tests python tests/golden/make.py
 
-and lists every changed record.
+and lists every changed record (tests/ is on the path for the near-tie
+grams of tests/test_quadform.py).
 
 Covered: exact-mode counts (full, primitive, error terms, an exact batch),
-n0_series, exact shell tables, verify_inversion and error_relation_check
+float-mode count_primitive_many batches at radii [2.5, 4.0] (a seeded
+stack of 200 near-tie grams per d = 2..4, where the last bit of a
+Gram-Schmidt value decides whether a gram is LLL-reduced, and 300
+exact-sampler d = 2 forms), n0_series, exact shell tables, verify_inversion and error_relation_check
 reports, exact-sampler d = 2 mean_square_check reports (one radius and a
 list), both sweep kinds on I_2, I_3 and one fixed float d = 3 gram
 (including an empty row at T = -1e9 and a chimney sweep that is refused),
@@ -45,6 +49,7 @@ from horocount import acceptance, equidist, latcount, moebius, orbits, randlat
 from horocount.cli import main
 from horocount.latcount import EllipsoidSpec
 from horocount.quadform import GroupElement, QuadForm, act
+from test_quadform import near_tie_grams
 
 OUTPUTS = pathlib.Path(__file__).with_name("outputs.json")
 
@@ -81,6 +86,22 @@ def _counts():
     for d, r in ((2, 40.5), (3, 8.9)):
         forms = list(_integral(d).values())
         out[f"many/exact{d}/{r}"] = [_plain(x) for x in latcount.count_primitive_many(forms, r)]
+    return out
+
+
+def _float_batches():
+    """Float-mode batches, one record per stack and radius: each form's
+    "n0 n1 boundary_ambiguous"."""
+    rng = np.random.default_rng(61)
+    stacks = {f"near_tie{d}": QuadForm.from_grams(np.array(near_tie_grams(rng, d, 200)))
+              for d in (2, 3, 4)}
+    stacks["exact_sampler"] = QuadForm.from_grams(
+        np.array([s.basis.mat.T @ s.basis.mat for s in randlat.sample_exact_d2(rng, 300)]))
+    out = {}
+    for name, forms in stacks.items():
+        radii = [2.5, 4.0]
+        for r, row in zip(radii, latcount.count_primitive_many(forms, radii, mode="float")):
+            out[f"many/float/{name}/{r}"] = [f"{x.n0} {x.n1} {x.boundary_ambiguous}" for x in row]
     return out
 
 
@@ -185,7 +206,7 @@ def _commands():
 def records() -> dict:
     """Every record, as plain JSON values (tuples read back as lists)."""
     out = {}
-    for part in (_counts, _shells, _moebius, _mean_square, _sweeps, _decay, _commands):
+    for part in (_counts, _float_batches, _shells, _moebius, _mean_square, _sweeps, _decay, _commands):
         out.update(part())
     return json.loads(json.dumps(out))
 
