@@ -14,15 +14,15 @@ Two modes:
   * float  -- general real gram; a point with |Q(v) - R^2| <= 8*ulp(R^2)*d
     is counted as inside and flagged as boundary-ambiguous.
 
-Counts do not change under GL_d(Z), so every count and enumeration first
-LLL-reduces the gram (quadform.lll_reduce, in Python ints from mint when
-the form has one, in either mode; a batch skips the call for each float
-gram that quadform.lll_unchanged proves reduced) and walks (Fincke-Pohst)
-in the reduced coordinates w, v = u w, which keeps the tree small and the
-float Cholesky well conditioned for very eccentric forms.  The Cholesky
-factor R of the reduced gram writes Q(u w) as a sum of q_i (w_i + c_i)^2,
-where the centre c_i depends only on the coordinates above i.  _walk expands levels
-d-1 ... 2 as numpy arrays, a level's nodes as columns, only as many at a
+Counts do not change under GL_d(Z), so every count and enumeration walks
+(Fincke-Pohst) an LLL-reduced gram, in the reduced coordinates w, v = u w,
+which keeps the tree small and the float Cholesky well conditioned for
+very eccentric forms.  A form with mint is reduced in Python ints
+(quadform.lll_reduce), in either mode; a float gram keeps u = I when the
+Cholesky factor of its own gram passes LLL's size and Lovasz tests, and
+only the others are reduced.  The Cholesky factor R of the reduced gram
+writes Q(u w) as a sum of q_i (w_i + c_i)^2, where the centre c_i depends
+only on the coordinates above i.  _walk expands levels d-1 ... 2 as numpy arrays, a level's nodes as columns, only as many at a
 time as have BLOCK children between them, and yields the level-1 rows
 (suffix, range of v_1 widened by _PAD, centres, partial sum) in the
 recursion's depth-first order; each square (w_i + c_i)^2 is one correctly
@@ -87,7 +87,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadform import HorocountError, QuadForm, constants, lll_reduce, lll_unchanged
+from .quadform import LLL_DELTA, LLL_SIZE_SLACK, HorocountError, QuadForm, constants, lll_reduce
 
 __all__ = [
     "CountingError",
@@ -190,41 +190,48 @@ class _Factor:
 
 
 def _factors(forms, mode: str) -> list[_Factor]:
-    """The _Factor of each of the forms, all of one dimension: each is
-    LLL-reduced in turn, and their reduced grams are factored by one
-    stacked Cholesky.  Each reduced gram goes into the float stack at
-    once, so a batch keeps no Python lists of its float reduced grams.
-
-    In a batch of two or more forms, the float grams (no mint) go through
-    quadform.lll_unchanged in one call first: a gram it marks is one that
-    lll_reduce returns as it is, so it takes u = I and its own gram without
-    the call.  A one-form call costs less through lll_reduce alone."""
+    """The _Factor of each of the forms, all of one dimension, from one
+    stacked Cholesky: of the reduced integer gram of each form with mint
+    (lll_reduce in Python ints) and of the own gram of each other form.
+    Such a float gram keeps u = I when its factor passes LLL's two tests,
+    |mu_ik| = |R[i, k] / R[k, k]| <= 1/2 + LLL_SIZE_SLACK and Lovasz on
+    r_k = R[k, k]^2; the others go through lll_reduce and a second
+    Cholesky of their reduced grams."""
     d = forms[0].dim
     exact = [_resolve_mode(form, mode) == "exact" for form in forms]
     grams = np.empty((len(forms), d, d))
     us, mints = [None] * len(forms), [None] * len(forms)
-    floats = [i for i, form in enumerate(forms) if form.mint is None]
-    if len(forms) > 1 and floats:
-        grams[floats] = [forms[i].gram for i in floats]
-        eye = [[int(a == b) for b in range(d)] for a in range(d)]
-        for i, same in zip(floats, lll_unchanged(grams[floats]).tolist()):
-            if same:
-                us[i] = [row[:] for row in eye]
     for i, form in enumerate(forms):
-        if us[i] is None:
-            us[i], reduced = lll_reduce(form.gram if form.mint is None else form.mint)
-            grams[i] = reduced
-            if exact[i]:
-                mints[i] = reduced
+        if form.mint is None:
+            grams[i] = form.gram
+            continue
+        us[i], reduced = lll_reduce(form.mint)
+        grams[i] = reduced
+        if exact[i]:
+            mints[i] = reduced
+    q, m = _cholesky(grams)
+    sub = np.diagonal(m, -1, 1, 2)  # [f, k] = mu_{k+1, k}
+    ok = ((np.abs(np.tril(m, -1)) <= 0.5 + LLL_SIZE_SLACK).all(axis=(1, 2))
+          & (q[:, 1:] >= (LLL_DELTA - sub * sub) * q[:, :-1]).all(axis=1)).tolist()
+    redo = [i for i, u in enumerate(us) if u is None and not ok[i]]
+    for i in redo:
+        us[i], grams[i] = lll_reduce(forms[i].gram)
+    if redo:
+        q[redo], m[redo] = _cholesky(grams[redo])
+    eye = [[int(a == b) for b in range(d)] for a in range(d)]
+    return [_Factor(d, [row[:] for row in eye] if u is None else u, qi, mi, mint)
+            for u, qi, mi, mint in zip(us, q.tolist(), m.tolist(), mints)]
+
+
+def _cholesky(grams):
+    """q[f, i] = R[i, i]^2 and m[f, i, k] = R[k, i] / R[k, k] of the
+    Cholesky factor R of each gram of the stack."""
     try:
         low = np.linalg.cholesky(grams)
     except np.linalg.LinAlgError as exc:
-        raise CountingError(
-            "reduced gram matrix is not numerically positive definite in float") from exc
+        raise CountingError("gram matrix is not numerically positive definite in float") from exc
     diag = np.diagonal(low, axis1=1, axis2=2)
-    shifts = low / diag[:, None, :]  # [f, i, k] = R[k, i] / R[k, k]
-    return [_Factor(d, u, q, shift, mint)
-            for u, q, shift, mint in zip(us, (diag ** 2).tolist(), shifts.tolist(), mints)]
+    return diag ** 2, low / diag[:, None, :]
 
 
 def _factor(form: QuadForm, mode: str) -> _Factor:
@@ -650,8 +657,8 @@ def count_primitive_many(forms, radius: float | Sequence[float],
     just below an integer k and the float band at R/k holds a shortest
     vector.
 
-    Each form is LLL-reduced once, and the reduced grams are factored by
-    one stacked Cholesky (_factors).  The float forms share one walk at
+    Each form is reduced and factored once, the whole batch by one stacked
+    Cholesky (_factors).  The float forms share one walk at
     the largest R, which yields their rows in turn, and one pass of the
     leaf; each node is paired only with the thresholds it can reach among
     those its own form reads, so one deep-cusp form does not widen the

@@ -46,7 +46,6 @@ __all__ = [
     "constants",
     "zeta",
     "lll_reduce",
-    "lll_unchanged",
 ]
 
 DET_TOL = 1e-9
@@ -145,9 +144,7 @@ def lll_reduce(gram):
     never exactness.  A float gram is reduced in floats.  The order of the
     float operations is part of this contract (each sum starts from the int
     0 and adds left to right): near a tie their last bits choose u, and
-    sample_walk multiplies its basis by u at every step.  lll_unchanged
-    repeats them along the path that takes no step, so a change to them
-    is a change to it too.
+    sample_walk multiplies its basis by u at every step.
     """
     # an array is read as Python scalars at once: per-element numpy
     # scalars cost more than the reduction of a small gram
@@ -200,44 +197,6 @@ def lll_reduce(gram):
         k = max(k - 1, 1)
     raise GeometryError(f"LLL reduction did not finish in {LLL_STEP_LIMIT} steps; "
                         "the gram matrix is not numerically positive definite")
-
-
-def lll_unchanged(stack) -> np.ndarray:
-    """Mask of the grams of a float stack (n, d, d) that lll_reduce returns
-    as they are, with u = I and the gram unchanged: those on which it takes
-    no step.
-
-    The mask follows lll_reduce's own float operations along its no-step
-    path, as array operations on the stack: r_0 > 0, then for k = 1 .. d-1
-    the Gram-Schmidt row k, each sum started at 0 and added left to right,
-    |mu_kj| <= 1/2 + LLL_SIZE_SLACK and the Lovasz test.  The square in the
-    Lovasz test is np.float_power, C pow as Python's ** takes it; mu * mu
-    differs from it in the last bit of about 1 value in 1,200.  Near a tie
-    those last bits decide whether lll_reduce steps, so this check must
-    keep matching lll_reduce: a change to the float operations of either
-    is a change to both.
-    """
-    g = np.asarray(stack, dtype=float)
-    n, d = g.shape[:2]
-    mu = np.zeros((n, d, d))
-    r = np.empty((n, d))  # squared Gram-Schmidt norms
-    r[:, 0] = g[:, 0, 0]
-    same = r[:, 0] > 0.0
-    # a form that already fails may divide by 0 or overflow; its entries are not read
-    with np.errstate(all="ignore"):
-        for k in range(1, d):
-            a, t = np.empty((n, k)), np.zeros(n)
-            for j in range(k):
-                s = np.zeros(n)
-                for i in range(j):
-                    s += mu[:, j, i] * a[:, i]
-                a[:, j] = g[:, k, j] - s
-                mu[:, k, j] = a[:, j] / r[:, j]
-                t += mu[:, k, j] * a[:, j]
-            r[:, k] = g[:, k, k] - t
-            same &= (np.abs(mu[:, k, :k]) <= 0.5 + LLL_SIZE_SLACK).all(axis=1)
-            same &= r[:, k] >= (LLL_DELTA - np.float_power(mu[:, k, k - 1], 2)) * r[:, k - 1]
-    return same
 
 
 def _unimodular_integer_roundings(m: np.ndarray) -> list:

@@ -33,10 +33,10 @@ given, as one array of bases, forms every gram with one stacked product
 b^T b, builds the forms with one QuadForm.from_grams call, counts every
 sample at every radius in one latcount.count_primitive_many call, and
 takes the squared discrepancies of each radius as one array.  The count
-reduces and factors each sample once, and skips the LLL call for every
-gram that quadform.lll_unchanged proves reduced: every exact d = 2
-sample, which is Gauss-reduced, and in every run measured every walk
-sample too, as the walk reduces its basis at each step.
+factors the samples' grams by one stacked Cholesky and keeps each gram
+whose factor passes LLL's tests as it is, without an LLL call: every
+exact d = 2 sample, which is Gauss-reduced, and in every run measured
+every walk sample too, as the walk reduces its basis at each step.
 """
 
 from __future__ import annotations

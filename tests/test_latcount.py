@@ -16,7 +16,8 @@ from horocount.latcount import (
     error_terms,
     shell_table,
 )
-from horocount.quadform import GeometryError, GroupElement, QuadForm, act, constants
+from horocount.quadform import (LLL_DELTA, LLL_SIZE_SLACK, GeometryError, GroupElement, QuadForm, act,
+                                constants)
 
 
 def brute_counts(form, radius):
@@ -743,6 +744,104 @@ class TestKnownValues:
         grids = np.meshgrid(*([xs] * 5), indexing="ij")
         vals = sum(g ** 2 for g in grids)
         assert n0 == int((vals <= 6.25).sum())
+
+
+class TestFactors:
+    """A float gram keeps u = I when its own Cholesky factor passes LLL's
+    size and Lovasz tests; only the others take an lll_reduce call."""
+
+    @staticmethod
+    def reduced(q, m, rel=0.0):
+        """LLL's two tests, read from a factor's q and m, each bound widened
+        by the relative rel."""
+        d = len(q)
+        size = all(abs(m[i][k]) <= (0.5 + LLL_SIZE_SLACK) * (1.0 + rel) for i in range(d) for k in range(i))
+        return size and all(q[k] * (1.0 + rel) >= (LLL_DELTA - m[k][k - 1] * m[k][k - 1]) * q[k - 1]
+                            for k in range(1, d))
+
+    @staticmethod
+    def own_factor(gram):
+        low = np.linalg.cholesky(gram)
+        diag = np.diagonal(low)
+        return (diag ** 2).tolist(), (low / diag).tolist()
+
+    @staticmethod
+    def stacks():
+        from horocount import randlat
+        from test_quadform import near_tie_grams, random_group_element
+
+        walk = []
+
+        def recording(gram):
+            walk.append(gram.copy())
+            return lll(gram)
+
+        lll, randlat.lll_reduce = randlat.lll_reduce, recording
+        rng = np.random.default_rng(23)
+        try:
+            for d in (2, 3, 4, 5):
+                randlat.sample_walk(rng, d, burn_in=100, thin=1, n=10)
+        finally:
+            randlat.lll_reduce = lll
+        stacks = {"exact": [s.basis.mat.T @ s.basis.mat for s in randlat.sample_exact_d2(rng, 300)]}
+        for d in (2, 3, 4, 5):
+            stacks[f"walk{d}"] = [g for g in walk if len(g) == d]
+            stacks[f"near_tie{d}"] = near_tie_grams(rng, d, 150)
+            stacks[f"skewed{d}"] = []
+            for _ in range(30):
+                shear = np.eye(d) + np.triu(rng.integers(-20, 21, (d, d)), 1)
+                g = random_group_element(rng, d, scale=0.5).mat @ shear
+                stacks[f"skewed{d}"].append(g.T @ g)
+        out = {name: QuadForm.from_grams(np.array(grams)) for name, grams in stacks.items()}
+        # an integral image, reduced in Python ints and counted in float mode
+        out["skewed3"].append(int_form(3, [[1, 2, -1], [0, 1, 3], [0, 0, 1]]))
+        return out
+
+    def test_one_reduced_form_takes_no_lll_call(self, monkeypatch):
+        calls = []
+        lll = latcount.lll_reduce
+        monkeypatch.setattr(latcount, "lll_reduce", lambda g: calls.append(1) or lll(g))
+        spec = EllipsoidSpec(QuadForm.from_gram([[1.3, 0.1], [0.1, 1.0]]), 6.0)
+        assert count_primitive_moebius(spec).n1 == count_primitive_direct(spec).n1
+        assert count_full(spec).n0 > 0 and calls == []
+
+    def test_reduces_exactly_the_forms_whose_own_factor_fails(self, monkeypatch):
+        called = []
+        lll = latcount.lll_reduce
+        monkeypatch.setattr(latcount, "lll_reduce", lambda g: called.append(id(g)) or lll(g))
+        for name, forms in self.stacks().items():
+            d = forms[0].dim
+            eye = [[int(i == j) for j in range(d)] for i in range(d)]
+            called.clear()
+            fs = latcount._factors(forms, "float")
+            fails = {id(form.gram) for form in forms
+                     if form.mint is None and not self.reduced(*self.own_factor(form.gram))}
+            assert {i for i in called if i not in {id(form.mint) for form in forms}} == fails
+            assert len(called) == len(fails) + sum(form.mint is not None for form in forms)
+            # u = I passes the tests on the own factor where no call was made;
+            # where lll_reduce, on its own Gram-Schmidt, took no step, the
+            # gram lies on a bound to within rounding
+            for form, f in zip(forms, fs):
+                assert f.mint is None
+                if f.u == eye:
+                    assert self.reduced(f.q, f.m, 0.0 if id(form.gram) not in fails else 1e-12)
+            # a stack gives each form the factor it gets alone, bit for bit
+            assert [repr(vars(f)) for f in fs] == [repr(vars(latcount._factor(form, "float"))) for form in forms]
+            if name == "exact":
+                assert not fails
+            if "near_tie" in name:
+                assert 0 < len(fails) < len(forms)
+
+    def test_near_tie_counts_match_direct(self):
+        from test_quadform import near_tie_grams
+
+        rng = np.random.default_rng(29)
+        for d in (2, 3, 4, 5):
+            forms = QuadForm.from_grams(np.array(near_tie_grams(rng, d, 150)))
+            many = count_primitive_many(forms, 3.0, mode="float")
+            clear = [(res.n1, count_primitive_direct(EllipsoidSpec(form, 3.0), "float").n1)
+                     for form, res in zip(forms, many) if res.boundary_ambiguous == 0]
+            assert len(clear) > 120 and all(a == b for a, b in clear)
 
 
 class TestArrayWalk:

@@ -24,7 +24,6 @@ from horocount.quadform import (
     iwasawa_compose,
     iwasawa_decompose,
     lll_reduce,
-    lll_unchanged,
     rate_lambda,
     rate_mu,
     zeta,
@@ -93,21 +92,6 @@ def near_tie_grams(rng, d, n):
             r[k] = (LLL_DELTA - low[k, k - 1] ** 2) * r[k - 1]
         out.append(low @ np.diag(r) @ low.T)
     return out
-
-
-def pow_tie_grams(rng, n):
-    """d = 2 grams [[1, b], [b, c]] whose r_1 = c - b b lies on the Lovasz
-    bound (3/4 - mu^2) r_0 as lll_reduce computes it, where mu ** 2 (C pow)
-    and mu * mu differ in the last bit and so decide the test differently."""
-    out = []
-    while len(out) < n:
-        b = rng.uniform(-0.5, 0.5, 20_000)
-        by_pow, by_mul = LLL_DELTA - np.float_power(b, 2), LLL_DELTA - b * b
-        low = np.minimum(by_pow, by_mul)
-        c = low + b * b
-        hit = (by_pow != by_mul) & (c - b * b == low)
-        out += [np.array([[1.0, x], [x, y]]) for x, y in zip(b[hit], c[hit])]
-    return out[:n]
 
 
 def typed(x):
@@ -332,51 +316,6 @@ class TestLLL:
             grams += near_tie_grams(rng, d, 1000)
         for gram in grams:
             assert typed(lll_reduce(gram)) == typed(reference_lll_reduce(gram))
-
-    def test_unchanged_mask_matches_reference(self, monkeypatch):
-        # lll_unchanged marks a gram iff the reference reduction returns it
-        # as it is with u = I, on near-tie grams, grams on which C pow and
-        # x * x decide the Lovasz test differently, the grams of walk steps,
-        # exact d = 2 samples before and after QuadForm's rescale, and
-        # skewed float grams that take steps
-        walk_grams = []
-
-        def recording(gram):
-            walk_grams.append(gram.copy())
-            return lll_reduce(gram)
-
-        rng = np.random.default_rng(14)
-        with monkeypatch.context() as patch:
-            patch.setattr(randlat, "lll_reduce", recording)
-            for d in (2, 3, 4, 5):
-                sample_walk(rng, d, burn_in=100, thin=1, n=20)
-        stacks = {f"walk{d}": [g for g in walk_grams if len(g) == d] for d in (2, 3, 4, 5)}
-        exact = [s.basis.mat.T @ s.basis.mat for s in sample_exact_d2(rng, 600)]
-        stacks["exact"] = exact
-        stacks["exact_forms"] = [form.gram for form in QuadForm.from_grams(exact)]
-        stacks["pow_tie"] = pow_tie_grams(rng, 200)
-        for d in (2, 3, 4, 5):
-            stacks[f"near_tie{d}"] = near_tie_grams(rng, d, 1000)
-            stacks[f"skewed{d}"] = []
-            for _ in range(40):
-                shear = np.eye(d) + np.triu(rng.integers(-20, 21, (d, d)), 1)
-                g = random_group_element(rng, d, scale=0.5).mat @ shear
-                stacks[f"skewed{d}"].append(g.T @ g)
-        share = {}
-        for name, stack in stacks.items():
-            stack = np.array(stack)
-            d = stack.shape[1]
-            eye = [[int(i == j) for j in range(d)] for i in range(d)]
-            mask = lll_unchanged(stack).tolist()
-            for gram, marked in zip(stack, mask):
-                assert marked == (typed(reference_lll_reduce(gram)) == typed((eye, gram.tolist())))
-            share[name] = np.mean(mask)
-        # every exact sample is Gauss-reduced; the tie stacks hold grams on either side
-        assert share["exact"] == share["exact_forms"] == 1.0
-        assert all(0.0 < share[name] < 1.0 for name in share if "tie" in name)
-        # a gram that lll_reduce refuses is not marked
-        refused_and_eye = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
-        assert lll_unchanged(refused_and_eye).tolist() == [False, True]
 
     def test_array_input(self):
         # a float array reduces as the same gram in nested Python floats;

@@ -285,22 +285,21 @@ class TestMeanSquare:
                 assert dataclasses.astuple(rep) == dataclasses.astuple(one)
 
     def test_radii_list_reduces_each_sample_once(self, monkeypatch):
-        # each sample is reduced once, not once per radius: by an lll_reduce
-        # call, or by lll_unchanged marking it as a gram that lll_reduce
-        # leaves as it is; the exact samples are Gauss-reduced, so all are marked
+        # each sample set is factored as one stack, not once per radius; the
+        # exact samples are Gauss-reduced, so none takes an lll_reduce call,
+        # and each walk sample takes at most one
         from horocount import latcount
 
-        calls, marked = [], []
-        lll, unchanged = latcount.lll_reduce, latcount.lll_unchanged
+        stacks, calls = [], []
+        factors, lll = latcount._factors, latcount.lll_reduce
+        monkeypatch.setattr(latcount, "_factors",
+                            lambda forms, mode: stacks.append(len(forms)) or factors(forms, mode))
         monkeypatch.setattr(latcount, "lll_reduce", lambda g: calls.append(1) or lll(g))
-        monkeypatch.setattr(latcount, "lll_unchanged",
-                            lambda stack: marked.append(unchanged(stack)) or marked[-1])
         reps = mean_square_check(2, [5.0, 10.0, 20.0], 60, sampler="exact", seed=54)
-        assert len(reps) == 3 and len(calls) + sum(int(m.sum()) for m in marked) == 60
-        assert len(marked) == 1 and marked[0].all()
-        calls.clear(), marked.clear()
+        assert len(reps) == 3 and stacks == [60] and calls == []
+        stacks.clear()
         reps = mean_square_check(3, [2.0, 3.5], 20, sampler="walk", seed=55, burn_in=100, thin=2)
-        assert len(reps) == 2 and len(calls) + sum(int(m.sum()) for m in marked) == 20
+        assert len(reps) == 2 and stacks == [20] and len(calls) <= 20
 
     def test_matches_per_sample_discrepancy(self):
         rep = mean_square_check(2, 6.0, 200, sampler="exact", seed=53)
