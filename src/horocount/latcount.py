@@ -210,10 +210,13 @@ def _factors(forms, mode: str) -> list[_Factor]:
         if exact[i]:
             mints[i] = reduced
     q, m = _cholesky(grams)
-    sub = np.diagonal(m, -1, 1, 2)  # [f, k] = mu_{k+1, k}
-    ok = ((np.abs(np.tril(m, -1)) <= 0.5 + LLL_SIZE_SLACK).all(axis=(1, 2))
-          & (q[:, 1:] >= (LLL_DELTA - sub * sub) * q[:, :-1]).all(axis=1)).tolist()
-    redo = [i for i, u in enumerate(us) if u is None and not ok[i]]
+    redo = [i for i, u in enumerate(us) if u is None]
+    if redo:
+        sub = np.diagonal(m, -1, 1, 2)  # [f, k] = mu_{k+1, k}
+        # of the |m[f, i, k]| only the d diagonal ones may exceed the size bound
+        ok = (((np.abs(m) > 0.5 + LLL_SIZE_SLACK).sum(axis=(1, 2)) == d)
+              & (q[:, 1:] >= (LLL_DELTA - sub * sub) * q[:, :-1]).all(axis=1)).tolist()
+        redo = [i for i in redo if not ok[i]]
     for i in redo:
         us[i], grams[i] = lll_reduce(forms[i].gram)
     if redo:
