@@ -22,8 +22,9 @@ very eccentric forms.  A form with mint is reduced in Python ints
 Cholesky factor of its own gram passes LLL's size and Lovasz tests, and
 only the others are reduced.  The Cholesky factor R of the reduced gram
 writes Q(u w) as a sum of q_i (w_i + c_i)^2, where the centre c_i depends
-only on the coordinates above i.  _walk expands levels d-1 ... 2 as numpy arrays, a level's nodes as columns, only as many at a
-time as have BLOCK children between them, and yields the level-1 rows
+only on the coordinates above i.  _walk expands levels d-1 ... 2 as numpy
+arrays, a level's nodes as columns, only as many at a time as have BLOCK
+children between them, and yields the level-1 rows
 (suffix, range of v_1 widened by _PAD, centres, partial sum) in the
 recursion's depth-first order; each square (w_i + c_i)^2 is one correctly
 rounded product, with no call of C pow.
@@ -192,11 +193,12 @@ class _Factor:
 def _factors(forms, mode: str) -> list[_Factor]:
     """The _Factor of each of the forms, all of one dimension, from one
     stacked Cholesky: of the reduced integer gram of each form with mint
-    (lll_reduce in Python ints) and of the own gram of each other form.
-    Such a float gram keeps u = I when its factor passes LLL's two tests,
-    |mu_ik| = |R[i, k] / R[k, k]| <= 1/2 + LLL_SIZE_SLACK and Lovasz on
-    r_k = R[k, k]^2; the others go through lll_reduce and a second
-    Cholesky of their reduced grams."""
+    (lll_reduce in Python ints) and of its own gram for each other form.
+    Such a float gram keeps u = I when its factor passes LLL's two tests on
+    its Gram-Schmidt values, |mu_ik| = |m[i][k]| <= 1/2 + LLL_SIZE_SLACK
+    for k < i and Lovasz, q_k >= (LLL_DELTA - mu_{k,k-1}^2) q_{k-1}; only
+    the others go through lll_reduce and a second Cholesky of their
+    reduced grams."""
     d = forms[0].dim
     exact = [_resolve_mode(form, mode) == "exact" for form in forms]
     grams = np.empty((len(forms), d, d))
@@ -210,16 +212,16 @@ def _factors(forms, mode: str) -> list[_Factor]:
         if exact[i]:
             mints[i] = reduced
     q, m = _cholesky(grams)
-    redo = [i for i, u in enumerate(us) if u is None]
+    redo = [i for i, u in enumerate(us) if u is None]  # the float grams
     if redo:
         sub = np.diagonal(m, -1, 1, 2)  # [f, k] = mu_{k+1, k}
         # of the |m[f, i, k]| only the d diagonal ones may exceed the size bound
         ok = (((np.abs(m) > 0.5 + LLL_SIZE_SLACK).sum(axis=(1, 2)) == d)
               & (q[:, 1:] >= (LLL_DELTA - sub * sub) * q[:, :-1]).all(axis=1)).tolist()
         redo = [i for i in redo if not ok[i]]
-    for i in redo:
-        us[i], grams[i] = lll_reduce(forms[i].gram)
     if redo:
+        for i in redo:
+            us[i], grams[i] = lll_reduce(forms[i].gram)
         q[redo], m[redo] = _cholesky(grams[redo])
     eye = [[int(a == b) for b in range(d)] for a in range(d)]
     return [_Factor(d, [row[:] for row in eye] if u is None else u, qi, mi, mint)
