@@ -766,23 +766,19 @@ class TestFactors:
         return (diag ** 2).tolist(), (low / diag).tolist()
 
     @staticmethod
-    def stacks():
+    def stacks(monkeypatch):
+        """Forms by stack: exact d = 2 samples, the grams of walk steps,
+        near-tie grams, skewed float grams and one integral image."""
         from horocount import randlat
         from test_quadform import near_tie_grams, random_group_element
 
         walk = []
-
-        def recording(gram):
-            walk.append(gram.copy())
-            return lll(gram)
-
-        lll, randlat.lll_reduce = randlat.lll_reduce, recording
+        lll = randlat.lll_reduce
         rng = np.random.default_rng(23)
-        try:
+        with monkeypatch.context() as patch:
+            patch.setattr(randlat, "lll_reduce", lambda g: walk.append(g.copy()) or lll(g))
             for d in (2, 3, 4, 5):
                 randlat.sample_walk(rng, d, burn_in=100, thin=1, n=10)
-        finally:
-            randlat.lll_reduce = lll
         stacks = {"exact": [s.basis.mat.T @ s.basis.mat for s in randlat.sample_exact_d2(rng, 300)]}
         for d in (2, 3, 4, 5):
             stacks[f"walk{d}"] = [g for g in walk if len(g) == d]
@@ -809,7 +805,7 @@ class TestFactors:
         called = []
         lll = latcount.lll_reduce
         monkeypatch.setattr(latcount, "lll_reduce", lambda g: called.append(id(g)) or lll(g))
-        for name, forms in self.stacks().items():
+        for name, forms in self.stacks(monkeypatch).items():
             d = forms[0].dim
             eye = [[int(i == j) for j in range(d)] for i in range(d)]
             called.clear()
