@@ -297,13 +297,9 @@ def _fiber_means(d: int, ts, level: np.ndarray, h: RadialProfile, owner: np.ndar
     return 2.0 * top[level] + 2.0 * decay[level] * sums
 
 
-def fiber_integral(t: float, base, h: RadialProfile) -> float:
-    """Exact average of the test function over the torus fiber.
-
-    base: None (d = 2) or a base QuadForm of dimension d - 1.
-    """
-    if base is None:
-        return _level_means(2, [(t, None)], h)[0]
+def fiber_integral(t: float, base: QuadForm, h: RadialProfile) -> float:
+    """Exact average of the test function over the torus fiber over a base
+    QuadForm of dimension d - 1 (at d = 2: horosphere_average)."""
     if not isinstance(base, QuadForm):
         raise EquidistError(f"unsupported base point type {type(base)!r}")
     d = base.dim + 1

@@ -43,18 +43,18 @@ A count sums the interval lengths; an enumeration expands the intervals.
 Each rule decides every point against its own bound, so the widened
 entries add nothing.
 
-Counts walk half the ellipsoid.  Q(-v) = Q(v), so _count walks only
-v_{d-1} >= 0 (the top level's centre is 0, and its range starts at 0)
-and weights each level-1 node 2 when its v_{d-1} is > 0 and 1 when it is
-0 (for d = 2, v_1 is the top coordinate, so per node), in the one-
-threshold pass and in the pair slices alike: N = 2 #{v_{d-1} > 0} +
-#{v_{d-1} = 0}.  The totals are bit for bit those of the full walk, in
-float mode too: IEEE round-to-nearest is symmetric under negation, so
-the centres, partial sums, squares x * x, ranges and level-0
-floor/ceil intervals of the node -v are exact negations or copies of
-those of v, and the exact rule is symmetric in b.  shell_table bins the
-half as well.  enumerate_points keeps the full walk and its depth-first
-order, on which fiber_integral's float sums depend.
+Every walk covers half the ellipsoid, v_{d-1} >= 0: Q(-v) = Q(v), and
+the top level's centre is 0, so its range starts at 0.  IEEE
+round-to-nearest is symmetric under negation, so the centres, partial
+sums, squares x * x, ranges, level-0 floor/ceil intervals and values of
+-v are exact negations or copies of those of v (the exact rule is
+symmetric in b), and the half gives the full walk bit for bit.  _count
+weights each level-1 node 2 when its v_{d-1} is > 0 and 1 when it is 0
+(for d = 2, v_1 is the top coordinate, so per node), in the one-threshold
+pass and in the pair slices alike, and shell_table bins the half alike.
+enumerate_points rebuilds the full walk's depth-first order, on which
+fiber_integral's float sums depend: negation reverses the lexicographic
+order, so -w for each w with w_{d-1} > 0, last one first, then the half.
 
 The primitive count is the Moebius sum N1(R) = sum_k mu(k) (N0(R/k) - 1),
 with mu the read-only int8 array of this module's sieve.  Every nonzero
@@ -287,12 +287,11 @@ def runs(sizes, limit):
         start = stop
 
 
-def _walk(fs, top: float, low=None):
+def _walk(fs, top: float):
     """The level-1 rows of the walks over Q(v) <= top of the forms fs, all
     of one dimension d, in the order of a depth-first walk of each form in
     turn, in blocks of at most BLOCK level-1 nodes (a row with more alone).
-    The top level's v_{d-1} starts at low (low=0: the half v_{d-1} >= 0),
-    or covers its whole range for None.
+    The walk covers the half v_{d-1} >= 0: the top level's range starts at 0.
 
     Yields (owner, suffix, lo, hi, c1, c0, t) per block, an entry per row:
     its form's index in fs, its suffix (v_2, ..., v_{d-1}) as a (rows,
@@ -305,7 +304,7 @@ def _walk(fs, top: float, low=None):
     d = fs[0].dim
     q, m = np.array([f.q for f in fs]), np.array([f.m for f in fs])
 
-    def level(i, owner, suffix, cent, t, low=None):
+    def level(i, owner, suffix, cent, t):
         # the nodes of level i that the bound admits, with their v_i ranges
         rem = (top - t) / q[owner, i]
         keep = rem >= 0.0
@@ -313,14 +312,12 @@ def _walk(fs, top: float, low=None):
             owner, suffix, cent, t, rem = owner[keep], suffix[keep], cent[keep], t[keep], rem[keep]
         rad = np.sqrt(rem)
         c = cent[:, i]
-        lo = np.ceil(-c - rad).astype(np.int64) - _PAD
         hi = np.floor(-c + rad).astype(np.int64) + _PAD
-        if low is not None:
-            lo = np.maximum(lo, low)
+        lo = np.ceil(-c - rad).astype(np.int64) - _PAD if i < d - 1 else np.zeros_like(hi)
         return i, owner, suffix, cent, t, lo, hi, runs(hi - lo + 1, BLOCK)
 
     n = len(fs)
-    stack = [level(d - 1, np.arange(n), np.empty((n, 0), dtype=np.int64), np.zeros((n, d)), np.zeros(n), low)]
+    stack = [level(d - 1, np.arange(n), np.empty((n, 0), dtype=np.int64), np.zeros((n, d)), np.zeros(n))]
     while stack:
         i, owner, suffix, cent, t, lo, hi, slices = stack[-1]
         now = next(slices, None)
@@ -338,13 +335,13 @@ def _walk(fs, top: float, low=None):
                            cent[par, :i] + m[own, i, :i] * v[:, None], t[par] + q[own, i] * (x * x)))
 
 
-def _blocks(rule, low=None):
-    """Per block of _walk over the rule's forms, from v_{d-1} = low on:
+def _blocks(rule):
+    """Per block of _walk over the rule's forms:
     (suffix, n, v1, owner, key, aux), the block's suffixes, the node count
     of each row, v_1 per node (in the dtype of the rule's bounds), the
     index of each node's form (None for a one-form rule) and the rule's two
     arrays per node."""
-    for rows in _walk(rule.fs, rule.top, low):
+    for rows in _walk(rule.fs, rule.top):
         owner, suffix, lo, hi = rows[:4]
         at, v1 = ragged(lo, hi)
         owner = None if len(rule.fs) == 1 else owner[at]
@@ -456,7 +453,7 @@ def _count(rule, sizes=None) -> np.ndarray:
         sizes = np.array(sizes)
         starts = np.cumsum(sizes) - sizes
     totals = np.zeros((len(bounds), m if len(rule.fs) == 1 else int(sizes.sum())), dtype=np.int64)
-    for suffix, n1, v1, owner, key, aux in _blocks(rule, 0):
+    for suffix, n1, v1, owner, key, aux in _blocks(rule):
         # the walk covers v_{d-1} >= 0, and -v counts as v: weight 2 where v_{d-1} > 0
         top = v1 if suffix.shape[1] == 0 else suffix[:, -1].repeat(n1)
         weight = np.where(top > 0, 2, 1).astype(bounds.dtype)
@@ -498,11 +495,11 @@ def _count(rule, sizes=None) -> np.ndarray:
     return totals
 
 
-def _enumerate(rule, bound, low=None):
+def _enumerate(rule, bound):
     """Points (reduced coordinates, int64) with Q(v) <= bound, the rule's
-    one threshold, and v_{d-1} >= low (all for None), and their values."""
+    one threshold, and v_{d-1} >= 0, and their values."""
     pts, vals = [], []
-    for suffix, n1, v1, _, key, aux in _blocks(rule, low):
+    for suffix, n1, v1, _, key, aux in _blocks(rule):
         lo, n = (x[0] for x in rule.level0(rule.bounds, key, aux))
         n = n.astype(np.int64)
         v0 = (lo - (np.cumsum(n) - n)).repeat(n) + np.arange(n.sum())
@@ -518,23 +515,26 @@ def enumerate_points(form: QuadForm, bound: float, mode: str = "auto"):
     """Integer points v with Q(v) <= bound, in original coordinates.
 
     Returns (points (m, d) int64, values (m,)); values are exact integers
-    in exact mode, floats otherwise.
+    in exact mode, floats otherwise, in the full walk's depth-first order:
+    lexicographic in the reduced coordinates (w_{d-1}, ..., w_0).
     """
     if bound < 0:
         return np.empty((0, form.dim), dtype=np.int64), np.empty(0)
     u, pts, vals = _reduced_points(form, bound, mode)
+    k = np.count_nonzero(pts[:, -1] > 0)  # these w are a tail of the half
+    pts, vals = np.concatenate([-pts[::-1][:k], pts]), np.concatenate([vals[::-1][:k], vals])
     return pts @ np.array(u, dtype=np.int64).T, vals
 
 
-def _reduced_points(form: QuadForm, bound: float, mode: str, low=None):
-    """(u, points, values): _enumerate of the form at bound >= 0 from
-    v_{d-1} = low on, in the reduced coordinates w (v = u w), refused
-    before the walk when its box exceeds POINT_CAP."""
+def _reduced_points(form: QuadForm, bound: float, mode: str):
+    """(u, points, values): _enumerate of the form at bound >= 0, the half
+    v_{d-1} >= 0 in the reduced coordinates w (v = u w), refused before the
+    walk when its box exceeds POINT_CAP."""
     f = _factor(form, mode)
     _check_budget([f], math.sqrt(bound), POINT_CAP)
     bound = float(bound) if f.mint is None else math.floor(bound)
     rule = _FloatRule([f], [bound]) if f.mint is None else _ExactRule(f, [bound])
-    return f.u, *_enumerate(rule, bound, low)
+    return f.u, *_enumerate(rule, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +740,9 @@ def shell_table(form: QuadForm, top: float):
     half v_{d-1} >= 0 in reduced coordinates, where a point with
     v_{d-1} > 0 also stands for -v.  The gcd of a point's coordinates
     does not change under the reduction, so no point is mapped back."""
-    _, pts, vals = _reduced_points(form, top, "exact", low=0)
+    if not top >= 0:
+        raise CountingError(f"shell_table needs top >= 0, got {top!r}")
+    _, pts, vals = _reduced_points(form, top, "exact")
     prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
     pair = pts[:, -1] > 0
     n = math.floor(top) + 1

@@ -202,9 +202,10 @@ def _fiber_gram(t, base_gram, x):
 
 
 def _midpoint_errors(t, base_gram, h, grids):
-    """|midpoint mean of eval_test_function over the fiber - fiber_integral|
+    """|midpoint mean of eval_test_function over the fiber - exact fiber mean|
     for each per-axis grid size n."""
-    exact = fiber_integral(t, None if len(base_gram) == 1 else QuadForm.from_gram(base_gram), h)
+    exact = (horosphere_average(t, h).value if len(base_gram) == 1
+             else fiber_integral(t, QuadForm.from_gram(base_gram), h))
     errs = []
     for n in grids:
         xs = (np.arange(n) + 0.5) / n - 0.5
@@ -220,10 +221,10 @@ class TestFiber:
     def test_d2_t0_exact_value(self):
         # only w = 0, k = +-1 meets the unit disc: the line integral of
         # w = 1 has zero length at a = 1
-        assert fiber_integral(0.0, None, indicator_profile(1.0)) == 2.0
+        assert horosphere_average(0.0, indicator_profile(1.0)).value == 2.0
 
     def test_d2_small_support_zero(self):
-        assert fiber_integral(0.0, None, indicator_profile(0.5)) == 0.0
+        assert horosphere_average(0.0, indicator_profile(0.5)).value == 0.0
 
     def test_fast_path_matches_generic_eval(self):
         # the exact d = 2 fiber mean is the limit of midpoint means of the
@@ -457,7 +458,7 @@ class TestD2Grid:
         for grid in self.GRIDS:
             averages, _, _ = decay_series(h, grid, d=2)
             assert [a.t for a in averages] == list(grid)
-            assert [a.value for a in averages] == [fiber_integral(t, None, h) for t in grid]
+            assert [a.value for a in averages] == [horosphere_average(t, h).value for t in grid]
 
     def test_grids_cover_the_grouping(self):
         counts = [_w_counts(grid, bump_profile(1.0)) for grid in self.GRIDS]
@@ -631,7 +632,9 @@ class TestLargeNegativeT:
             averages = horosphere_averages([-1e300, -1500.0, -50.0], h, d=d)
             assert [a.value for a in averages] == [
                 2.0 * float(h.value(math.exp(rate_mu(d) * t))) for t in (-1e300, -1500.0, -50.0)]
-            assert fiber_integral(-1e300, None if d == 2 else QuadForm.identity(2), h) == 2.0
+            alone = (horosphere_average(-1e300, h).value if d == 2
+                     else fiber_integral(-1e300, QuadForm.identity(2), h))
+            assert alone == 2.0
 
 
 class TestThm12Bound:

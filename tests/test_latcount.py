@@ -86,6 +86,14 @@ def reference_walk(f, top, square=lambda x: x * x):
     return rec(f.dim - 1, (), [0.0] * f.dim, 0.0)
 
 
+def reference_half(f, top, square=lambda x: x * x):
+    """The rows of reference_walk in the half v_{d-1} >= 0 that
+    latcount._walk covers: at d = 2 the one row's range cut at v_1 = 0."""
+    for suffix, lo, hi, *rest in reference_walk(f, top, square):
+        if f.dim == 2 or suffix[-1] >= 0:
+            yield (suffix, max(lo, 0) if f.dim == 2 else lo, hi, *rest)
+
+
 def hex_row(owner, suffix, lo, hi, *floats):
     return (owner, tuple(suffix), lo, hi) + tuple(x.hex() for x in floats)
 
@@ -677,6 +685,15 @@ class TestShells:
         with pytest.raises(CountingError, match="integer gram"):
             shell_table(form, 2.0)
 
+    def test_rejects_negative_top(self, monkeypatch):
+        # refused with its top named, before any factor or walk
+        calls = []
+        monkeypatch.setattr(latcount, "_factors", lambda *a: calls.append("factor"))
+        for top in (-1, -0.5, math.nan):
+            with pytest.raises(CountingError, match=f"top >= 0, got {top!r}"):
+                shell_table(QuadForm.identity(2), top)
+        assert calls == []
+
     @pytest.mark.parametrize("d, top", [(2, 400), (3, 300)])
     def test_matches_per_level_scan(self, d, top):
         q = act(QuadForm.identity(d), GroupElement.from_matrix(np.eye(d) + np.eye(d, k=1)))
@@ -841,8 +858,9 @@ class TestFactors:
 
 
 class TestArrayWalk:
-    """latcount._walk yields the rows of the recursion over levels, bit for
-    bit and in its order, in blocks of at most BLOCK level-1 nodes."""
+    """latcount._walk yields the rows of the recursion over levels in the
+    half v_{d-1} >= 0, bit for bit and in its order, in blocks of at most
+    BLOCK level-1 nodes."""
 
     @staticmethod
     def walk(fs, top):
@@ -856,7 +874,7 @@ class TestArrayWalk:
 
     @staticmethod
     def reference(fs, top):
-        return [hex_row(i, *row) for i, f in enumerate(fs) for row in reference_walk(f, top)]
+        return [hex_row(i, *row) for i, f in enumerate(fs) for row in reference_half(f, top)]
 
     @staticmethod
     def cases():
@@ -898,19 +916,19 @@ class TestArrayWalk:
             # a deep cusp: the levels above 0 hold a handful of nodes each
             forms.insert(2, QuadForm.from_gram(np.diag([1e-6] + [1e6 ** (1 / (d - 1))] * (d - 1))))
             fs = latcount._factors(forms, "float")
-            sizes = [sum(hi - lo + 1 for _, lo, hi, *_ in reference_walk(f, top)) for f in fs]
+            sizes = [sum(hi - lo + 1 for _, lo, hi, *_ in reference_half(f, top)) for f in fs]
             assert max(sizes) > 20 * min(sizes)
             assert self.walk(fs, top) == self.reference(fs, top)
 
     def test_squares_by_product(self):
         # C pow (Python's ** 2) and the product x * x differ in the last bit
         # on about one square in a thousand; the partial sums of these
-        # 22,000 level-2 nodes, with non-integer centres from d = 4 on, take
-        # the product's bits where they differ
+        # 22,000 level-2 nodes of the half walks, with non-integer centres from
+        # d = 4 on, take the product's bits where they differ
         rng = np.random.default_rng(5)
-        fs = latcount._factors([random_form(rng, 4) for _ in range(200)], "float")
+        fs = latcount._factors([random_form(rng, 4) for _ in range(360)], "float")
         want = self.reference(fs, 40.0)
-        by_pow = [hex_row(i, *row) for i, f in enumerate(fs) for row in reference_walk(f, 40.0, lambda x: x ** 2)]
+        by_pow = [hex_row(i, *row) for i, f in enumerate(fs) for row in reference_half(f, 40.0, lambda x: x ** 2)]
         assert len(want) > 20_000 and want != by_pow
         assert self.walk(fs, 40.0) == want
 
@@ -922,7 +940,7 @@ class TestFloatNodes:
 
     def test_keys_square_by_product(self):
         rng = np.random.default_rng(73)
-        fs = latcount._factors([random_form(rng, 3) for _ in range(100)], "float")
+        fs = latcount._factors([random_form(rng, 3) for _ in range(150)], "float")
         for rule_fs in (fs, fs[:1]):
             rule = latcount._FloatRule(rule_fs, [60.0])
             got, want, by_pow = [], [], []
@@ -958,6 +976,26 @@ def reference_count(rule):
     return totals
 
 
+def reference_points(form, bound, mode):
+    """Reference for enumerate_points: the rule's level-0 intervals and
+    values over every node of the full walk (reference_walk, both signs of
+    v_{d-1}), in its depth-first order, mapped back by u."""
+    f = latcount._factor(form, mode)
+    bound = float(bound) if f.mint is None else math.floor(bound)
+    rule = latcount._FloatRule([f], [bound]) if f.mint is None else latcount._ExactRule(f, [bound])
+    rows = list(reference_walk(f, rule.top))
+    suffix, lo, hi, c1, c0, t = (np.array(col) for col in zip(*rows))
+    suffix = suffix.astype(np.int64).reshape(len(rows), f.dim - 2)
+    at, v1 = latcount.ragged(lo, hi)
+    key, aux = rule.nodes((None, suffix, lo, hi, c1, c0, t), at, v1.astype(rule.bounds.dtype), None)
+    lo0, n = (x[0] for x in rule.level0(rule.bounds, key, aux))
+    node, v0 = latcount.ragged(lo0.astype(np.int64), (lo0 + n - 1).astype(np.int64))
+    vals = rule.values(v0.astype(rule.bounds.dtype), key[node], aux[node])
+    w = np.column_stack([v0, v1[node], suffix[at[node]]])
+    keep = vals <= bound
+    return w[keep] @ np.array(f.u, dtype=np.int64).T, vals[keep]
+
+
 def float_rule(fs, xs):
     """The float rule of latcount._n0_bands at the thresholds xs."""
     tol = [latcount._float_tolerance(x, fs[0].dim) for x in xs]
@@ -965,9 +1003,9 @@ def float_rule(fs, xs):
 
 
 class TestHalfWalk:
-    """_count walks only v_{d-1} >= 0 and weights each node by the +-v
-    symmetry; its totals equal the full walk's sum bit for bit, in float
-    mode too, since round-to-nearest is symmetric under negation."""
+    """Every walk covers only v_{d-1} >= 0, and _count weights each node by
+    the +-v symmetry; its totals equal the full walk's sum bit for bit, in
+    float mode too, since round-to-nearest is symmetric under negation."""
 
     @staticmethod
     def forms(d):
@@ -1023,8 +1061,8 @@ class TestHalfWalk:
         tops = []
         walk = latcount._walk
 
-        def recorded(fs, top, low=None):
-            for rows in walk(fs, top, low):
+        def recorded(fs, top):
+            for rows in walk(fs, top):
                 suffix, lo = rows[1], rows[2]
                 tops.append((suffix[:, -1] if suffix.shape[1] else lo).min())
                 yield rows
@@ -1033,6 +1071,9 @@ class TestHalfWalk:
         for d in (2, 3, 4):
             count_full(EllipsoidSpec(QuadForm.identity(d), 4.0), "float")
             count_primitive_moebius(EllipsoidSpec(QuadForm.identity(d), 4.0), "exact")
+            # enumerations and shell tables walk the half as well
+            enumerate_points(QuadForm.identity(d), 16.0, "float")
+            shell_table(QuadForm.identity(d), 16)
         assert tops and min(tops) == 0
 
 
@@ -1048,15 +1089,34 @@ class TestEnumerate:
     def test_values_match_form(self):
         rng = np.random.default_rng(15)
         form = random_form(rng, 3)
-        pts, vals = enumerate_points(form, 9.0)
-        for p, v in zip(pts[:50], vals[:50]):
-            assert form.evaluate(p) == pytest.approx(v, abs=1e-9)
-        assert np.all(vals <= 9.0 + 1e-9)
+        for bound in (9.0, -1, -1e-300):
+            pts, vals = enumerate_points(form, bound)
+            assert pts.dtype == np.int64 and pts.shape == (len(vals), 3)
+            assert len(pts) > 50 if bound > 0 else len(pts) == 0  # a negative bound holds no point
+            for p, v in zip(pts[:50], vals[:50]):
+                assert form.evaluate(p) == pytest.approx(v, abs=1e-9)
+            assert np.all(vals <= bound + 1e-9)
+
+    @pytest.mark.parametrize("d, bound", [(2, 400), (3, 60), (4, 20), (5, 9)])
+    @pytest.mark.parametrize("block", [latcount.BLOCK, 5])
+    def test_mirror_matches_full_recursion(self, monkeypatch, d, bound, block):
+        # the full set rebuilt from the half walk is the full recursion's
+        # enumeration byte for byte: its points, their order and their values
+        monkeypatch.setattr(latcount, "BLOCK", block)
+        rng = np.random.default_rng(80 + d)
+        gamma = (np.eye(d, dtype=int) + 3 * np.eye(d, k=1, dtype=int) + np.eye(d, k=2, dtype=int)).tolist()
+        cases = [(form, mode) for form in (QuadForm.identity(d), int_form(d, gamma)) for mode in ("exact", "float")]
+        cases += [(random_form(rng, d, 0.5), "float") for _ in range(3)]
+        for form, mode in cases:
+            pts, vals = enumerate_points(form, bound, mode)
+            want_pts, want_vals = reference_points(form, bound, mode)
+            assert len(pts) > 1 and pts.dtype == want_pts.dtype and vals.dtype == want_vals.dtype
+            assert pts.tobytes() == want_pts.tobytes() and vals.tobytes() == want_vals.tobytes()
 
     def test_exact_and_float_agree(self, monkeypatch):
         # integer grams: float mode at B + 1/2 finds the exact points with
-        # Q <= B; d = 3 and 4 span several leaf blocks, and many more with
-        # BLOCK = 5
+        # Q <= B; the half walks of d = 3 and 4 span two leaf blocks, and many
+        # more with BLOCK = 5
         cases = (([[2, 1], [1, 1]], 4000),
                  ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 3000),
                  ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]], 200))
@@ -1064,7 +1124,7 @@ class TestEnumerate:
             form = int_form(len(gamma), gamma)
             if len(gamma) > 2:
                 walk = latcount._walk([latcount._factor(form, "float")], b + 0.5)
-                assert sum(int((hi - lo + 1).sum()) for _, _, lo, hi, *_ in walk) > 2 * latcount.BLOCK
+                assert sum(int((hi - lo + 1).sum()) for _, _, lo, hi, *_ in walk) > latcount.BLOCK
             for block in (latcount.BLOCK, 5):
                 with monkeypatch.context() as m:
                     m.setattr(latcount, "BLOCK", block)

@@ -121,8 +121,8 @@ class TestInversion:
         # gets r0 = 4 against r1(4) + r1(1) = 3
         real = latcount._reduced_points
 
-        def dropped(form, bound, mode, low=None):
-            u, pts, vals = real(form, bound, mode, low)
+        def dropped(form, bound, mode):
+            u, pts, vals = real(form, bound, mode)
             keep = ~((pts[:, 0] == -1) & (pts[:, 1] == 0))
             return u, pts[keep], vals[keep]
 
