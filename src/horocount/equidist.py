@@ -243,22 +243,19 @@ def space_average(h: RadialProfile, d: int) -> float:
     return h.integral(d) / constants(d).zeta
 
 
-def _half_lattice(pts: np.ndarray, vals: np.ndarray):
-    """One representative of each +-w pair, origin dropped."""
-    nz = np.any(pts != 0, axis=1)
-    pts, vals = pts[nz], vals[nz]
-    lead = np.zeros(len(pts), dtype=bool)
-    undecided = np.ones(len(pts), dtype=bool)
-    for j in range(pts.shape[1]):
-        col = pts[:, j]
-        lead |= undecided & (col > 0)
-        undecided &= col == 0
-    return pts[lead], vals[lead]
-
-
-def _w_bound(d: int, t: float, h: RadialProfile) -> float:
-    """Largest base value Q_b(w) whose line integral can be nonzero at level t."""
-    return (h.support_end + _support_tol(h.support_end)) * math.exp(rate_lambda(d) * t)
+def _w_bound(d: int, t: float, h: RadialProfile, grid=None):
+    """(bound, cut) of level t: the largest base value Q_b(w) whose line
+    integral can be nonzero, and with a d = 3 grid the cusp cut
+    _cutoff_height(t) (else None).  A t whose bound is not finite is
+    refused."""
+    try:  # at d = 3 the cusp cut overflows first, from t = 1004
+        bound = (h.support_end + _support_tol(h.support_end)) * math.exp(rate_lambda(d) * t)
+        cut = grid and _cutoff_height(t)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise EquidistError(f"t = {t!r} is out of range of the d = {d} average")
+    return bound, cut
 
 
 def _phi_table(top: int) -> np.ndarray:
@@ -303,8 +300,9 @@ def fiber_integral(t: float, base: QuadForm, h: RadialProfile) -> float:
     if not isinstance(base, QuadForm):
         raise EquidistError(f"unsupported base point type {type(base)!r}")
     d = base.dim + 1
-    pts, vals = enumerate_points(base, _w_bound(d, t, h), mode="float")
-    ws, qbs = _half_lattice(pts, np.asarray(vals, dtype=float))
+    pts, vals = enumerate_points(base, _w_bound(d, t, h)[0], mode="float")
+    # the order is symmetric about the origin: one of each +-w follows it
+    ws, qbs = pts[len(pts) // 2 + 1:], vals[len(vals) // 2 + 1:]
     g0 = np.gcd.reduce(np.abs(ws), axis=1)
     phi = _phi_table(int(g0.max()) if g0.size else 1)
     zero = np.zeros(1, dtype=np.intp)
@@ -357,23 +355,15 @@ def _level_means(d: int, levels, h: RadialProfile) -> list[float]:
     point of weight 1) and (nx, ny) at d = 3 (_modular_grid cut at
     _cutoff_height(t)).  A base point with more than PASS_PAIRS pairs is a
     pass alone."""
-    ts, bounds, cuts = [float(t) for t, _ in levels], [], []
-    for t, grid in levels:
-        try:  # at d = 3 the cusp cut overflows first, from t = 1004
-            bound, cut = _w_bound(d, t, h), grid and _cutoff_height(t)
-        except OverflowError:
-            bound = math.inf
-        if not math.isfinite(bound):
-            raise EquidistError(f"t = {t!r} is out of range of the d = {d} average")
-        bounds.append(bound)
-        cuts.append(cut)
-    bounds = np.array(bounds)
+    ts = [float(t) for t, _ in levels]
+    edges = [_w_bound(d, t, h, grid) for t, grid in levels]
+    bounds = np.array([bound for bound, _ in edges])
     if d == 2:
         xs = ys = None
         counts, wts = [1] * len(ts), np.ones(len(ts))
         top = sizes = np.floor(np.sqrt(bounds))  # w <= floor(sqrt(bound))
     else:
-        grids = [_modular_grid(nx, ny, y_top) for (_, (nx, ny)), y_top in zip(levels, cuts)]
+        grids = [_modular_grid(nx, ny, y_top) for (_, (nx, ny)), (_, y_top) in zip(levels, edges)]
         xs, ys, wts = (np.concatenate(a) for a in zip(*grids))
         counts = [len(y) for _, y, _ in grids]
         bounds = np.repeat(bounds, counts)

@@ -51,10 +51,12 @@ sums, squares x * x, ranges, level-0 floor/ceil intervals and values of
 symmetric in b), and the half gives the full walk bit for bit.  _count
 weights each level-1 node 2 when its v_{d-1} is > 0 and 1 when it is 0
 (for d = 2, v_1 is the top coordinate, so per node), in the one-threshold
-pass and in the pair slices alike, and shell_table bins the half alike.
-enumerate_points rebuilds the full walk's depth-first order, on which
-fiber_integral's float sums depend: negation reverses the lexicographic
-order, so -w for each w with w_{d-1} > 0, last one first, then the half.
+pass and in the pair slices alike.  An enumeration's slice v_{d-1} = 0 is
+symmetric in this way and comes first in its lexicographic order, so
+_reduced_points cuts it at its middle point, the origin: the origin
+first, then one of each +-w.  shell_table weights each nonzero point of
+that half 2, and enumerate_points mirrors it into the full walk's order,
+-w for each w after the origin, last one first, then the half.
 
 The primitive count is the Moebius sum N1(R) = sum_k mu(k) (N0(R/k) - 1),
 with mu the read-only int8 array of this module's sieve.  Every nonzero
@@ -516,25 +518,30 @@ def enumerate_points(form: QuadForm, bound: float, mode: str = "auto"):
 
     Returns (points (m, d) int64, values (m,)); values are exact integers
     in exact mode, floats otherwise, in the full walk's depth-first order:
-    lexicographic in the reduced coordinates (w_{d-1}, ..., w_0).
+    lexicographic in the reduced coordinates (w_{d-1}, ..., w_0), so the
+    origin is the middle point and point m - 1 - i is minus point i.
     """
     if bound < 0:
         return np.empty((0, form.dim), dtype=np.int64), np.empty(0)
     u, pts, vals = _reduced_points(form, bound, mode)
-    k = np.count_nonzero(pts[:, -1] > 0)  # these w are a tail of the half
-    pts, vals = np.concatenate([-pts[::-1][:k], pts]), np.concatenate([vals[::-1][:k], vals])
+    pts, vals = np.concatenate([-pts[:0:-1], pts]), np.concatenate([vals[:0:-1], vals])
     return pts @ np.array(u, dtype=np.int64).T, vals
 
 
 def _reduced_points(form: QuadForm, bound: float, mode: str):
-    """(u, points, values): _enumerate of the form at bound >= 0, the half
-    v_{d-1} >= 0 in the reduced coordinates w (v = u w), refused before the
-    walk when its box exceeds POINT_CAP."""
+    """(u, points, values) of the half-lattice at bound >= 0 in the reduced
+    coordinates w (v = u w): the origin, then one of each +-w, those of the
+    slice w_{d-1} = 0 and then those with w_{d-1} > 0, in lexicographic
+    order.  The walk's slice w_{d-1} = 0 comes first and is symmetric under
+    negation, so the origin is its middle point.  Refused before the walk
+    when its box exceeds POINT_CAP."""
     f = _factor(form, mode)
     _check_budget([f], math.sqrt(bound), POINT_CAP)
     bound = float(bound) if f.mint is None else math.floor(bound)
     rule = _FloatRule([f], [bound]) if f.mint is None else _ExactRule(f, [bound])
-    return f.u, *_enumerate(rule, bound)
+    pts, vals = _enumerate(rule, bound)
+    start = (np.count_nonzero(pts[:, -1] == 0) - 1) // 2
+    return f.u, pts[start:], vals[start:]
 
 
 # ---------------------------------------------------------------------------
@@ -737,17 +744,17 @@ def n0_series(spec: EllipsoidSpec) -> np.ndarray:
 def shell_table(form: QuadForm, top: float):
     """(r0, r1): full and primitive counts at the integer levels 0 .. top
     (top >= 0) as int64 arrays, binned from one exact enumeration of the
-    half v_{d-1} >= 0 in reduced coordinates, where a point with
-    v_{d-1} > 0 also stands for -v.  The gcd of a point's coordinates
-    does not change under the reduction, so no point is mapped back."""
+    half-lattice in reduced coordinates, where each nonzero point also
+    stands for -w.  The gcd of a point's coordinates does not change under
+    the reduction, so no point is mapped back."""
     if not top >= 0:
         raise CountingError(f"shell_table needs top >= 0, got {top!r}")
     _, pts, vals = _reduced_points(form, top, "exact")
     prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
-    pair = pts[:, -1] > 0
     n = math.floor(top) + 1
-    return (np.bincount(vals, minlength=n) + np.bincount(vals[pair], minlength=n),
-            np.bincount(vals[prim], minlength=n) + np.bincount(vals[prim & pair], minlength=n))
+    r0 = 2 * np.bincount(vals, minlength=n)
+    r0[0] -= 1  # the origin stands for itself alone
+    return r0, 2 * np.bincount(vals[prim], minlength=n)
 
 
 def error_terms(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:

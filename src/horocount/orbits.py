@@ -68,14 +68,16 @@ class DecayFit:
 
 
 def t_of_radius(d: int, radius: float) -> float:
-    """T(R) = 2 sqrt(d/(d-1)) log R."""
-    if radius <= 0:
-        raise CountingError("radius must be positive")
+    """T(R) = 2 sqrt(d/(d-1)) log R, for a positive finite R."""
+    if not 0 < radius < math.inf:
+        raise CountingError(f"radius must be positive and finite, got {radius}")
     return 2.0 * math.sqrt(d / (d - 1)) * math.log(radius)
 
 
 def radius_of_t(d: int, t: float) -> float:
-    """Inverse map: R = e^{T sqrt((d-1)/d)/2}."""
+    """Inverse map: R = e^{T sqrt((d-1)/d)/2}, for a finite T."""
+    if not math.isfinite(t):
+        raise CountingError(f"T must be finite, got {t}")
     try:
         return math.exp(0.5 * t * math.sqrt((d - 1) / d))
     except OverflowError:
@@ -213,9 +215,6 @@ def sweep(q: QuadForm, t_values, kind: str = "chimney", sigma: int | None = None
     else:
         raise CountingError(f"unknown sweep kind {kind!r}")
     ts = list(t_values)
-    bad = [t for t in ts if not math.isfinite(t)]
-    if bad:
-        raise CountingError(f"T must be finite, got {bad[0]}")
     radii = [radius_of_t(d, t) for t in ts]
     counts = iter(count_primitive_many([q], [r for r in radii if r >= 1e-12]))
     rows = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from horocount import equidist
+from horocount import equidist, latcount
 from horocount.equidist import (
     EquidistError,
     HoroAverage,
@@ -283,6 +283,22 @@ class TestFiber:
             pts = np.stack([g.ravel() for g in np.meshgrid(grid, grid, indexing="ij")], axis=1)
             mean = sum(counts(pts[i:i + 50000]).sum() for i in range(0, len(pts), 50000)) / len(pts)
             assert mean == pytest.approx(fiber_integral(t, QuadForm.from_gram(base), h), abs=4e-3)
+
+    @pytest.mark.parametrize("shear", [[[1, 3], [0, 1]], [[2, 1], [1, 1]], [[5, 7], [2, 3]], [[1, 0], [40, 1]]])
+    def test_base_invariant_under_gl2z(self, shear):
+        # the fiber mean reads the base lattice, not its basis: a GL_2(Z)
+        # image of a modular base (reduced back, u != I) gives the same mean
+        # from the second half of its enumeration, within 1e-9 relative
+        g = np.array(shear, dtype=float)
+        reduced = 0
+        for x, y in ((0.1, 1.2), (-0.3, 2.5), (0.45, 7.0)):
+            gram = modular_base_gram(x, y)
+            base, image = QuadForm.from_gram(gram), QuadForm.from_gram(g.T @ gram @ g)
+            reduced += latcount._factor(image, "float").u != [[1, 0], [0, 1]]
+            for h in (bump_profile(1.0), indicator_profile(1.0)):
+                for t in (0.0, 1.3, 4.0, 8.0):
+                    assert fiber_integral(t, image, h) == pytest.approx(fiber_integral(t, base, h), rel=1e-9)
+        assert reduced == 3
 
     def test_fiber_family_is_level_shift_of_shears(self):
         # the level-t fiber form over x is the level shift of the unit
@@ -685,6 +701,16 @@ class TestEnumerationBudget:
         # at t = 40 the base enumeration would hold about 3.8e7 points
         with pytest.raises(EnumerationBudgetError, match="points"):
             fiber_integral(40.0, QuadForm.identity(2), bump_profile(1.0))
+
+    @pytest.mark.parametrize("t", [2000.0, math.inf, math.nan])
+    def test_single_base_t_out_of_range(self, monkeypatch, t):
+        # at t = 2000 e^{lambda t} overflows a float; inf and nan give no
+        # finite bound: each is refused before any enumeration
+        calls = []
+        monkeypatch.setattr(equidist, "enumerate_points", lambda *a, **k: calls.append(a))
+        with pytest.raises(EquidistError, match="out of range of the d = 3 average"):
+            fiber_integral(t, QuadForm.identity(2), bump_profile(1.0))
+        assert calls == []
 
 
 class TestIntegratedBound:

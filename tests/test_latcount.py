@@ -1113,6 +1113,29 @@ class TestEnumerate:
             assert len(pts) > 1 and pts.dtype == want_pts.dtype and vals.dtype == want_vals.dtype
             assert pts.tobytes() == want_pts.tobytes() and vals.tobytes() == want_vals.tobytes()
 
+    @pytest.mark.parametrize("d, bound", [(2, 400), (3, 60), (4, 20), (5, 9)])
+    @pytest.mark.parametrize("block", [latcount.BLOCK, 5])
+    def test_reduced_points_are_the_half_lattice(self, monkeypatch, d, bound, block):
+        # _reduced_points gives the origin first, then one of each +-w, and
+        # the half with its mirror is the full recursion's enumeration byte
+        # for byte; at bound 0 the half is the origin alone
+        monkeypatch.setattr(latcount, "BLOCK", block)
+        rng = np.random.default_rng(90 + d)
+        gamma = (np.eye(d, dtype=int) + 3 * np.eye(d, k=1, dtype=int) + np.eye(d, k=2, dtype=int)).tolist()
+        cases = [(form, mode) for form in (QuadForm.identity(d), int_form(d, gamma)) for mode in ("exact", "float")]
+        cases += [(random_form(rng, d, 0.5), "float") for _ in range(3)]
+        for form, mode in cases:
+            u, half, vals = latcount._reduced_points(form, bound, mode)
+            assert not half[0].any() and vals[0] == 0
+            rest = {tuple(w) for w in half[1:].tolist()}
+            assert len(rest) == len(half) - 1 > 0 and not rest & {tuple(w) for w in (-half).tolist()}
+            pts = np.concatenate([-half[:0:-1], half]) @ np.array(u, dtype=np.int64).T
+            want_pts, want_vals = reference_points(form, bound, mode)
+            assert pts.tobytes() == want_pts.tobytes()
+            assert np.concatenate([vals[:0:-1], vals]).tobytes() == want_vals.tobytes()
+            _, origin, _ = latcount._reduced_points(form, 0, mode)
+            assert origin.tolist() == [[0] * d]
+
     def test_exact_and_float_agree(self, monkeypatch):
         # integer grams: float mode at B + 1/2 finds the exact points with
         # Q <= B; the half walks of d = 3 and 4 span two leaf blocks, and many
@@ -1176,8 +1199,9 @@ class TestEnumerate:
     def test_points_in_full_depth_first_order(self, d, radius):
         # enumerate_points keeps the full walk: both signs of v_{d-1}, each point
         # once, in the depth-first order of the reduced coordinates w (v = u w),
-        # lexicographic in (w_{d-1}, ..., w_0); fiber_integral's float sums
-        # depend on that order
+        # lexicographic in (w_{d-1}, ..., w_0), so point m - 1 - i is minus
+        # point i; fiber_integral takes the points after the middle one, the
+        # origin, as one of each +-w
         gamma = (np.eye(d, dtype=int) + 3 * np.eye(d, k=1, dtype=int) + np.eye(d, k=2, dtype=int)).tolist()
         for form in (QuadForm.identity(d), int_form(d, gamma)):
             gram = np.array(form.mint, dtype=np.int64)
@@ -1186,6 +1210,7 @@ class TestEnumerate:
                 u = np.array(latcount._factor(form, mode).u, dtype=float)
                 w = np.rint(pts @ np.linalg.inv(u).T).astype(np.int64)
                 assert np.array_equal(np.lexsort(w.T), np.arange(len(w)))
+                assert np.array_equal(pts[::-1], -pts) and np.array_equal(vals[::-1], vals)
                 assert len(pts) == count_full(EllipsoidSpec(form, radius), "exact").n0
                 assert np.array_equal(pts[np.lexsort(pts.T)], -pts[np.lexsort(-pts.T)])
                 exact = ((pts @ gram) * pts).sum(axis=1)

@@ -116,20 +116,20 @@ class TestInversion:
         assert r1[1] == r0[1] == 4
 
     def test_reports_first_violation(self, monkeypatch):
-        # drop (-1, 0) from the half enumeration that shell_table bins (I_2 is
-        # reduced, so u = I): level 1 stays consistent (r0 = r1 = 3), level 4
-        # gets r0 = 4 against r1(4) + r1(1) = 3
+        # drop (1, 0), and with it (-1, 0), from the half-lattice that
+        # shell_table bins (I_2 is reduced, so u = I): level 1 stays
+        # consistent (r0 = r1 = 2), level 4 gets r0 = 4 against r1(4) + r1(1) = 2
         real = latcount._reduced_points
 
         def dropped(form, bound, mode):
             u, pts, vals = real(form, bound, mode)
-            keep = ~((pts[:, 0] == -1) & (pts[:, 1] == 0))
+            keep = ~((pts[:, 0] == 1) & (pts[:, 1] == 0))
             return u, pts[keep], vals[keep]
 
         monkeypatch.setattr(latcount, "_reduced_points", dropped)
         rep = verify_inversion(EllipsoidSpec(QuadForm.identity(2), 5.0))
         assert not rep.ok and rep.levels_checked == 4
-        assert rep.first_violation == {"level": 4, "identity": "r0_from_r1", "lhs": 4, "rhs": 3}
+        assert rep.first_violation == {"level": 4, "identity": "r0_from_r1", "lhs": 4, "rhs": 2}
 
     def test_rejects_float_gram(self):
         q = QuadForm.from_gram([[1.3, 0.1], [0.1, 1.0]])

@@ -33,6 +33,13 @@ class TestRadiusMaps:
         with pytest.raises(CountingError):
             t_of_radius(2, 0.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, x):
+        with pytest.raises(CountingError, match="radius must be positive and finite"):
+            t_of_radius(2, x)
+        with pytest.raises(CountingError, match="T must be finite"):
+            radius_of_t(3, x)
+
 
 def reference_stabilizer_order(q):
     """stabilizer_order as a depth-first search, one enumeration per column,
