@@ -231,11 +231,11 @@ def _cutoff_height(t: float) -> float:
 
 
 def eval_test_function(q: QuadForm, h: RadialProfile) -> float:
-    """Sum of h(Q(v)) over primitive integer v (exact for integer grams)."""
+    """Sum of h(Q(v)) over primitive integer v, twice that over the half-lattice (exact for integer grams)."""
     bound = h.support_end + 2.0 * _support_tol(h.support_end)
     pts, vals = enumerate_points(q, bound)
     prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
-    return float(np.sum(h.value(np.asarray(vals, dtype=float)[prim])))
+    return 2.0 * float(np.sum(h.value(np.asarray(vals, dtype=float)[prim])))
 
 
 def space_average(h: RadialProfile, d: int) -> float:
@@ -301,8 +301,7 @@ def fiber_integral(t: float, base: QuadForm, h: RadialProfile) -> float:
         raise EquidistError(f"unsupported base point type {type(base)!r}")
     d = base.dim + 1
     pts, vals = enumerate_points(base, _w_bound(d, t, h)[0], mode="float")
-    # the order is symmetric about the origin: one of each +-w follows it
-    ws, qbs = pts[len(pts) // 2 + 1:], vals[len(vals) // 2 + 1:]
+    ws, qbs = pts[1:], vals[1:]
     g0 = np.gcd.reduce(np.abs(ws), axis=1)
     phi = _phi_table(int(g0.max()) if g0.size else 1)
     zero = np.zeros(1, dtype=np.intp)

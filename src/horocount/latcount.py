@@ -55,8 +55,7 @@ pass and in the pair slices alike.  An enumeration's slice v_{d-1} = 0 is
 symmetric in this way and comes first in its lexicographic order, so
 _reduced_points cuts it at its middle point, the origin: the origin
 first, then one of each +-w.  shell_table weights each nonzero point of
-that half 2, and enumerate_points mirrors it into the full walk's order,
--w for each w after the origin, last one first, then the half.
+that half 2, and enumerate_points maps it by u and hands it on as it is.
 
 The primitive count is the Moebius sum N1(R) = sum_k mu(k) (N0(R/k) - 1),
 with mu the read-only int8 array of this module's sieve.  Every nonzero
@@ -514,17 +513,15 @@ def _enumerate(rule, bound):
 
 
 def enumerate_points(form: QuadForm, bound: float, mode: str = "auto"):
-    """Integer points v with Q(v) <= bound, in original coordinates.
-
-    Returns (points (m, d) int64, values (m,)); values are exact integers
-    in exact mode, floats otherwise, in the full walk's depth-first order:
-    lexicographic in the reduced coordinates (w_{d-1}, ..., w_0), so the
-    origin is the middle point and point m - 1 - i is minus point i.
-    """
+    """The half-lattice of Q(v) <= bound, _reduced_points mapped by u: the
+    origin, then one of each +-v, as (points (m, d) int64, values (m,));
+    values are exact integers in exact mode, floats otherwise.  A negative
+    bound holds no point; a NaN one is refused before any factor or walk."""
+    if math.isnan(bound):
+        raise CountingError(f"enumerate_points bound must not be NaN, got {bound!r}")
     if bound < 0:
         return np.empty((0, form.dim), dtype=np.int64), np.empty(0)
     u, pts, vals = _reduced_points(form, bound, mode)
-    pts, vals = np.concatenate([-pts[:0:-1], pts]), np.concatenate([vals[:0:-1], vals])
     return pts @ np.array(u, dtype=np.int64).T, vals
 
 
@@ -589,10 +586,10 @@ def count_full(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
 
 
 def count_primitive_direct(spec: EllipsoidSpec, mode: str = "auto") -> CountResult:
-    """Primitive points by full enumeration plus a gcd filter (oracle role),
-    flagging those between the band edges lo and hi (both floor(R^2) in
-    exact mode, so none is flagged).  enumerate_points refuses its box at
-    POINT_CAP, below COUNT_LIMIT."""
+    """Twice the primitive points of the half-lattice by a gcd filter (an
+    oracle; u keeps gcds, so in reduced coordinates), flagging those between
+    the band edges lo and hi (both floor(R^2) in exact mode, so none is
+    flagged).  A box above POINT_CAP, below COUNT_LIMIT, is refused."""
     used = _resolve_mode(spec.form, mode)
     if used == "exact":
         hi = lo = _exact_threshold(spec.radius)
@@ -600,9 +597,10 @@ def count_primitive_direct(spec: EllipsoidSpec, mode: str = "auto") -> CountResu
         rsq = spec.radius ** 2
         tol = _float_tolerance(rsq, spec.form.dim)
         hi, lo = rsq + tol, rsq - tol
-    pts, vals = enumerate_points(spec.form, hi, mode=used)
+    _, pts, vals = _reduced_points(spec.form, hi, used)
     prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
-    return CountResult(n1=int(prim.sum()), boundary_ambiguous=int((prim & (vals > lo)).sum()), mode=used)
+    n1, band = (2 * int(x.sum()) for x in (prim, prim & (vals > lo)))
+    return CountResult(n1=n1, boundary_ambiguous=band, mode=used)
 
 
 @lru_cache(maxsize=8)

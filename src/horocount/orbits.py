@@ -88,12 +88,12 @@ def stabilizer_order(q: QuadForm) -> int:
     """Order of the stabilizer of Q in the projectivized integer group.
 
     Counts integer matrices g of determinant one with g^T M g = M.  Column
-    j of g is a lattice vector v with Q(v) = M_jj, picked from one
-    enumeration up to max_j M_jj; one table per column pair i < j, built
-    TABLE_ROWS rows at a time, marks the candidate pairs with inner product
-    M_ij.  The search extends every partial g by one column at a time,
-    keeping the candidates in the AND of the table rows picked for the
-    columns before it; a level of more than
+    j of g is a lattice vector v with Q(v) = M_jj, picked with both signs
+    from one half-lattice enumeration up to max_j M_jj.  One table per
+    column pair i < j, built TABLE_ROWS rows at a time, marks the candidate
+    pairs with inner product M_ij.  The search extends every partial g by
+    one column at a time, keeping the candidates in the AND of the table
+    rows picked for the columns before it; a level of more than
     STABILIZER_LEVEL_CAP (partial g, candidate) pairs raises CountingError
     before its mask is built.  The count of complete g of det 1 is divided
     by the center (+-identity for even d).
@@ -106,6 +106,7 @@ def stabilizer_order(q: QuadForm) -> int:
     tol = STABILIZER_TOL * float(np.max(np.abs(m)))
     pts, vals = enumerate_points(q, float(np.max(np.diag(m))) + tol, mode="float")
     cols = [pts[np.abs(vals - float(m[j, j])) <= tol].astype(float) for j in range(d)]
+    cols = [np.concatenate([-c[::-1], c]) for c in cols]
     if max(map(len, cols)) > STABILIZER_CANDIDATE_CAP:
         raise CountingError("stabilizer candidate set too large for this form")
     table = {}

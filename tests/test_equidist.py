@@ -288,7 +288,7 @@ class TestFiber:
     def test_base_invariant_under_gl2z(self, shear):
         # the fiber mean reads the base lattice, not its basis: a GL_2(Z)
         # image of a modular base (reduced back, u != I) gives the same mean
-        # from the second half of its enumeration, within 1e-9 relative
+        # from its half-lattice after the origin, within 1e-9 relative
         g = np.array(shear, dtype=float)
         reduced = 0
         for x, y in ((0.1, 1.2), (-0.3, 2.5), (0.45, 7.0)):

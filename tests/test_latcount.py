@@ -61,6 +61,13 @@ def int_form(d, gamma):
     return act(QuadForm.identity(d), GroupElement.from_matrix(gamma))
 
 
+def full(pts, vals):
+    """The full set from enumerate_points' half-lattice: minus each point
+    after the origin, last one first, then the half, in the full walk's
+    order."""
+    return np.concatenate([-pts[:0:-1], pts]), np.concatenate([vals[:0:-1], vals])
+
+
 def reference_walk(f, top, square=lambda x: x * x):
     """Reference for latcount._walk: the recursion over levels, one
     generator call per suffix.  Yields (suffix, lo, hi, c1, c0, t) per
@@ -613,7 +620,7 @@ class TestPointCap:
 
     def test_deep_cusp_below_the_cap(self):
         # a box of 2.04e6 points holds the 2e6 + 1 of |v_0| <= 1e6
-        pts, vals = enumerate_points(QuadForm.from_gram(self.DEEP), 1e4)
+        pts, vals = full(*enumerate_points(QuadForm.from_gram(self.DEEP), 1e4))
         assert len(pts) == 2 * 10 ** 6 + 1 and not pts[:, 1].any()
 
     def test_admits_the_ci_enumerations(self):
@@ -697,7 +704,7 @@ class TestShells:
     @pytest.mark.parametrize("d, top", [(2, 400), (3, 300)])
     def test_matches_per_level_scan(self, d, top):
         q = act(QuadForm.identity(d), GroupElement.from_matrix(np.eye(d) + np.eye(d, k=1)))
-        pts, vals = enumerate_points(q, top, mode="exact")
+        pts, vals = full(*enumerate_points(q, top, mode="exact"))
         prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
         levels = list(range(top + 1))
         r0, r1 = shell_table(q, top)
@@ -711,7 +718,7 @@ class TestShells:
         eye = np.eye(d, dtype=int)
         gamma = (eye + 2 * np.eye(d, k=1, dtype=int)) @ (eye - np.eye(d, k=-1, dtype=int))
         for form in (QuadForm.identity(d), int_form(d, gamma.tolist())):
-            pts, vals = enumerate_points(form, top, mode="exact")
+            pts, vals = full(*enumerate_points(form, top, mode="exact"))
             prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
             r0, r1 = shell_table(form, top)
             assert r0.dtype == r1.dtype == np.int64
@@ -1100,15 +1107,20 @@ class TestEnumerate:
     @pytest.mark.parametrize("d, bound", [(2, 400), (3, 60), (4, 20), (5, 9)])
     @pytest.mark.parametrize("block", [latcount.BLOCK, 5])
     def test_mirror_matches_full_recursion(self, monkeypatch, d, bound, block):
-        # the full set rebuilt from the half walk is the full recursion's
-        # enumeration byte for byte: its points, their order and their values
+        # enumerate_points gives the half-lattice, the origin first and then one
+        # of each +-v; mirrored, it is the full recursion's enumeration byte for
+        # byte: its points, their order and their values
         monkeypatch.setattr(latcount, "BLOCK", block)
         rng = np.random.default_rng(80 + d)
         gamma = (np.eye(d, dtype=int) + 3 * np.eye(d, k=1, dtype=int) + np.eye(d, k=2, dtype=int)).tolist()
         cases = [(form, mode) for form in (QuadForm.identity(d), int_form(d, gamma)) for mode in ("exact", "float")]
         cases += [(random_form(rng, d, 0.5), "float") for _ in range(3)]
         for form, mode in cases:
-            pts, vals = enumerate_points(form, bound, mode)
+            half, half_vals = enumerate_points(form, bound, mode)
+            assert not half[0].any() and half_vals[0] == 0
+            rest = {tuple(v) for v in half[1:].tolist()}
+            assert len(rest) == len(half) - 1 > 0 and not rest & {tuple(v) for v in (-half).tolist()}
+            pts, vals = full(half, half_vals)
             want_pts, want_vals = reference_points(form, bound, mode)
             assert len(pts) > 1 and pts.dtype == want_pts.dtype and vals.dtype == want_vals.dtype
             assert pts.tobytes() == want_pts.tobytes() and vals.tobytes() == want_vals.tobytes()
@@ -1135,6 +1147,40 @@ class TestEnumerate:
             assert np.concatenate([vals[:0:-1], vals]).tobytes() == want_vals.tobytes()
             _, origin, _ = latcount._reduced_points(form, 0, mode)
             assert origin.tolist() == [[0] * d]
+
+    def test_nan_bound_refused_before_the_factor(self, monkeypatch):
+        # refused with the bound named, before any factor or walk; a negative
+        # bound still holds no point
+        calls = []
+        monkeypatch.setattr(latcount, "_factors", lambda *a: calls.append("factor"))
+        for mode in ("auto", "float"):
+            with pytest.raises(CountingError, match="bound must not be NaN, got nan") as info:
+                enumerate_points(QuadForm.identity(2), math.nan, mode)
+            assert info.type is CountingError
+            pts, vals = enumerate_points(QuadForm.identity(2), -1.0, mode)
+            assert pts.shape == (0, 2) and len(vals) == 0
+        assert calls == []
+
+    def test_direct_counts_match_the_full_reference(self):
+        # count_primitive_direct doubles the primitive points of the half-lattice;
+        # its n1 and band equal a gcd count over the full reference enumeration,
+        # at radii through a lattice point, where the float band is not empty
+        from test_quadform import near_tie_grams
+
+        rng = np.random.default_rng(37)
+        flagged = 0
+        for d in (2, 3, 4, 5):
+            for form in QuadForm.from_grams(np.array(near_tie_grams(rng, d, 12))):
+                for radius in (3.0, math.sqrt(form.gram[-1, -1]), math.sqrt(form.evaluate(np.ones(d)))):
+                    got = count_primitive_direct(EllipsoidSpec(form, radius), "float")
+                    rsq = radius ** 2
+                    tol = latcount._float_tolerance(rsq, d)
+                    pts, vals = reference_points(form, rsq + tol, "float")
+                    prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
+                    assert got.n1 == int(prim.sum())
+                    assert got.boundary_ambiguous == int((prim & (vals > rsq - tol)).sum())
+                    flagged += got.boundary_ambiguous > 0
+        assert flagged > 0
 
     def test_exact_and_float_agree(self, monkeypatch):
         # integer grams: float mode at B + 1/2 finds the exact points with
@@ -1197,16 +1243,15 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("d, radius", [(2, 30), (3, 9), (4, 5)])
     def test_points_in_full_depth_first_order(self, d, radius):
-        # enumerate_points keeps the full walk: both signs of v_{d-1}, each point
-        # once, in the depth-first order of the reduced coordinates w (v = u w),
-        # lexicographic in (w_{d-1}, ..., w_0), so point m - 1 - i is minus
-        # point i; fiber_integral takes the points after the middle one, the
-        # origin, as one of each +-w
+        # enumerate_points' half-lattice mirrored is the full walk: both signs
+        # of v_{d-1}, each point once, in the depth-first order of the reduced
+        # coordinates w (v = u w), lexicographic in (w_{d-1}, ..., w_0), so
+        # point m - 1 - i is minus point i
         gamma = (np.eye(d, dtype=int) + 3 * np.eye(d, k=1, dtype=int) + np.eye(d, k=2, dtype=int)).tolist()
         for form in (QuadForm.identity(d), int_form(d, gamma)):
             gram = np.array(form.mint, dtype=np.int64)
             for mode in ("exact", "float"):
-                pts, vals = enumerate_points(form, radius ** 2, mode=mode)
+                pts, vals = full(*enumerate_points(form, radius ** 2, mode=mode))
                 u = np.array(latcount._factor(form, mode).u, dtype=float)
                 w = np.rint(pts @ np.linalg.inv(u).T).astype(np.int64)
                 assert np.array_equal(np.lexsort(w.T), np.arange(len(w)))
@@ -1220,7 +1265,7 @@ class TestEnumerate:
                     assert np.allclose(vals, exact, rtol=0, atol=1e-9 * radius ** 2)
 
     def test_exact_values_are_integers(self):
-        pts, vals = enumerate_points(QuadForm.identity(2), 25, mode="exact")
+        pts, vals = full(*enumerate_points(QuadForm.identity(2), 25, mode="exact"))
         assert vals.dtype.kind == "i"
         assert int(vals.max()) <= 25
         assert len(pts) == 81

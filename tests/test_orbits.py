@@ -15,7 +15,7 @@ from horocount.orbits import (
     theory_slope,
 )
 from horocount.quadform import GroupElement, QuadForm, act, constants
-from test_latcount import random_form, random_unimodular
+from test_latcount import full, random_form, random_unimodular
 
 
 class TestRadiusMaps:
@@ -51,7 +51,7 @@ def reference_stabilizer_order(q):
     cols = []
     for j in range(d):
         target = float(m[j, j])
-        pts, vals = enumerate_points(q, target + tol, mode="float")
+        pts, vals = full(*enumerate_points(q, target + tol, mode="float"))
         sel = np.abs(vals - target) <= tol
         if np.count_nonzero(sel) > orbits.STABILIZER_CANDIDATE_CAP:
             raise CountingError("stabilizer candidate set too large for this form")
