@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 STABILIZER_CANDIDATE_CAP = 4096
-STABILIZER_TOL = 1e-7  # relative to the largest gram entry
+STABILIZER_TOL = 1e-7  # relative to sqrt(M_ii M_jj) for gram entry (i, j)
 STABILIZER_LEVEL_CAP = STABILIZER_CANDIDATE_CAP ** 2  # a search level's mask: one pair table at the cap
 TABLE_ROWS = 256  # rows per block of a pair table: a block's float64 products take 8 * 256 bytes per
 # column, no more than the table's own bools once it has 2,048 rows
@@ -89,34 +89,28 @@ def stabilizer_order(q: QuadForm) -> int:
 
     Counts integer matrices g of determinant one with g^T M g = M.  Column
     j of g is a lattice vector v with Q(v) = M_jj, picked with both signs
-    from one half-lattice enumeration up to max_j M_jj.  One table per
-    column pair i < j, built TABLE_ROWS rows at a time, marks the candidate
-    pairs with inner product M_ij.  The search extends every partial g by
-    one column at a time, keeping the candidates in the AND of the table
-    rows picked for the columns before it; a level of more than
-    STABILIZER_LEVEL_CAP (partial g, candidate) pairs raises CountingError
-    before its mask is built.  The count of complete g of det 1 is divided
-    by the center (+-identity for even d).
+    from one half-lattice enumeration up to max_j M_jj.  Entry (i, j) is
+    matched within STABILIZER_TOL * sqrt(M_ii M_jj), the largest |<v, M w>|
+    for Q(v) = M_ii and Q(w) = M_jj.  The search extends every partial g by
+    one column at a time.  Level j raises CountingError if it would pair
+    more than STABILIZER_LEVEL_CAP (partial g, candidate); else, for each
+    i < j, it builds the table of candidate pairs (i, j) with inner product
+    M_ij, TABLE_ROWS rows at a time, ANDs the rows picked for column i into
+    its mask and drops the table.  The count of complete g of det 1 is
+    divided by the center (+-identity for even d).
     """
     d = q.dim
     if d not in (2, 3, 4):
         raise CountingError("stabilizer enumeration supports d in {2, 3, 4}; "
                             f"pass the stabilizer order sigma for d = {d}")
     m = q.gram
-    tol = STABILIZER_TOL * float(np.max(np.abs(m)))
-    pts, vals = enumerate_points(q, float(np.max(np.diag(m))) + tol, mode="float")
-    cols = [pts[np.abs(vals - float(m[j, j])) <= tol].astype(float) for j in range(d)]
+    diag = np.diag(m)
+    tol = STABILIZER_TOL * np.sqrt(np.outer(diag, diag))
+    pts, vals = enumerate_points(q, float(np.max(diag)) * (1 + STABILIZER_TOL), mode="float")
+    cols = [pts[np.abs(vals - diag[j]) <= tol[j, j]].astype(float) for j in range(d)]
     cols = [np.concatenate([-c[::-1], c]) for c in cols]
     if max(map(len, cols)) > STABILIZER_CANDIDATE_CAP:
         raise CountingError("stabilizer candidate set too large for this form")
-    table = {}
-    for j in range(d):
-        for i in range(j):
-            left, table[i, j] = cols[i] @ m, np.empty((len(cols[i]), len(cols[j])), dtype=bool)
-            for r in range(0, len(left), TABLE_ROWS):
-                block = left[r:r + TABLE_ROWS] @ cols[j].T
-                block -= m[i, j]
-                np.less_equal(np.abs(block, out=block), tol, out=table[i, j][r:r + TABLE_ROWS])
     idx = np.zeros((1, 0), dtype=np.intp)  # row r: candidate index of each column of g_r
     for j in range(d):
         if len(idx) * len(cols[j]) > STABILIZER_LEVEL_CAP:
@@ -124,7 +118,13 @@ def stabilizer_order(q: QuadForm) -> int:
                                 f"matrices with {len(cols[j])} candidates, above {STABILIZER_LEVEL_CAP}")
         mask = np.ones((len(idx), len(cols[j])), dtype=bool)
         for i in range(j):
-            mask &= table[i, j][idx[:, i]]
+            left, table = cols[i] @ m, np.empty((len(cols[i]), len(cols[j])), dtype=bool)
+            for r in range(0, len(left), TABLE_ROWS):
+                block = left[r:r + TABLE_ROWS] @ cols[j].T
+                block -= m[i, j]
+                np.less_equal(np.abs(block, out=block), tol[i, j], out=table[r:r + TABLE_ROWS])
+            mask &= table[idx[:, i]]
+            del table
         rows, new = np.nonzero(mask)
         idx = np.column_stack([idx[rows], new])
     g = np.stack([cols[j][idx[:, j]] for j in range(d)], axis=-1)
@@ -136,15 +136,6 @@ def stabilizer_order(q: QuadForm) -> int:
     if order < 1:
         raise CountingError("stabilizer enumeration failed to find the identity")
     return order
-
-
-def _sigma_for(q: QuadForm, sigma: int | None) -> int:
-    """The given sigma, else stabilizer_order, which refuses d >= 5."""
-    if sigma is not None:
-        if sigma < 1:
-            raise CountingError("stabilizer order must be >= 1")
-        return sigma
-    return stabilizer_order(q)
 
 
 def theory_slope(d: int) -> float:
@@ -196,7 +187,9 @@ def sweep(q: QuadForm, t_values, kind: str = "chimney", sigma: int | None = None
 
     Each row's count is N1(Q, R(T)) / weight against the main term
     omega_d e^{T sqrt((d-1)d)/2} / (denom zeta(d)), with weight alpha sigma
-    and denom alpha for chimney, 2 and 2 for horoball; rel_error is
+    and denom alpha for chimney, 2 and 2 for horoball; sigma is
+    stabilizer_order(Q) when None, else an int >= 1 (numpy ints too, bool
+    not), or CountingError names it before any count.  rel_error is
     (N1 / denom) / predicted - 1 = N1 zeta(d) / (omega_d R^d) - 1.  Every N1
     comes from one count_primitive_many call over the grid's radii, which
     walks Q once at the largest R.  A radius below 1e-12 holds no nonzero
@@ -207,7 +200,10 @@ def sweep(q: QuadForm, t_values, kind: str = "chimney", sigma: int | None = None
     d = q.dim
     cst = constants(d)
     if kind == "chimney":
-        sigma_q = _sigma_for(q, sigma)
+        sigma_q = stabilizer_order(q) if sigma is None else sigma
+        if isinstance(sigma_q, bool) or not isinstance(sigma_q, (int, np.integer)) or sigma_q < 1:
+            raise CountingError(f"stabilizer order sigma must be an integer >= 1, got {sigma_q!r}")
+        sigma_q = int(sigma_q)
         weight, denom = cst.alpha * sigma_q, cst.alpha
         why = ("the form is on the symmetric locus (its automorphisms fix some "
                "primitive vectors), or sigma or the boundary band is wrong")

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -43,20 +44,21 @@ class TestRadiusMaps:
 
 def reference_stabilizer_order(q):
     """stabilizer_order as a depth-first search, one enumeration per column,
-    as the reference it must equal: the same candidates, tolerance, cap,
-    pair tables and det = 1 test, without the level bound."""
+    as the reference it must equal: the same candidates, per-entry tolerance
+    STABILIZER_TOL * sqrt(M_ii M_jj), cap, pair tables and det = 1 test,
+    without the level bound."""
     d = q.dim
     m = q.gram
-    tol = orbits.STABILIZER_TOL * float(np.max(np.abs(m)))
+    tol = orbits.STABILIZER_TOL * np.sqrt(np.outer(np.diag(m), np.diag(m)))
     cols = []
     for j in range(d):
         target = float(m[j, j])
-        pts, vals = full(*enumerate_points(q, target + tol, mode="float"))
-        sel = np.abs(vals - target) <= tol
+        pts, vals = full(*enumerate_points(q, target + tol[j, j], mode="float"))
+        sel = np.abs(vals - target) <= tol[j, j]
         if np.count_nonzero(sel) > orbits.STABILIZER_CANDIDATE_CAP:
             raise CountingError("stabilizer candidate set too large for this form")
         cols.append(pts[sel].astype(float))
-    table = {(i, j): np.abs(cols[i] @ m @ cols[j].T - m[i, j]) <= tol
+    table = {(i, j): np.abs(cols[i] @ m @ cols[j].T - m[i, j]) <= tol[i, j]
              for j in range(d) for i in range(j)}
 
     def extend(chosen, allowed):
@@ -81,6 +83,7 @@ A_2 = [[2, -1], [-1, 2]]
 A_3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 A_4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 D_4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+SKEW = [[1e-4, 0], [0, 1e4]]
 
 
 def superdiagonal_shear(gram, c):
@@ -119,8 +122,10 @@ class TestStabilizer:
 
     def test_matches_reference(self):
         # root lattices, identities, seeded random forms, GL_d(Z) images of
-        # the root lattices and superdiagonal shears of I_4 and D_4
-        grams = [A_2, A_3, A_4, D_4] + [np.eye(d).tolist() for d in (2, 3, 4)]
+        # the root lattices, a skew diagonal form and superdiagonal shears of
+        # I_4, D_4 and A_4; at c = 15 the shears of D_4 and A_4 have too many
+        # candidates, and both searches refuse them
+        grams = [A_2, A_3, A_4, D_4, SKEW] + [np.eye(d).tolist() for d in (2, 3, 4)]
         forms = [QuadForm.from_gram(g) for g in grams]
         rng = np.random.default_rng(28)
         for d in (2, 3, 4):
@@ -131,10 +136,34 @@ class TestStabilizer:
                 forms.append(QuadForm.from_gram((u.T @ np.array(gram) @ u).tolist()))
         for q in forms:
             assert stabilizer_order(q) == reference_stabilizer_order(q), q.gram
-        for c in (1, 4, 10):
-            for gram, order in ((np.eye(4, dtype=int), 96), (D_4, 288)):
+        for c in (1, 4, 10, 15):
+            for gram, order in ((np.eye(4, dtype=int), 96), (D_4, 288), (A_4, 60)):
                 q = QuadForm.from_gram(superdiagonal_shear(gram, c))
-                assert stabilizer_order(q) == reference_stabilizer_order(q) == order
+                if c == 15 and order != 96:
+                    for search in (stabilizer_order, reference_stabilizer_order):
+                        with pytest.raises(CountingError, match="candidate set too large"):
+                            search(q)
+                else:
+                    assert stabilizer_order(q) == reference_stabilizer_order(q) == order
+
+    def test_skew_form_matches_in_its_own_scale(self, monkeypatch):
+        # diag(1e-4, 1e4) has the stabilizer {+-I}.  An absolute tolerance of
+        # 1e-7 max|M| = 1e-3 would admit the origin and (+-3, 0) for column 1,
+        # and order 7; within 1e-7 sqrt(M_ii M_jj) per entry no column's
+        # candidates hold the origin
+        cols = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def concatenate(self, arrays):
+                cols.append(np.concatenate(arrays))
+                return cols[-1]
+
+        monkeypatch.setattr(orbits, "np", Spy())
+        assert stabilizer_order(QuadForm.from_gram(SKEW)) == 1
+        assert len(cols) == 2 and all(np.abs(c).sum(axis=1).all() for c in cols)
 
     def test_level_bound_refuses_before_the_mask(self, monkeypatch):
         # an image of I_4 whose first two basis vectors are orthogonal of norm 257:
@@ -156,12 +185,30 @@ class TestStabilizer:
                 stabilizer_order(q)
         assert reference_stabilizer_order(q) == 96
 
+    def test_refused_level_builds_no_table(self, monkeypatch):
+        # the same image of I_4: level 2 builds the one pair table (1, 2) of
+        # 2,064 x 2,064 bools, and level 3 is refused before its two tables
+        basis = np.array([[1, 0, 0, 16], [0, 1, -16, 0], [16, 0, 1, 0], [0, 0, 0, 1]]).T
+        q = QuadForm.from_gram((basis.T @ basis).tolist())
+        empty, tables = np.empty, []
+
+        def counted(shape, *args, **kwargs):
+            out = empty(shape, *args, **kwargs)
+            if out.dtype == bool and out.shape == (2_064, 2_064):
+                tables.append(shape)
+            return out
+
+        monkeypatch.setattr(np, "empty", counted)
+        with pytest.raises(CountingError, match="column 3"):
+            stabilizer_order(q)
+        assert len(tables) == 1
 
     def test_pair_tables_built_by_row_blocks(self):
-        # the same refused image of I_4: three 2,064 x 2,064 pair tables.  Built
-        # TABLE_ROWS rows at a time, the float64 products never outgrow two row
-        # blocks, so the peak stays near the enumeration's points plus the kept
-        # tables (whole-table float64 products peaked near 86 MB traced)
+        # the same refused image of I_4: level 2 holds its 2,064 x 2,064 mask and
+        # its one pair table.  Built TABLE_ROWS rows at a time, the float64
+        # products never outgrow two row blocks, so the peak stays near the
+        # enumeration's points plus the mask and the table (whole-table float64
+        # products peaked near 86 MB traced)
         basis = np.array([[1, 0, 0, 16], [0, 1, -16, 0], [16, 0, 1, 0], [0, 0, 0, 1]]).T
         q = QuadForm.from_gram((basis.T @ basis).tolist())
         tracemalloc.start()
@@ -175,7 +222,7 @@ class TestStabilizer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tables, block = 3 * 2_064 ** 2, 8 * orbits.TABLE_ROWS * 2_064
+        tables, block = 2 * 2_064 ** 2, 8 * orbits.TABLE_ROWS * 2_064
         assert peak <= max(enum_peak, kept + tables + 2 * block) + 2 ** 21
 
 
@@ -348,6 +395,19 @@ class TestSweep:
         with pytest.raises(CountingError, match="not divisible by 6"):
             sweep(QuadForm.identity(2), [-1e9, 8.0, 2.0 * math.sqrt(2.0) * math.log(2.0)],
                   kind="chimney", sigma=3)
+
+    def test_sigma_must_be_a_positive_integer(self, monkeypatch):
+        # a float, a bool or a sigma below 1 is refused with its value named,
+        # before any count; a numpy integer is an integer
+        calls, many = [], orbits.count_primitive_many
+        monkeypatch.setattr(orbits, "count_primitive_many", lambda *a: calls.append(a) or many(*a))
+        for bad in (2.0, 2.5, True, 0):
+            with pytest.raises(CountingError, match=re.escape(f"sigma must be an integer >= 1, got {bad!r}")):
+                sweep(QuadForm.identity(2), [8.0, 9.0], sigma=bad)
+        assert calls == []
+        rows = sweep(QuadForm.identity(2), [8.0, 9.0], sigma=np.int64(2))
+        assert [(r.count, r.sigma_q) for r in rows] == [(134, 2), (282, 2)]
+        assert all(type(r.count) is int and type(r.sigma_q) is int for r in rows)
 
     def test_sorted(self):
         ts = [4.0, 2.0, 6.0]
