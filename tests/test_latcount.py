@@ -1128,6 +1128,29 @@ class TestEnumerate:
             origin, origin_vals = enumerate_points(form, 0, mode)
             assert origin.tolist() == [[0] * d] and origin_vals.tolist() == [0]
 
+    @pytest.mark.parametrize("d, bound", [(2, 400), (3, 60), (4, 20), (5, 9)])
+    @pytest.mark.parametrize("block", [latcount.BLOCK, 5])
+    def test_reduced_points_are_the_half_lattice(self, monkeypatch, d, bound, block):
+        # _reduced_points gives the origin first, then one of each +-w, and
+        # the half with its mirror is the full recursion's enumeration byte
+        # for byte; at bound 0 the half is the origin alone
+        monkeypatch.setattr(latcount, "BLOCK", block)
+        rng = np.random.default_rng(90 + d)
+        gamma = (np.eye(d, dtype=int) + 3 * np.eye(d, k=1, dtype=int) + np.eye(d, k=2, dtype=int)).tolist()
+        cases = [(form, mode) for form in (QuadForm.identity(d), int_form(d, gamma)) for mode in ("exact", "float")]
+        cases += [(random_form(rng, d, 0.5), "float") for _ in range(3)]
+        for form, mode in cases:
+            u, half, vals = latcount._reduced_points(form, bound, mode)
+            assert not half[0].any() and vals[0] == 0
+            rest = {tuple(w) for w in half[1:].tolist()}
+            assert len(rest) == len(half) - 1 > 0 and not rest & {tuple(w) for w in (-half).tolist()}
+            pts = np.concatenate([-half[:0:-1], half]) @ np.array(u, dtype=np.int64).T
+            want_pts, want_vals = reference_points(form, bound, mode)
+            assert pts.tobytes() == want_pts.tobytes()
+            assert np.concatenate([vals[:0:-1], vals]).tobytes() == want_vals.tobytes()
+            _, origin, _ = latcount._reduced_points(form, 0, mode)
+            assert origin.tolist() == [[0] * d]
+
     def test_nan_bound_refused_before_the_factor(self, monkeypatch):
         # refused with the bound named, before any factor or walk; a negative
         # bound still holds no point
