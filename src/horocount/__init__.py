@@ -2,8 +2,8 @@
 
 Library layout:
 
-  quadform  -- forms, group elements, geodesics, Busemann functions,
-               Iwasawa coordinates, named constants
+  quadform  -- forms, group elements, the geodesic ray and its Busemann
+               function, named constants
   latcount  -- exact/float counting of (primitive) lattice points and
                the Moebius table
   moebius   -- the full/primitive inversion identities

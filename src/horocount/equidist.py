@@ -204,17 +204,20 @@ REFINEMENT_FACTOR = 2  # base-grid refinement of the quadrature error estimate
 class QuadratureSpec:
     """Grid of the d = 3 base quadrature (the torus fiber is averaged
     exactly; the cusp cut follows from t).  The error estimate compares
-    with a base grid REFINEMENT_FACTOR times finer.  Grids whose two sizes
-    hold over POINT_CAP base points (about 100 bytes each) are refused.
+    with a base grid REFINEMENT_FACTOR times finer.  base_grid is two
+    integers >= 8 (numpy ints too, bool not); grids whose two sizes hold
+    over POINT_CAP base points (about 100 bytes each) are refused.
     """
 
     torus_grid: int = 101  # unread (the fiber mean is exact); kept so existing callers still work
     base_grid: tuple = (16, 24)
 
     def __post_init__(self):
-        nx, ny = self.base_grid
-        if nx < 8 or ny < 8:
-            raise EquidistError("base grids must be >= 8")
+        grid = self.base_grid
+        if not (isinstance(grid, (tuple, list)) and len(grid) == 2 and all(
+                isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 8 for n in grid)):
+            raise EquidistError(f"base grids must be two integers >= 8, got {grid!r}")
+        nx, ny = (int(n) for n in grid)
         if (REFINEMENT_FACTOR ** 2 + 1) * nx * ny > POINT_CAP:
             raise EnumerationBudgetError(f"base grid {nx},{ny} and its refinement exceed "
                                          f"{POINT_CAP:.0e} base points")

@@ -123,6 +123,7 @@ def stabilizer_order(q: QuadForm) -> int:
                 block = left[r:r + TABLE_ROWS] @ cols[j].T
                 block -= m[i, j]
                 np.less_equal(np.abs(block, out=block), tol[i, j], out=table[r:r + TABLE_ROWS])
+                del block  # else the next block is allocated while this one is bound
             mask &= table[idx[:, i]]
             del table
         rows, new = np.nonzero(mask)

@@ -2,9 +2,9 @@
 
 The space P_d of such forms on R^d models the symmetric space
 SO(d)\\SL_d(R).  This module provides the form and group element types,
-the right action (Q.g)(v) = Q(gv), the two distinguished singular
-geodesic rays and their Busemann functions, solvable (Iwasawa)
-coordinates adapted to the first ray, and the named constants used by
+the right action (Q.g)(v) = Q(gv), the singular geodesic ray whose
+Busemann level sets are the horospheres of the counting dictionary, its
+Busemann function, the character chi_d, and the named constants used by
 the counting and equidistribution drivers.
 
 Conventions:
@@ -13,9 +13,6 @@ Conventions:
   * Every QuadForm is normalized to determinant one at construction, and
     decides there, once, whether its gram is integral: QuadForm.mint holds
     the integer gram (Python ints) or None.  Nothing else rounds grams.
-  * Iwasawa coordinates use G = K*A*N with N unit lower triangular; the
-    solvable representative of a form is the unique lower triangular
-    matrix L with positive diagonal and L^T L = gram.
 """
 
 from __future__ import annotations
@@ -31,17 +28,12 @@ __all__ = [
     "GeometryError",
     "QuadForm",
     "GroupElement",
-    "IwasawaCoord",
     "Constants",
     "rate_lambda",
     "rate_mu",
     "act",
     "geodesic_r",
-    "geodesic_rho",
     "busemann_r",
-    "busemann_rho",
-    "iwasawa_decompose",
-    "iwasawa_compose",
     "chi_d",
     "constants",
     "zeta",
@@ -99,13 +91,6 @@ def _cholesky_lower(m: np.ndarray) -> np.ndarray:
     if chol.diagonal(0, -2, -1).min() ** 2 <= PIVOT_TOL:
         raise GeometryError("Cholesky pivot below tolerance; matrix too close to singular")
     return chol
-
-
-def _reverse_cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower triangular L with positive diagonal and L^T L = m."""
-    flipped = m[::-1, ::-1]
-    c = _cholesky_lower(flipped)
-    return c.T[::-1, ::-1]
 
 
 def _int_det(mat) -> int:
@@ -293,14 +278,6 @@ class QuadForm:
         _check_dim(d)
         return QuadForm(d, np.eye(d), tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
 
-    def evaluate(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(v @ self.gram @ v)
-
-    def solvable_rep(self) -> np.ndarray:
-        """Lower triangular L, positive diagonal, with L^T L = gram."""
-        return _reverse_cholesky(self.gram)
-
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
@@ -317,28 +294,9 @@ class GroupElement:
         d = m.shape[0]
         _check_dim(d)
         det = float(np.linalg.det(m))
-        if abs(det - 1.0) > DET_TOL:
+        if not abs(det - 1.0) <= DET_TOL:  # a NaN det is refused too
             raise GeometryError(f"matrix determinant {det} is not 1 within {DET_TOL}")
         return GroupElement(d, m)
-
-
-@dataclass(frozen=True, eq=False)
-class IwasawaCoord:
-    """Solvable coordinates (t, a', n) of a form.
-
-    t is the Busemann level along the first singular ray, aprime the
-    log-diagonal of the A' block (length d-1, sums to zero; stored
-    undoubled), n the strictly lower triangular part of the unit lower
-    triangular factor.
-    """
-
-    t: float
-    aprime: np.ndarray
-    n: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.n.shape[0]
 
 
 def act(q: QuadForm, g: GroupElement) -> QuadForm:
@@ -349,69 +307,25 @@ def act(q: QuadForm, g: GroupElement) -> QuadForm:
 
 
 def geodesic_r(d: int, t: float) -> GroupElement:
-    """diag(e^{lt/2}, ..., e^{lt/2}, e^{-mt/2}) with l,m the rates above."""
+    """diag(e^{lt/2}, ..., e^{lt/2}, e^{-mt/2}) with l,m the rates above;
+    GeometryError if an entry is not finite and positive (t NaN, or so
+    large that an entry overflows or underflows), as the matrix then leaves
+    SL_d."""
     _check_dim(d)
     lam, mu = rate_lambda(d), rate_mu(d)
-    diag = [math.exp(0.5 * lam * t)] * (d - 1) + [math.exp(-0.5 * mu * t)]
-    return GroupElement(d, np.diag(diag))
-
-
-def geodesic_rho(d: int, t: float) -> GroupElement:
-    """diag(e^{mt/2}, e^{-lt/2}, ..., e^{-lt/2})."""
-    _check_dim(d)
-    lam, mu = rate_lambda(d), rate_mu(d)
-    diag = [math.exp(0.5 * mu * t)] + [math.exp(-0.5 * lam * t)] * (d - 1)
+    try:
+        diag = [math.exp(0.5 * lam * t)] * (d - 1) + [math.exp(-0.5 * mu * t)]
+    except OverflowError:
+        diag = [math.inf]
+    if not all(0.0 < x < math.inf for x in diag):
+        raise GeometryError(f"geodesic_r at t = {t!r} has a diagonal entry that is not finite and positive")
     return GroupElement(d, np.diag(diag))
 
 
 def busemann_r(q: QuadForm) -> float:
-    """Busemann function of the first ray: sqrt(d/(d-1)) * log Q(e_d)."""
+    """Busemann function of the ray geodesic_r: sqrt(d/(d-1)) * log Q(e_d)."""
     d = q.dim
     return math.sqrt(d / (d - 1)) * math.log(q.gram[d - 1, d - 1])
-
-
-def busemann_rho(q: QuadForm) -> float:
-    """Busemann function of the second ray: sqrt(d/(d-1)) * log det of the
-    trailing (d-1) x (d-1) principal minor of the gram matrix."""
-    d = q.dim
-    minor = q.gram[1:, 1:]
-    det = float(np.linalg.det(minor))
-    if not det > 0.0:
-        raise GeometryError("trailing principal minor is not positive definite")
-    return math.sqrt(d / (d - 1)) * math.log(det)
-
-
-def iwasawa_decompose(g: GroupElement) -> IwasawaCoord:
-    """Solvable coordinates of SO(d).g.
-
-    The unique lower triangular representative L with L^T L = gram
-    factors as a_{-t} * diag(e^{a'}, 1) * n with n unit lower triangular.
-    """
-    if not isinstance(g, GroupElement):
-        raise GeometryError(f"cannot decompose object of type {type(g)!r}")
-    q = act(QuadForm.identity(g.dim), g)
-    d = q.dim
-    lam, mu = rate_lambda(d), rate_mu(d)
-    lower = q.solvable_rep()
-    diag = np.diagonal(lower).copy()
-    t = 2.0 * math.log(diag[-1]) / mu
-    aprime = np.log(diag[:-1]) + 0.5 * lam * t
-    n = lower / diag[:, None]
-    n = np.tril(n, k=-1)
-    return IwasawaCoord(t=t, aprime=aprime, n=n)
-
-
-def iwasawa_compose(coord: IwasawaCoord) -> GroupElement:
-    """Inverse of iwasawa_decompose up to the SO(d) fiber."""
-    d = coord.dim
-    if coord.aprime.shape != (d - 1,):
-        raise GeometryError("aprime length must be dim - 1")
-    lam, mu = rate_lambda(d), rate_mu(d)
-    diag = np.empty(d)
-    diag[:-1] = np.exp(coord.aprime - 0.5 * lam * coord.t)
-    diag[-1] = math.exp(0.5 * mu * coord.t)
-    mat = diag[:, None] * (np.eye(d) + np.tril(coord.n, k=-1))
-    return GroupElement(d, mat)
 
 
 def chi_d(a: GroupElement) -> float:

@@ -4,11 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` or via
 `horocount verify --suite full`.
 """
 
-import dataclasses
-
 import pytest
 
-from horocount import acceptance
+from horocount import acceptance, orbits
 
 
 @pytest.mark.parametrize("number", sorted(acceptance.CRITERIA))
@@ -44,24 +42,16 @@ def test_full_tier_runs_every_registered_criterion_in_order(monkeypatch, capsys)
     assert capsys.readouterr().out.count("PASS") == 3
 
 
-def test_criterion_10_names_a_node_whose_a_part_is_off(monkeypatch):
-    # each node is decomposed twice, shifted first, and the 9 nodes of the d = 2
-    # grid come first: the call after the first 2 * (9 + 100) is d = 3 node 100
-    # shifted, and its A-part is moved off by 1e-6
-    decompose = acceptance.iwasawa_decompose
-    calls = []
+def test_criterion_10_names_a_level_whose_radius_map_is_off(monkeypatch):
+    # the ray's form at d = 4, t = 3 sits at Busemann level -3: move T(R) there
+    # off by 1e-9, and only that (d, t) fails
+    t_of_radius = orbits.t_of_radius
 
-    def off_at_one_node(g):
-        coord = decompose(g)
-        calls.append(g)
-        if len(calls) == 2 * (9 + 100) + 1:
-            coord = dataclasses.replace(coord, aprime=coord.aprime + 1e-6)
-        return coord
+    def off_at_one_level(d, radius):
+        level = t_of_radius(d, radius)
+        return level + 1e-9 if d == 4 and abs(level + 3.0) < 1e-6 else level
 
-    monkeypatch.setattr(acceptance, "iwasawa_decompose", off_at_one_node)
+    monkeypatch.setattr(orbits, "t_of_radius", off_at_one_level)
     result = acceptance.CRITERIA[10]()
     assert not result.passed
-    assert result.details["failures"] == [("volume_scaling", 3, 100)]
-    assert result.details["volume_scaling"]["d3"]["worst_rel_deviation"] > 1e-6
-    assert result.details["volume_scaling"]["d2"]["worst_rel_deviation"] < 1e-9
-    assert len(calls) == 2 * (9 + 625)
+    assert result.details["failures"] == [("t_of_radius", 4, 3.0)]

@@ -241,7 +241,8 @@ class TestFiber:
         # 0.5, inside the w-bound e^{lambda t} >= e^{-0.8 / sqrt 6} > 0.72;
         # the measured n = 32 errors are at most 1.1e-3
         bases = [modular_base_gram(0.21, 1.4), modular_base_gram(0.1, 8.0), np.eye(2)]
-        assert QuadForm.from_gram(bases[1]).evaluate([0, 2]) == pytest.approx(0.5)
+        w = np.array([0.0, 2.0])
+        assert w @ QuadForm.from_gram(bases[1]).gram @ w == pytest.approx(0.5)
         h = bump_profile(1.0, 0.5)
         for t in (-0.8, 1.3):
             for base in bases:
@@ -367,9 +368,17 @@ class TestAverages:
         with pytest.raises(EquidistError):
             horosphere_average(0.0, indicator_profile(1.0), d=4)
 
-    def test_quadspec_validation(self):
-        with pytest.raises(EquidistError):
-            QuadratureSpec(base_grid=(4, 24))
+    def test_quadspec_validation(self, monkeypatch):
+        # a size below 8, NaN, a half-integer, one or three sizes, a bool, and no
+        # pair at all are refused before any grid is built; numpy ints are integers
+        grids = []
+        monkeypatch.setattr(equidist, "_modular_grid", lambda *a: grids.append(a))
+        for grid in ((4, 24), (math.nan, 8), (8.5, 8), (8,), (8, 8, 8), (True, 8), (8, np.bool_(True)),
+                     8, "88", None):
+            with pytest.raises(EquidistError, match="two integers >= 8"):
+                QuadratureSpec(base_grid=grid)
+        assert grids == []
+        QuadratureSpec(base_grid=(np.int64(8), np.int32(9)))
 
     def test_default_cutoff(self):
         assert _cutoff_height(0.0) == 8.0

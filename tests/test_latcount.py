@@ -1101,7 +1101,7 @@ class TestEnumerate:
             assert pts.dtype == np.int64 and pts.shape == (len(vals), 3)
             assert len(pts) > 50 if bound > 0 else len(pts) == 0  # a negative bound holds no point
             for p, v in zip(pts[:50], vals[:50]):
-                assert form.evaluate(p) == pytest.approx(v, abs=1e-9)
+                assert p @ form.gram @ p == pytest.approx(v, abs=1e-9)
             assert np.all(vals <= bound + 1e-9)
 
     @pytest.mark.parametrize("d, bound", [(2, 400), (3, 60), (4, 20), (5, 9)])
@@ -1174,7 +1174,7 @@ class TestEnumerate:
         flagged = 0
         for d in (2, 3, 4, 5):
             for form in QuadForm.from_grams(np.array(near_tie_grams(rng, d, 12))):
-                for radius in (3.0, math.sqrt(form.gram[-1, -1]), math.sqrt(form.evaluate(np.ones(d)))):
+                for radius in (3.0, math.sqrt(form.gram[-1, -1]), math.sqrt(np.ones(d) @ form.gram @ np.ones(d))):
                     got = count_primitive_direct(EllipsoidSpec(form, radius), "float")
                     rsq = radius ** 2
                     tol = latcount._float_tolerance(rsq, d)

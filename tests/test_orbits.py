@@ -205,10 +205,10 @@ class TestStabilizer:
 
     def test_pair_tables_built_by_row_blocks(self):
         # the same refused image of I_4: level 2 holds its 2,064 x 2,064 mask and
-        # its one pair table.  Built TABLE_ROWS rows at a time, the float64
-        # products never outgrow two row blocks, so the peak stays near the
-        # enumeration's points plus the mask and the table (whole-table float64
-        # products peaked near 86 MB traced)
+        # its one pair table.  Built TABLE_ROWS rows at a time, each block dropped
+        # before the next, the float64 products never outgrow one row block, so
+        # the peak stays near the enumeration's points plus the mask and the
+        # table (whole-table float64 products peaked near 86 MB traced)
         basis = np.array([[1, 0, 0, 16], [0, 1, -16, 0], [16, 0, 1, 0], [0, 0, 0, 1]]).T
         q = QuadForm.from_gram((basis.T @ basis).tolist())
         tracemalloc.start()
@@ -223,7 +223,7 @@ class TestStabilizer:
         finally:
             tracemalloc.stop()
         tables, block = 2 * 2_064 ** 2, 8 * orbits.TABLE_ROWS * 2_064
-        assert peak <= max(enum_peak, kept + tables + 2 * block) + 2 ** 21
+        assert peak <= max(enum_peak, kept + tables + block) + 2 ** 21
 
 
 class TestDictionary:

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,17 +14,12 @@ from horocount.quadform import (
     Constants,
     GeometryError,
     GroupElement,
-    IwasawaCoord,
     QuadForm,
     act,
     busemann_r,
-    busemann_rho,
     chi_d,
     constants,
     geodesic_r,
-    geodesic_rho,
-    iwasawa_compose,
-    iwasawa_decompose,
     lll_reduce,
     rate_lambda,
     rate_mu,
@@ -42,11 +39,71 @@ def random_group_element(rng, d, scale=0.4):
     return GroupElement.from_matrix(m / det ** (1.0 / d))
 
 
+def solvable_rep(q):
+    """Lower triangular L with positive diagonal and L^T L = q.gram (a
+    Cholesky factor of the gram with rows and columns reversed)."""
+    return np.linalg.cholesky(q.gram[::-1, ::-1]).T[::-1, ::-1]
+
+
 def phi_t(q, t):
     """Level shift along the first ray: pushes the level-a horosphere to
     level a + t (left multiplication by a_{-t} on the solvable rep)."""
-    shifted = geodesic_r(q.dim, -t).mat @ q.solvable_rep()
+    shifted = geodesic_r(q.dim, -t).mat @ solvable_rep(q)
     return QuadForm.from_gram(shifted.T @ shifted)
+
+
+def geodesic_rho(d, t):
+    """The second singular ray, diag(e^{mt/2}, e^{-lt/2}, ..., e^{-lt/2})."""
+    diag = [math.exp(0.5 * rate_mu(d) * t)] + [math.exp(-0.5 * rate_lambda(d) * t)] * (d - 1)
+    return GroupElement(d, np.diag(diag))
+
+
+def busemann_rho(q):
+    """Busemann function of the second ray: sqrt(d/(d-1)) * log det of the
+    trailing (d-1) x (d-1) principal minor of the gram matrix."""
+    d = q.dim
+    return math.sqrt(d / (d - 1)) * math.log(float(np.linalg.det(q.gram[1:, 1:])))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class IwasawaCoord:
+    """Solvable coordinates (t, a', n) of a form, adapted to the first ray:
+    t the Busemann level, aprime the log-diagonal of the A' block (length
+    d-1, sums to zero; stored undoubled), n the strictly lower triangular
+    part of the unit lower triangular factor (G = K A N)."""
+
+    t: float
+    aprime: np.ndarray
+    n: np.ndarray
+
+
+def iwasawa_decompose(g):
+    """Solvable coordinates of SO(d).g: the solvable rep of Q_0.g factors
+    as a_{-t} diag(e^{a'}, 1) n with n unit lower triangular."""
+    d = g.dim
+    lower = solvable_rep(act(QuadForm.identity(d), g))
+    diag = np.diagonal(lower).copy()
+    t = 2.0 * math.log(diag[-1]) / rate_mu(d)
+    aprime = np.log(diag[:-1]) + 0.5 * rate_lambda(d) * t
+    return IwasawaCoord(t=t, aprime=aprime, n=np.tril(lower / diag[:, None], k=-1))
+
+
+def iwasawa_compose(coord):
+    """Inverse of iwasawa_decompose up to the SO(d) fiber."""
+    d = coord.n.shape[0]
+    diag = np.empty(d)
+    diag[:-1] = np.exp(coord.aprime - 0.5 * rate_lambda(d) * coord.t)
+    diag[-1] = math.exp(0.5 * rate_mu(d) * coord.t)
+    return GroupElement(d, diag[:, None] * (np.eye(d) + np.tril(coord.n, k=-1)))
+
+
+def a_part_chi(mat):
+    """chi_d of the A-part of mat's Iwasawa decomposition, renormalised to
+    determinant one."""
+    d = mat.shape[0]
+    coord = iwasawa_decompose(GroupElement(d, mat))
+    a_part = iwasawa_compose(IwasawaCoord(coord.t, coord.aprime, np.zeros((d, d)))).mat
+    return chi_d(GroupElement(d, a_part / a_part.diagonal().prod() ** (1.0 / d)))
 
 
 def reference_from_gram(mat):
@@ -229,7 +286,7 @@ class TestQuadForm:
         rng = np.random.default_rng(1)
         for d in (2, 3, 4):
             q = act(QuadForm.identity(d), random_group_element(rng, d))
-            low = q.solvable_rep()
+            low = solvable_rep(q)
             assert np.allclose(np.triu(low, 1), 0.0)
             assert np.all(np.diagonal(low) > 0)
             assert np.allclose(low.T @ low, q.gram, atol=1e-12)
@@ -382,6 +439,13 @@ class TestAction:
         with pytest.raises(GeometryError):
             act(QuadForm.identity(2), GroupElement.from_matrix(np.eye(3)))
 
+    def test_from_matrix_refuses_non_finite_entries(self):
+        # their det is NaN or inf, never within DET_TOL of 1
+        for m in ([[math.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [math.nan, 1.0]],
+                  [[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.inf], [0.0, 1.0]]):
+            with np.errstate(invalid="ignore"), pytest.raises(GeometryError, match="determinant"):
+                GroupElement.from_matrix(m)
+
 
 class TestGeodesics:
     def test_at_zero_is_identity(self):
@@ -393,6 +457,18 @@ class TestGeodesics:
         a1 = geodesic_r(2, 1.0)
         e = math.exp(1.0 / (2.0 * math.sqrt(2.0)))
         assert np.allclose(np.diagonal(a1.mat), [e, 1.0 / e], rtol=1e-14)
+
+    def test_refuses_levels_that_leave_sl_d(self):
+        # NaN, an entry that underflows to 0 (det 0) and entries that overflow
+        for d, t in ((2, math.nan), (3, 3000.0), (2, 1e4), (2, -1e4), (4, math.inf)):
+            with pytest.raises(GeometryError, match=re.escape(f"t = {t!r}")):
+                geodesic_r(d, t)
+        # every level |t| <= 10 keeps its matrix bit for bit
+        for d in (2, 3, 6):
+            lam, mu = rate_lambda(d), rate_mu(d)
+            for t in np.linspace(-10.0, 10.0, 41).tolist():
+                diag = [math.exp(0.5 * lam * t)] * (d - 1) + [math.exp(-0.5 * mu * t)]
+                assert np.array_equal(geodesic_r(d, t).mat, np.diag(diag))
 
     def test_determinant_one(self):
         for d in (2, 3, 7):
@@ -409,6 +485,15 @@ class TestBusemann:
                 assert busemann_r(q) == pytest.approx(-t, abs=1e-12)
                 p = act(QuadForm.identity(d), geodesic_rho(d, float(t)))
                 assert busemann_rho(p) == pytest.approx(-t, abs=1e-12)
+
+    def test_second_ray_on_the_level_grid(self):
+        bad = []
+        for d in (2, 3, 4, 5, 6):
+            for t in np.linspace(-10.0, 10.0, 21):
+                q_rho = act(QuadForm.identity(d), geodesic_rho(d, float(t)))
+                if abs(busemann_rho(q_rho) + t) > 1e-12 * max(1.0, abs(t)):
+                    bad.append((d, float(t)))
+        assert not bad, f"busemann_rho misses -t at (d, t) = {bad}"
 
     def test_at_basepoint(self):
         assert busemann_r(QuadForm.identity(2)) == 0.0
@@ -468,6 +553,25 @@ class TestIwasawa:
                 assert back.t == pytest.approx(coord.t, abs=1e-9)
                 assert np.allclose(back.aprime, coord.aprime, atol=1e-9)
                 assert np.allclose(back.n, coord.n, atol=1e-9)
+
+
+    def test_volume_scaling(self):
+        # a_{-t} is diagonal, so it scales the A-part of every node B = (a', n) by
+        # one factor, and chi_d of it by the horosphere's volume growth
+        bad, nodes = [], {}
+        for d, t, grid in ((2, 3.0, 9), (3, 2.0, 5)):
+            expected = math.exp(0.5 * t * math.sqrt((d - 1) * d))
+            shift = geodesic_r(d, -t).mat
+            axes = [np.linspace(-0.25, 0.25, grid)] * (d - 2) + [np.linspace(0.05, 0.3, grid)] * (d * (d - 1) // 2)
+            for index, row in enumerate(itertools.product(*axes)):
+                n = np.zeros((d, d))
+                n[np.tril_indices(d, -1)] = row[d - 2:]
+                base = iwasawa_compose(IwasawaCoord(0.0, np.append(row[:d - 2], -sum(row[:d - 2])), n)).mat
+                if abs(a_part_chi(shift @ base) / (expected * a_part_chi(base)) - 1.0) > 1e-9:
+                    bad.append((d, index))
+            nodes[d] = index + 1
+        assert nodes == {2: 9, 3: 625}
+        assert not bad, f"chi_d of the A-part does not scale at (d, node) = {bad}"
 
 
 class TestPhiT:
