@@ -37,8 +37,8 @@ one kernel, _fiber_means, in passes of at most PASS_PAIRS bounded pairs,
 all reading one phi table.
 
 Supported dimensions for averages: d = 2 (base is a point) and d = 3.
-The norm estimate (estimate_f_norm, over the exact d = 2 sampler), the
-Lipschitz estimate (estimate_lipschitz, one pass over its probes) and
+The norm estimate (estimate_f_norm, _pairs at the exact d = 2 sampler's
+points), the Lipschitz estimate (estimate_lipschitz, one pass) and
 the integrated bound (integrated_error_bound) are d = 2 drivers, where
 each average is one exact sum, and take no dimension.
 """
@@ -63,7 +63,6 @@ __all__ = [
     "bump_profile",
     "HoroAverage",
     "QuadratureSpec",
-    "eval_test_function",
     "space_average",
     "fiber_integral",
     "horosphere_average",
@@ -233,14 +232,6 @@ def _cutoff_height(t: float) -> float:
     return max(CUTOFF_FLOOR, math.exp(t / math.sqrt(2.0)))
 
 
-def eval_test_function(q: QuadForm, h: RadialProfile) -> float:
-    """Sum of h(Q(v)) over primitive integer v, twice that over the half-lattice (exact for integer grams)."""
-    bound = h.support_end + 2.0 * _support_tol(h.support_end)
-    pts, vals = enumerate_points(q, bound)
-    prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
-    return 2.0 * float(np.sum(h.value(np.asarray(vals, dtype=float)[prim])))
-
-
 def space_average(h: RadialProfile, d: int) -> float:
     """Mean of the test function over the space of lattices: I_h(d)/zeta(d)."""
     return h.integral(d) / constants(d).zeta
@@ -351,6 +342,14 @@ def _pairs(bounds: np.ndarray, xs=None, ys=None):
     return owner, np.gcd(w1, w2), qbs
 
 
+def _pair_sizes(bounds: np.ndarray, ys: np.ndarray):
+    """Per modular base point of _pairs, bounds on its pairs and their gcds:
+    w1 <= floor(sqrt(bound / y)), each with at most 2 sqrt(bound y) + 1 w2's;
+    gcd(w1, w2) <= w1, or w2 <= sqrt(bound y) at w1 = 0."""
+    w1_top, root = np.floor(np.sqrt(bounds / ys)), np.sqrt(bounds * ys)
+    return (w1_top + 1.0) * (2.0 * root + 1.0), np.maximum(w1_top, np.floor(root))
+
+
 def _level_means(d: int, levels, h: RadialProfile) -> list[float]:
     """Each level's weighted mean of the exact fiber means over its base
     points.  levels: (t, base grid) pairs, the grid None at d = 2 (one base
@@ -369,11 +368,7 @@ def _level_means(d: int, levels, h: RadialProfile) -> list[float]:
         xs, ys, wts = (np.concatenate(a) for a in zip(*grids))
         counts = [len(y) for _, y, _ in grids]
         bounds = np.repeat(bounds, counts)
-        # per base point: w1 <= floor(sqrt(bound / y)), each with at most
-        # 2 sqrt(bound y) + 1 w2's; gcd(w1, w2) <= w1, or w2 <= sqrt(bound y) at w1 = 0
-        w1_top, root = np.floor(np.sqrt(bounds / ys)), np.sqrt(bounds * ys)
-        sizes = (w1_top + 1.0) * (2.0 * root + 1.0)
-        top = np.maximum(w1_top, np.floor(root))
+        sizes, top = _pair_sizes(bounds, ys)
     at = np.repeat(np.arange(len(ts)), counts)
     for t, size in zip(ts, np.bincount(at, weights=sizes, minlength=len(ts)).tolist()):
         if size > ENUM_BUDGET:
@@ -538,19 +533,25 @@ def check_thm12_bound(series, f_norm: float, grad_bound: float) -> dict:
 # norm estimation and integrated bound
 
 def estimate_f_norm(h: RadialProfile, n: int, seed: int):
-    """Monte Carlo estimate of sqrt of the space average of f^2 over n
-    samples of the exact d = 2 sampler.  Returns (norm, standard error of
-    the squared mean).  An n that is not an integer >= 2, or a negative
-    seed, is refused before any sample is drawn."""
+    """Monte Carlo estimate of sqrt of the space average of f^2 over n samples of the
+    exact d = 2 sampler, f summed over the gcd-1 pairs of _pairs in runs of PASS_PAIRS.
+    Returns (norm, standard error of the squared mean).  An n that is not an integer
+    >= 2, or a negative seed, is refused before any sample is drawn, and samples whose
+    pairs exceed latcount.ENUM_BUDGET before any pair is built."""
     if not (isinstance(n, (int, np.integer)) and n >= 2 and seed >= 0):
         raise EquidistError(f"need an integer n >= 2 and a seed >= 0, got {n!r} and {seed!r}")
     b = np.array([s.basis.mat for s in sample_exact_d2(np.random.default_rng(seed), n)])
-    # the stacked product equals each basis's own b.T @ b bit for bit
-    forms = QuadForm.from_grams(b.transpose(0, 2, 1) @ b)
-    sq = np.array([eval_test_function(form, h) ** 2 for form in forms])
-    mean = float(np.mean(sq))
-    se = float(np.std(sq, ddof=1) / math.sqrt(n))
-    return math.sqrt(mean), se
+    # a basis [[1, x], [0, y]] / sqrt(y) has the gram of z = x + iy with its coordinates swapped
+    xs, ys = b[:, 0, 1] / b[:, 0, 0], 1.0 / b[:, 0, 0] ** 2
+    bounds = np.full(n, h.support_end + 2.0 * _support_tol(h.support_end))
+    sizes, _ = _pair_sizes(bounds, ys)
+    if (total := sizes.sum()) > ENUM_BUDGET:
+        raise EnumerationBudgetError(f"{n} samples need {total:.3g} pairs, above {ENUM_BUDGET:.0e}")
+    sq = np.empty(n)
+    for run in runs(sizes, PASS_PAIRS):
+        owner, g0, qbs = _pairs(bounds[run], xs[run], ys[run])
+        sq[run] = (2.0 * np.bincount(owner, h.value(qbs) * (g0 == 1), run.stop - run.start)) ** 2
+    return math.sqrt(float(np.mean(sq))), float(np.std(sq, ddof=1) / math.sqrt(n))
 
 
 def estimate_lipschitz(h: RadialProfile, t_probes) -> float:

@@ -80,26 +80,23 @@ def verify_inversion(spec: EllipsoidSpec) -> InversionReport:
                                       "lhs": int(lhs[x]), "rhs": int(rhs[x])})
 
 
-def zeta_tail(d: int, r: float):
-    """sum_{k > r} k^{-d} = zeta(d) - sum_{k <= r} k^{-d}, as (value,
-    half-width).
-
-    The half-width is a rounding allowance of one ulp of 1 per term of the
-    head (each a power within one ulp of itself) and two for zeta(d) and
-    the final roundings; the head is summed with math.fsum.
-    """
+def _tail(total: float, r: float, term):
+    """total - sum_{k <= r} term(k), as (value, half-width): the head is summed with
+    math.fsum, and the half-width allows one ulp of 1 per head term (each a power within
+    one ulp of itself) and two for the total and the final roundings."""
     k0 = math.floor(r)
-    head = math.fsum(k ** -float(d) for k in range(1, k0 + 1))
-    return zeta(d) - head, (k0 + 2) * math.ulp(1.0)
+    return total - math.fsum(term(k) for k in range(1, k0 + 1)), (k0 + 2) * math.ulp(1.0)
+
+
+def zeta_tail(d: int, r: float):
+    """sum_{k > r} k^{-d} = zeta(d) - sum_{k <= r} k^{-d}, as (value, half-width)."""
+    return _tail(zeta(d), r, lambda k: k ** -float(d))
 
 
 def mu_tail(d: int, r: float):
-    """sum_{k > r} mu(k) k^{-d} = 1/zeta(d) - sum_{k <= r} mu(k) k^{-d}, as
-    (value, half-width), with the half-width of zeta_tail."""
-    k0 = math.floor(r)
-    mu = sieve(max(k0, 1))
-    head = math.fsum(int(mu[k]) * k ** -float(d) for k in range(1, k0 + 1))
-    return 1.0 / zeta(d) - head, (k0 + 2) * math.ulp(1.0)
+    """sum_{k > r} mu(k) k^{-d} = 1/zeta(d) - sum_{k <= r} mu(k) k^{-d}, as (value, half-width)."""
+    mu = sieve(max(math.floor(r), 1))
+    return _tail(1.0 / zeta(d), r, lambda k: int(mu[k]) * k ** -float(d))
 
 
 @dataclass

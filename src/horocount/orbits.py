@@ -28,7 +28,7 @@ from .latcount import (
     count_primitive_many,
     enumerate_points,
 )
-from .quadform import QuadForm, constants
+from .quadform import QuadForm, constants, rate_lambda
 
 __all__ = [
     "ChimneyCount",
@@ -68,14 +68,16 @@ class DecayFit:
 
 
 def t_of_radius(d: int, radius: float) -> float:
-    """T(R) = 2 sqrt(d/(d-1)) log R, for a positive finite R."""
+    """T(R) = 2 sqrt(d/(d-1)) log R, for an integer d >= 2 and a positive finite R."""
+    rate_lambda(d)  # refuses any other d with GeometryError
     if not 0 < radius < math.inf:
         raise CountingError(f"radius must be positive and finite, got {radius}")
     return 2.0 * math.sqrt(d / (d - 1)) * math.log(radius)
 
 
 def radius_of_t(d: int, t: float) -> float:
-    """Inverse map: R = e^{T sqrt((d-1)/d)/2}, for a finite T."""
+    """Inverse map: R = e^{T sqrt((d-1)/d)/2}, for an integer d >= 2 and a finite T."""
+    rate_lambda(d)  # refuses any other d with GeometryError
     if not math.isfinite(t):
         raise CountingError(f"T must be finite, got {t}")
     try:

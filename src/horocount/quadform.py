@@ -293,7 +293,7 @@ class GroupElement:
             raise GeometryError(f"matrix must be square, got shape {m.shape}")
         d = m.shape[0]
         _check_dim(d)
-        det = float(np.linalg.det(m))
+        det = float(np.linalg.det(m)) if np.isfinite(m).all() else math.nan  # det warns on inf and NaN
         if not abs(det - 1.0) <= DET_TOL:  # a NaN det is refused too
             raise GeometryError(f"matrix determinant {det} is not 1 within {DET_TOL}")
         return GroupElement(d, m)

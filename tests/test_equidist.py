@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from horocount import equidist, latcount
+from horocount import acceptance, equidist, latcount
 from horocount.equidist import (
     EquidistError,
     HoroAverage,
@@ -18,7 +18,6 @@ from horocount.equidist import (
     check_thm12_bound,
     decay_series,
     estimate_f_norm,
-    eval_test_function,
     fiber_integral,
     good_t_locator,
     horosphere_average,
@@ -38,7 +37,19 @@ from horocount.quadform import (
     rate_lambda,
     rate_mu,
 )
+from horocount.randlat import sample_exact_d2
 from test_quadform import phi_t
+
+
+def eval_test_function(q: QuadForm, h) -> float:
+    """Enumeration oracle of the test function at a form: twice the sum of
+    h(Q(v)) over the primitive half-lattice latcount.enumerate_points gives
+    up to s + 2 _support_tol(s) (exact for integer grams)."""
+    bound = h.support_end + 2.0 * equidist._support_tol(h.support_end)
+    pts, vals = latcount.enumerate_points(q, bound)
+    prim = np.gcd.reduce(np.abs(pts), axis=1) == 1
+    return 2.0 * float(np.sum(h.value(np.asarray(vals, dtype=float)[prim])))
+
 
 GAUSS8 = np.polynomial.legendre.leggauss(8)  # exact to degree 15
 
@@ -698,6 +709,39 @@ class TestThm12Bound:
             for n, seed in ((1, 0), (0, 0), (2.5, 0), (2.0, 0), (10, -1)):
                 with pytest.raises(EquidistError, match="integer n >= 2 and a seed >= 0"):
                     estimate_f_norm(bump_profile(1.0), n, seed)
+        assert calls == []
+
+
+class TestNormEstimate:
+    @pytest.mark.parametrize("h, n, seed", [
+        (bump_profile(1.0), 4000, acceptance.SEED),  # criterion 6
+        (indicator_profile(1.0), 6000, acceptance.SEED + 2),  # criterion 7
+        (bump_profile(1.0), 4000, 3),
+        (indicator_profile(1.0), 6000, 9),
+    ], ids=["criterion-6", "criterion-7", "bump-seed-3", "indicator-seed-9"])
+    def test_matches_the_enumeration_oracle(self, h, n, seed):
+        # the same samples, each a form whose primitive half-lattice is enumerated
+        b = np.array([s.basis.mat for s in sample_exact_d2(np.random.default_rng(seed), n)])
+        forms = QuadForm.from_grams(b.transpose(0, 2, 1) @ b)
+        sq = np.array([eval_test_function(q, h) ** 2 for q in forms])
+        f_norm, se = estimate_f_norm(h, n, seed)
+        assert f_norm == pytest.approx(math.sqrt(float(np.mean(sq))), rel=1e-14, abs=0.0)
+        assert se == pytest.approx(float(np.std(sq, ddof=1) / math.sqrt(n)), rel=1e-12, abs=0.0)
+
+    def test_builds_no_form_and_enumerates_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate_f_norm built a form or enumerated points")
+        monkeypatch.setattr(equidist, "enumerate_points", refuse)
+        monkeypatch.setattr(QuadForm, "from_grams", staticmethod(refuse))
+        f_norm, se = estimate_f_norm(bump_profile(1.0), 200, 5)
+        assert f_norm > 0.0 and se > 0.0
+
+    def test_oversized_support_refused_before_any_pair(self, monkeypatch):
+        # ten samples at s = 1e18 would need about 2e19 (sample, w) pairs
+        calls = []
+        monkeypatch.setattr(equidist, "_pairs", lambda *a: calls.append(a))
+        with pytest.raises(EnumerationBudgetError, match="pairs"):
+            estimate_f_norm(indicator_profile(1e18), 10, 0)
         assert calls == []
 
 

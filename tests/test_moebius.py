@@ -209,6 +209,19 @@ class TestTails:
                 partial = sum(k ** -float(d) for k in range(1, math.floor(r) + 1))
                 assert val == pytest.approx(zeta(d) - partial, abs=1e-12 + width)
 
+    def test_tails_equal_their_fsum_form(self):
+        # bit for bit the closed-form total minus the math.fsum head up to
+        # floor(r), with half-width (floor(r) + 2) ulp(1), as each was written alone
+        mu = sieve(100)
+        for d in (2, 3, 5):
+            for r in (-1.0, 0.5, 1.0, 7.3, 40.0, 100.0):
+                k0 = math.floor(r)
+                width = (k0 + 2) * math.ulp(1.0)
+                zeta_head = math.fsum(k ** -float(d) for k in range(1, k0 + 1))
+                mu_head = math.fsum(int(mu[k]) * k ** -float(d) for k in range(1, k0 + 1))
+                assert zeta_tail(d, r) == (zeta(d) - zeta_head, width)
+                assert mu_tail(d, r) == (1.0 / zeta(d) - mu_head, width)
+
     def test_mu_tail_complement(self):
         # sum_{k<=r} mu(k)/k^d + tail = 1/zeta(d)
         mu = sieve(100)

@@ -15,7 +15,7 @@ from horocount.orbits import (
     t_of_radius,
     theory_slope,
 )
-from horocount.quadform import GroupElement, QuadForm, act, constants
+from horocount.quadform import GeometryError, GroupElement, QuadForm, act, constants
 from test_latcount import full, random_form, random_unimodular
 
 
@@ -33,6 +33,19 @@ class TestRadiusMaps:
     def test_rejects_nonpositive(self):
         with pytest.raises(CountingError):
             t_of_radius(2, 0.0)
+
+    @pytest.mark.parametrize("d", [1, True, 0, 2.5, -3, None])
+    def test_rejects_dimensions(self, d):
+        for radius_map in (t_of_radius, radius_of_t):
+            with pytest.raises(GeometryError, match="dimension must be an integer >= 2"):
+                radius_map(d, 2.0)
+
+    def test_valid_dimensions_keep_their_values(self):
+        # the dimension check computes nothing the maps return
+        for d in (2, 3, 4, 7, np.int64(5)):
+            for x in (0.3, 1.0, 2.0, 75.5):
+                assert t_of_radius(d, x) == 2.0 * math.sqrt(d / (d - 1)) * math.log(x)
+                assert radius_of_t(d, x) == math.exp(0.5 * x * math.sqrt((d - 1) / d))
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, x):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -445,6 +446,15 @@ class TestAction:
                   [[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.inf], [0.0, 1.0]]):
             with np.errstate(invalid="ignore"), pytest.raises(GeometryError, match="determinant"):
                 GroupElement.from_matrix(m)
+
+    def test_from_matrix_refuses_non_finite_entries_silently(self):
+        # refused before the det, which would warn "invalid value encountered in det"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in ([[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 1.0]],
+                      [[1.0, 0.0, 0.0], [0.0, 1.0, -math.inf], [0.0, 0.0, 1.0]]):
+                with pytest.raises(GeometryError, match="determinant"):
+                    GroupElement.from_matrix(m)
 
 
 class TestGeodesics:
